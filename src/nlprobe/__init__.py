@@ -18,7 +18,7 @@ from .errors import (
     NumericalRangeError,
     ThresholdAmbiguousError,
 )
-from .moments import MomentVector, moment_general, moment_real_axis, moment_vector
+from .moments import MomentVector, general_moments, moment_general, moment_real_axis, moment_vector
 from .optimizer import (
     GammaOptResult,
     OptTarget,
@@ -33,6 +33,7 @@ from .qfi_core import (
     ModelSpec,
     QfiMatrix,
     qfi_cross,
+    qfi_from_moments,
     qfi_lambda,
     qfi_matrix,
     qfi_zeta,
@@ -53,12 +54,14 @@ __all__ = [
     "bogoliubov_view",
     "make_probe",
     "MomentVector",
+    "general_moments",
     "moment_general",
     "moment_real_axis",
     "moment_vector",
     "ModelSpec",
     "QfiMatrix",
     "qfi_cross",
+    "qfi_from_moments",
     "qfi_lambda",
     "qfi_matrix",
     "qfi_zeta",

@@ -5,32 +5,17 @@ evaluates exact moments inside its objective because the validity windows
 of the expansions are not sharply quantified.
 """
 
-import enum
 import math
-from dataclasses import dataclass
 
 from .combinatorics import amplitude_A, scaling_B
 from .errors import DomainError
 
 __all__ = [
-    "RegimeKind",
-    "Regime",
     "qfi_lambda_low_n",
     "qfi_zeta_low_n",
     "qfi_high_n",
     "gamma_opt_high_n",
 ]
-
-
-class RegimeKind(enum.Enum):
-    LOW_ENERGY = "low_energy"
-    HIGH_ENERGY = "high_energy"
-
-
-@dataclass(frozen=True)
-class Regime:
-    kind: RegimeKind
-    validity_hint: float  # N below (low) or above (high) which the expansion is trustworthy
 
 
 def qfi_lambda_low_n(n_total: float, gamma: float, zeta: int) -> float:

@@ -20,9 +20,9 @@ from .errors import InternalConsistencyError, NlprobeError, NumericalRangeError,
 from .asymptotics import gamma_opt_high_n
 from .fock_oracle import converged_moments, qfi_matrix_oracle, sld_operator
 from .moments import moment_general
-from .optimizer import OptTarget, TargetKind, find_threshold, optimize_gamma
+from .optimizer import THRESHOLD_N_LO, OptTarget, TargetKind, find_threshold, objective, optimize_gamma
 from .probe import make_probe
-from .qfi_core import ModelSpec, qfi_matrix, reparametrize_physical, scalar_bound_inverse
+from .qfi_core import ModelSpec, qfi_lambda, qfi_matrix, qfi_zeta, reparametrize_physical, scalar_bound_inverse
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -86,6 +86,11 @@ def _emit(args, scan: ScanResult):
         lines.append(",".join(scan.header))
         lines.extend(",".join(_fmt(v) for v in row) for row in scan.rows)
         text = "\n".join(lines) + "\n"
+    _write(args, text)
+
+
+def _write(args, text):
+    """Write a command's whole output to the --out file, or else to stdout."""
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
             fh.write(text)
@@ -135,10 +140,9 @@ def cmd_qfi(args) -> int:
             }
         )
     if args.json:
-        sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
+        _write(args, json.dumps(record, sort_keys=True) + "\n")
     else:
-        for key, val in record.items():
-            sys.stdout.write(f"{key}={_fmt(val)}\n")
+        _write(args, "".join(f"{key}={_fmt(val)}\n" for key, val in record.items()))
     return EXIT_OK
 
 
@@ -149,23 +153,12 @@ def cmd_scan_phase(args) -> int:
     thetas = [i * step for i in range(k)]
     phis = [j * step for j in range(k)]
     points = [(t, p) for t in thetas for p in phis]
+    # at lambda = 1 the order QFI is divided by lambda^2, its only lambda dependence
+    model = ModelSpec(lambda_eff=1.0, zeta=args.zeta)
+    element = qfi_lambda if target is TargetKind.F_LAMBDA else qfi_zeta
 
     def value(point):
-        theta, phi = point
-        probe = make_probe(args.n, args.gamma, theta, phi)
-        z = args.zeta
-        if target is TargetKind.F_LAMBDA:
-            return 4.0 * (
-                moment_general(probe, 2 * z, extended=args.extended)
-                - moment_general(probe, z, extended=args.extended) ** 2
-            )
-        # order QFI divided by lambda^2, which removes its only lambda dependence
-        if z == 1:
-            return 0.0
-        return 4.0 * z**2 * (
-            moment_general(probe, 2 * z - 2, extended=args.extended)
-            - moment_general(probe, z - 1, extended=args.extended) ** 2
-        )
+        return element(make_probe(args.n, args.gamma, *point), model, extended=args.extended)
 
     vals = _parallel_map(value, points, args.jobs)
     rows = [(t, p, v) for (t, p), v in zip(points, vals)]
@@ -186,8 +179,6 @@ def cmd_scan_phase(args) -> int:
 def cmd_scan_gamma(args) -> int:
     model = ModelSpec(lambda_eff=args.lam, zeta=args.zeta)
     target = OptTarget(TargetKind(args.target), model)
-    from .optimizer import objective
-
     gammas = [i / (args.grid - 1) for i in range(args.grid)]
     vals = _parallel_map(
         lambda g: objective(g, args.n, target, extended=args.extended), gammas, args.jobs
@@ -204,6 +195,19 @@ def cmd_scan_gamma(args) -> int:
     )
     _emit(args, ScanResult({"gamma": gammas}, ("gamma", "value"), rows, vals, md))
     return EXIT_OK
+
+
+def _checked(convert, ok, rule):
+    """argparse type: convert the text, then reject values that break the rule."""
+
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type in its messages
+    return parse
 
 
 def _parse_n_range(spec):
@@ -224,9 +228,7 @@ def cmd_opt_gamma(args) -> int:
     lambdas = args.lam if kind is TargetKind.JOINT_BOUND else [1.0]
     rows = []
     for zeta in args.zeta:
-        if kind is TargetKind.F_LAMBDA:
-            asym = gamma_opt_high_n(zeta)
-        elif kind is TargetKind.F_ZETA:
+        if kind is TargetKind.F_ZETA:
             asym = gamma_opt_high_n(zeta - 1) if zeta >= 2 else float("nan")
         else:
             asym = gamma_opt_high_n(zeta)
@@ -280,10 +282,9 @@ def cmd_threshold(args) -> int:
                 rec["deviation"] = n_th - ANALYTIC_THRESHOLD
         records.append(rec)
     if args.json:
-        sys.stdout.write(json.dumps(records, sort_keys=True) + "\n")
+        _write(args, json.dumps(records, sort_keys=True) + "\n")
     else:
-        for rec in records:
-            sys.stdout.write(" ".join(f"{k}={_fmt(v)}" for k, v in rec.items()) + "\n")
+        _write(args, "".join(" ".join(f"{k}={_fmt(v)}" for k, v in rec.items()) + "\n" for rec in records))
     return EXIT_OK
 
 
@@ -291,12 +292,13 @@ def cmd_selftest(args) -> int:
     import numpy as np
 
     failures = 0
+    lines = []
 
     def check(name, ok, detail=""):
         nonlocal failures
         status = "PASS" if ok else "FAIL"
         failures += 0 if ok else 1
-        sys.stdout.write(f"{status} {name}{' ' + detail if detail else ''}\n")
+        lines.append(f"{status} {name}{' ' + detail if detail else ''}\n")
 
     # exact row-sum identity
     ok = True
@@ -331,7 +333,7 @@ def cmd_selftest(args) -> int:
             worst_exact = max(worst_exact, abs(exact - om[k]) / max(1.0, abs(om[k])))
             worst_default = max(worst_default, abs(default - om[k]) / max(1.0, abs(om[k])))
     check("moments.oracle-agreement-state-exact-mode", worst_exact <= 1e-8, f"max_rel={worst_exact:.2e}")
-    sys.stdout.write(
+    lines.append(
         f"INFO moments.default-family-vs-state-delta max_rel={worst_default:.2e} "
         "(expected large at mixed gamma; see README 'Moment conventions')\n"
     )
@@ -364,7 +366,8 @@ def cmd_selftest(args) -> int:
         f"n_th={n_th:.6f} ref={ANALYTIC_THRESHOLD:.6f}",
     )
 
-    sys.stdout.write(("OK" if failures == 0 else f"{failures} FAILURES") + "\n")
+    lines.append(("OK" if failures == 0 else f"{failures} FAILURES") + "\n")
+    _write(args, "".join(lines))
     return EXIT_OK if failures == 0 else 1
 
 
@@ -399,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--zeta", type=int, required=True)
     p.add_argument("--target", choices=["f_lambda", "f_zeta"], required=True)
-    p.add_argument("--grid", type=int, required=True)
+    p.add_argument("--grid", type=_checked(int, lambda v: v >= 1, ">= 1"), required=True)
     common(p)
     p.set_defaults(func=cmd_scan_phase)
 
@@ -408,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta", type=int, required=True)
     p.add_argument("--target", choices=["f_lambda", "f_zeta", "joint"], required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--grid", type=int, default=101)
+    p.add_argument("--grid", type=_checked(int, lambda v: v >= 2, ">= 2"), default=101)
     common(p)
     p.set_defaults(func=cmd_scan_gamma)
 
@@ -425,9 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=float, nargs="*", default=None)
     p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-4)
-    p.add_argument("--n-hi", dest="n_hi", type=float, default=1e3,
-                   help="upper end of the searched energy range (joint targets may need more)")
-    p.add_argument("--samples", type=int, default=15, help="log-grid points used to bracket the crossing")
+    p.add_argument("--n-hi", dest="n_hi", type=_checked(float, lambda v: v > THRESHOLD_N_LO, f"> {THRESHOLD_N_LO}"),
+                   default=1e3, help="upper end of the searched energy range (joint targets may need more)")
+    p.add_argument("--samples", type=_checked(int, lambda v: v >= 2, ">= 2"), default=15,
+                   help="log-grid points used to bracket the crossing")
     common(p)
     p.set_defaults(func=cmd_threshold)
 

@@ -28,59 +28,70 @@ conventions", for the full story.
 """
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
 
-from .combinatorics import normal_order_coeff
+from .combinatorics import coeff_row_sum, normal_order_coeff
 from .errors import DomainError, InternalConsistencyError
 from .probe import ProbeSpec, bogoliubov_view
 
-__all__ = ["MomentVector", "moment_general", "moment_real_axis", "moment_vector"]
+__all__ = ["MomentVector", "general_moments", "moment_general", "moment_real_axis", "moment_vector"]
 
 IMAG_RESIDUE_TOL = 1e-10
 EXTENDED_DPS = 40  # working digits of the extended-precision path
 
 
 @lru_cache(maxsize=None)
-def _terms(zeta: int):
-    """(k, s, coefficient, phase multiplier) for every normal-ordering term."""
-    out = []
-    for k in range(zeta // 2 + 1):
-        for s in range(zeta - 2 * k + 1):
-            out.append((k, s, normal_order_coeff(zeta, k, s), zeta - 2 * k - 2 * s))
-    return tuple(out)
+def _exact_table(k: int):
+    """Exact coefficients of order k.
+
+    The general-phase terms as (C(k,j,s), phase multiplier, power of
+    conj(beta), power of beta), and the real-axis row sums over s per j.
+    """
+    if k < 0:
+        raise DomainError(f"moment order must be >= 0, got {k}")
+    terms = tuple(
+        (normal_order_coeff(k, j, s), k - 2 * j - 2 * s, s, k - 2 * j - s)
+        for j in range(k // 2 + 1)
+        for s in range(k - 2 * j + 1)
+    )
+    return terms, tuple(coeff_row_sum(k, j) for j in range(k // 2 + 1))
+
+
+def _convert(c, extended):
+    """An exact coefficient as float, or as mpf at the working precision."""
+    return mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) if extended else float(c)
+
+
+# The converted tables below are cached per precision; the mpf ones are built
+# at EXTENDED_DPS digits, so they are only asked for inside
+# mpmath.workdps(EXTENDED_DPS).
+@lru_cache(maxsize=None)
+def _table(k: int, extended: bool):
+    """General-phase terms of order k with converted coefficients."""
+    return tuple((_convert(c, extended), ph, s, p) for c, ph, s, p in _exact_table(k)[0])
 
 
 @lru_cache(maxsize=None)
-def _terms_float(zeta: int):
-    """Same table with the exact coefficients converted to float once."""
-    return tuple((k, s, float(c), ph) for k, s, c, ph in _terms(zeta))
+def _row_table(k: int, beta_sign: int, extended: bool):
+    """Real-axis row sums of order k as (c_j, power of alpha, power of E = e^(2r)).
+
+    Validates k and beta_sign, once per cache entry.
+    """
+    rows = _exact_table(k)[1]
+    _check_beta_sign(beta_sign)
+    return tuple(
+        (_convert(c, extended), k - 2 * j, k - j if beta_sign > 0 else j) for j, c in enumerate(rows)
+    )
 
 
-@lru_cache(maxsize=None)
-def _row_sums(zeta: int):
-    """Exact sum over s of C(zeta,k,s) for each k (the theta=phi=0 collapse)."""
-    sums = []
-    for k in range(zeta // 2 + 1):
-        sums.append(
-            sum((normal_order_coeff(zeta, k, s) for s in range(zeta - 2 * k + 1)), Fraction(0))
-        )
-    return tuple(sums)
-
-
-@lru_cache(maxsize=None)
-def _row_sums_float(zeta: int):
-    return tuple(float(c) for c in _row_sums(zeta))
-
-
-def _kahan_complex(terms):
-    """Compensated sum, largest magnitude first, deterministic order."""
-    total = 0j
-    comp = 0j
+def _compensated_sum(terms):
+    """Kahan sum, largest magnitude first, deterministic order."""
+    total = comp = 0.0
     for t in sorted(terms, key=abs, reverse=True):
         y = t - comp
         s = total + y
@@ -94,60 +105,60 @@ def _check_beta_sign(beta_sign):
         raise DomainError(f"beta_sign must be +1 or -1, got {beta_sign}")
 
 
-def moment_general(probe: ProbeSpec, k: int, *, beta_sign: int = +1, extended: bool = False) -> float:
-    """Expectation value <G_k> on the probe, general phases.
+def general_moments(probe: ProbeSpec, orders, *, beta_sign: int = +1, extended: bool = False) -> dict:
+    """{k: <G_k>} on the probe for k = 0 and every k in orders, general phases.
 
-    The internal sum is complex; its imaginary residue must stay below
-    1e-10 relative or the phase bookkeeping is broken and an
-    InternalConsistencyError is raised.
+    r, mu, nu, beta, eta, psi, the phase factors and the powers of beta are
+    derived once for all orders. In double precision each sum is compensated
+    and the values are floats. In extended mode they are unrounded mpf at
+    EXTENDED_DPS digits: combine them inside mpmath.workdps(EXTENDED_DPS)
+    and round once at the end.
+
+    The internal sums are complex; an imaginary residue above 1e-10 of
+    eta^k max|term| means the phase bookkeeping is broken and raises
+    InternalConsistencyError.
     """
-    if k < 0:
-        raise DomainError(f"moment order must be >= 0, got {k}")
+    orders = set(orders)
     _check_beta_sign(beta_sign)
-    if k == 0:
-        return 1.0
-    if extended:
-        return float(_moment_general_mp(probe, k, beta_sign))
+    k_max = max(orders, default=0)
+    with mpmath.workdps(EXTENDED_DPS) if extended else contextlib.nullcontext():
+        if extended:
+            mpf = mpmath.mpf
+            n_sq = mpf(probe.gamma) * mpf(probe.n_total)
+            n_ch = (1 - mpf(probe.gamma)) * mpf(probe.n_total)
+            r = mpmath.asinh(mpmath.sqrt(n_sq))
+            alpha = mpmath.sqrt(n_ch) * mpmath.expj(mpf(probe.phi))
+            mu = mpmath.cosh(r)
+            nu = mpmath.expj(mpf(probe.theta)) * mpmath.sinh(r)
+            eta = abs(mu + nu)
+            psi = mpmath.arg(mu + mpmath.conj(nu))
+            phase = {ph: mpmath.expj(psi * ph) for ph in range(-k_max, k_max + 1)}
+            conj, add, one = mpmath.conj, sum, mpf(1)
+        else:
+            view = bogoliubov_view(probe)
+            mu, nu, eta, psi, alpha = view.mu, view.nu, view.eta, view.psi, probe.alpha
+            phase = {ph: cmath.exp(1j * psi * ph) for ph in range(-k_max, k_max + 1)}
+            conj, add, one = complex.conjugate, _compensated_sum, 1.0
+        beta = mu * alpha + beta_sign * nu * conj(alpha)
+        betac = conj(beta)
+        beta_pow = [beta**p for p in range(k_max + 1)]
+        betac_pow = [betac**s for s in range(k_max + 1)]
+        out = {0: one}
+        for k in orders - {0}:
+            terms = [c * phase[ph] * betac_pow[s] * beta_pow[p] for c, ph, s, p in _table(k, extended)]
+            scale = eta**k
+            total = scale * add(terms)
+            if abs(total.imag) > IMAG_RESIDUE_TOL * scale * max(map(abs, terms)):
+                raise InternalConsistencyError(
+                    f"imaginary residue {float(total.imag):.3e} exceeds tolerance for k={k} probe={probe}"
+                )
+            out[k] = total.real
+        return out
 
-    view = bogoliubov_view(probe)
-    beta = view.mu * probe.alpha + beta_sign * view.nu * probe.alpha.conjugate()
-    betac = beta.conjugate()
-    terms = [
-        coeff * cmath.exp(1j * view.psi * ph) * betac**s * beta ** (k - 2 * kk - s)
-        for kk, s, coeff, ph in _terms_float(k)
-    ]
-    total = view.eta**k * _kahan_complex(terms)
-    scale = max(1.0, abs(total.real))
-    if abs(total.imag) > IMAG_RESIDUE_TOL * scale:
-        raise InternalConsistencyError(
-            f"imaginary residue {total.imag:.3e} exceeds tolerance for k={k} probe={probe}"
-        )
-    return total.real
 
-
-def _moment_general_mp(probe: ProbeSpec, k: int, beta_sign: int):
-    """Extended-precision twin of moment_general (mpmath, EXTENDED_DPS digits)."""
-    with mpmath.workdps(EXTENDED_DPS):
-        n_sq = mpmath.mpf(probe.gamma) * mpmath.mpf(probe.n_total)
-        n_ch = (1 - mpmath.mpf(probe.gamma)) * mpmath.mpf(probe.n_total)
-        r = mpmath.asinh(mpmath.sqrt(n_sq))
-        alpha = mpmath.sqrt(n_ch) * mpmath.expj(mpmath.mpf(probe.phi))
-        mu = mpmath.cosh(r)
-        nu = mpmath.expj(mpmath.mpf(probe.theta)) * mpmath.sinh(r)
-        beta = mu * alpha + beta_sign * nu * mpmath.conj(alpha)
-        eta = abs(mu + nu)
-        psi = mpmath.arg(mu + mpmath.conj(nu))
-        total = mpmath.mpc(0)
-        for kk, s, coeff, ph in _terms(k):
-            c = mpmath.mpf(coeff.numerator) / mpmath.mpf(coeff.denominator)
-            total += c * mpmath.expj(psi * ph) * mpmath.conj(beta) ** s * beta ** (k - 2 * kk - s)
-        total = eta**k * total
-        scale = max(1, abs(mpmath.re(total)))
-        if abs(mpmath.im(total)) > IMAG_RESIDUE_TOL * scale:
-            raise InternalConsistencyError(
-                f"imaginary residue in extended mode for k={k} probe={probe}"
-            )
-        return mpmath.re(total)
+def moment_general(probe: ProbeSpec, k: int, *, beta_sign: int = +1, extended: bool = False) -> float:
+    """Expectation value <G_k> on the probe, general phases (see general_moments)."""
+    return float(general_moments(probe, (k,), beta_sign=beta_sign, extended=extended)[k])
 
 
 def moment_real_axis(alpha: float, r: float, k: int, *, beta_sign: int = +1, extended: bool = False) -> float:
@@ -160,34 +171,16 @@ def moment_real_axis(alpha: float, r: float, k: int, *, beta_sign: int = +1, ext
     """
     if alpha < 0 or r < 0:
         raise DomainError("moment_real_axis expects alpha >= 0 and r >= 0")
-    if k < 0:
-        raise DomainError(f"moment order must be >= 0, got {k}")
-    _check_beta_sign(beta_sign)
-    if k == 0:
-        return 1.0
     if extended:
         with mpmath.workdps(EXTENDED_DPS):
-            E = mpmath.exp(2 * mpmath.mpf(r))
-            a = mpmath.mpf(alpha)
-            total = mpmath.mpf(0)
-            for j, c in enumerate(_row_sums(k)):
-                p = k - j if beta_sign > 0 else j
-                cf = mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-                total += cf * a ** (k - 2 * j) * E**p
-            return float(total)
+            rows = _row_table(k, beta_sign, True)
+            a, E = mpmath.mpf(alpha), mpmath.exp(2 * mpmath.mpf(r))
+            return float(sum(c * a**pa * E**pe for c, pa, pe in rows))
     E = math.exp(2.0 * r)
-    terms = []
-    for j, c in enumerate(_row_sums_float(k)):
-        p = k - j if beta_sign > 0 else j
-        terms.append(c * alpha ** (k - 2 * j) * E**p)
-    total = 0.0
-    comp = 0.0
-    for t in sorted(terms, key=abs, reverse=True):
-        y = t - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-    return total
+    terms = []  # a plain loop: a comprehension costs a call on this hot path
+    for c, pa, pe in _row_table(k, beta_sign, False):
+        terms.append(c * alpha**pa * E**pe)
+    return _compensated_sum(terms)
 
 
 @dataclass(frozen=True)
@@ -205,8 +198,5 @@ class MomentVector:
 def moment_vector(probe: ProbeSpec, k_max: int, *, beta_sign: int = +1, extended: bool = False) -> MomentVector:
     if k_max < 0:
         raise DomainError(f"k_max must be >= 0, got {k_max}")
-    vals = tuple(
-        moment_general(probe, k, beta_sign=beta_sign, extended=extended)
-        for k in range(k_max + 1)
-    )
-    return MomentVector(probe=probe, k_max=k_max, values=vals)
+    m = general_moments(probe, range(k_max + 1), beta_sign=beta_sign, extended=extended)
+    return MomentVector(probe=probe, k_max=k_max, values=tuple(float(m[k]) for k in range(k_max + 1)))

@@ -10,10 +10,12 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateModelError, DomainError, NumericalRangeError, ThresholdAmbiguousError
-from .moments import moment_real_axis
+import mpmath
+
+from .errors import DomainError, NumericalRangeError, ThresholdAmbiguousError
+from .moments import EXTENDED_DPS, general_moments, moment_real_axis
 from .probe import make_probe
-from .qfi_core import ModelSpec, QfiMatrix, qfi_cross, qfi_lambda, qfi_zeta, scalar_bound_inverse
+from .qfi_core import ModelSpec, QfiMatrix, qfi_from_moments, qfi_lambda, qfi_matrix, qfi_zeta, scalar_bound_inverse
 
 __all__ = [
     "TargetKind",
@@ -26,6 +28,7 @@ __all__ = [
 ]
 
 BOUNDARY_TOL = 1e-6  # gamma_opt >= 1 - BOUNDARY_TOL counts as the squeezed-vacuum boundary
+THRESHOLD_N_LO = 1e-4  # default lower end of the threshold search
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -56,7 +59,7 @@ class GammaOptResult:
     n_total: float
 
 
-def _joint_bound(f_ll, f_zz, f_lz, probe, model):
+def _joint_bound(f: QfiMatrix, probe, model):
     """Joint scalar bound with an extended-precision retry.
 
     The two parameters become almost perfectly correlated at large energy, so
@@ -65,54 +68,18 @@ def _joint_bound(f_ll, f_zz, f_lz, probe, model):
     (moments, entries and determinant alike, so no intermediate rounding can
     reintroduce the cancellation noise).
     """
-    det = f_ll * f_zz - f_lz * f_lz
-    if det <= 1e-9 * abs(f_ll * f_zz):
+    det = f.f_ll * f.f_zz - f.f_lz * f.f_lz
+    if det <= 1e-9 * abs(f.f_ll * f.f_zz):
         return _joint_bound_mp(probe, model)
-    return scalar_bound_inverse(QfiMatrix(f_ll, f_zz, f_lz))
+    return scalar_bound_inverse(f)
 
 
 def _joint_bound_mp(probe, model):
-    import mpmath
-
-    from .moments import EXTENDED_DPS, _moment_general_mp
-
+    """det(F) / tr(F) from 40-digit general-phase moments, rounded once at the end."""
     z = model.zeta
     with mpmath.workdps(EXTENDED_DPS):
-        orders = {2 * z, z, 2 * z - 2, z - 1, 2 * z - 1}
-        m = {k: (_moment_general_mp(probe, k, +1) if k > 0 else mpmath.mpf(1)) for k in orders}
-        lam = mpmath.mpf(model.lambda_eff)
-        f_ll = 4 * (m[2 * z] - m[z] ** 2)
-        f_zz = 4 * (lam * z) ** 2 * (m[2 * z - 2] - m[z - 1] ** 2) if z > 1 else mpmath.mpf(0)
-        f_lz = 4 * lam * z * (m[2 * z - 1] - m[z] * m[z - 1])
-        det = f_ll * f_zz - f_lz**2
-        trace = f_ll + f_zz
-        if trace <= 0:
-            raise DegenerateModelError("QFI matrix trace is zero; no parameter is estimable")
-        if det < 0:
-            det = mpmath.mpf(0)  # singular beyond 40-digit resolution
-        return float(det / trace)
-
-
-def _real_axis_objective(gamma, n_total, target):
-    """Fast theta = phi = 0 path built on the collapsed row-sum moments."""
-    alpha = math.sqrt((1.0 - gamma) * n_total)
-    r = math.asinh(math.sqrt(gamma * n_total))
-    z = target.model.zeta
-    lam = target.model.lambda_eff
-
-    def m(k):
-        return moment_real_axis(alpha, r, k)
-
-    if target.kind is TargetKind.F_LAMBDA:
-        return 4.0 * (m(2 * z) - m(z) ** 2)
-    if target.kind is TargetKind.F_ZETA:
-        if z == 1:
-            return 0.0
-        return 4.0 * (lam * z) ** 2 * (m(2 * z - 2) - m(z - 1) ** 2)
-    f_ll = 4.0 * (m(2 * z) - m(z) ** 2)
-    f_zz = 0.0 if z == 1 else 4.0 * (lam * z) ** 2 * (m(2 * z - 2) - m(z - 1) ** 2)
-    f_lz = 4.0 * lam * z * (m(2 * z - 1) - m(z) * m(z - 1))
-    return _joint_bound(f_ll, f_zz, f_lz, make_probe(n_total, gamma), target.model)
+        m = general_moments(probe, (2 * z, z, 2 * z - 2, z - 1, 2 * z - 1), extended=True)
+        return float(scalar_bound_inverse(QfiMatrix(*qfi_from_moments(m, model))))
 
 
 def objective(
@@ -124,23 +91,39 @@ def objective(
     *,
     extended: bool = False,
 ) -> float:
-    """Figure of merit as a function of the squeezing fraction."""
+    """Figure of merit as a function of the squeezing fraction.
+
+    At theta = phi = 0 in double precision the moments come from the
+    collapsed row sums of moment_real_axis, elsewhere from the general-phase
+    sum behind qfi_core.
+    """
+    kind, model = target.kind, target.model
     if theta == 0.0 and phi == 0.0 and not extended:
-        return _real_axis_objective(gamma, n_total, target)
+        alpha = math.sqrt((1.0 - gamma) * n_total)
+        r = math.asinh(math.sqrt(gamma * n_total))
+        z = model.zeta
+        # dispatch on kind once: enum member lookups are slow on this hot path
+        if kind is TargetKind.F_LAMBDA:
+            entry, orders = 0, (2 * z, z)
+        elif kind is TargetKind.F_ZETA:
+            entry, orders = 1, (2 * z - 2, z - 1)
+        else:
+            entry, orders = None, (2 * z, z, 2 * z - 2, z - 1, 2 * z - 1)
+        m = {0: 1.0}
+        for k in orders:
+            m[k] = moment_real_axis(alpha, r, k)
+        f = qfi_from_moments(m, model)
+        if entry is None:
+            return _joint_bound(QfiMatrix(*f), make_probe(n_total, gamma), model)
+        return f[entry]
     probe = make_probe(n_total, gamma, theta, phi)
-    if target.kind is TargetKind.F_LAMBDA:
-        return qfi_lambda(probe, target.model, extended=extended)
-    if target.kind is TargetKind.F_ZETA:
-        return qfi_zeta(probe, target.model, extended=extended)
+    if kind is TargetKind.F_LAMBDA:
+        return qfi_lambda(probe, model, extended=extended)
+    if kind is TargetKind.F_ZETA:
+        return qfi_zeta(probe, model, extended=extended)
     if extended:
-        return _joint_bound_mp(probe, target.model)
-    return _joint_bound(
-        qfi_lambda(probe, target.model),
-        qfi_zeta(probe, target.model),
-        qfi_cross(probe, target.model),
-        probe,
-        target.model,
-    )
+        return _joint_bound_mp(probe, model)
+    return _joint_bound(qfi_matrix(probe, model), probe, model)
 
 
 def _golden_max(fun, lo, hi, tol):
@@ -236,7 +219,7 @@ def find_threshold(
     theta: float = 0.0,
     phi: float = 0.0,
     *,
-    n_lo: float = 1e-4,
+    n_lo: float = THRESHOLD_N_LO,
     n_hi: float = 1e3,
     rel_tol: float = 1e-4,
     samples: int = 15,
@@ -251,6 +234,8 @@ def find_threshold(
     indicator never turns False the target has no threshold in the searched
     range and math.inf is returned as a sentinel.
     """
+    if samples < 2 or not 0 < n_lo < n_hi:
+        raise DomainError(f"threshold search needs samples >= 2 and 0 < n_lo < n_hi, got {samples} {n_lo} {n_hi}")
 
     def at_boundary(n):
         return optimize_gamma(n, target, theta, phi, extended=extended).at_boundary

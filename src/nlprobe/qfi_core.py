@@ -12,8 +12,10 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import mpmath
+
 from .errors import CancellationWarning, DegenerateModelError, DomainError, InternalConsistencyError
-from .moments import moment_general
+from .moments import EXTENDED_DPS, general_moments
 from .probe import ProbeSpec
 
 __all__ = [
@@ -23,6 +25,7 @@ __all__ = [
     "qfi_zeta",
     "qfi_cross",
     "qfi_matrix",
+    "qfi_from_moments",
     "reparametrize_physical",
     "scalar_bound_inverse",
 ]
@@ -71,33 +74,47 @@ class QfiMatrix:
         )
 
 
-def _variance_pair(probe, high, low, *, beta_sign, extended):
-    """4 * (<G_high> - <G_low>^2) with a loss-of-precision alarm.
+def qfi_from_moments(m, model: ModelSpec):
+    """(f_ll, f_zz, f_lz) from the quadrature moments m[k] = <G_k>, m[0] = 1.
 
-    In extended mode the subtraction happens inside the working-precision
-    context; rounding the operands to double first would forfeit exactly the
-    digits the mode exists to preserve.
+    f_ll = 4 Var(G_z), f_zz = 4 (lambda z)^2 Var(G_(z-1)) and
+    f_lz = 4 lambda z Cov(G_z, G_(z-1)). Plain arithmetic: float moments give
+    double entries, mpf moments entries at their working precision (lambda
+    takes the type of m[0]). An entry that needs an order missing from m is
+    nan, so a caller that wants one entry sums only that entry's orders.
+    """
+    z, nan = model.zeta, math.nan
+    lz = m[0] * model.lambda_eff * z
+    m_z, m_zm1 = m.get(z, nan), m.get(z - 1, nan)
+    return (
+        4 * (m[2 * z] - m_z**2) if 2 * z in m else nan,
+        4 * lz**2 * (m[2 * z - 2] - m_zm1**2) if 2 * z - 2 in m else nan,
+        4 * lz * (m[2 * z - 1] - m_z * m_zm1) if 2 * z - 1 in m else nan,
+    )
+
+
+def _entries(probe, model, orders, variances, beta_sign, extended):
+    """qfi_from_moments over the general-phase moments of the given orders.
+
+    Extended mode subtracts at EXTENDED_DPS digits and rounds once; rounding
+    the moments to double first would forfeit exactly the digits the mode
+    exists to preserve. In double precision, the variance of G_j for each
+    j >= 1 in variances is checked for loss of precision.
     """
     if extended:
-        import mpmath
-
-        from .moments import EXTENDED_DPS, _moment_general_mp
-
         with mpmath.workdps(EXTENDED_DPS):
-            m_high = _moment_general_mp(probe, high, beta_sign)
-            m_low = _moment_general_mp(probe, low, beta_sign)
-            return float(4 * (m_high - m_low * m_low))
-    m_high = moment_general(probe, high, beta_sign=beta_sign)
-    m_low = moment_general(probe, low, beta_sign=beta_sign)
-    diff = m_high - m_low**2
-    if m_high != 0.0 and abs(diff) < CANCELLATION_DIGITS * abs(m_high):
-        warnings.warn(
-            f"variance of G_{low} lost >12 significant digits to cancellation "
-            f"(terms ~{m_high:.3e}); consider extended=True",
-            CancellationWarning,
-            stacklevel=3,
-        )
-    return 4.0 * diff
+            m = general_moments(probe, orders, beta_sign=beta_sign, extended=True)
+            return tuple(float(f) for f in qfi_from_moments(m, model))
+    m = general_moments(probe, orders, beta_sign=beta_sign)
+    for j in variances:
+        if j > 0 and m[2 * j] != 0.0 and abs(m[2 * j] - m[j] ** 2) < CANCELLATION_DIGITS * abs(m[2 * j]):
+            warnings.warn(
+                f"variance of G_{j} lost >12 significant digits to cancellation "
+                f"(terms ~{m[2 * j]:.3e}); consider extended=True",
+                CancellationWarning,
+                stacklevel=3,
+            )
+    return qfi_from_moments(m, model)
 
 
 def qfi_lambda(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, extended: bool = False) -> float:
@@ -105,7 +122,8 @@ def qfi_lambda(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, exten
 
     Independent of lambda by construction; only model.zeta is read.
     """
-    return _variance_pair(probe, 2 * model.zeta, model.zeta, beta_sign=beta_sign, extended=extended)
+    z = model.zeta
+    return _entries(probe, model, (2 * z, z), (z,), beta_sign, extended)[0]
 
 
 def qfi_zeta(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, extended: bool = False) -> float:
@@ -115,29 +133,13 @@ def qfi_zeta(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, extende
     whose variance vanishes, so the element is exactly zero.
     """
     z = model.zeta
-    if z == 1:
-        return 0.0
-    var = _variance_pair(probe, 2 * (z - 1), z - 1, beta_sign=beta_sign, extended=extended)
-    return (model.lambda_eff * z) ** 2 * var
+    return _entries(probe, model, (2 * z - 2, z - 1), (z - 1,), beta_sign, extended)[1]
 
 
 def qfi_cross(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, extended: bool = False) -> float:
     """Off-diagonal element: 4 lambda zeta [<G_(2z-1)> - <G_z><G_(z-1)>]."""
     z = model.zeta
-    if extended:
-        import mpmath
-
-        from .moments import EXTENDED_DPS, _moment_general_mp
-
-        with mpmath.workdps(EXTENDED_DPS):
-            m_mixed = _moment_general_mp(probe, 2 * z - 1, beta_sign)
-            m_z = _moment_general_mp(probe, z, beta_sign)
-            m_zm1 = _moment_general_mp(probe, z - 1, beta_sign) if z > 1 else mpmath.mpf(1)
-            return float(4 * model.lambda_eff * z * (m_mixed - m_z * m_zm1))
-    m_mixed = moment_general(probe, 2 * z - 1, beta_sign=beta_sign)
-    m_z = moment_general(probe, z, beta_sign=beta_sign)
-    m_zm1 = moment_general(probe, z - 1, beta_sign=beta_sign)
-    return 4.0 * model.lambda_eff * z * (m_mixed - m_z * m_zm1)
+    return _entries(probe, model, (2 * z - 1, z, z - 1), (), beta_sign, extended)[2]
 
 
 def qfi_matrix(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, extended: bool = False) -> QfiMatrix:
@@ -147,13 +149,9 @@ def qfi_matrix(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, exten
     operator, so the mean SLD commutator (the Uhlmann element) vanishes and
     joint estimation carries no intrinsic quantum incompatibility.
     """
-    kw = dict(beta_sign=beta_sign, extended=extended)
-    return QfiMatrix(
-        f_ll=qfi_lambda(probe, model, **kw),
-        f_zz=qfi_zeta(probe, model, **kw),
-        f_lz=qfi_cross(probe, model, **kw),
-        u_lz=0.0,
-    )
+    z = model.zeta
+    orders = (2 * z, z, 2 * z - 2, z - 1, 2 * z - 1)
+    return QfiMatrix(*_entries(probe, model, orders, (z, z - 1), beta_sign, extended), u_lz=0.0)
 
 
 def reparametrize_physical(qfi: QfiMatrix, model: ModelSpec) -> QfiMatrix:
@@ -171,6 +169,7 @@ def scalar_bound_inverse(qfi: QfiMatrix) -> float:
     """Inverse of the identity-weight scalar bound: det(F) / tr(F).
 
     Zero for a singular matrix (one parameter carries no information).
+    Plain arithmetic, so entries at 40 digits give a 40-digit result.
     """
     trace = qfi.f_ll + qfi.f_zz
     if trace <= 0.0:

@@ -4,6 +4,9 @@ import math
 import pytest
 
 from nlprobe.cli import main
+from nlprobe.moments import moment_real_axis
+from nlprobe.probe import bogoliubov_view, make_probe
+from nlprobe.qfi_core import ModelSpec, qfi_lambda
 
 
 def run_cli(capsys, *argv):
@@ -55,9 +58,22 @@ class TestQfiCommand:
         doc = json.loads(out)
         assert doc["f_ll"] == pytest.approx(8.0)
 
-    def test_usage_error_exits_two(self):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["qfi", "--n", "1"], id="missing-flags"),
+            pytest.param(["threshold", "--target", "f_lambda", "--zeta", "2", "--samples", "1"], id="samples-1"),
+            pytest.param(["threshold", "--target", "f_lambda", "--zeta", "2", "--n-hi", "1e-5"], id="n-hi-below-n-lo"),
+            pytest.param(["scan-gamma", "--n", "1", "--zeta", "2", "--target", "f_lambda", "--grid", "1"], id="gamma-grid-1"),
+            pytest.param(
+                ["scan-phase", "--n", "1", "--gamma", "0.5", "--zeta", "2", "--target", "f_lambda", "--grid", "0"],
+                id="phase-grid-0",
+            ),
+        ],
+    )
+    def test_usage_error_exits_two(self, argv):
         with pytest.raises(SystemExit) as info:
-            main(["qfi", "--n", "1"])  # missing required flags
+            main(argv)
         assert info.value.code == 2
 
 
@@ -103,6 +119,66 @@ class TestScanPhase:
         assert main(args + ["--jobs", "1", "--out", str(f1)]) == 0
         assert main(args + ["--jobs", "8", "--out", str(f8)]) == 0
         assert f1.read_bytes() == f8.read_bytes()
+
+
+    def scan_values(self, out):
+        rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")][1:]
+        return {(float(t), float(p)): float(v) for t, p, v in rows}
+
+    def test_sums_with_small_real_part_are_accepted(self, capsys):
+        # the terms summed at general phases are up to 1e4 times the moment;
+        # a residue check scaled by the moment rejected this documented scan
+        code, out, _ = run_cli(
+            capsys,
+            "scan-phase", "--n", "10", "--gamma", "0.5", "--zeta", "6",
+            "--target", "f_lambda", "--grid", "48",
+        )
+        assert code == 0
+        values = self.scan_values(out)
+        assert len(values) == 48 * 48
+        step = 2.0 * math.pi / 48
+        model = ModelSpec(lambda_eff=1.0, zeta=6)
+        for i, j in [(24, 8), (0, 0), (7, 31), (40, 13), (13, 45)]:
+            probe = make_probe(10.0, 0.5, i * step, j * step)
+            expected = qfi_lambda(probe, model, extended=True)
+            # double precision is accurate relative to the summed term
+            # magnitudes eta^k sum|C| |beta|^(k-2j), not to the value itself
+            view = bogoliubov_view(probe)
+            size = [view.eta**k * moment_real_axis(abs(view.beta), 0.0, k) for k in (12, 6)]
+            tol = 1e-12 * 4 * (size[0] + size[1] ** 2)
+            assert values[(i * step, j * step)] == pytest.approx(expected, rel=0, abs=tol)
+
+    def test_extended_subtracts_before_rounding(self, capsys):
+        # at N = 1e8 the variance cancels ~16 digits; rounding each moment to
+        # double before the subtraction printed 0.0 here
+        code, out, _ = run_cli(
+            capsys,
+            "scan-phase", "--n", "1e8", "--gamma", "0.5", "--zeta", "2",
+            "--target", "f_lambda", "--grid", "8", "--extended",
+        )
+        assert code == 0
+        expected = qfi_lambda(make_probe(1e8, 0.5), ModelSpec(1.0, 2), extended=True)
+        assert self.scan_values(out)[(0.0, 0.0)] == expected
+
+
+class TestOutFile:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["qfi", "--n", "1", "--gamma", "0.3", "--zeta", "2", "--lambda", "1"],
+            ["threshold", "--target", "f_lambda", "--zeta", "2"],
+            ["selftest"],
+        ],
+        ids=["qfi", "threshold", "selftest"],
+    )
+    def test_out_holds_the_stdout_bytes(self, capsys, tmp_path, argv):
+        code, expected, _ = run_cli(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "out.txt"
+        code, out, _ = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 0
+        assert out == ""
+        assert path.read_bytes() == expected.encode()
 
 
 class TestScanGamma:

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from nlprobe.errors import DomainError
+from nlprobe import moments
+from nlprobe.errors import DomainError, InternalConsistencyError
 from nlprobe.fock_oracle import converged_moments
 from nlprobe.moments import moment_general, moment_real_axis, moment_vector
 from nlprobe.probe import make_probe
@@ -54,6 +55,21 @@ class TestMomentGeneral:
     def test_bad_beta_sign_rejected(self):
         with pytest.raises(DomainError):
             moment_general(make_probe(1.0, 0.0), 2, beta_sign=0)
+
+    def test_residue_check_catches_a_phase_error(self, monkeypatch):
+        # flip the phase multiplier of one term: the terms no longer pair into
+        # complex conjugates, and the imaginary residue must be caught
+        table = moments._table
+
+        def corrupted(k, extended):
+            terms = list(table(k, extended))
+            c, ph, s, p = terms[0]
+            terms[0] = (c, -ph, s, p)
+            return tuple(terms)
+
+        monkeypatch.setattr(moments, "_table", corrupted)
+        with pytest.raises(InternalConsistencyError):
+            moment_general(make_probe(2.0, 0.4, 0.9, 0.3), 4)
 
 
 class TestRealAxis:

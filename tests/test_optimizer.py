@@ -89,6 +89,15 @@ class TestFindThreshold:
         n_th = find_threshold(target("f_lambda", 4))
         assert n_th == pytest.approx(ANALYTIC_NTH, abs=5e-4)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(samples=1), dict(n_hi=1e-5), dict(n_lo=1.0, n_hi=1.0)],
+        ids=["samples-1", "n-hi-below-n-lo", "empty-range"],
+    )
+    def test_empty_search_range_rejected(self, kw):
+        with pytest.raises(DomainError):
+            find_threshold(target("f_lambda", 2), **kw)
+
     def test_order_target_zeta_five(self):
         n_th = find_threshold(target("f_zeta", 5))
         assert n_th == pytest.approx(ANALYTIC_NTH, abs=1e-3)
