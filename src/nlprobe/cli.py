@@ -427,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", choices=["f_lambda", "f_zeta", "joint"], required=True)
     p.add_argument("--zeta", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=float, nargs="*", default=None)
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-4)
+    p.add_argument("--rel-tol", dest="rel_tol", type=_checked(float, lambda v: 0 < v < math.inf, "finite and > 0"),
+                   default=1e-4)
     p.add_argument("--n-hi", dest="n_hi", type=_checked(float, lambda v: v > THRESHOLD_N_LO, f"> {THRESHOLD_N_LO}"),
                    default=1e3, help="upper end of the searched energy range (joint targets may need more)")
     p.add_argument("--samples", type=_checked(int, lambda v: v >= 2, ">= 2"), default=15,

@@ -6,6 +6,7 @@ the high-energy scaling law, which is a plain real-valued formula.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .errors import DomainError
@@ -14,6 +15,7 @@ __all__ = [
     "OrderingCoeff",
     "normal_order_coeff",
     "coeff_row_sum",
+    "normal_law_polynomials",
     "amplitude_A",
     "scaling_B",
 ]
@@ -74,6 +76,67 @@ def coeff_row_sum(zeta: int, k: int) -> Fraction:
     )
     assert closed == direct, f"row-sum identity violated at zeta={zeta} k={k}"
     return closed
+
+
+def _normal_moment(k):
+    """Coefficients of E[Y^k] for Y ~ N(m, 1), by power of m.
+
+    C(k,2j) (2j-1)!! at m^(k-2j). Scaled by sigma, these are the moments
+    sum_j C(k,2j) (2j-1)!! mu^(k-2j) sigma^(2j) of N(mu, sigma^2); by the
+    binomial theorem they are the closed-form moments, whose row sums are
+    coeff_row_sum(k, j) = 2^(k-2j) C(k,2j) (2j-1)!!.
+    """
+    c = [0] * (k + 1)
+    for j in range(k // 2 + 1):
+        c[k - 2 * j] = factorial(k) // (2**j * factorial(j) * factorial(k - 2 * j))
+    return c
+
+
+def _mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _sub(p, q):
+    n = max(len(p), len(q))
+    return [a - b for a, b in zip(p + [0] * (n - len(p)), q + [0] * (n - len(q)))]
+
+
+def _in_x(p):
+    """An even polynomial in m as a polynomial in x = m^2, exact leading zeros dropped."""
+    assert not any(p[1::2]), "odd power left in an even polynomial"
+    c = p[0::2]
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+@lru_cache(maxsize=None)
+def normal_law_polynomials(zeta: int):
+    """Variances and Gram determinant of X^zeta, X^(zeta-1) for a normal X.
+
+    For X ~ N(mu, sigma^2) and x = mu^2 / sigma^2, returns the exact integer
+    coefficients, lowest power of x first, of Var(X^zeta) / sigma^(2 zeta),
+    Var(X^(zeta-1)) / sigma^(2 zeta - 2) and
+    [Var(X^zeta) Var(X^(zeta-1)) - Cov(X^zeta, X^(zeta-1))^2] / sigma^(4 zeta - 2).
+    Their degrees are zeta - 1, zeta - 2 and 2 zeta - 4 (the zero polynomial,
+    an empty tuple, at zeta = 1): the leading powers cancel exactly here,
+    once, instead of in floating point. Every coefficient left is positive
+    except the x^1 one of the determinant, which is zero at even zeta and
+    negative at odd zeta, where it raises the condition number of the sum
+    to below 2 (both checked in the tests up to zeta = 24).
+    """
+    if zeta < 1:
+        raise DomainError(f"normal_law_polynomials requires zeta >= 1, got {zeta}")
+    p = {k: _normal_moment(k) for k in (2 * zeta, 2 * zeta - 1, 2 * zeta - 2, zeta, zeta - 1)}
+    var_z = _sub(p[2 * zeta], _mul(p[zeta], p[zeta]))
+    var_zm1 = _sub(p[2 * zeta - 2], _mul(p[zeta - 1], p[zeta - 1]))
+    cov = _sub(p[2 * zeta - 1], _mul(p[zeta], p[zeta - 1]))
+    gram = _sub(_mul(var_z, var_zm1), _mul(cov, cov))
+    return _in_x(var_z), _in_x(var_zm1), _in_x(gram)
 
 
 def amplitude_A(zeta: int) -> int:

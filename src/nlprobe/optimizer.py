@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import mpmath
 
 from .errors import DomainError, NumericalRangeError, ThresholdAmbiguousError
-from .moments import EXTENDED_DPS, general_moments, moment_real_axis
+from .moments import EXTENDED_DPS, general_moments
 from .probe import make_probe
-from .qfi_core import ModelSpec, QfiMatrix, qfi_from_moments, qfi_lambda, qfi_matrix, qfi_zeta, scalar_bound_inverse
+from .qfi_core import ModelSpec, QfiMatrix, normal_law_qfi, qfi_from_moments, qfi_lambda, qfi_zeta, scalar_bound_inverse
 
 __all__ = [
     "TargetKind",
@@ -36,6 +36,9 @@ class TargetKind(enum.Enum):
     F_LAMBDA = "f_lambda"
     F_ZETA = "f_zeta"
     JOINT_BOUND = "joint"
+
+
+_ENTRY = {TargetKind.F_LAMBDA: 0, TargetKind.F_ZETA: 1, TargetKind.JOINT_BOUND: 2}  # in normal_law_qfi
 
 
 @dataclass(frozen=True)
@@ -59,23 +62,12 @@ class GammaOptResult:
     n_total: float
 
 
-def _joint_bound(f: QfiMatrix, probe, model):
-    """Joint scalar bound with an extended-precision retry.
-
-    The two parameters become almost perfectly correlated at large energy, so
-    det(F) cancels many digits; when the double-precision determinant is not
-    safely positive, the whole ratio is re-assembled at working precision
-    (moments, entries and determinant alike, so no intermediate rounding can
-    reintroduce the cancellation noise).
-    """
-    det = f.f_ll * f.f_zz - f.f_lz * f.f_lz
-    if det <= 1e-9 * abs(f.f_ll * f.f_zz):
-        return _joint_bound_mp(probe, model)
-    return scalar_bound_inverse(f)
-
-
 def _joint_bound_mp(probe, model):
-    """det(F) / tr(F) from 40-digit general-phase moments, rounded once at the end."""
+    """det(F) / tr(F) from 40-digit general-phase moments, rounded once at the end.
+
+    The extended-precision joint objective; the double one cancels det(F)
+    exactly instead (qfi_core.normal_law_qfi).
+    """
     z = model.zeta
     with mpmath.workdps(EXTENDED_DPS):
         m = general_moments(probe, (2 * z, z, 2 * z - 2, z - 1, 2 * z - 1), extended=True)
@@ -93,37 +85,19 @@ def objective(
 ) -> float:
     """Figure of merit as a function of the squeezing fraction.
 
-    At theta = phi = 0 in double precision the moments come from the
-    collapsed row sums of moment_real_axis, elsewhere from the general-phase
-    sum behind qfi_core.
+    In double precision every phase and target goes through
+    qfi_core.normal_law_qfi; extended mode sums the general-phase moments
+    at 40 digits.
     """
     kind, model = target.kind, target.model
-    if theta == 0.0 and phi == 0.0 and not extended:
-        alpha = math.sqrt((1.0 - gamma) * n_total)
-        r = math.asinh(math.sqrt(gamma * n_total))
-        z = model.zeta
-        # dispatch on kind once: enum member lookups are slow on this hot path
-        if kind is TargetKind.F_LAMBDA:
-            entry, orders = 0, (2 * z, z)
-        elif kind is TargetKind.F_ZETA:
-            entry, orders = 1, (2 * z - 2, z - 1)
-        else:
-            entry, orders = None, (2 * z, z, 2 * z - 2, z - 1, 2 * z - 1)
-        m = {0: 1.0}
-        for k in orders:
-            m[k] = moment_real_axis(alpha, r, k)
-        f = qfi_from_moments(m, model)
-        if entry is None:
-            return _joint_bound(QfiMatrix(*f), make_probe(n_total, gamma), model)
-        return f[entry]
     probe = make_probe(n_total, gamma, theta, phi)
+    if not extended:
+        return normal_law_qfi(probe, model)[_ENTRY[kind]]
     if kind is TargetKind.F_LAMBDA:
-        return qfi_lambda(probe, model, extended=extended)
+        return qfi_lambda(probe, model, extended=True)
     if kind is TargetKind.F_ZETA:
-        return qfi_zeta(probe, model, extended=extended)
-    if extended:
-        return _joint_bound_mp(probe, model)
-    return _joint_bound(qfi_matrix(probe, model), probe, model)
+        return qfi_zeta(probe, model, extended=True)
+    return _joint_bound_mp(probe, model)
 
 
 def _golden_max(fun, lo, hi, tol):
@@ -232,10 +206,13 @@ def find_threshold(
     validate that it crosses from True to False exactly once; several
     crossings raise ThresholdAmbiguousError listing them all. If the
     indicator never turns False the target has no threshold in the searched
-    range and math.inf is returned as a sentinel.
+    range and math.inf is returned as a sentinel. The bisection stops at
+    rel_tol (finite, > 0) or when the bracket is two adjacent doubles.
     """
     if samples < 2 or not 0 < n_lo < n_hi:
         raise DomainError(f"threshold search needs samples >= 2 and 0 < n_lo < n_hi, got {samples} {n_lo} {n_hi}")
+    if not 0 < rel_tol < math.inf:
+        raise DomainError(f"threshold search needs a finite rel_tol > 0, got {rel_tol}")
 
     def at_boundary(n):
         return optimize_gamma(n, target, theta, phi, extended=extended).at_boundary
@@ -261,6 +238,8 @@ def find_threshold(
     lo, hi = crossings[0]
     while hi / lo - 1.0 > rel_tol:
         mid = math.sqrt(lo * hi)
+        if not lo < mid < hi:  # lo and hi are adjacent doubles: the bracket cannot shrink
+            break
         if at_boundary(mid):
             lo = mid
         else:

@@ -11,9 +11,11 @@ the Uhlmann antisymmetric part vanishes identically.
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath
 
+from .combinatorics import normal_law_polynomials
 from .errors import CancellationWarning, DegenerateModelError, DomainError, InternalConsistencyError
 from .moments import EXTENDED_DPS, general_moments
 from .probe import ProbeSpec
@@ -26,6 +28,7 @@ __all__ = [
     "qfi_cross",
     "qfi_matrix",
     "qfi_from_moments",
+    "normal_law_qfi",
     "reparametrize_physical",
     "scalar_bound_inverse",
 ]
@@ -152,6 +155,78 @@ def qfi_matrix(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, exten
     z = model.zeta
     orders = (2 * z, z, 2 * z - 2, z - 1, 2 * z - 1)
     return QfiMatrix(*_entries(probe, model, orders, (z, z - 1), beta_sign, extended), u_lz=0.0)
+
+
+@lru_cache(maxsize=None)
+def _normal_law_table(zeta):
+    """normal_law_polynomials(zeta) as float coefficients, highest power first."""
+    return tuple(tuple(float(c) for c in reversed(p)) for p in normal_law_polynomials(zeta))
+
+
+def _horner(coeffs, x):
+    """sum_i c_i x^i / max(x, 1)^d for coefficients c_d..c_0, highest first.
+
+    For x > 1 the sum runs in 1/x, so that the powers of x stay with the
+    caller.
+    """
+    acc = 0.0
+    if x > 1.0:
+        y = 1.0 / x
+        for c in reversed(coeffs):
+            acc = acc * y + c
+    else:
+        for c in coeffs:
+            acc = acc * x + c
+    return acc
+
+
+def normal_law_qfi(probe: ProbeSpec, model: ModelSpec):
+    """(f_ll, f_zz, det F / tr F) in double precision, at any phase.
+
+    On the default moment family the quadrature X = a + a^dag is normal:
+    its moments are sum_j C(k,2j) (2j-1)!! mu^(k-2j) sigma^(2j) with
+    sigma = eta and mu = 2 eta Re(beta e^(i psi)). With E = e^(2r) and
+    h = theta/2 these are
+
+        sigma^2 = E cos^2 h + sin^2 h / E
+        mu = 2 |alpha| [E cos h cos(h - phi) + sin h sin(h - phi) / E],
+
+    the cancellation-free form of sigma^2 = |cosh r + sinh r e^(i theta)|^2
+    and mu = 2|alpha| [cosh 2r cos phi + sinh 2r cos(theta - phi)].
+    Both variances and the Gram determinant are polynomials in
+    x = mu^2 / sigma^2 of degrees zeta - 1, zeta - 2 and 2 zeta - 4 whose
+    cancelling terms were removed exactly (combinatorics.
+    normal_law_polynomials); what is left has positive coefficients but for
+    one term at odd zeta, so Horner's rule loses nothing to cancellation and
+    no extended-precision retry is needed. With u = max(mu^2, sigma^2),
+
+        f_ll = 4 sigma^2 u^(zeta-1) V,  f_zz = 4 (lambda zeta)^2 sigma^2 u^(zeta-2) W,
+        det F / tr F = 4 (lambda zeta)^2 sigma^4 u^(zeta-2) G / (u V + (lambda zeta)^2 W),
+
+    where V, W, G are the polynomials divided by max(x, 1) to their
+    degrees, so at most their coefficient sums: no intermediate overflows
+    where the results fit. A result beyond the double range raises
+    OverflowError.
+    """
+    v, w, g = _normal_law_table(model.zeta)
+    lz2 = (model.lambda_eff * model.zeta) ** 2
+    n_sq = probe.n_squeeze
+    e_r = math.sqrt(n_sq) + math.sqrt(1.0 + n_sq)
+    big, small = e_r * e_r, 1.0 / (e_r * e_r)
+    h = 0.5 * probe.theta
+    ch, sh = math.cos(h), math.sin(h)
+    var = big * ch * ch + small * sh * sh
+    mean = 2.0 * probe.alpha_mag * (big * ch * math.cos(h - probe.phi) + small * sh * math.sin(h - probe.phi))
+    x = mean * mean / var
+    u = mean * mean if x > 1.0 else var
+    hv, hw = _horner(v, x), _horner(w, x)
+    scale = 4.0 * var * u ** (model.zeta - 2)
+    f_ll = scale * u * hv
+    f_zz = scale * lz2 * hw
+    joint = scale * lz2 * var * _horner(g, x) / (u * hv + lz2 * hw)
+    if not (f_ll < math.inf and f_zz < math.inf and joint < math.inf):  # products overflow silently
+        raise OverflowError("QFI entries exceed the double-precision range")
+    return f_ll, f_zz, joint
 
 
 def reparametrize_physical(qfi: QfiMatrix, model: ModelSpec) -> QfiMatrix:

@@ -64,6 +64,7 @@ class TestQfiCommand:
             pytest.param(["qfi", "--n", "1"], id="missing-flags"),
             pytest.param(["threshold", "--target", "f_lambda", "--zeta", "2", "--samples", "1"], id="samples-1"),
             pytest.param(["threshold", "--target", "f_lambda", "--zeta", "2", "--n-hi", "1e-5"], id="n-hi-below-n-lo"),
+            pytest.param(["threshold", "--target", "f_lambda", "--zeta", "2", "--rel-tol", "0"], id="rel-tol-0"),
             pytest.param(["scan-gamma", "--n", "1", "--zeta", "2", "--target", "f_lambda", "--grid", "1"], id="gamma-grid-1"),
             pytest.param(
                 ["scan-phase", "--n", "1", "--gamma", "0.5", "--zeta", "2", "--target", "f_lambda", "--grid", "0"],
@@ -214,6 +215,19 @@ class TestOptGamma:
         rows = [l.split(",") for l in out.strip().split("\n") if not l.startswith("#")][1:]
         assert all(float(r[3]) == pytest.approx(1.0, abs=1e-6) for r in rows)
 
+    def test_joint_optimum_at_high_energy(self, capsys):
+        # the optimum approaches 0.8 from below; at N = 1e3 it is 0.79990
+        # (50-digit reference), so 1.5e-4 still rejects the 0.67-0.72 that a
+        # cancelled double determinant gives
+        code, out, _ = run_cli(
+            capsys,
+            "opt-gamma", "--target", "joint", "--zeta", "4", "--lambda", "1", "--n-range", "1e3:1e6:7",
+        )
+        assert code == 0
+        rows = [l.split(",") for l in out.strip().split("\n") if not l.startswith("#")][1:]
+        assert len(rows) == 7
+        assert all(float(r[3]) == pytest.approx(0.8, abs=1.5e-4) for r in rows)
+
 
 class TestThreshold:
     def test_coupling_order_two(self, capsys):
@@ -225,6 +239,14 @@ class TestThreshold:
 
     def test_no_threshold_sentinel(self, capsys):
         code, out, _ = run_cli(capsys, "threshold", "--target", "f_zeta", "--zeta", "2")
+        assert code == 0
+        assert "n_th=no-threshold" in out
+
+    def test_joint_order_three_has_no_threshold(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "threshold", "--target", "joint", "--zeta", "3", "--lambda", "1", "--n-hi", "1e6", "--samples", "21",
+        )
         assert code == 0
         assert "n_th=no-threshold" in out
 

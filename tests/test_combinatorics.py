@@ -6,6 +6,7 @@ from nlprobe.combinatorics import (
     OrderingCoeff,
     amplitude_A,
     coeff_row_sum,
+    normal_law_polynomials,
     normal_order_coeff,
     scaling_B,
 )
@@ -73,6 +74,50 @@ class TestRowSum:
     def test_k_out_of_range(self):
         with pytest.raises(DomainError):
             coeff_row_sum(4, 3)
+
+
+def _poly(coeffs, x):
+    return sum((c * x**i for i, c in enumerate(coeffs)), start=Fraction(0))
+
+
+class TestNormalLawPolynomials:
+    @pytest.mark.parametrize("zeta", range(1, 13))
+    def test_equal_the_closed_form_moments_exactly(self, zeta):
+        # moments from the row sums, sum_j c_j alpha^(k-2j) E^(k-j) on the real
+        # axis, at rational alpha and E; there mu = 2 alpha E and sigma^2 = E
+        alpha, e = Fraction(3, 7), Fraction(5, 2)
+
+        def m(k):
+            return sum(coeff_row_sum(k, j) * alpha ** (k - 2 * j) * e ** (k - j) for j in range(k // 2 + 1))
+
+        var_z, var_zm1 = m(2 * zeta) - m(zeta) ** 2, m(2 * zeta - 2) - m(zeta - 1) ** 2
+        cov = m(2 * zeta - 1) - m(zeta) * m(zeta - 1)
+        v, w, g = normal_law_polynomials(zeta)
+        x = (2 * alpha * e) ** 2 / e
+        assert _poly(v, x) * e**zeta == var_z
+        assert _poly(w, x) * e ** (zeta - 1) == var_zm1
+        assert _poly(g, x) * e ** (2 * zeta - 1) == var_z * var_zm1 - cov**2
+
+    @pytest.mark.parametrize("zeta", range(1, 25))
+    def test_degrees_and_signs(self, zeta):
+        v, w, g = normal_law_polynomials(zeta)
+        assert (len(v), len(w), len(g)) == (zeta, zeta - 1, max(2 * zeta - 3, 0))
+        assert all(c > 0 for c in v + w)
+        assert all(c > 0 for i, c in enumerate(g) if i != 1)
+        if zeta >= 3:
+            assert (g[1] < 0) if zeta % 2 else (g[1] == 0)
+
+    @pytest.mark.parametrize("zeta", range(3, 25, 2))
+    def test_negative_term_keeps_the_determinant_well_conditioned(self, zeta):
+        g = normal_law_polynomials(zeta)[2]
+        abs_g = [abs(c) for c in g]
+        for i in range(-80, 81):
+            x = Fraction(10.0 ** (i / 10))
+            assert _poly(abs_g, x) < 2 * _poly(g, x)
+
+    def test_zeta_zero_rejected(self):
+        with pytest.raises(DomainError):
+            normal_law_polynomials(0)
 
 
 class TestAmplitudeA:

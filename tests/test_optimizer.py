@@ -34,11 +34,23 @@ class TestObjective:
         t = target("f_lambda", 3)
         for gamma in (0.0, 0.4, 1.0):
             fast = objective(gamma, 2.0, t)
-            slow = objective(gamma, 2.0, t, theta=2 * math.pi, phi=0.0)  # forces general path
+            slow = objective(gamma, 2.0, t, theta=2 * math.pi, phi=0.0)  # same probe, through the phase terms
             assert fast == pytest.approx(slow, rel=1e-10)
 
     def test_joint_objective_positive(self):
         assert objective(0.5, 1.0, target("joint", 3)) > 0.0
+
+    def test_joint_objective_fits_where_its_entries_products_do_not(self):
+        # f_ll f_zz ~ 1.5e417 overflows, det F / tr F does not; the value is
+        # from an 80-digit normal-law moment recursion
+        assert objective(0.5, 1e6, target("joint", 12)) == pytest.approx(1.870925172296251859e187, rel=1e-12)
+
+    def test_joint_matches_extended_at_high_energy(self):
+        # the double determinant cancels about 2 log10(N) digits; the exact
+        # polynomials lose none of them
+        t = target("joint", 4)
+        for n in (1e3, 1e6):
+            assert objective(0.8, n, t) == pytest.approx(objective(0.8, n, t, extended=True), rel=1e-12)
 
 
 class TestOptimizeGamma:
@@ -106,16 +118,30 @@ class TestFindThreshold:
         assert find_threshold(target("f_zeta", 2)) == math.inf
 
     def test_joint_exceeds_individual(self):
-        for zeta in (3, 4):
-            individual = find_threshold(target("f_lambda", zeta))
-            joint = find_threshold(target("joint", zeta, lam=1.0), n_hi=1e6, samples=21)
-            assert math.isfinite(joint)
-            assert joint > individual + 1e-4
+        # zeta = 4 has a finite joint threshold above the individual one; at
+        # zeta = 3 squeezed vacuum stays optimal for the joint bound up to
+        # N = 1e6, as the 40-digit path confirms
+        individual = find_threshold(target("f_lambda", 4))
+        joint = find_threshold(target("joint", 4, lam=1.0), n_hi=1e6, samples=21)
+        assert joint == pytest.approx(1.28139, abs=1e-3)
+        assert joint > individual + 1e-4
+        assert find_threshold(target("joint", 3, lam=1.0), n_hi=1e6, samples=21) == math.inf
+        assert optimize_gamma(5.3e3, target("joint", 3, lam=1.0), extended=True).at_boundary
 
     def test_joint_no_threshold_in_narrow_range_is_a_sentinel(self):
-        # the zeta = 3 joint crossover lies above N = 1e3, so a narrow search
-        # reports the documented no-threshold sentinel rather than guessing
+        # a range without a crossing reports the documented no-threshold
+        # sentinel rather than guessing
         assert find_threshold(target("joint", 3, lam=1.0), n_hi=1e3) == math.inf
+
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-4, math.nan, math.inf])
+    def test_rel_tol_must_be_finite_and_positive(self, rel_tol):
+        with pytest.raises(DomainError):
+            find_threshold(target("f_lambda", 2), rel_tol=rel_tol)
+
+    def test_rel_tol_below_double_resolution_terminates(self):
+        # the bracket stops shrinking once lo and hi are adjacent doubles
+        n_th = find_threshold(target("f_lambda", 2), rel_tol=1e-20)
+        assert n_th == pytest.approx(ANALYTIC_NTH, abs=5e-4)
 
     def test_non_monotone_indicator_raises(self, monkeypatch):
         flags = {0.001: True, 0.01: False, 0.1: True, 1.0: False}
