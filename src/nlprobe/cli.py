@@ -14,15 +14,33 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import __version__
 from .combinatorics import coeff_row_sum, normal_order_coeff
 from .errors import InternalConsistencyError, NlprobeError, NumericalRangeError, ThresholdAmbiguousError
 from .asymptotics import gamma_opt_high_n
 from .fock_oracle import converged_moments, qfi_matrix_oracle, sld_operator
 from .moments import moment_general
-from .optimizer import THRESHOLD_N_LO, OptTarget, TargetKind, find_threshold, objective, optimize_gamma
+from .optimizer import (
+    THRESHOLD_N_LO,
+    OptTarget,
+    TargetKind,
+    find_threshold,
+    objective,
+    objective_grid,
+    optimize_gamma,
+)
 from .probe import make_probe
-from .qfi_core import ModelSpec, qfi_lambda, qfi_matrix, qfi_zeta, reparametrize_physical, scalar_bound_inverse
+from .qfi_core import (
+    ModelSpec,
+    normal_law_grid,
+    qfi_lambda,
+    qfi_matrix,
+    qfi_zeta,
+    reparametrize_physical,
+    scalar_bound_inverse,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -98,10 +116,16 @@ def _write(args, text):
         sys.stdout.write(text)
 
 
-def _parallel_map(fun, points, jobs):
-    if jobs <= 1:
+def _parallel_map(fun, points, args):
+    """fun over points, on args.jobs threads in double precision.
+
+    Extended precision runs in order on the calling thread: mpmath's working
+    precision is one setting for the whole process, so a thread leaving its
+    40-digit block would cut the digits of another still inside one.
+    """
+    if args.jobs <= 1 or args.extended:
         return [fun(p) for p in points]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         return list(pool.map(fun, points))
 
 
@@ -155,12 +179,12 @@ def cmd_scan_phase(args) -> int:
     points = [(t, p) for t in thetas for p in phis]
     # at lambda = 1 the order QFI is divided by lambda^2, its only lambda dependence
     model = ModelSpec(lambda_eff=1.0, zeta=args.zeta)
-    element = qfi_lambda if target is TargetKind.F_LAMBDA else qfi_zeta
-
-    def value(point):
-        return element(make_probe(args.n, args.gamma, *point), model, extended=args.extended)
-
-    vals = _parallel_map(value, points, args.jobs)
+    if args.extended:
+        element = qfi_lambda if target is TargetKind.F_LAMBDA else qfi_zeta
+        vals = [element(make_probe(args.n, args.gamma, t, p), model, extended=True) for t, p in points]
+    else:
+        grid = normal_law_grid(args.n, args.gamma, np.array(thetas)[:, None], phis, model)
+        vals = grid[0 if target is TargetKind.F_LAMBDA else 1].ravel().tolist()
     rows = [(t, p, v) for (t, p), v in zip(points, vals)]
     md = _base_metadata(
         args,
@@ -180,9 +204,10 @@ def cmd_scan_gamma(args) -> int:
     model = ModelSpec(lambda_eff=args.lam, zeta=args.zeta)
     target = OptTarget(TargetKind(args.target), model)
     gammas = [i / (args.grid - 1) for i in range(args.grid)]
-    vals = _parallel_map(
-        lambda g: objective(g, args.n, target, extended=args.extended), gammas, args.jobs
-    )
+    if args.extended:
+        vals = [objective(g, args.n, target, extended=True) for g in gammas]
+    else:
+        vals = objective_grid(gammas, args.n, target)
     rows = list(zip(gammas, vals))
     md = _base_metadata(
         args,
@@ -239,7 +264,7 @@ def cmd_opt_gamma(args) -> int:
                 res = optimize_gamma(n, target, extended=args.extended)
                 return (n, zeta, lam, res.gamma_opt, res.objective_value, asym)
 
-            rows.extend(_parallel_map(solve, ns, args.jobs))
+            rows.extend(_parallel_map(solve, ns, args))
     md = _base_metadata(
         args,
         command="opt-gamma",
@@ -289,8 +314,6 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    import numpy as np
-
     failures = 0
     lines = []
 

@@ -14,15 +14,18 @@ the basis is treated as a guard band and excluded from validity checks.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.sparse import csc_matrix, csr_matrix, diags
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import CutoffError, InternalConsistencyError
 from .probe import ProbeSpec
 from .qfi_core import ModelSpec, QfiMatrix
+
+# scipy is imported inside the functions that use it: it takes longer to
+# import than the rest of the package, and only the oracle needs it
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 __all__ = [
     "TruncatedOperator",
@@ -62,12 +65,14 @@ class TruncatedState:
 
 
 @lru_cache(maxsize=32)
-def _a_sparse(dim: int) -> csr_matrix:
+def _a_sparse(dim: int) -> "csr_matrix":
+    from scipy.sparse import diags
+
     return diags(np.sqrt(np.arange(1, dim)), 1, shape=(dim, dim), dtype=complex).tocsr()
 
 
 @lru_cache(maxsize=32)
-def _x_sparse(dim: int) -> csr_matrix:
+def _x_sparse(dim: int) -> "csr_matrix":
     a = _a_sparse(dim)
     return (a + a.conj().T).tocsr()
 
@@ -127,6 +132,9 @@ def build_state(probe: ProbeSpec, dim: int) -> TruncatedState:
     generators to the vacuum vector (in that order). Raises CutoffError,
     carrying a suggested dimension, if the tail-mass bound fails.
     """
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import expm_multiply
+
     a = _a_sparse(dim)
     ad = a.conj().T
     alpha = probe.alpha
@@ -323,6 +331,8 @@ def zeta_derivative_diagnostic(
     principal-branch spectral power X^(zeta +/- step). The two genuinely
     disagree; the numbers are returned for inspection, never asserted.
     """
+    from scipy.linalg import expm
+
     d = dim or default_dim(probe, zeta=2 * model.zeta, lam=model.lambda_eff)
     z, lam = model.zeta, model.lambda_eff
     evals, vecs = _x_eigh(d)

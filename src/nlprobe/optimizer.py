@@ -11,17 +11,28 @@ import math
 from dataclasses import dataclass
 
 import mpmath
+import numpy as np
 
 from .errors import DomainError, NumericalRangeError, ThresholdAmbiguousError
 from .moments import EXTENDED_DPS, general_moments
 from .probe import make_probe
-from .qfi_core import ModelSpec, QfiMatrix, normal_law_qfi, qfi_from_moments, qfi_lambda, qfi_zeta, scalar_bound_inverse
+from .qfi_core import (
+    ModelSpec,
+    QfiMatrix,
+    normal_law_grid,
+    normal_law_qfi,
+    qfi_from_moments,
+    qfi_lambda,
+    qfi_zeta,
+    scalar_bound_inverse,
+)
 
 __all__ = [
     "TargetKind",
     "OptTarget",
     "GammaOptResult",
     "objective",
+    "objective_grid",
     "optimize_gamma",
     "find_threshold",
     "verify_zero_phase_optimality",
@@ -30,6 +41,9 @@ __all__ = [
 BOUNDARY_TOL = 1e-6  # gamma_opt >= 1 - BOUNDARY_TOL counts as the squeezed-vacuum boundary
 THRESHOLD_N_LO = 1e-4  # default lower end of the threshold search
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+OVERFLOW_MESSAGE = (
+    "objective overflowed double precision; reduce the probe energy or use the extended-precision mode"
+)
 
 
 class TargetKind(enum.Enum):
@@ -100,6 +114,15 @@ def objective(
     return _joint_bound_mp(probe, model)
 
 
+def objective_grid(gammas, n_total: float, target: OptTarget, theta: float = 0.0, phi: float = 0.0) -> list:
+    """The double-precision objective at every squeezing fraction of gammas, in one pass.
+
+    Bit for bit the values objective gives point by point, and at the first
+    point where it raises, the same error (qfi_core.normal_law_grid).
+    """
+    return normal_law_grid(n_total, gammas, theta, phi, target.model)[_ENTRY[target.kind]].tolist()
+
+
 def _golden_max(fun, lo, hi, tol):
     c = hi - GOLDEN * (hi - lo)
     d = lo + GOLDEN * (hi - lo)
@@ -128,8 +151,9 @@ def optimize_gamma(
 ) -> GammaOptResult:
     """Maximize the target over gamma in [0, 1] to absolute tolerance 1e-6.
 
-    Strategy: a coarse bracketing grid (at least 64 points), then
-    golden-section refinement of up to three local-maximum brackets; the
+    Strategy: a coarse bracketing grid (at least 64 points, in double
+    precision evaluated in one pass by objective_grid), then golden-section
+    refinement of up to three local-maximum brackets; the
     best refined point wins. Guaranteed for unimodal objectives, and the
     multi-bracket restart guards against undetected multimodality.
     """
@@ -142,13 +166,16 @@ def optimize_gamma(
         try:
             return objective(g, n_total, target, theta, phi, extended=extended)
         except OverflowError as exc:
-            raise NumericalRangeError(
-                "objective overflowed double precision; reduce the probe energy "
-                "or use the extended-precision mode"
-            ) from exc
+            raise NumericalRangeError(OVERFLOW_MESSAGE) from exc
 
     grid = [i / (coarse - 1) for i in range(coarse)]
-    vals = [fun(g) for g in grid]
+    if extended:
+        vals = [fun(g) for g in grid]
+    else:
+        try:
+            vals = objective_grid(grid, n_total, target, theta, phi)
+        except OverflowError as exc:
+            raise NumericalRangeError(OVERFLOW_MESSAGE) from exc
     if not all(math.isfinite(v) for v in vals):
         raise NumericalRangeError(
             "objective is not finite on the coarse grid; the probe energy or "
@@ -257,18 +284,14 @@ def verify_zero_phase_optimality(
     """True iff the zero-phase probe maximizes the QFI element on a phase grid.
 
     Checks F(theta=0, phi=0) >= F(theta_i, phi_j) - 1e-9 over a grid x grid
-    sweep of both phases across [0, 2 pi).
+    sweep of both phases across [0, 2 pi), in double precision, the whole
+    grid in one pass (qfi_core.normal_law_grid).
     """
     if grid < 8:
         raise DomainError("phase grid must have at least 8 points per axis")
-    element = qfi_lambda if kind is TargetKind.F_LAMBDA else qfi_zeta
     if kind is TargetKind.JOINT_BOUND:
         raise DomainError("phase-optimality check applies to individual QFI elements")
-    ref = element(make_probe(n_total, gamma, 0.0, 0.0), model)
-    step = 2.0 * math.pi / grid
-    for i in range(grid):
-        for j in range(grid):
-            val = element(make_probe(n_total, gamma, i * step, j * step), model)
-            if val > ref + 1e-9:
-                return False
-    return True
+    ref = normal_law_qfi(make_probe(n_total, gamma), model)[_ENTRY[kind]]
+    phases = np.arange(grid) * (2.0 * math.pi / grid)
+    vals = normal_law_grid(n_total, gamma, phases[:, None], phases, model)[_ENTRY[kind]]
+    return not np.any(vals > ref + 1e-9)

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
+import numpy as np
 
 from .combinatorics import normal_law_polynomials
 from .errors import CancellationWarning, DegenerateModelError, DomainError, InternalConsistencyError
 from .moments import EXTENDED_DPS, general_moments
-from .probe import ProbeSpec
+from .probe import ProbeSpec, make_probe
 
 __all__ = [
     "ModelSpec",
@@ -29,6 +30,7 @@ __all__ = [
     "qfi_matrix",
     "qfi_from_moments",
     "normal_law_qfi",
+    "normal_law_grid",
     "reparametrize_physical",
     "scalar_bound_inverse",
 ]
@@ -96,28 +98,39 @@ def qfi_from_moments(m, model: ModelSpec):
     )
 
 
-def _entries(probe, model, orders, variances, beta_sign, extended):
+def _entries(probe, model, orders, differences, beta_sign, extended):
     """qfi_from_moments over the general-phase moments of the given orders.
 
     Extended mode subtracts at EXTENDED_DPS digits and rounds once; rounding
     the moments to double first would forfeit exactly the digits the mode
-    exists to preserve. In double precision, the variance of G_j for each
-    j >= 1 in variances is checked for loss of precision.
+    exists to preserve. In double precision, each difference m[a] - m[b] m[c]
+    named by an (a, b, c) in differences is checked for loss of precision.
     """
     if extended:
         with mpmath.workdps(EXTENDED_DPS):
             m = general_moments(probe, orders, beta_sign=beta_sign, extended=True)
             return tuple(float(f) for f in qfi_from_moments(m, model))
     m = general_moments(probe, orders, beta_sign=beta_sign)
-    for j in variances:
-        if j > 0 and m[2 * j] != 0.0 and abs(m[2 * j] - m[j] ** 2) < CANCELLATION_DIGITS * abs(m[2 * j]):
+    for a, b, c in differences:
+        if m[a] != 0.0 and abs(m[a] - m[b] * m[c]) < CANCELLATION_DIGITS * abs(m[a]):
+            name = f"variance of G_{b}" if b == c else f"covariance of G_{b} and G_{c}"
             warnings.warn(
-                f"variance of G_{j} lost >12 significant digits to cancellation "
-                f"(terms ~{m[2 * j]:.3e}); consider extended=True",
+                f"{name} lost >12 significant digits to cancellation "
+                f"(terms ~{m[a]:.3e}); consider extended=True",
                 CancellationWarning,
                 stacklevel=3,
             )
     return qfi_from_moments(m, model)
+
+
+def _variance(j):
+    """Var(G_j) as the difference m[2j] - m[j] m[j]; none for the constant G_0."""
+    return ((2 * j, j, j),) if j > 0 else ()
+
+
+def _covariance(z):
+    """Cov(G_z, G_(z-1)) as m[2z-1] - m[z] m[z-1]; none when G_(z-1) = G_0 is constant."""
+    return ((2 * z - 1, z, z - 1),) if z > 1 else ()
 
 
 def qfi_lambda(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, extended: bool = False) -> float:
@@ -126,7 +139,7 @@ def qfi_lambda(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, exten
     Independent of lambda by construction; only model.zeta is read.
     """
     z = model.zeta
-    return _entries(probe, model, (2 * z, z), (z,), beta_sign, extended)[0]
+    return _entries(probe, model, (2 * z, z), _variance(z), beta_sign, extended)[0]
 
 
 def qfi_zeta(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, extended: bool = False) -> float:
@@ -136,13 +149,13 @@ def qfi_zeta(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, extende
     whose variance vanishes, so the element is exactly zero.
     """
     z = model.zeta
-    return _entries(probe, model, (2 * z - 2, z - 1), (z - 1,), beta_sign, extended)[1]
+    return _entries(probe, model, (2 * z - 2, z - 1), _variance(z - 1), beta_sign, extended)[1]
 
 
 def qfi_cross(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, extended: bool = False) -> float:
     """Off-diagonal element: 4 lambda zeta [<G_(2z-1)> - <G_z><G_(z-1)>]."""
     z = model.zeta
-    return _entries(probe, model, (2 * z - 1, z, z - 1), (), beta_sign, extended)[2]
+    return _entries(probe, model, (2 * z - 1, z, z - 1), _covariance(z), beta_sign, extended)[2]
 
 
 def qfi_matrix(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, extended: bool = False) -> QfiMatrix:
@@ -154,7 +167,8 @@ def qfi_matrix(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, exten
     """
     z = model.zeta
     orders = (2 * z, z, 2 * z - 2, z - 1, 2 * z - 1)
-    return QfiMatrix(*_entries(probe, model, orders, (z, z - 1), beta_sign, extended), u_lz=0.0)
+    checks = _variance(z) + _variance(z - 1) + _covariance(z)
+    return QfiMatrix(*_entries(probe, model, orders, checks, beta_sign, extended), u_lz=0.0)
 
 
 @lru_cache(maxsize=None)
@@ -226,6 +240,61 @@ def normal_law_qfi(probe: ProbeSpec, model: ModelSpec):
     joint = scale * lz2 * var * _horner(g, x) / (u * hv + lz2 * hw)
     if not (f_ll < math.inf and f_zz < math.inf and joint < math.inf):  # products overflow silently
         raise OverflowError("QFI entries exceed the double-precision range")
+    return f_ll, f_zz, joint
+
+
+def _horner_grid(coeffs, x, above):
+    """_horner at every element of x, where above is x > 1."""
+    y = 1.0 / x
+    acc_y = acc_x = 0.0
+    for c_y, c_x in zip(reversed(coeffs), coeffs):
+        acc_y = acc_y * y + c_y
+        acc_x = acc_x * x + c_x
+    return np.where(above, acc_y, acc_x)
+
+
+def normal_law_grid(n_total, gamma, theta, phi, model: ModelSpec):
+    """normal_law_qfi over arrays of N, gamma, theta and phi, broadcast together.
+
+    Returns the arrays (f_ll, f_zz, det F / tr F), equal bit for bit to
+    normal_law_qfi at every point: the same formulas in the same order, with
+    numpy's sqrt, cos and sin, which agree with the math module's, and the
+    power of u taken per element by Python's float pow, which numpy's
+    vectorised power does not always match. Where a point lies outside the
+    probe domain or a result does not fit in double, the points are handed
+    to make_probe and normal_law_qfi in C order, so that the error raised
+    is the one a loop over the points would raise.
+    """
+    n, gam, th, ph = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (n_total, gamma, theta, phi)))
+    v, w, g = _normal_law_table(model.zeta)
+    lz2 = (model.lambda_eff * model.zeta) ** 2
+    with np.errstate(all="ignore"):  # both Horner branches run everywhere, 1/x included
+        n_sq = gam * n
+        e_r = np.sqrt(n_sq) + np.sqrt(1.0 + n_sq)
+        big, small = e_r * e_r, 1.0 / (e_r * e_r)
+        h = 0.5 * th
+        ch, sh = np.cos(h), np.sin(h)
+        var = big * ch * ch + small * sh * sh
+        mean = 2.0 * np.sqrt((1.0 - gam) * n) * (big * ch * np.cos(h - ph) + small * sh * np.sin(h - ph))
+        x = mean * mean / var
+        above = x > 1.0
+        u = np.where(above, mean * mean, var)
+        hv, hw = _horner_grid(v, x, above), _horner_grid(w, x, above)
+        try:
+            powers = np.array([b ** (model.zeta - 2) for b in u.ravel().tolist()]).reshape(u.shape)
+        except ArithmeticError:  # overflow or 0 ** -1 somewhere: the loop below finds where
+            powers = math.nan
+        scale = 4.0 * var * powers
+        f_ll = scale * u * hv
+        f_zz = scale * lz2 * hw
+        joint = scale * lz2 * var * _horner_grid(g, x, above) / (u * hv + lz2 * hw)
+        ok = (np.isfinite(n) & (n >= 0.0) & (gam >= 0.0) & (gam <= 1.0)
+              & (f_ll < math.inf) & (f_zz < math.inf) & (joint < math.inf))
+    bad = np.flatnonzero(~ok)
+    for i in bad.tolist():
+        normal_law_qfi(make_probe(n.item(i), gam.item(i), th.item(i), ph.item(i)), model)
+    if bad.size:
+        raise InternalConsistencyError("normal_law_grid rejected points that normal_law_qfi accepts")
     return f_ll, f_zz, joint
 
 

@@ -1,10 +1,17 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nlprobe
 from nlprobe.cli import main
 from nlprobe.moments import moment_real_axis
+from nlprobe.optimizer import OptTarget, TargetKind, objective
 from nlprobe.probe import bogoliubov_view, make_probe
 from nlprobe.qfi_core import ModelSpec, qfi_lambda
 
@@ -120,6 +127,16 @@ class TestScanPhase:
         assert main(args + ["--jobs", "1", "--out", str(f1)]) == 0
         assert main(args + ["--jobs", "8", "--out", str(f8)]) == 0
         assert f1.read_bytes() == f8.read_bytes()
+
+    def test_jobs_do_not_change_extended_bytes(self, tmp_path):
+        # mpmath's working precision is process-wide: worker threads leaving
+        # their 40-digit blocks used to cut the digits of the others
+        args = ["scan-phase", "--n", "2", "--gamma", "0.3", "--zeta", "4", "--target", "f_zeta", "--grid", "12",
+                "--extended"]
+        outs = [tmp_path / f"{i}.csv" for i in range(3)]
+        for out, jobs in zip(outs, ("1", "4", "4")):
+            assert main(args + ["--jobs", jobs, "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
 
 
     def scan_values(self, out):
@@ -268,6 +285,32 @@ class TestErrorPaths:
         assert code == 3
         assert json.loads(err)["error"] == "NumericalRangeError"
 
+    @pytest.mark.parametrize(
+        "n, message",
+        [("1e15", "(34, 'Numerical result out of range')"), ("1e28", "QFI entries exceed the double-precision range")],
+        ids=["power-overflows", "entry-overflows"],
+    )
+    @pytest.mark.parametrize("target", ["f_lambda", "f_zeta", "joint"])
+    def test_scan_gamma_overflow_is_the_point_loop_error(self, capsys, n, message, target):
+        # the whole grid is one pass, but the error is the one the first
+        # failing point raises on its own: at 1e15 gamma = 0 still fits
+        code, out, err = run_cli(capsys, "scan-gamma", "--n", n, "--zeta", "12", "--target", target, "--grid", "11")
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": "OverflowError", "message": message}
+        with pytest.raises(OverflowError, match=re.escape(message)):
+            for i in range(11):
+                objective(i / 10, float(n), OptTarget(TargetKind(target), ModelSpec(1.0, 12)))
+
+    @pytest.mark.parametrize("n_range", ["1e15:1e16:2", "1e28:1e29:2"], ids=["power-overflows", "entry-overflows"])
+    def test_opt_gamma_overflow_on_the_coarse_grid(self, capsys, n_range):
+        code, out, err = run_cli(capsys, "opt-gamma", "--target", "joint", "--zeta", "12", "--n-range", n_range)
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {
+            "error": "NumericalRangeError",
+            "message": "objective overflowed double precision; reduce the probe energy "
+            "or use the extended-precision mode",
+        }
+
     def test_jobs_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("NLPROBE_JOBS", "4")
         from nlprobe.cli import build_parser
@@ -284,3 +327,41 @@ class TestErrorPaths:
         for rd, re_ in zip(rows_d, rows_e):
             vd, ve = float(rd.split(",")[1]), float(re_.split(",")[1])
             assert ve == pytest.approx(vd, rel=1e-12)
+
+
+class TestScanOutput:
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning from the grid pass fails the test
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan-phase", "--n", "0", "--gamma", "1", "--zeta", "3", "--target", "f_lambda", "--grid", "4"],
+            ["scan-phase", "--n", "0", "--gamma", "0", "--zeta", "1", "--target", "f_zeta", "--grid", "4"],
+            ["scan-gamma", "--n", "0", "--zeta", "4", "--target", "joint", "--grid", "5"],
+            ["scan-gamma", "--n", "2", "--zeta", "3", "--target", "f_lambda", "--grid", "5"],
+        ],
+        ids=["phase-f_lambda", "phase-f_zeta", "gamma-joint", "gamma-f_lambda"],
+    )
+    def test_values_are_plain_floats_and_stderr_stays_empty(self, capsys, argv):
+        # at N = 0 the mean vanishes, so x = 0 and the unused Horner branch divides by zero
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert "float64" not in out
+        rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")][1:]
+        assert rows and all(math.isfinite(float(v)) for row in rows for v in row)
+        code, out, err = run_cli(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert all(type(v) is float for v in doc["values"])
+        assert all(type(v) is float for row in doc["rows"] for v in row)
+
+
+def test_cli_import_loads_no_scipy():
+    # only the oracle needs scipy; perfbench's tracer still finds the oracle module loaded
+    code = (
+        "import sys, nlprobe.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), 'nlprobe.fock_oracle' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(nlprobe.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "True"]

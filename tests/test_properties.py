@@ -3,8 +3,10 @@
 import contextlib
 import io
 import sys
+import warnings
 
 import mpmath
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -12,9 +14,18 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from nlprobe.cli import main  # noqa: E402
+from nlprobe.errors import CancellationWarning  # noqa: E402
 from nlprobe.optimizer import OptTarget, TargetKind, objective  # noqa: E402
 from nlprobe.probe import make_probe  # noqa: E402
-from nlprobe.qfi_core import ModelSpec, qfi_lambda, qfi_matrix, qfi_zeta, scalar_bound_inverse  # noqa: E402
+from nlprobe.qfi_core import (  # noqa: E402
+    ModelSpec,
+    normal_law_grid,
+    normal_law_qfi,
+    qfi_lambda,
+    qfi_matrix,
+    qfi_zeta,
+    scalar_bound_inverse,
+)
 
 seeded = settings(derandomize=True, deadline=None, max_examples=30, database=None)
 
@@ -54,6 +65,8 @@ def test_joint_bound_lies_between_zero_and_the_smaller_diagonal(n, gamma, theta,
 @seeded
 @given(st.floats(0.0, 10.0), gammas, st.integers(1, 6), st.sampled_from(["f_lambda", "f_zeta"]), st.booleans())
 def test_scan_phase_prints_the_qfi_elements(n, gamma, zeta, target, extended):
+    # double precision prints the normal-law elements, extended mode the
+    # 40-digit moment sums
     argv = ["scan-phase", "--n", repr(n), "--gamma", repr(gamma), "--zeta", str(zeta),
             "--target", target, "--grid", "3"] + (["--extended"] if extended else [])
     out = io.StringIO()
@@ -65,7 +78,10 @@ def test_scan_phase_prints_the_qfi_elements(n, gamma, zeta, target, extended):
     assert len(rows) == 9
     for theta, phi, value in rows:
         probe = make_probe(n, gamma, float(theta), float(phi))
-        assert float(value) == element(probe, model, extended=extended)
+        if extended:
+            assert float(value) == element(probe, model, extended=True)
+        else:
+            assert float(value) == normal_law_qfi(probe, model)[0 if target == "f_lambda" else 1]
 
 
 def _reference_objective(kind, gamma, n, zeta, lam, theta, phi, magnitude=False):
@@ -130,3 +146,54 @@ def test_objective_matches_80_digit_normal_law_on_the_real_axis(kind, gamma, n, 
 @example("joint", 1.0, 1e6, 12, 1.0, 3.0, 1.5)
 def test_objective_matches_80_digit_normal_law_at_any_phase(kind, gamma, n, zeta, lam, theta, phi):
     _check_against_reference(kind, gamma, n, zeta, lam, theta, phi)
+
+
+@settings(seeded, max_examples=200)
+@given(
+    st.integers(1, 12),
+    lambdas,
+    energies,
+    st.lists(gammas, min_size=1, max_size=4).map(lambda gs: [0.0, 1.0] + gs),
+    st.lists(phases, min_size=1, max_size=3).map(lambda ts: [0.0] + ts),
+    st.lists(phases, min_size=1, max_size=3).map(lambda ps: [0.0] + ps),
+)
+def test_grid_kernel_equals_the_point_evaluation(zeta, lam, n, gamma_list, theta_list, phi_list):
+    model = ModelSpec(lambda_eff=lam, zeta=zeta)
+    axes = (np.reshape(gamma_list, (-1, 1, 1)), np.reshape(theta_list, (-1, 1)), phi_list)
+    points = [(g, t, p) for g in gamma_list for t in theta_list for p in phi_list]
+    try:
+        want = [normal_law_qfi(make_probe(n, *point), model) for point in points]
+    except OverflowError as exc:  # the grid raises what the first failing point raises
+        with pytest.raises(OverflowError) as info:
+            normal_law_grid(n, *axes, model)
+        assert str(info.value) == str(exc)
+        return
+    grid = normal_law_grid(n, *axes, model)
+    assert all(entry.shape == (len(gamma_list), len(theta_list), len(phi_list)) for entry in grid)
+    got = list(zip(*(entry.ravel().tolist() for entry in grid)))
+    assert got == want
+
+
+@settings(seeded, max_examples=40)
+@given(st.floats(-4.0, 3.0).map(lambda e: 10.0**e), gammas, st.integers(1, 12), st.sampled_from(["f_lambda", "f_zeta"]))
+@example(2.0, 0.5, 6, "f_lambda")
+@example(0.0, 1.0, 2, "f_zeta")
+def test_scan_phase_matches_the_80_digit_normal_law(n, gamma, zeta, target):
+    argv = ["scan-phase", "--n", repr(n), "--gamma", repr(gamma), "--zeta", str(zeta),
+            "--target", target, "--grid", "5"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    rows = [line.split(",") for line in out.getvalue().splitlines() if not line.startswith("#")][1:]
+    assert len(rows) == 25
+    for theta, phi, value in rows:
+        want = _reference_objective(target, gamma, n, zeta, 1.0, float(theta), float(phi))
+        assert abs(float(value) - want) <= 1e-12 * abs(want)
+
+
+@seeded
+@given(st.floats(0.0, 10.0), gammas, phases, phases, st.integers(1, 6), lambdas, signs)
+def test_qfi_matrix_raises_no_cancellation_alarm_at_low_energy(n, gamma, theta, phi, zeta, lam, sign):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", CancellationWarning)
+        qfi_matrix(make_probe(n, gamma, theta, phi), ModelSpec(lambda_eff=lam, zeta=zeta), beta_sign=sign)

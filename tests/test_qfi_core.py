@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -207,3 +208,20 @@ class TestExtendedPrecisionRescue:
         big_e = 1.0 + 2 * 0.5e8 + 2 * math.sqrt(0.5e8 * (1 + 0.5e8))
         leading = 4.0 * 4**2 * alpha_sq * big_e**3  # zeta^2 4^zeta alpha^2 E^3
         assert got == pytest.approx(leading, rel=0.01)
+
+    def test_covariance_alarm(self):
+        # Cov(G_2, G_1) = m_3 - m_2 m_1 cancels as many digits as the
+        # variances do at N = 1e8; the extended path keeps them
+        p = make_probe(1e8, 0.5)
+        m = ModelSpec(lambda_eff=1.0, zeta=2)
+        with pytest.warns(CancellationWarning, match="covariance of G_2 and G_1"):
+            qfi_cross(p, m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CancellationWarning)
+            assert qfi_cross(p, m, extended=True) > 0.0
+
+    def test_no_covariance_alarm_at_order_one(self):
+        # G_0 is the identity, so Cov(G_1, G_0) = m_1 - m_1 m_0 is exactly 0 by design
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CancellationWarning)
+            assert qfi_cross(make_probe(3.0, 0.2), ModelSpec(lambda_eff=1.0, zeta=1)) == 0.0
