@@ -3,7 +3,7 @@
 Scans emit CSV with '#'-prefixed metadata lines followed by a header row;
 floats are written with repr (shortest round-trip form), newlines are LF,
 and the decimal separator is always '.', so identical invocations produce
-byte-identical output regardless of locale or worker count.
+byte-identical output regardless of locale or --jobs (accepted, no effect).
 """
 
 import argparse
@@ -11,7 +11,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,12 +33,13 @@ from .optimizer import (
 from .probe import make_probe
 from .qfi_core import (
     ModelSpec,
+    _joint_bound_mp,
     normal_law_grid,
+    normal_law_qfi,
     qfi_lambda,
     qfi_matrix,
     qfi_zeta,
     reparametrize_physical,
-    scalar_bound_inverse,
 )
 
 EXIT_OK = 0
@@ -55,8 +55,7 @@ class ScanResult:
     """One scan: named axes, row-major primary values, full CSV rows, metadata.
 
     The metadata records everything needed to reproduce the scan in the same
-    precision mode (worker count deliberately excluded: it never changes the
-    values or the bytes).
+    precision mode.
     """
 
     axes: dict
@@ -116,19 +115,6 @@ def _write(args, text):
         sys.stdout.write(text)
 
 
-def _parallel_map(fun, points, args):
-    """fun over points, on args.jobs threads in double precision.
-
-    Extended precision runs in order on the calling thread: mpmath's working
-    precision is one setting for the whole process, so a thread leaving its
-    40-digit block would cut the digits of another still inside one.
-    """
-    if args.jobs <= 1 or args.extended:
-        return [fun(p) for p in points]
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        return list(pool.map(fun, points))
-
-
 def _base_metadata(args, **extra):
     md = {"tool": "nlprobe", "version": __version__, "precision": "extended" if args.extended else "double"}
     md.update(extra)
@@ -139,14 +125,22 @@ def cmd_qfi(args) -> int:
     probe = make_probe(args.n, args.gamma, args.theta, args.phi)
     model = ModelSpec(lambda_eff=args.lam, zeta=args.zeta, time=args.time)
     fm = qfi_matrix(probe, model, extended=args.extended)
-    if args.time != 1.0:
+    t = args.time
+    # det F / tr F without the cancellation of f_ll f_zz - f_lz^2 in double
+    if args.extended:
+        bound = _joint_bound_mp(probe, model, t)
+    else:
+        f_ll, f_zz, bound = normal_law_qfi(probe, model)
+        if t != 1.0:  # det and trace of diag(t, 1) F diag(t, 1)
+            bound *= t * t * (f_ll + f_zz) / (t * t * f_ll + f_zz)
+    if t != 1.0:
         fm = reparametrize_physical(fm, model)
     record = {
         "f_ll": fm.f_ll,
         "f_zz": fm.f_zz,
         "f_lz": fm.f_lz,
         "u_lz": fm.u_lz,
-        "scalar_bound_inverse": scalar_bound_inverse(fm),
+        "scalar_bound_inverse": bound,
     }
     if args.oracle:
         om = qfi_matrix_oracle(probe, model)
@@ -260,11 +254,9 @@ def cmd_opt_gamma(args) -> int:
         for lam in lambdas:
             target = OptTarget(kind, ModelSpec(lambda_eff=lam, zeta=zeta))
 
-            def solve(n, target=target, zeta=zeta, lam=lam, asym=asym):
+            for n in ns:
                 res = optimize_gamma(n, target, extended=args.extended)
-                return (n, zeta, lam, res.gamma_opt, res.objective_value, asym)
-
-            rows.extend(_parallel_map(solve, ns, args))
+                rows.append((n, zeta, lam, res.gamma_opt, res.objective_value, asym))
     md = _base_metadata(
         args,
         command="opt-gamma",
@@ -403,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--jobs", type=int, default=_default_jobs(), help="parallel workers (env NLPROBE_JOBS)")
+        p.add_argument("--jobs", type=int, default=_default_jobs(), help="no effect (env NLPROBE_JOBS)")
         p.add_argument("--extended", action="store_true", help="extended-precision moment evaluation")
         p.add_argument("--json", action="store_true", help="emit a single JSON document instead of CSV/text")
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")

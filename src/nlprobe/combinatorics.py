@@ -16,6 +16,7 @@ __all__ = [
     "normal_order_coeff",
     "coeff_row_sum",
     "normal_law_polynomials",
+    "normal_law_covariance",
     "amplitude_A",
     "scaling_B",
 ]
@@ -131,12 +132,30 @@ def normal_law_polynomials(zeta: int):
     """
     if zeta < 1:
         raise DomainError(f"normal_law_polynomials requires zeta >= 1, got {zeta}")
-    p = {k: _normal_moment(k) for k in (2 * zeta, 2 * zeta - 1, 2 * zeta - 2, zeta, zeta - 1)}
+    p = {k: _normal_moment(k) for k in (2 * zeta, 2 * zeta - 2, zeta, zeta - 1)}
     var_z = _sub(p[2 * zeta], _mul(p[zeta], p[zeta]))
     var_zm1 = _sub(p[2 * zeta - 2], _mul(p[zeta - 1], p[zeta - 1]))
-    cov = _sub(p[2 * zeta - 1], _mul(p[zeta], p[zeta - 1]))
+    cov = _covariance(zeta)
     gram = _sub(_mul(var_z, var_zm1), _mul(cov, cov))
     return _in_x(var_z), _in_x(var_zm1), _in_x(gram)
+
+
+def _covariance(zeta):
+    """Cov(Y^zeta, Y^(zeta-1)) for Y ~ N(m, 1), by power of m: an odd polynomial."""
+    return _sub(_normal_moment(2 * zeta - 1), _mul(_normal_moment(zeta), _normal_moment(zeta - 1)))
+
+
+@lru_cache(maxsize=None)
+def normal_law_covariance(zeta: int):
+    """Q_zeta(x) = Cov(X^zeta, X^(zeta-1)) / (mu sigma^(2 zeta - 2)) for X ~ N(mu, sigma^2).
+
+    Exact integer coefficients in x = mu^2 / sigma^2, lowest power first
+    ((12, 6) at zeta = 3), of degree zeta - 2 (none at zeta = 1). All are
+    positive, so Horner's rule evaluates the covariance without cancellation.
+    """
+    if zeta < 1:
+        raise DomainError(f"normal_law_covariance requires zeta >= 1, got {zeta}")
+    return _in_x(_covariance(zeta)[1:])
 
 
 def amplitude_A(zeta: int) -> int:

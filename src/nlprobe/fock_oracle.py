@@ -131,6 +131,9 @@ def build_state(probe: ProbeSpec, dim: int) -> TruncatedState:
     Built by applying the exponentials of the squeezing and displacement
     generators to the vacuum vector (in that order). Raises CutoffError,
     carrying a suggested dimension, if the tail-mass bound fails.
+
+    expm_multiply's randomized norm estimate runs on a fixed seed of numpy's
+    global generator, whose state is restored after: equal inputs, equal bits.
     """
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import expm_multiply
@@ -141,12 +144,17 @@ def build_state(probe: ProbeSpec, dim: int) -> TruncatedState:
     xi = probe.xi
     v = np.zeros(dim, dtype=complex)
     v[0] = 1.0
-    if xi != 0:
-        gen_s = csc_matrix(0.5 * (xi * (ad @ ad) - np.conj(xi) * (a @ a)))
-        v = expm_multiply(gen_s, v)
-    if alpha != 0:
-        gen_d = csc_matrix(alpha * ad - np.conj(alpha) * a)
-        v = expm_multiply(gen_d, v)
+    rng_state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        if xi != 0:
+            gen_s = csc_matrix(0.5 * (xi * (ad @ ad) - np.conj(xi) * (a @ a)))
+            v = expm_multiply(gen_s, v)
+        if alpha != 0:
+            gen_d = csc_matrix(alpha * ad - np.conj(alpha) * a)
+            v = expm_multiply(gen_d, v)
+    finally:
+        np.random.set_state(rng_state)
     state = TruncatedState(dim, v)
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > 1e-10:

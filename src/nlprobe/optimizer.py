@@ -10,22 +10,11 @@ import enum
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .errors import DomainError, NumericalRangeError, ThresholdAmbiguousError
-from .moments import EXTENDED_DPS, general_moments
 from .probe import make_probe
-from .qfi_core import (
-    ModelSpec,
-    QfiMatrix,
-    normal_law_grid,
-    normal_law_qfi,
-    qfi_from_moments,
-    qfi_lambda,
-    qfi_zeta,
-    scalar_bound_inverse,
-)
+from .qfi_core import ModelSpec, _joint_bound_mp, normal_law_grid, normal_law_qfi, qfi_lambda, qfi_zeta
 
 __all__ = [
     "TargetKind",
@@ -74,18 +63,6 @@ class GammaOptResult:
     objective_value: float
     at_boundary: bool
     n_total: float
-
-
-def _joint_bound_mp(probe, model):
-    """det(F) / tr(F) from 40-digit general-phase moments, rounded once at the end.
-
-    The extended-precision joint objective; the double one cancels det(F)
-    exactly instead (qfi_core.normal_law_qfi).
-    """
-    z = model.zeta
-    with mpmath.workdps(EXTENDED_DPS):
-        m = general_moments(probe, (2 * z, z, 2 * z - 2, z - 1, 2 * z - 1), extended=True)
-        return float(scalar_bound_inverse(QfiMatrix(*qfi_from_moments(m, model))))
 
 
 def objective(

@@ -9,16 +9,15 @@ the Uhlmann antisymmetric part vanishes identically.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
 import numpy as np
 
-from .combinatorics import normal_law_polynomials
-from .errors import CancellationWarning, DegenerateModelError, DomainError, InternalConsistencyError
-from .moments import EXTENDED_DPS, general_moments
+from .combinatorics import normal_law_covariance, normal_law_polynomials
+from .errors import DegenerateModelError, DomainError, InternalConsistencyError
+from .moments import EXTENDED_DPS, _check_beta_sign, _normal_law, general_moments
 from .probe import ProbeSpec, make_probe
 
 __all__ = [
@@ -35,8 +34,8 @@ __all__ = [
     "scalar_bound_inverse",
 ]
 
-CANCELLATION_DIGITS = 1e-12
 PSD_TOL = 1e-9
+OVERFLOW = "QFI entries exceed the double-precision range"
 
 
 @dataclass(frozen=True)
@@ -98,39 +97,20 @@ def qfi_from_moments(m, model: ModelSpec):
     )
 
 
-def _entries(probe, model, orders, differences, beta_sign, extended):
-    """qfi_from_moments over the general-phase moments of the given orders.
+def _entries(probe, model, orders, beta_sign, extended):
+    """(f_ll, f_zz, f_lz): the normal law in double precision, else the
+    general-phase moments of the given orders through qfi_from_moments.
 
     Extended mode subtracts at EXTENDED_DPS digits and rounds once; rounding
     the moments to double first would forfeit exactly the digits the mode
-    exists to preserve. In double precision, each difference m[a] - m[b] m[c]
-    named by an (a, b, c) in differences is checked for loss of precision.
+    exists to preserve.
     """
-    if extended:
-        with mpmath.workdps(EXTENDED_DPS):
-            m = general_moments(probe, orders, beta_sign=beta_sign, extended=True)
-            return tuple(float(f) for f in qfi_from_moments(m, model))
-    m = general_moments(probe, orders, beta_sign=beta_sign)
-    for a, b, c in differences:
-        if m[a] != 0.0 and abs(m[a] - m[b] * m[c]) < CANCELLATION_DIGITS * abs(m[a]):
-            name = f"variance of G_{b}" if b == c else f"covariance of G_{b} and G_{c}"
-            warnings.warn(
-                f"{name} lost >12 significant digits to cancellation "
-                f"(terms ~{m[a]:.3e}); consider extended=True",
-                CancellationWarning,
-                stacklevel=3,
-            )
-    return qfi_from_moments(m, model)
-
-
-def _variance(j):
-    """Var(G_j) as the difference m[2j] - m[j] m[j]; none for the constant G_0."""
-    return ((2 * j, j, j),) if j > 0 else ()
-
-
-def _covariance(z):
-    """Cov(G_z, G_(z-1)) as m[2z-1] - m[z] m[z-1]; none when G_(z-1) = G_0 is constant."""
-    return ((2 * z - 1, z, z - 1),) if z > 1 else ()
+    _check_beta_sign(beta_sign)
+    if not extended:
+        return _normal_law_entries(probe, model, beta_sign)
+    with mpmath.workdps(EXTENDED_DPS):
+        m = general_moments(probe, orders, beta_sign=beta_sign, extended=True)
+        return tuple(float(f) for f in qfi_from_moments(m, model))
 
 
 def qfi_lambda(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, extended: bool = False) -> float:
@@ -139,7 +119,7 @@ def qfi_lambda(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, exten
     Independent of lambda by construction; only model.zeta is read.
     """
     z = model.zeta
-    return _entries(probe, model, (2 * z, z), _variance(z), beta_sign, extended)[0]
+    return _entries(probe, model, (2 * z, z), beta_sign, extended)[0]
 
 
 def qfi_zeta(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, extended: bool = False) -> float:
@@ -149,13 +129,17 @@ def qfi_zeta(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, extende
     whose variance vanishes, so the element is exactly zero.
     """
     z = model.zeta
-    return _entries(probe, model, (2 * z - 2, z - 1), _variance(z - 1), beta_sign, extended)[1]
+    return _entries(probe, model, (2 * z - 2, z - 1), beta_sign, extended)[1]
 
 
 def qfi_cross(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, extended: bool = False) -> float:
     """Off-diagonal element: 4 lambda zeta [<G_(2z-1)> - <G_z><G_(z-1)>]."""
     z = model.zeta
-    return _entries(probe, model, (2 * z - 1, z, z - 1), _covariance(z), beta_sign, extended)[2]
+    return _entries(probe, model, (2 * z - 1, z, z - 1), beta_sign, extended)[2]
+
+
+def _orders(z):
+    return (2 * z, z, 2 * z - 2, z - 1, 2 * z - 1)
 
 
 def qfi_matrix(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, extended: bool = False) -> QfiMatrix:
@@ -165,16 +149,27 @@ def qfi_matrix(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, exten
     operator, so the mean SLD commutator (the Uhlmann element) vanishes and
     joint estimation carries no intrinsic quantum incompatibility.
     """
-    z = model.zeta
-    orders = (2 * z, z, 2 * z - 2, z - 1, 2 * z - 1)
-    checks = _variance(z) + _variance(z - 1) + _covariance(z)
-    return QfiMatrix(*_entries(probe, model, orders, checks, beta_sign, extended), u_lz=0.0)
+    return QfiMatrix(*_entries(probe, model, _orders(model.zeta), beta_sign, extended), u_lz=0.0)
+
+
+def _joint_bound_mp(probe: ProbeSpec, model: ModelSpec, time: float = 1.0) -> float:
+    """det F / tr F at 40 digits, of the matrix reparametrized to the given time.
+
+    The entries come from the general-phase moments and stay unrounded
+    through the determinant; the result is rounded once at the end.
+    """
+    with mpmath.workdps(EXTENDED_DPS):
+        m = general_moments(probe, _orders(model.zeta), extended=True)
+        f_ll, f_zz, f_lz = qfi_from_moments(m, model)
+        t = mpmath.mpf(time)
+        return float(scalar_bound_inverse(QfiMatrix(t * t * f_ll, f_zz, t * f_lz)))
 
 
 @lru_cache(maxsize=None)
 def _normal_law_table(zeta):
-    """normal_law_polynomials(zeta) as float coefficients, highest power first."""
-    return tuple(tuple(float(c) for c in reversed(p)) for p in normal_law_polynomials(zeta))
+    """normal_law_polynomials(zeta) and Q_zeta as float coefficients, highest power first."""
+    polys = normal_law_polynomials(zeta) + (normal_law_covariance(zeta),)
+    return tuple(tuple(float(c) for c in reversed(p)) for p in polys)
 
 
 def _horner(coeffs, x):
@@ -197,19 +192,11 @@ def _horner(coeffs, x):
 def normal_law_qfi(probe: ProbeSpec, model: ModelSpec):
     """(f_ll, f_zz, det F / tr F) in double precision, at any phase.
 
-    On the default moment family the quadrature X = a + a^dag is normal:
-    its moments are sum_j C(k,2j) (2j-1)!! mu^(k-2j) sigma^(2j) with
-    sigma = eta and mu = 2 eta Re(beta e^(i psi)). With E = e^(2r) and
-    h = theta/2 these are
-
-        sigma^2 = E cos^2 h + sin^2 h / E
-        mu = 2 |alpha| [E cos h cos(h - phi) + sin h sin(h - phi) / E],
-
-    the cancellation-free form of sigma^2 = |cosh r + sinh r e^(i theta)|^2
-    and mu = 2|alpha| [cosh 2r cos phi + sinh 2r cos(theta - phi)].
-    Both variances and the Gram determinant are polynomials in
-    x = mu^2 / sigma^2 of degrees zeta - 1, zeta - 2 and 2 zeta - 4 whose
-    cancelling terms were removed exactly (combinatorics.
+    On the default moment family the quadrature X = a + a^dag is normal,
+    with the cancellation-free mean mu and variance sigma^2 of
+    moments._normal_law. Both variances and the Gram determinant are
+    polynomials in x = mu^2 / sigma^2 of degrees zeta - 1, zeta - 2 and
+    2 zeta - 4 whose cancelling terms were removed exactly (combinatorics.
     normal_law_polynomials); what is left has positive coefficients but for
     one term at odd zeta, so Horner's rule loses nothing to cancellation and
     no extended-precision retry is needed. With u = max(mu^2, sigma^2),
@@ -222,15 +209,9 @@ def normal_law_qfi(probe: ProbeSpec, model: ModelSpec):
     where the results fit. A result beyond the double range raises
     OverflowError.
     """
-    v, w, g = _normal_law_table(model.zeta)
+    v, w, g, _ = _normal_law_table(model.zeta)
     lz2 = (model.lambda_eff * model.zeta) ** 2
-    n_sq = probe.n_squeeze
-    e_r = math.sqrt(n_sq) + math.sqrt(1.0 + n_sq)
-    big, small = e_r * e_r, 1.0 / (e_r * e_r)
-    h = 0.5 * probe.theta
-    ch, sh = math.cos(h), math.sin(h)
-    var = big * ch * ch + small * sh * sh
-    mean = 2.0 * probe.alpha_mag * (big * ch * math.cos(h - probe.phi) + small * sh * math.sin(h - probe.phi))
+    mean, var = _normal_law(probe)
     x = mean * mean / var
     u = mean * mean if x > 1.0 else var
     hv, hw = _horner(v, x), _horner(w, x)
@@ -239,8 +220,28 @@ def normal_law_qfi(probe: ProbeSpec, model: ModelSpec):
     f_zz = scale * lz2 * hw
     joint = scale * lz2 * var * _horner(g, x) / (u * hv + lz2 * hw)
     if not (f_ll < math.inf and f_zz < math.inf and joint < math.inf):  # products overflow silently
-        raise OverflowError("QFI entries exceed the double-precision range")
+        raise OverflowError(OVERFLOW)
     return f_ll, f_zz, joint
+
+
+def _normal_law_entries(probe, model, beta_sign):
+    """(f_ll, f_zz, f_lz) of either family in double precision, as in normal_law_qfi.
+
+    f_lz = 4 lambda zeta mu sigma^2 u^(zeta-2) Q, Q the covariance polynomial
+    over max(x, 1)^(zeta-2); kept off normal_law_qfi, the optimizer's kernel.
+    """
+    v, w, _, q = _normal_law_table(model.zeta)
+    lz = model.lambda_eff * model.zeta
+    mean, var = _normal_law(probe, beta_sign)
+    x = mean * mean / var
+    u = mean * mean if x > 1.0 else var
+    scale = 4.0 * var * u ** (model.zeta - 2)
+    f_ll = scale * u * _horner(v, x)
+    f_zz = scale * lz**2 * _horner(w, x)
+    f_lz = scale * lz * mean * _horner(q, x)
+    if not (f_ll < math.inf and f_zz < math.inf and abs(f_lz) < math.inf):
+        raise OverflowError(OVERFLOW)
+    return f_ll, f_zz, f_lz
 
 
 def _horner_grid(coeffs, x, above):
@@ -266,7 +267,7 @@ def normal_law_grid(n_total, gamma, theta, phi, model: ModelSpec):
     is the one a loop over the points would raise.
     """
     n, gam, th, ph = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (n_total, gamma, theta, phi)))
-    v, w, g = _normal_law_table(model.zeta)
+    v, w, g, _ = _normal_law_table(model.zeta)
     lz2 = (model.lambda_eff * model.zeta) ** 2
     with np.errstate(all="ignore"):  # both Horner branches run everywhere, 1/x included
         n_sq = gam * n
@@ -321,6 +322,6 @@ def scalar_bound_inverse(qfi: QfiMatrix) -> float:
     det = qfi.determinant()
     if det < 0.0:
         if det < -PSD_TOL * max(qfi.f_ll * qfi.f_zz, 1.0):
-            raise InternalConsistencyError(f"QFI matrix has negative determinant {det:.3e}")
+            raise InternalConsistencyError(f"QFI matrix has negative determinant {float(det):.3e}")
         det = 0.0
     return det / trace

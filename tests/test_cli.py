@@ -65,6 +65,41 @@ class TestQfiCommand:
         doc = json.loads(out)
         assert doc["f_ll"] == pytest.approx(8.0)
 
+    FOUND_REPRO = ["--n", "1000", "--gamma", "0.7", "--theta", repr(math.pi), "--phi", repr(math.pi / 2),
+                   "--zeta", "12", "--lambda", "1"]
+    HIGH_N = ["--n", "1e6", "--gamma", "0.8", "--zeta", "3", "--lambda", "1"]
+    TIMED = ["--n", "2", "--gamma", "0.3", "--zeta", "3", "--lambda", "1", "--time", "2.5"]
+    # the 80-digit normal law (tests/test_properties.py), with the determinant
+    # of the time-reparametrized matrix formed before rounding
+    WANT = {
+        "found": {"f_ll": 5.3988768310296563e-30, "f_zz": 9.4744623333310874e-26, "f_lz": 1.078927583008031e-36,
+                  "scalar_bound_inverse": 5.3985692018559978e-30},
+        "high_n": {"f_ll": 7.7309652920295425e45, "f_zz": 3.7748806778920548e27, "f_lz": 5.4021728500975167e36,
+                   "scalar_bound_inverse": 737280921598800.08},
+        "timed": {"f_ll": 10322218.317007631, "f_zz": 59282.451628199217, "f_lz": 775409.75692172786,
+                  "scalar_bound_inverse": 1027.4157062654912},
+    }
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            # entries 1e-30 where the moments summed are far larger: the
+            # double moment sums printed an exit 2 "trace is zero" here
+            pytest.param(FOUND_REPRO, "found", id="entries-far-below-the-terms"),
+            # det F cancels 18 digits: subtracting rounded entries printed 1.19e24
+            pytest.param(HIGH_N, "high_n", id="determinant-cancels"),
+            pytest.param(HIGH_N + ["--extended"], "high_n", id="determinant-cancels-extended"),
+            pytest.param(TIMED, "timed", id="time-reparametrized"),
+            pytest.param(TIMED + ["--extended"], "timed", id="time-reparametrized-extended"),
+        ],
+    )
+    def test_matches_the_80_digit_normal_law(self, capsys, argv, want):
+        code, out, _ = run_cli(capsys, "qfi", *argv)
+        assert code == 0
+        rec = parse_record(out)
+        for key, value in self.WANT[want].items():
+            assert float(rec[key]) == pytest.approx(value, rel=1e-12), key
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -6,6 +6,7 @@ from nlprobe.combinatorics import (
     OrderingCoeff,
     amplitude_A,
     coeff_row_sum,
+    normal_law_covariance,
     normal_law_polynomials,
     normal_order_coeff,
     scaling_B,
@@ -118,6 +119,39 @@ class TestNormalLawPolynomials:
     def test_zeta_zero_rejected(self):
         with pytest.raises(DomainError):
             normal_law_polynomials(0)
+        with pytest.raises(DomainError):
+            normal_law_covariance(0)
+
+
+class TestNormalLawCovariance:
+    @pytest.mark.parametrize("zeta", range(1, 13))
+    @pytest.mark.parametrize("exact_family", [False, True])
+    def test_equals_the_closed_form_moments_exactly(self, zeta, exact_family):
+        # row-sum moments sum_j c_j alpha^(k-2j) E^p(j) at rational alpha and E,
+        # p(j) = k - j (mean 2 alpha E) or j (state-exact, mean 2 alpha); sigma^2 = E
+        alpha, e = Fraction(3, 7), Fraction(5, 2)
+
+        def m(k):
+            return sum(
+                coeff_row_sum(k, j) * alpha ** (k - 2 * j) * e ** (j if exact_family else k - j)
+                for j in range(k // 2 + 1)
+            )
+
+        mean = 2 * alpha * (1 if exact_family else e)
+        q = normal_law_covariance(zeta)
+        assert _poly(q, mean**2 / e) * mean * e ** (zeta - 1) == m(2 * zeta - 1) - m(zeta) * m(zeta - 1)
+
+    def test_examples(self):
+        assert normal_law_covariance(1) == ()
+        assert normal_law_covariance(2) == (2,)
+        assert normal_law_covariance(3) == (12, 6)
+        assert normal_law_covariance(4) == (96, 84, 12)
+
+    @pytest.mark.parametrize("zeta", range(1, 25))
+    def test_degree_and_signs(self, zeta):
+        q = normal_law_covariance(zeta)
+        assert len(q) == zeta - 1
+        assert all(type(c) is int and c > 0 for c in q)
 
 
 class TestAmplitudeA:

@@ -159,3 +159,14 @@ class TestZetaDerivativeDiagnostic:
         assert d["f_zz_power_rule"] > 0
         # the two derivative readings genuinely differ; we only record by how much
         assert d["relative_difference"] >= 0
+
+
+class TestDeterminism:
+    def test_repeated_calls_agree_bit_for_bit_and_keep_the_global_rng(self):
+        # expm_multiply's norm estimate draws from numpy's global generator
+        probe = make_probe(1.5, 0.45, 2.0, 1.0)
+        before = np.random.get_state()
+        runs = [converged_moments(probe, 8) for _ in range(3)]
+        after = np.random.get_state()
+        assert all(np.array_equal(runs[0], run) for run in runs[1:])
+        assert before[0] == after[0] and np.array_equal(before[1], after[1]) and before[2:] == after[2:]

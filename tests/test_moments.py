@@ -57,19 +57,20 @@ class TestMomentGeneral:
             moment_general(make_probe(1.0, 0.0), 2, beta_sign=0)
 
     def test_residue_check_catches_a_phase_error(self, monkeypatch):
-        # flip the phase multiplier of one term: the terms no longer pair into
-        # complex conjugates, and the imaginary residue must be caught
+        # flip the phase multiplier of one term of the 40-digit general-phase
+        # sum: the terms no longer pair into complex conjugates, and the
+        # imaginary residue must be caught
         table = moments._table
 
-        def corrupted(k, extended):
-            terms = list(table(k, extended))
+        def corrupted(k):
+            terms = list(table(k))
             c, ph, s, p = terms[0]
             terms[0] = (c, -ph, s, p)
             return tuple(terms)
 
         monkeypatch.setattr(moments, "_table", corrupted)
         with pytest.raises(InternalConsistencyError):
-            moment_general(make_probe(2.0, 0.4, 0.9, 0.3), 4)
+            moment_general(make_probe(2.0, 0.4, 0.9, 0.3), 4, extended=True)
 
 
 class TestRealAxis:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from nlprobe.cli import main  # noqa: E402
 from nlprobe.errors import CancellationWarning  # noqa: E402
+from nlprobe.moments import general_moments  # noqa: E402
 from nlprobe.optimizer import OptTarget, TargetKind, objective  # noqa: E402
 from nlprobe.probe import make_probe  # noqa: E402
 from nlprobe.qfi_core import (  # noqa: E402
@@ -84,34 +85,48 @@ def test_scan_phase_prints_the_qfi_elements(n, gamma, zeta, target, extended):
             assert float(value) == normal_law_qfi(probe, model)[0 if target == "f_lambda" else 1]
 
 
-def _reference_objective(kind, gamma, n, zeta, lam, theta, phi, magnitude=False):
-    """The objective at 80 digits from the normal law of the quadrature.
+def _reference_moments(gamma, n, zeta, theta, phi, sign=+1, magnitude=False):
+    """Moments M_0..M_(2 zeta) of the quadrature's normal law at 80 digits.
 
     mu = 2 eta Re(beta e^(i psi)) and sigma^2 = eta^2 from the Bogoliubov
-    definitions (beta = mu_b alpha + nu conj(alpha), eta = |mu_b + nu|,
+    definitions (beta = mu_b alpha + sign nu conj(alpha), eta = |mu_b + nu|,
     psi = Arg(mu_b + conj(nu))), moments by M_k = mu M_(k-1) + (k-1) sigma^2 M_(k-2).
     With magnitude=True the mean is 2 eta |beta|, the size of the terms the
-    moments are made of.
+    moments are made of. Use the result inside mpmath.workdps(80).
     """
+    g, n = mpmath.mpf(gamma), mpmath.mpf(n)
+    r = mpmath.asinh(mpmath.sqrt(g * n))
+    alpha = mpmath.sqrt((1 - g) * n) * mpmath.expj(mpmath.mpf(phi))
+    mu_b, nu = mpmath.cosh(r), mpmath.expj(mpmath.mpf(theta)) * mpmath.sinh(r)
+    eta = abs(mu_b + nu)
+    beta = mu_b * alpha + sign * nu * mpmath.conj(alpha)
+    mean = 2 * eta * (abs(beta) if magnitude else mpmath.re(beta * mpmath.expj(mpmath.arg(mu_b + mpmath.conj(nu)))))
+    m = [mpmath.mpf(1), mean]
+    for k in range(2, 2 * zeta + 1):
+        m.append(mean * m[k - 1] + (k - 1) * eta**2 * m[k - 2])
+    return m
+
+
+def _reference_entries(gamma, n, zeta, lam, theta, phi, sign=+1, magnitude=False):
+    """(f_ll, f_zz, f_lz) at 80 digits from _reference_moments."""
     with mpmath.workdps(80):
-        g, n = mpmath.mpf(gamma), mpmath.mpf(n)
-        r = mpmath.asinh(mpmath.sqrt(g * n))
-        alpha = mpmath.sqrt((1 - g) * n) * mpmath.expj(mpmath.mpf(phi))
-        mu_b, nu = mpmath.cosh(r), mpmath.expj(mpmath.mpf(theta)) * mpmath.sinh(r)
-        eta = abs(mu_b + nu)
-        beta = mu_b * alpha + nu * mpmath.conj(alpha)
-        mean = 2 * eta * (abs(beta) if magnitude else mpmath.re(beta * mpmath.expj(mpmath.arg(mu_b + mpmath.conj(nu)))))
-        m = [mpmath.mpf(1), mean]
-        for k in range(2, 2 * zeta + 1):
-            m.append(mean * m[k - 1] + (k - 1) * eta**2 * m[k - 2])
+        m = _reference_moments(gamma, n, zeta, theta, phi, sign, magnitude)
         lz = mpmath.mpf(lam) * zeta  # an mpf: a float lambda zeta would round (lambda zeta)^2 differently
-        f_ll = 4 * (m[2 * zeta] - m[zeta] ** 2)
-        f_zz = 4 * lz**2 * (m[2 * zeta - 2] - m[zeta - 1] ** 2)
-        if kind == "f_lambda":
-            return f_ll
-        if kind == "f_zeta":
-            return f_zz
-        f_lz = 4 * lz * (m[2 * zeta - 1] - m[zeta] * m[zeta - 1])
+        return (
+            4 * (m[2 * zeta] - m[zeta] ** 2),
+            4 * lz**2 * (m[2 * zeta - 2] - m[zeta - 1] ** 2),
+            4 * lz * (m[2 * zeta - 1] - m[zeta] * m[zeta - 1]),
+        )
+
+
+def _reference_objective(kind, gamma, n, zeta, lam, theta, phi, magnitude=False):
+    """The objective at 80 digits from the normal law of the quadrature."""
+    f_ll, f_zz, f_lz = _reference_entries(gamma, n, zeta, lam, theta, phi, magnitude=magnitude)
+    if kind == "f_lambda":
+        return f_ll
+    if kind == "f_zeta":
+        return f_zz
+    with mpmath.workdps(80):
         return (f_ll * f_zz - f_lz**2) / (f_ll + f_zz)
 
 
@@ -189,6 +204,26 @@ def test_scan_phase_matches_the_80_digit_normal_law(n, gamma, zeta, target):
     for theta, phi, value in rows:
         want = _reference_objective(target, gamma, n, zeta, 1.0, float(theta), float(phi))
         assert abs(float(value) - want) <= 1e-12 * abs(want)
+
+
+@settings(seeded, max_examples=200)
+@given(gammas, energies, phases, phases, st.integers(1, 12), lambdas, signs)
+@example(0.7, 1e3, 3.141592653589793, 1.5707963267948966, 12, 1.0, +1)
+@example(0.8, 1e6, 0.0, 0.0, 3, 1.0, -1)
+def test_double_qfi_matrix_and_moments_match_the_80_digit_normal_law(gamma, n, theta, phi, zeta, lam, sign):
+    # both families, with the magnitude-law tolerance of the objective tests
+    probe, model = make_probe(n, gamma, theta, phi), ModelSpec(lambda_eff=lam, zeta=zeta)
+    want = _reference_entries(gamma, n, zeta, lam, theta, phi, sign)
+    scale = _reference_entries(gamma, n, zeta, lam, theta, phi, sign, magnitude=True)
+    got = qfi_matrix(probe, model, beta_sign=sign)
+    for g, w, s in zip(got.as_tuple(), want, scale):
+        assert abs(g - w) <= 1e-12 * s
+    moments = general_moments(probe, range(2 * zeta + 1), beta_sign=sign)
+    with mpmath.workdps(80):
+        want_m = _reference_moments(gamma, n, zeta, theta, phi, sign)
+        scale_m = _reference_moments(gamma, n, zeta, theta, phi, sign, magnitude=True)
+    for k in range(2 * zeta + 1):
+        assert abs(moments[k] - want_m[k]) <= 1e-12 * scale_m[k]
 
 
 @seeded

@@ -196,14 +196,15 @@ class TestScalarBound:
 
 class TestExtendedPrecisionRescue:
     def test_cancellation_alarm_and_extended_rescue(self):
-        # at N = 1e8 and zeta = 2 the variance subtraction cancels ~16 digits;
-        # double precision warns and returns garbage, the extended path lands
-        # on the known leading-order growth
+        # at N = 1e8 and zeta = 2 the moment differences cancel ~16 digits;
+        # the double normal law never forms them, so it raises no alarm and
+        # agrees with the 40-digit sums, which land on the leading-order growth
         p = make_probe(1e8, 0.5)
         m = ModelSpec(lambda_eff=1.0, zeta=2)
-        with pytest.warns(CancellationWarning):
-            qfi_lambda(p, m)
-        got = qfi_lambda(p, m, extended=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CancellationWarning)
+            got = qfi_lambda(p, m)
+        assert got == pytest.approx(qfi_lambda(p, m, extended=True), rel=1e-12)
         alpha_sq = 0.5e8
         big_e = 1.0 + 2 * 0.5e8 + 2 * math.sqrt(0.5e8 * (1 + 0.5e8))
         leading = 4.0 * 4**2 * alpha_sq * big_e**3  # zeta^2 4^zeta alpha^2 E^3
@@ -211,14 +212,14 @@ class TestExtendedPrecisionRescue:
 
     def test_covariance_alarm(self):
         # Cov(G_2, G_1) = m_3 - m_2 m_1 cancels as many digits as the
-        # variances do at N = 1e8; the extended path keeps them
+        # variances do at N = 1e8; the double path takes it from Q_2 instead
         p = make_probe(1e8, 0.5)
         m = ModelSpec(lambda_eff=1.0, zeta=2)
-        with pytest.warns(CancellationWarning, match="covariance of G_2 and G_1"):
-            qfi_cross(p, m)
         with warnings.catch_warnings():
             warnings.simplefilter("error", CancellationWarning)
-            assert qfi_cross(p, m, extended=True) > 0.0
+            got = qfi_cross(p, m)
+            assert got == pytest.approx(qfi_cross(p, m, extended=True), rel=1e-12)
+        assert got > 0.0
 
     def test_no_covariance_alarm_at_order_one(self):
         # G_0 is the identity, so Cov(G_1, G_0) = m_1 - m_1 m_0 is exactly 0 by design
