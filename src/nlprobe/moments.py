@@ -38,8 +38,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath
-
 from .combinatorics import _normal_moment, normal_order_coeff
 from .errors import DomainError, InternalConsistencyError
 from .probe import ProbeSpec
@@ -74,6 +72,8 @@ def _exact_table(k: int):
 @lru_cache(maxsize=None)
 def _table(k: int):
     """General-phase terms of order k with mpf coefficients."""
+    import mpmath
+
     return tuple((mpmath.mpf(c.numerator) / c.denominator, ph, s, p) for c, ph, s, p in _exact_table(k)[0])
 
 
@@ -123,6 +123,10 @@ def general_moments(probe: ProbeSpec, orders, *, beta_sign: int = +1, extended: 
     if not extended:
         mean, var = _normal_law(probe, beta_sign)
         return {k: _normal_sum(k, mean, var) for k in orders}
+    # mpmath is imported only where extended mode needs it, so that the
+    # double-precision paths (and `import nlprobe.cli`) never load it
+    import mpmath
+
     k_max = max(orders)
     with mpmath.workdps(EXTENDED_DPS):
         mpf = mpmath.mpf
@@ -168,6 +172,8 @@ def moment_real_axis(alpha: float, r: float, k: int, *, beta_sign: int = +1, ext
         raise DomainError("moment_real_axis expects alpha >= 0 and r >= 0")
     _check_beta_sign(beta_sign)
     if extended:
+        import mpmath
+
         with mpmath.workdps(EXTENDED_DPS):
             big = mpmath.exp(2 * mpmath.mpf(r))
             return float(_normal_sum(k, 2 * mpmath.mpf(alpha) * (big if beta_sign > 0 else 1), big))

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 from .combinatorics import normal_law_covariance, normal_law_polynomials
@@ -108,6 +107,8 @@ def _entries(probe, model, orders, beta_sign, extended):
     _check_beta_sign(beta_sign)
     if not extended:
         return _normal_law_entries(probe, model, beta_sign)
+    import mpmath  # extended mode only (see moments.general_moments)
+
     with mpmath.workdps(EXTENDED_DPS):
         m = general_moments(probe, orders, beta_sign=beta_sign, extended=True)
         return tuple(float(f) for f in qfi_from_moments(m, model))
@@ -158,6 +159,8 @@ def _joint_bound_mp(probe: ProbeSpec, model: ModelSpec, time: float = 1.0) -> fl
     The entries come from the general-phase moments and stay unrounded
     through the determinant; the result is rounded once at the end.
     """
+    import mpmath
+
     with mpmath.workdps(EXTENDED_DPS):
         m = general_moments(probe, _orders(model.zeta), extended=True)
         f_ll, f_zz, f_lz = qfi_from_moments(m, model)

@@ -391,12 +391,14 @@ class TestScanOutput:
 
 
 def test_cli_import_loads_no_scipy():
-    # only the oracle needs scipy; perfbench's tracer still finds the oracle module loaded
+    # only the oracle needs scipy and only extended mode needs mpmath;
+    # perfbench's tracer still finds the oracle module loaded
     code = (
         "import sys, nlprobe.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), 'nlprobe.fock_oracle' in sys.modules)"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+        "sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'), 'nlprobe.fock_oracle' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(nlprobe.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[]", "True"]
+    assert proc.stdout.split() == ["[]", "[]", "True"]

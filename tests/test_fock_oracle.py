@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from nlprobe.errors import CutoffError
 from nlprobe.fock_oracle import (
+    _k_eigh,
+    _x_eigh,
     annihilation,
     build_state,
     converged_moments,
@@ -60,6 +63,66 @@ class TestBuildState:
         s = build_state(make_probe(2.0, 0.5, 1.0, 0.3), 128)
         assert np.linalg.norm(s.amplitudes) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "n,gamma,theta,phi,dim",
+        [
+            (2.0, 0.0, 0.0, 1.1, 64),  # coherent
+            (6.0, 0.0, 0.0, -7.5, 128),
+            (1.0, 1.0, 0.9, 0.0, 128),  # squeezed vacuum
+            (2.0, 1.0, 9.0, 0.0, 256),
+            (3.0, 0.5, 2.0, -1.0, 256),  # mixed
+            (4.0, 0.4, 13.0, 8.0, 512),
+        ],
+    )
+    def test_matches_dense_exponentials_of_truncated_generators(self, n, gamma, theta, phi, dim):
+        from scipy.linalg import expm
+
+        probe = make_probe(n, gamma, theta, phi)
+        a = annihilation(dim).entries
+        ad = a.conj().T
+        xi, alpha = probe.xi, probe.alpha
+        squeezed = expm(0.5 * (xi * ad @ ad - np.conj(xi) * a @ a))[:, 0]
+        expected = expm(alpha * ad - np.conj(alpha) * a) @ squeezed
+        got = build_state(probe, dim).amplitudes
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("n,phi", [(1.0, 0.4), (0.3, -9.0), (0.7, 20.0)])
+    def test_coherent_textbook_amplitudes(self, n, phi):
+        # e^(-|alpha|^2/2) alpha^k / sqrt(k!) by the recurrence c_k = c_(k-1) alpha / sqrt(k)
+        dim = 256
+        alpha = math.sqrt(n) * cmath.exp(1j * phi)
+        expected = np.empty(dim, dtype=complex)
+        expected[0] = math.exp(-n / 2)
+        for k in range(1, dim):
+            expected[k] = expected[k - 1] * alpha / math.sqrt(k)
+        got = build_state(make_probe(n, 0.0, 0.0, phi), dim).amplitudes
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("n,theta", [(1.0, 0.4), (0.3, 8.0), (1.0, -3.0)])
+    def test_squeezed_vacuum_textbook_amplitudes(self, n, theta):
+        # S(xi) = exp((xi a^dag^2 - xi* a^2)/2) gives
+        # <2m|S|0> = (e^(i theta) tanh r)^m sqrt((2m)!) / (2^m m!) / sqrt(cosh r);
+        # at cutoff 128 truncation alone moves N = 1 by 4e-11
+        dim = 256
+        r = math.asinh(math.sqrt(n))
+        t = math.tanh(r)
+        expected = np.zeros(dim, dtype=complex)
+        for m in range(dim // 2):
+            expected[2 * m] = (
+                t**m * cmath.exp(1j * theta * m) * math.sqrt(math.comb(2 * m, m)) / 2**m / math.sqrt(math.cosh(r))
+            )
+        got = build_state(make_probe(n, 1.0, theta, 0.0), dim).amplitudes
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "n,gamma,dim",
+        [(30.0, 0.0, 64), (1.0, 1.0, 64), (12.0, 1.0, 128), (60.0, 0.5, 256)],
+    )
+    def test_heavy_tail_raises_with_doubled_cutoff(self, n, gamma, dim):
+        with pytest.raises(CutoffError) as info:
+            build_state(make_probe(n, gamma, 0.7, 2.1), dim)
+        assert info.value.suggested_dim == 2 * dim
+
 
 class TestMoments:
     def test_vacuum_moments_double_factorial(self):
@@ -113,6 +176,26 @@ class TestQfiOracle:
         assert defect <= 1e-9
 
 
+class TestSpectralCaches:
+    def test_quadrature_decomposition_at_large_cutoff(self):
+        dim = 1024
+        evals, vecs = _x_eigh(dim)
+        x = quadrature(dim).entries
+        rebuilt = (vecs * evals) @ vecs.T
+        assert np.max(np.abs(rebuilt - x)) <= 1e-12 * np.max(np.abs(evals))
+        assert evolution_unitarity_defect(ModelSpec(lambda_eff=0.1, zeta=2), dim) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [64, 127, 1024])
+    def test_squeezing_generator_decomposition_on_even_states(self, dim):
+        a = annihilation(dim).entries
+        k = (0.5 * (a @ a + a.conj().T @ a.conj().T)).real
+        evals, vecs = _k_eigh(dim)
+        rebuilt = (vecs * evals) @ vecs.T
+        assert np.max(np.abs(rebuilt - k[0::2, 0::2])) <= 1e-12 * np.max(np.abs(evals))
+        # K never couples even and odd states
+        assert np.max(np.abs(k[0::2, 1::2])) == 0.0
+
+
 class TestSld:
     def test_traceless_against_state(self):
         p = make_probe(0.0, 0.0)
@@ -163,7 +246,7 @@ class TestZetaDerivativeDiagnostic:
 
 class TestDeterminism:
     def test_repeated_calls_agree_bit_for_bit_and_keep_the_global_rng(self):
-        # expm_multiply's norm estimate draws from numpy's global generator
+        # the oracle is deterministic and must leave numpy's global generator as it found it
         probe = make_probe(1.5, 0.45, 2.0, 1.0)
         before = np.random.get_state()
         runs = [converged_moments(probe, 8) for _ in range(3)]
