@@ -26,6 +26,7 @@ from .optimizer import (
     find_threshold,
     objective,
     optimize_gamma,
+    optimize_gamma_grid,
     verify_zero_phase_optimality,
 )
 from .probe import BogoliubovView, ProbeSpec, bogoliubov_view, make_probe
@@ -77,6 +78,7 @@ __all__ = [
     "find_threshold",
     "objective",
     "optimize_gamma",
+    "optimize_gamma_grid",
     "verify_zero_phase_optimality",
     "NlprobeError",
     "DomainError",

@@ -28,7 +28,7 @@ from .optimizer import (
     find_threshold,
     objective,
     objective_grid,
-    optimize_gamma,
+    optimize_gamma_grid,
 )
 from .probe import make_probe
 from .qfi_core import (
@@ -253,10 +253,8 @@ def cmd_opt_gamma(args) -> int:
             asym = gamma_opt_high_n(zeta)
         for lam in lambdas:
             target = OptTarget(kind, ModelSpec(lambda_eff=lam, zeta=zeta))
-
-            for n in ns:
-                res = optimize_gamma(n, target, extended=args.extended)
-                rows.append((n, zeta, lam, res.gamma_opt, res.objective_value, asym))
+            for res in optimize_gamma_grid(ns, target, extended=args.extended):
+                rows.append((res.n_total, zeta, lam, res.gamma_opt, res.objective_value, asym))
     md = _base_metadata(
         args,
         command="opt-gamma",

@@ -87,25 +87,24 @@ def _check_beta_sign(beta_sign):
         raise DomainError(f"beta_sign must be +1 or -1, got {beta_sign}")
 
 
-def _normal_law(probe: ProbeSpec, beta_sign: int = +1):
-    """(mean, variance) of the quadrature in double precision (module docstring).
+def _normal_law(n_total, gamma, theta, phi, beta_sign=+1):
+    """(mean, variance) of the quadrature in double precision (module docstring),
+    on the plain floats of a probe.
 
     The forms there are |cosh r + sinh r e^(i theta)|^2 and, for the default
     family, 2|alpha| [cosh 2r cos phi + sinh 2r cos(theta - phi)] with their
     cancelling terms removed.
     """
-    # n_squeeze and alpha_mag spelled out: properties cost a call each, and
-    # every scalar objective evaluation comes through here
-    n_sq = probe.gamma * probe.n_total
+    n_sq = gamma * n_total
     e_r = math.sqrt(n_sq) + math.sqrt(1.0 + n_sq)
     big, small = e_r * e_r, 1.0 / (e_r * e_r)
-    h = 0.5 * probe.theta
+    h = 0.5 * theta
     ch, sh = math.cos(h), math.sin(h)
     var = big * ch * ch + small * sh * sh
-    a2 = 2.0 * math.sqrt((1.0 - probe.gamma) * probe.n_total)
+    a2 = 2.0 * math.sqrt((1.0 - gamma) * n_total)
     if beta_sign > 0:
-        return a2 * (big * ch * math.cos(h - probe.phi) + small * sh * math.sin(h - probe.phi)), var
-    return a2 * math.cos(probe.phi), var
+        return a2 * (big * ch * math.cos(h - phi) + small * sh * math.sin(h - phi)), var
+    return a2 * math.cos(phi), var
 
 
 def general_moments(probe: ProbeSpec, orders, *, beta_sign: int = +1, extended: bool = False) -> dict:
@@ -121,7 +120,7 @@ def general_moments(probe: ProbeSpec, orders, *, beta_sign: int = +1, extended: 
     orders = set(orders) | {0}
     _check_beta_sign(beta_sign)
     if not extended:
-        mean, var = _normal_law(probe, beta_sign)
+        mean, var = _normal_law(probe.n_total, probe.gamma, probe.theta, probe.phi, beta_sign)
         return {k: _normal_sum(k, mean, var) for k in orders}
     # mpmath is imported only where extended mode needs it, so that the
     # double-precision paths (and `import nlprobe.cli`) never load it

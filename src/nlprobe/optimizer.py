@@ -14,7 +14,16 @@ import numpy as np
 
 from .errors import DomainError, NumericalRangeError, ThresholdAmbiguousError
 from .probe import make_probe
-from .qfi_core import ModelSpec, _joint_bound_mp, normal_law_grid, normal_law_qfi, qfi_lambda, qfi_zeta
+from .qfi_core import (
+    ModelSpec,
+    _joint_bound_mp,
+    _normal_law_arrays,
+    _normal_law_qfi,
+    normal_law_grid,
+    normal_law_qfi,
+    qfi_lambda,
+    qfi_zeta,
+)
 
 __all__ = [
     "TargetKind",
@@ -23,11 +32,11 @@ __all__ = [
     "objective",
     "objective_grid",
     "optimize_gamma",
+    "optimize_gamma_grid",
     "find_threshold",
     "verify_zero_phase_optimality",
 ]
 
-BOUNDARY_TOL = 1e-6  # gamma_opt >= 1 - BOUNDARY_TOL counts as the squeezed-vacuum boundary
 THRESHOLD_N_LO = 1e-4  # default lower end of the threshold search
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 OVERFLOW_MESSAGE = (
@@ -76,14 +85,14 @@ def objective(
 ) -> float:
     """Figure of merit as a function of the squeezing fraction.
 
-    In double precision every phase and target goes through
-    qfi_core.normal_law_qfi; extended mode sums the general-phase moments
-    at 40 digits.
+    In double precision every phase and target goes through the scalar
+    kernel of qfi_core.normal_law_qfi; extended mode sums the general-phase
+    moments at 40 digits.
     """
     kind, model = target.kind, target.model
-    probe = make_probe(n_total, gamma, theta, phi)
     if not extended:
-        return normal_law_qfi(probe, model)[_ENTRY[kind]]
+        return _normal_law_qfi(float(n_total), float(gamma), float(theta), float(phi), model)[_ENTRY[kind]]
+    probe = make_probe(n_total, gamma, theta, phi)
     if kind is TargetKind.F_LAMBDA:
         return qfi_lambda(probe, model, extended=True)
     if kind is TargetKind.F_ZETA:
@@ -116,6 +125,98 @@ def _golden_max(fun, lo, hi, tol):
     return 0.5 * (lo + hi)
 
 
+def _local_maxima(table):
+    """Flags of the points of each row that are >= both neighbours (the ends need one)."""
+    flags = np.ones(table.shape, dtype=bool)
+    flags[:, 1:] &= table[:, 1:] >= table[:, :-1]
+    flags[:, :-1] &= table[:, :-1] >= table[:, 1:]
+    return flags
+
+
+def optimize_gamma_grid(
+    ns,
+    target: OptTarget,
+    theta: float = 0.0,
+    phi: float = 0.0,
+    *,
+    coarse: int = 129,
+    gamma_tol: float = 1e-6,
+    extended: bool = False,
+) -> list:
+    """optimize_gamma at every energy of ns, as a list of GammaOptResult.
+
+    In double precision one pass of qfi_core.normal_law_grid fills the
+    len(ns) x coarse table of the coarse grids and numpy flags the local
+    maxima of every row at once; extended mode fills each row with 40-digit
+    objective values. The golden section then refines each row's candidates
+    through the scalar kernel of normal_law_qfi (objective, in extended
+    mode). Results and errors are those of a loop over the energies: the
+    rows are checked and refined in order, and a row on which the table
+    holds a bad point is evaluated again point by point, which raises the
+    error that point raises on its own.
+    """
+    ns = list(ns)
+    if not ns:
+        return []
+    model, entry = target.model, _ENTRY[target.kind]
+    theta, phi = float(theta), float(phi)
+
+    def check(n):
+        if n <= 0:
+            raise DomainError("optimize_gamma requires n_total > 0")
+        if coarse < 64:
+            raise DomainError("coarse grid must have at least 64 points")
+
+    def fun(g):  # at the energy n_f of the row being refined
+        try:
+            if extended:
+                return objective(g, n_f, target, theta, phi, extended=True)
+            return _normal_law_qfi(n_f, g, theta, phi, model)[entry]
+        except OverflowError as exc:
+            raise NumericalRangeError(OVERFLOW_MESSAGE) from exc
+
+    check(ns[0])  # the first row's checks come before its grid, as in a loop over the energies
+    grid = [i / (coarse - 1) for i in range(coarse)]
+    if extended:
+        rows_ok = [False] * len(ns)
+    else:
+        values, ok = _normal_law_arrays(np.array(ns, dtype=float)[:, None], grid, theta, phi, model)
+        rows_ok = ok.all(axis=1).tolist()
+        table = values[entry]
+        flags = _local_maxima(table)
+
+    results = []
+    for i, n in enumerate(ns):
+        check(n)
+        n_f = float(n)
+        if rows_ok[i]:
+            row, row_flags = table[i], flags[i]
+        else:  # 40-digit values, or a row with a bad point: point by point it raises the error a loop meets first
+            row = np.array([fun(g) for g in grid])
+            row_flags = _local_maxima(row[None])[0]
+        if not np.isfinite(row).all():
+            raise NumericalRangeError(
+                "objective is not finite on the coarse grid; the probe energy or "
+                "order likely exceeds the double-precision budget (try extended mode)"
+            )
+        vals = row.tolist()
+        candidates = sorted(np.flatnonzero(row_flags).tolist(), key=vals.__getitem__, reverse=True)[:3]
+
+        best_g, best_v = None, -math.inf
+        for j in candidates:
+            g = _golden_max(fun, grid[max(j - 1, 0)], grid[min(j + 1, coarse - 1)], gamma_tol)
+            v = fun(g)
+            if v > best_v:
+                best_g, best_v = g, v
+        # grid endpoints can beat the refined interior value when the maximum
+        # sits exactly on the boundary
+        for edge in (0, coarse - 1):
+            if vals[edge] >= best_v:
+                best_g, best_v = grid[edge], vals[edge]
+        results.append(GammaOptResult(best_g, best_v, best_g == 1.0, n))
+    return results
+
+
 def optimize_gamma(
     n_total: float,
     target: OptTarget,
@@ -128,68 +229,17 @@ def optimize_gamma(
 ) -> GammaOptResult:
     """Maximize the target over gamma in [0, 1] to absolute tolerance 1e-6.
 
-    Strategy: a coarse bracketing grid (at least 64 points, in double
-    precision evaluated in one pass by objective_grid), then golden-section
-    refinement of up to three local-maximum brackets; the
-    best refined point wins. Guaranteed for unimodal objectives, and the
-    multi-bracket restart guards against undetected multimodality.
+    Strategy: a coarse bracketing grid (at least 64 points), then
+    golden-section refinement of up to three local-maximum brackets; the
+    best refined point wins, unless a grid endpoint is at least as good.
+    Guaranteed for unimodal objectives, and the multi-bracket restart guards
+    against undetected multimodality. at_boundary is True exactly when the
+    gamma = 1 endpoint won that comparison (gamma_opt == 1.0). This is
+    optimize_gamma_grid([n_total], ...)[0].
     """
-    if n_total <= 0:
-        raise DomainError("optimize_gamma requires n_total > 0")
-    if coarse < 64:
-        raise DomainError("coarse grid must have at least 64 points")
-
-    def fun(g):
-        try:
-            return objective(g, n_total, target, theta, phi, extended=extended)
-        except OverflowError as exc:
-            raise NumericalRangeError(OVERFLOW_MESSAGE) from exc
-
-    grid = [i / (coarse - 1) for i in range(coarse)]
-    if extended:
-        vals = [fun(g) for g in grid]
-    else:
-        try:
-            vals = objective_grid(grid, n_total, target, theta, phi)
-        except OverflowError as exc:
-            raise NumericalRangeError(OVERFLOW_MESSAGE) from exc
-    if not all(math.isfinite(v) for v in vals):
-        raise NumericalRangeError(
-            "objective is not finite on the coarse grid; the probe energy or "
-            "order likely exceeds the double-precision budget (try extended mode)"
-        )
-
-    def is_local_max(i):
-        left_ok = i == 0 or vals[i] >= vals[i - 1]
-        right_ok = i == coarse - 1 or vals[i] >= vals[i + 1]
-        return left_ok and right_ok
-
-    candidates = sorted(
-        (i for i in range(coarse) if is_local_max(i)),
-        key=lambda i: vals[i],
-        reverse=True,
-    )[:3]
-
-    best_g, best_v = None, -math.inf
-    for i in candidates:
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, coarse - 1)]
-        g = _golden_max(fun, lo, hi, gamma_tol) if hi > lo else grid[i]
-        v = fun(g)
-        if v > best_v:
-            best_g, best_v = g, v
-    # grid endpoints can beat the refined interior value when the maximum
-    # sits exactly on the boundary
-    for edge in (0, coarse - 1):
-        if vals[edge] >= best_v:
-            best_g, best_v = grid[edge], vals[edge]
-
-    return GammaOptResult(
-        gamma_opt=best_g,
-        objective_value=best_v,
-        at_boundary=best_g >= 1.0 - BOUNDARY_TOL,
-        n_total=n_total,
-    )
+    return optimize_gamma_grid(
+        [n_total], target, theta, phi, coarse=coarse, gamma_tol=gamma_tol, extended=extended
+    )[0]
 
 
 def find_threshold(
@@ -206,7 +256,9 @@ def find_threshold(
     """Energy below which pure squeezed vacuum (gamma = 1) is optimal.
 
     Returns sup{N : gamma_opt(N) = 1}, located by geometric bisection on the
-    boundary indicator. The indicator is first sampled on a log grid to
+    boundary indicator GammaOptResult.at_boundary (the gamma = 1 endpoint
+    wins the final comparison of optimize_gamma). The indicator is first
+    sampled on a log grid, all samples in one optimize_gamma_grid call, to
     validate that it crosses from True to False exactly once; several
     crossings raise ThresholdAmbiguousError listing them all. If the
     indicator never turns False the target has no threshold in the searched
@@ -218,12 +270,9 @@ def find_threshold(
     if not 0 < rel_tol < math.inf:
         raise DomainError(f"threshold search needs a finite rel_tol > 0, got {rel_tol}")
 
-    def at_boundary(n):
-        return optimize_gamma(n, target, theta, phi, extended=extended).at_boundary
-
     ratio = (n_hi / n_lo) ** (1.0 / (samples - 1))
     ns = [n_lo * ratio**i for i in range(samples)]
-    flags = [at_boundary(n) for n in ns]
+    flags = [res.at_boundary for res in optimize_gamma_grid(ns, target, theta, phi, extended=extended)]
 
     if not flags[0]:
         raise ThresholdAmbiguousError(
@@ -244,7 +293,7 @@ def find_threshold(
         mid = math.sqrt(lo * hi)
         if not lo < mid < hi:  # lo and hi are adjacent doubles: the bracket cannot shrink
             break
-        if at_boundary(mid):
+        if optimize_gamma(mid, target, theta, phi, extended=extended).at_boundary:
             lo = mid
         else:
             hi = mid

@@ -212,9 +212,20 @@ def normal_law_qfi(probe: ProbeSpec, model: ModelSpec):
     where the results fit. A result beyond the double range raises
     OverflowError.
     """
+    return _normal_law_qfi(probe.n_total, probe.gamma, probe.theta, probe.phi, model)
+
+
+def _normal_law_qfi(n_total, gamma, theta, phi, model):
+    """normal_law_qfi on the plain floats of a probe: the scalar kernel of
+    the double-precision objective and of the golden section.
+
+    A point outside the probe domain raises make_probe's DomainError.
+    """
+    if not (0.0 <= gamma <= 1.0 and 0.0 <= n_total < math.inf):
+        make_probe(n_total, gamma, theta, phi)
     v, w, g, _ = _normal_law_table(model.zeta)
     lz2 = (model.lambda_eff * model.zeta) ** 2
-    mean, var = _normal_law(probe)
+    mean, var = _normal_law(n_total, gamma, theta, phi)
     x = mean * mean / var
     u = mean * mean if x > 1.0 else var
     hv, hw = _horner(v, x), _horner(w, x)
@@ -235,7 +246,7 @@ def _normal_law_entries(probe, model, beta_sign):
     """
     v, w, _, q = _normal_law_table(model.zeta)
     lz = model.lambda_eff * model.zeta
-    mean, var = _normal_law(probe, beta_sign)
+    mean, var = _normal_law(probe.n_total, probe.gamma, probe.theta, probe.phi, beta_sign)
     x = mean * mean / var
     u = mean * mean if x > 1.0 else var
     scale = 4.0 * var * u ** (model.zeta - 2)
@@ -257,17 +268,10 @@ def _horner_grid(coeffs, x, above):
     return np.where(above, acc_y, acc_x)
 
 
-def normal_law_grid(n_total, gamma, theta, phi, model: ModelSpec):
-    """normal_law_qfi over arrays of N, gamma, theta and phi, broadcast together.
-
-    Returns the arrays (f_ll, f_zz, det F / tr F), equal bit for bit to
-    normal_law_qfi at every point: the same formulas in the same order, with
-    numpy's sqrt, cos and sin, which agree with the math module's, and the
-    power of u taken per element by Python's float pow, which numpy's
-    vectorised power does not always match. Where a point lies outside the
-    probe domain or a result does not fit in double, the points are handed
-    to make_probe and normal_law_qfi in C order, so that the error raised
-    is the one a loop over the points would raise.
+def _normal_law_arrays(n_total, gamma, theta, phi, model: ModelSpec):
+    """normal_law_grid without its errors: ((f_ll, f_zz, det F / tr F), ok),
+    where ok marks the points at which all three are right. Elsewhere the
+    values are meaningless and normal_law_qfi may raise.
     """
     n, gam, th, ph = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (n_total, gamma, theta, phi)))
     v, w, g, _ = _normal_law_table(model.zeta)
@@ -286,7 +290,7 @@ def normal_law_grid(n_total, gamma, theta, phi, model: ModelSpec):
         hv, hw = _horner_grid(v, x, above), _horner_grid(w, x, above)
         try:
             powers = np.array([b ** (model.zeta - 2) for b in u.ravel().tolist()]).reshape(u.shape)
-        except ArithmeticError:  # overflow or 0 ** -1 somewhere: the loop below finds where
+        except ArithmeticError:  # overflow or 0 ** -1 somewhere: no point is trusted
             powers = math.nan
         scale = 4.0 * var * powers
         f_ll = scale * u * hv
@@ -294,12 +298,28 @@ def normal_law_grid(n_total, gamma, theta, phi, model: ModelSpec):
         joint = scale * lz2 * var * _horner_grid(g, x, above) / (u * hv + lz2 * hw)
         ok = (np.isfinite(n) & (n >= 0.0) & (gam >= 0.0) & (gam <= 1.0)
               & (f_ll < math.inf) & (f_zz < math.inf) & (joint < math.inf))
-    bad = np.flatnonzero(~ok)
-    for i in bad.tolist():
-        normal_law_qfi(make_probe(n.item(i), gam.item(i), th.item(i), ph.item(i)), model)
-    if bad.size:
+    return (f_ll, f_zz, joint), ok
+
+
+def normal_law_grid(n_total, gamma, theta, phi, model: ModelSpec):
+    """normal_law_qfi over arrays of N, gamma, theta and phi, broadcast together.
+
+    Returns the arrays (f_ll, f_zz, det F / tr F), equal bit for bit to
+    normal_law_qfi at every point: the same formulas in the same order, with
+    numpy's sqrt, cos and sin, which agree with the math module's, and the
+    power of u taken per element by Python's float pow, which numpy's
+    vectorised power does not always match. Where a point lies outside the
+    probe domain or a result does not fit in double, the points are handed
+    to normal_law_qfi's kernel in C order, so that the error raised is the
+    one a loop over the points would raise.
+    """
+    values, ok = _normal_law_arrays(n_total, gamma, theta, phi, model)
+    if not ok.all():
+        n, gam, th, ph = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (n_total, gamma, theta, phi)))
+        for i in np.flatnonzero(~ok).tolist():
+            _normal_law_qfi(n.item(i), gam.item(i), th.item(i), ph.item(i), model)
         raise InternalConsistencyError("normal_law_grid rejected points that normal_law_qfi accepts")
-    return f_ll, f_zz, joint
+    return values
 
 
 def reparametrize_physical(qfi: QfiMatrix, model: ModelSpec) -> QfiMatrix:

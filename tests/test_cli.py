@@ -11,7 +11,7 @@ import pytest
 import nlprobe
 from nlprobe.cli import main
 from nlprobe.moments import moment_real_axis
-from nlprobe.optimizer import OptTarget, TargetKind, objective
+from nlprobe.optimizer import OptTarget, TargetKind, objective, optimize_gamma
 from nlprobe.probe import bogoliubov_view, make_probe
 from nlprobe.qfi_core import ModelSpec, qfi_lambda
 
@@ -303,6 +303,22 @@ class TestThreshold:
         assert "n_th=no-threshold" in out
 
 
+    def test_joint_interior_optimum_near_one_is_not_a_second_crossing(self, capsys):
+        # at high energy the joint optimum is interior but within 1e-6 of
+        # gamma = 1; only gamma_opt == 1 counts as the boundary, so the single
+        # crossing near N = 1.26 is found, where the 40-digit path puts it
+        argv = ["threshold", "--target", "joint", "--zeta", "3", "--lambda", "100", "--n-hi", "1e6", "--samples", "21"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == "target=joint zeta=3 lambda=100.0 rel_tol=0.0001 n_th=1.2579261672532058\n"
+        t = OptTarget(TargetKind.JOINT_BOUND, ModelSpec(lambda_eff=100.0, zeta=3))
+        n_th = 1.2579261672532058
+        assert optimize_gamma(n_th * (1 - 1e-3), t, extended=True).at_boundary
+        assert not optimize_gamma(n_th * (1 + 1e-3), t, extended=True).at_boundary
+        high = optimize_gamma(1e6, t, extended=True)
+        assert 1.0 - 1e-6 < high.gamma_opt < 1.0 and not high.at_boundary
+
+
 class TestSelftest:
     def test_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selftest")
@@ -345,6 +361,19 @@ class TestErrorPaths:
             "message": "objective overflowed double precision; reduce the probe energy "
             "or use the extended-precision mode",
         }
+
+    @pytest.mark.parametrize(
+        "n_range, code, err",
+        [
+            ("1:inf:3", 2, '{"error": "DomainError", "message": "mean photon number must be finite and >= 0, got inf"}\n'),
+            ("1e30:1e40:3", 3, '{"error": "NumericalRangeError", "message": "objective overflowed double precision; '
+             'reduce the probe energy or use the extended-precision mode"}\n'),
+        ],
+        ids=["infinite-energy", "overflow"],
+    )
+    def test_opt_gamma_errors_keep_their_bytes(self, capsys, n_range, code, err):
+        # the stderr of the row-by-row optimizer that the batched pass replaced
+        assert run_cli(capsys, "opt-gamma", "--target", "f_lambda", "--zeta", "12", "--n-range", n_range) == (code, "", err)
 
     def test_jobs_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("NLPROBE_JOBS", "4")

@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 import nlprobe.optimizer as opt
@@ -12,6 +14,7 @@ from nlprobe.optimizer import (
     find_threshold,
     objective,
     optimize_gamma,
+    optimize_gamma_grid,
     verify_zero_phase_optimality,
 )
 from nlprobe.qfi_core import ModelSpec
@@ -92,6 +95,157 @@ class TestOptimizeGamma:
             optimize_gamma(1e40, target("f_lambda", 12))
 
 
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def loop_optimize(n, t, theta, phi, coarse):
+    """Frozen copy of the scalar optimizer that optimize_gamma_grid batches,
+    over the public objective point by point; at_boundary in its current
+    meaning, gamma_opt == 1.0."""
+
+    def fun(g):
+        try:
+            return objective(g, n, t, theta, phi)
+        except OverflowError as exc:
+            raise NumericalRangeError(opt.OVERFLOW_MESSAGE) from exc
+
+    def golden(lo, hi):
+        c, d = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
+        fc, fd = fun(c), fun(d)
+        while hi - lo > 1e-6:
+            if fc > fd:
+                hi, d, fd = d, c, fc
+                c = hi - GOLDEN * (hi - lo)
+                fc = fun(c)
+            else:
+                lo, c, fc = c, d, fd
+                d = lo + GOLDEN * (hi - lo)
+                fd = fun(d)
+        return 0.5 * (lo + hi)
+
+    grid = [i / (coarse - 1) for i in range(coarse)]
+    vals = [fun(g) for g in grid]
+    assert all(math.isfinite(v) for v in vals)
+
+    def is_local_max(i):
+        return (i == 0 or vals[i] >= vals[i - 1]) and (i == coarse - 1 or vals[i] >= vals[i + 1])
+
+    candidates = sorted((i for i in range(coarse) if is_local_max(i)), key=lambda i: vals[i], reverse=True)[:3]
+    best_g, best_v = None, -math.inf
+    for i in candidates:
+        g = golden(grid[max(i - 1, 0)], grid[min(i + 1, coarse - 1)])
+        v = fun(g)
+        if v > best_v:
+            best_g, best_v = g, v
+    for edge in (0, coarse - 1):
+        if vals[edge] >= best_v:
+            best_g, best_v = grid[edge], vals[edge]
+    return GammaOptResult(best_g, best_v, best_g == 1.0, n)
+
+
+def bits(results):
+    return [(r.gamma_opt.hex(), r.objective_value.hex(), r.at_boundary, r.n_total) for r in results]
+
+
+class TestOptimizeGammaGrid:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_equals_the_scalar_loop_bit_for_bit(self, seed):
+        rng = random.Random(seed)
+        kind = ("f_lambda", "f_zeta", "joint")[seed % 3]
+        t = target(kind, rng.randint(2, 12), 10 ** rng.uniform(-2, 2))
+        theta, phi = rng.uniform(0.1, 2 * math.pi), rng.uniform(0.1, 2 * math.pi)
+        coarse = (64, 129)[seed % 2]
+        ns = sorted(10 ** rng.uniform(-3, 6) for _ in range(6))
+        got = optimize_gamma_grid(ns, t, theta, phi, coarse=coarse)
+        assert bits(got) == bits(loop_optimize(n, t, theta, phi, coarse) for n in ns)
+
+    def test_zero_phase_rows_equal_the_scalar_loop(self):
+        ns = [10 ** (k / 4) for k in range(-12, 25)]
+        for kind, zeta in (("f_lambda", 2), ("f_zeta", 5), ("joint", 4)):
+            t = target(kind, zeta)
+            assert bits(optimize_gamma_grid(ns, t)) == bits(loop_optimize(n, t, 0.0, 0.0, 129) for n in ns)
+
+    # objectives of gamma alone, exact in both forms: a spike that only the
+    # third-best coarse maximum brackets; the same with a higher spike beside
+    # a fourth-best maximum, which is not refined; and a five-point plateau
+    # whose middle bracket hides a spike (ties: every plateau point is a maximum)
+    SPIKE = ((3.0, 40.0, 0.2), (2.0, 40.0, 0.5), (1.0, 40.0, 0.8), (5.0, 2000.0, 0.80078))
+    FOURTH = SPIKE + ((0.5, 40.0, 0.95), (6.0, 2000.0, 0.94921875))
+    PLATEAU = ((4.0, 1500.0, 0.50390625),)
+
+    @pytest.mark.parametrize(
+        "peaks, cap", [(SPIKE, None), (FOURTH, None), (PLATEAU, 2.35)], ids=["third-candidate", "fourth", "plateau"]
+    )
+    def test_candidates_on_multimodal_rows(self, monkeypatch, peaks, cap):
+        def f(g):
+            v = max(h - s * abs(g - c) for h, s, c in peaks)
+            return v if cap is None else max(v, min(cap, 3.0 - 40.0 * abs(g - 0.5)))
+
+        def f_array(g):
+            v = np.max([h - s * np.abs(g - c) for h, s, c in peaks], axis=0)
+            return v if cap is None else np.maximum(v, np.minimum(cap, 3.0 - 40.0 * np.abs(g - 0.5)))
+
+        def arrays(n, g, theta, phi, model):
+            table = f_array(np.broadcast_to(np.asarray(g, dtype=float), np.broadcast_shapes(np.shape(n), np.shape(g))))
+            return (table,) * 3, np.ones(table.shape, dtype=bool)
+
+        monkeypatch.setattr(opt, "_normal_law_qfi", lambda n, g, theta, phi, model: (f(g),) * 3)
+        monkeypatch.setattr(opt, "_normal_law_arrays", arrays)
+        t = target("f_lambda", 2)
+        got = optimize_gamma_grid([1.0, 2.0], t)
+        assert bits(got) == bits(loop_optimize(n, t, 0.0, 0.0, 129) for n in (1.0, 2.0))
+        assert got[0].objective_value > 3.5  # the spike, not the best coarse point
+
+    @pytest.mark.parametrize(
+        "kind, zeta, theta, phi, ns",
+        [("f_lambda", 3, 0.3, 1.1, [0.02, 3.0, 200.0]), ("f_zeta", 5, 0.0, 0.0, [0.5, 50.0]),
+         ("joint", 4, 0.0, 0.0, [1e3, 1e5])],
+    )
+    def test_rows_agree_with_the_40_digit_path(self, kind, zeta, theta, phi, ns):
+        t = target(kind, zeta)
+        fast = optimize_gamma_grid(ns, t, theta, phi)
+        slow = optimize_gamma_grid(ns, t, theta, phi, extended=True)
+        for f, s in zip(fast, slow):
+            assert f.gamma_opt == pytest.approx(s.gamma_opt, abs=2e-6)
+            assert f.objective_value == pytest.approx(s.objective_value, rel=1e-10)
+            assert f.at_boundary is s.at_boundary
+
+    def test_single_energy_is_optimize_gamma(self):
+        t = target("f_lambda", 3)
+        assert optimize_gamma(5.0, t) == optimize_gamma_grid([5.0], t)[0]
+        assert optimize_gamma_grid([], t) == []
+
+    @pytest.mark.parametrize(
+        "ns, error, message",
+        [
+            ([1.0, -1.0, 1e40], DomainError, "optimize_gamma requires n_total > 0"),
+            ([1.0, 1e40, -1.0], NumericalRangeError, "objective overflowed double precision"),
+            ([1.0, math.inf, -1.0], DomainError, "mean photon number must be finite and >= 0, got inf"),
+            ([1.0, math.nan], DomainError, "mean photon number must be finite and >= 0, got nan"),
+        ],
+        ids=["negative-first", "overflow-first", "infinite", "nan"],
+    )
+    def test_first_failing_row_raises(self, ns, error, message):
+        # the error is the one a loop over the energies meets first
+        with pytest.raises(error, match=message):
+            optimize_gamma_grid(ns, target("f_lambda", 12))
+        with pytest.raises(error, match=message):
+            for n in ns:
+                optimize_gamma(n, target("f_lambda", 12))
+
+    def test_energy_is_checked_before_the_grid_size(self):
+        with pytest.raises(DomainError, match="n_total > 0"):
+            optimize_gamma_grid([0.0], target("f_lambda", 2), coarse=32)
+        with pytest.raises(DomainError, match="at least 64"):
+            optimize_gamma_grid([1.0, 0.0], target("f_lambda", 2), coarse=32)
+
+    def test_interior_optimum_next_to_one_is_not_the_boundary(self):
+        # at N = 1e6 the joint optimum is interior but within 1e-6 of gamma = 1
+        res = optimize_gamma(1e6, target("joint", 3, lam=100.0))
+        assert 1.0 - 1e-6 < res.gamma_opt < 1.0
+        assert not res.at_boundary
+
+
 class TestFindThreshold:
     def test_coupling_order_two_analytic_value(self):
         n_th = find_threshold(target("f_lambda", 2))
@@ -146,11 +300,11 @@ class TestFindThreshold:
     def test_non_monotone_indicator_raises(self, monkeypatch):
         flags = {0.001: True, 0.01: False, 0.1: True, 1.0: False}
 
-        def fake_optimize(n, *a, **k):
-            at_b = min(flags, key=lambda key: abs(math.log(n / key)))
-            return GammaOptResult(1.0 if flags[at_b] else 0.5, 1.0, flags[at_b], n)
+        def fake_optimize_grid(ns, *a, **k):
+            at_b = [min(flags, key=lambda key: abs(math.log(n / key))) for n in ns]
+            return [GammaOptResult(1.0 if flags[b] else 0.5, 1.0, flags[b], n) for b, n in zip(at_b, ns)]
 
-        monkeypatch.setattr(opt, "optimize_gamma", fake_optimize)
+        monkeypatch.setattr(opt, "optimize_gamma_grid", fake_optimize_grid)
         with pytest.raises(ThresholdAmbiguousError) as info:
             opt.find_threshold(target("f_lambda", 2), n_lo=1e-3, n_hi=1.0, samples=7)
         assert len(info.value.crossings) > 1
