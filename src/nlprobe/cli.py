@@ -7,6 +7,7 @@ byte-identical output regardless of locale or --jobs (accepted, no effect).
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -74,11 +75,25 @@ class ScanResult:
             )
 
 
-def _default_jobs():
-    try:
-        return max(1, int(os.environ.get("NLPROBE_JOBS", "1")))
-    except ValueError:
-        return 1
+class _FromEnvironment(str):
+    """A string default names the environment variable that _jobs reads.
+
+    argparse passes a string default through the option's type at every
+    parse in which the option is absent, so the variable is read then and
+    not when the parser is built.
+    """
+
+
+def _jobs(text):
+    if isinstance(text, _FromEnvironment):
+        try:
+            return max(1, int(os.environ.get(text, "1")))
+        except ValueError:
+            return 1
+    return int(text)
+
+
+_jobs.__name__ = "int"  # argparse names the type in its messages
 
 
 def _fmt(x) -> str:
@@ -87,8 +102,31 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _axis_column(name, cells, coords):
+    """[_fmt(c) for c in cells] for a column of coordinates of one axis,
+    formatting each coordinate of the axis once.
+
+    The table is keyed on the value, under which 0.0 and -0.0 (or 1 and 1.0)
+    are one key although they print differently. So a cell takes the
+    table's string only if it is the very object that string was made
+    from, and any other cell is formatted on its own. A cell that equals no
+    coordinate of the axis raises.
+    """
+    table = {c: (c, _fmt(c)) for c in coords}
+    try:
+        entries = list(map(table.__getitem__, cells))
+    except KeyError as exc:
+        raise InternalConsistencyError(f"a scan row holds {name}={exc.args[0]!r}, which is not on that axis") from None
+    return [text if source is cell else _fmt(cell) for (source, text), cell in zip(entries, cells)]
+
+
 def _emit(args, scan: ScanResult):
-    """Write a scan as metadata-prefixed CSV (default) or a JSON document."""
+    """Write a scan as metadata-prefixed CSV (default) or a JSON document.
+
+    In CSV a column named after an axis takes its coordinates' strings from
+    one table per axis (_axis_column); the other columns go through _fmt
+    cell by cell.
+    """
     if args.json:
         doc = {
             "axes": scan.axes,
@@ -101,7 +139,11 @@ def _emit(args, scan: ScanResult):
     else:
         lines = [f"# {key}={_fmt(scan.metadata[key])}" for key in sorted(scan.metadata)]
         lines.append(",".join(scan.header))
-        lines.extend(",".join(_fmt(v) for v in row) for row in scan.rows)
+        columns = [
+            _axis_column(name, cells, scan.axes[name]) if name in scan.axes else list(map(_fmt, cells))
+            for name, cells in zip(scan.header, zip(*scan.rows))
+        ]
+        lines.extend(map(",".join, zip(*columns)))
         text = "\n".join(lines) + "\n"
     _write(args, text)
 
@@ -393,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--jobs", type=int, default=_default_jobs(), help="no effect (env NLPROBE_JOBS)")
+        p.add_argument("--jobs", type=_jobs, default=_FromEnvironment("NLPROBE_JOBS"), help="no effect (env NLPROBE_JOBS)")
         p.add_argument("--extended", action="store_true", help="extended-precision moment evaluation")
         p.add_argument("--json", action="store_true", help="emit a single JSON document instead of CSV/text")
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
@@ -431,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("opt-gamma", help="optimal squeezing fraction over a log-spaced N range")
     p.add_argument("--target", choices=["f_lambda", "f_zeta", "joint"], required=True)
     p.add_argument("--zeta", type=int, nargs="+", required=True)
-    p.add_argument("--lambda", dest="lam", type=float, nargs="+", default=list(JOINT_LAMBDA_DEFAULTS))
+    p.add_argument("--lambda", dest="lam", type=float, nargs="+", default=JOINT_LAMBDA_DEFAULTS)
     p.add_argument("--n-range", dest="n_range", type=_parse_n_range, required=True, metavar="LO:HI:COUNT")
     common(p)
     p.set_defaults(func=cmd_opt_gamma)
@@ -456,9 +498,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built once per process.
+
+    A parse with it gives what a fresh parser gives: argparse keeps no
+    state between parses, --jobs reads NLPROBE_JOBS at each parse and no
+    default is a mutable object.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (NumericalRangeError, OverflowError) as exc:

@@ -56,12 +56,15 @@ class ProbeSpec:
 def make_probe(n_total: float, gamma: float, theta: float = 0.0, phi: float = 0.0) -> ProbeSpec:
     """Validate and build a ProbeSpec.
 
-    gamma = 0 is a coherent state, gamma = 1 a squeezed vacuum.
+    gamma = 0 is a coherent state, gamma = 1 a squeezed vacuum. The phases
+    must be finite.
     """
     if not math.isfinite(n_total) or n_total < 0.0:
         raise DomainError(f"mean photon number must be finite and >= 0, got {n_total}")
     if not 0.0 <= gamma <= 1.0:
         raise DomainError(f"squeezing fraction must lie in [0, 1], got {gamma}")
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise DomainError(f"phases must be finite, got theta={theta}, phi={phi}")
     return ProbeSpec(float(n_total), float(gamma), float(theta), float(phi))
 
 

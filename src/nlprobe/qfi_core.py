@@ -221,7 +221,7 @@ def _normal_law_qfi(n_total, gamma, theta, phi, model):
 
     A point outside the probe domain raises make_probe's DomainError.
     """
-    if not (0.0 <= gamma <= 1.0 and 0.0 <= n_total < math.inf):
+    if not (0.0 <= gamma <= 1.0 and 0.0 <= n_total < math.inf and -math.inf < theta + phi < math.inf):
         make_probe(n_total, gamma, theta, phi)
     v, w, g, _ = _normal_law_table(model.zeta)
     lz2 = (model.lambda_eff * model.zeta) ** 2

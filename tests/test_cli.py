@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import nlprobe
+import nlprobe.cli as cli
 from nlprobe.cli import main
+from nlprobe.errors import InternalConsistencyError
 from nlprobe.moments import moment_real_axis
 from nlprobe.optimizer import OptTarget, TargetKind, objective, optimize_gamma
 from nlprobe.probe import bogoliubov_view, make_probe
@@ -431,3 +434,174 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]", "[]", "True"]
+
+
+class TestNonFinitePhases:
+    @pytest.mark.parametrize(
+        "phase, shown",
+        [(["--theta", "inf"], "theta=inf, phi=0.0"), (["--theta", "nan"], "theta=nan, phi=0.0"),
+         (["--phi=-inf"], "theta=0.0, phi=-inf"), (["--theta", "1", "--phi", "nan"], "theta=1.0, phi=nan")],
+        ids=["theta-inf", "theta-nan", "phi-minus-inf", "phi-nan"],
+    )
+    @pytest.mark.parametrize("mode", [[], ["--extended"], ["--oracle"]], ids=["double", "extended", "oracle"])
+    def test_qfi_exits_two(self, capsys, phase, shown, mode):
+        argv = ["qfi", "--n", "1", "--gamma", "0.5", *phase, "--zeta", "2", "--lambda", "1", *mode]
+        err = f'{{"error": "DomainError", "message": "phases must be finite, got {shown}"}}\n'
+        assert run_cli(capsys, *argv) == (2, "", err)
+
+
+def _fmt_frozen(x):
+    return repr(x) if isinstance(x, float) else str(x)
+
+
+def per_row_csv(scan):
+    """The CSV that _emit wrote before it formatted axis coordinates once: every cell through _fmt."""
+    lines = [f"# {key}={_fmt_frozen(scan.metadata[key])}" for key in sorted(scan.metadata)]
+    lines.append(",".join(scan.header))
+    lines.extend(",".join(_fmt_frozen(v) for v in row) for row in scan.rows)
+    return "\n".join(lines) + "\n"
+
+
+class TestEmission:
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """The ScanResults the commands hand to _emit."""
+        seen = []
+        emit = cli._emit
+
+        def recording(args, scan):
+            seen.append(scan)
+            emit(args, scan)
+
+        monkeypatch.setattr(cli, "_emit", recording)
+        return seen
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan-phase", "--n", "2", "--gamma", "0.5", "--zeta", "3", "--target", "f_lambda", "--grid", "1"],
+            ["scan-phase", "--n", "10", "--gamma", "0.5", "--zeta", "6", "--target", "f_lambda", "--grid", "30"],
+            ["scan-phase", "--n", "1.7", "--gamma", "0.4", "--zeta", "4", "--target", "f_zeta", "--grid", "32"],
+            ["scan-phase", "--n", "1.3", "--gamma", "0.6", "--zeta", "3", "--target", "f_zeta", "--grid", "5", "--extended"],
+            ["scan-gamma", "--n", "3", "--zeta", "2", "--target", "joint", "--grid", "2"],
+            ["scan-gamma", "--n", "0.37", "--zeta", "7", "--target", "f_lambda", "--grid", "1601"],
+            ["scan-gamma", "--n", "2", "--zeta", "3", "--target", "f_zeta", "--grid", "6", "--extended"],
+            ["opt-gamma", "--target", "joint", "--zeta", "2", "3", "--lambda", "0.5", "1", "7", "--n-range", "0.1:10:4"],
+            ["opt-gamma", "--target", "joint", "--zeta", "3", "--n-range", "1:100:3"],
+            ["opt-gamma", "--target", "f_zeta", "--zeta", "1", "3", "5", "--n-range", "0.01:100:5"],
+            ["opt-gamma", "--target", "f_lambda", "--zeta", "2", "4", "--n-range", "1e-3:1e3:7", "--extended"],
+        ],
+        ids=["phase-1", "phase-30", "phase-32", "phase-extended", "gamma-2", "gamma-1601", "gamma-extended",
+             "opt-zetas-lambdas", "opt-default-lambdas", "opt-f_zeta-nan-asymptote", "opt-extended"],
+    )
+    def test_csv_bytes_are_the_per_row_format(self, capsys, scans, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        (scan,) = scans
+        assert out == per_row_csv(scan)
+        assert len(out.splitlines()) == len(scan.metadata) + 1 + len(scan.rows)
+
+    def test_scan_phase_grid_30_holds_pi(self, capsys, scans):
+        argv = ["scan-phase", "--n", "10", "--gamma", "0.5", "--zeta", "6", "--target", "f_lambda", "--grid", "30"]
+        assert run_cli(capsys, *argv)[0] == 0
+        assert math.pi in scans[0].axes["theta"] and math.pi in scans[0].axes["phi"]
+
+    def test_f_zeta_order_one_asymptote_is_nan(self, capsys):
+        code, out, _ = run_cli(capsys, "opt-gamma", "--target", "f_zeta", "--zeta", "1", "--n-range", "1:2:2")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")][1:]
+        assert [row[-1] for row in rows] == ["nan", "nan"]
+
+    @staticmethod
+    def emit(capsys, scan):
+        cli._emit(argparse.Namespace(json=False, out=None), scan)
+        return capsys.readouterr().out
+
+    def test_signed_zeros_and_int_coordinates_keep_their_own_form(self, capsys):
+        # 0.0 == -0.0 and 1 == 1.0 are one key of a table keyed on the value
+        xs = [0.0, -0.0, 1, 1.0, float("nan")]
+        ys = [-0.0, 0.0]
+        rows = [(x, y, 0.5) for x in xs for y in ys]
+        scan = cli.ScanResult({"x": xs, "y": ys}, ("x", "y", "value"), rows, [0.5] * len(rows), {"k": -0.0})
+        out = self.emit(capsys, scan)
+        assert out == per_row_csv(scan)
+        assert out.splitlines()[2:5] == ["0.0,-0.0,0.5", "0.0,0.0,0.5", "-0.0,-0.0,0.5"]
+
+    def test_equal_cells_that_are_other_objects_are_formatted_on_their_own(self, capsys):
+        # the axis holds 0.0 and 2.0, the rows hold -0.0 and the int 2
+        scan = cli.ScanResult({"x": [0.0, 2.0]}, ("x", "value"), [(-0.0, 1.0), (2, 3.0)], [1.0, 3.0])
+        assert self.emit(capsys, scan) == "x,value\n-0.0,1.0\n2,3.0\n"
+
+    def test_a_row_off_its_axis_raises(self, capsys):
+        scan = cli.ScanResult({"x": [0.0, 1.0]}, ("x", "value"), [(0.0, 1.0), (0.5, 2.0)], [1.0, 2.0])
+        with pytest.raises(InternalConsistencyError, match="x=0.5"):
+            self.emit(capsys, scan)
+        assert capsys.readouterr().out == ""
+
+
+def _capture(capsys, argv, out_path):
+    """(exit code, stdout, stderr, bytes of the --out file) of one in-process call."""
+    argv = [str(out_path) if a == "{out}" else a for a in argv]
+    out_path.unlink(missing_ok=True)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejected the arguments
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, out_path.read_bytes() if out_path.exists() else None
+
+
+class TestParserReuse:
+    CALLS = [
+        ["qfi", "--n", "1", "--gamma", "0.3", "--theta", "0.4", "--zeta", "2", "--lambda", "1"],
+        ["scan-phase", "--n", "2", "--gamma", "0.5", "--zeta", "3", "--target", "f_lambda", "--grid", "4", "--json"],
+        ["scan-gamma", "--n", "1", "--zeta", "2", "--target", "f_lambda", "--grid", "1"],  # argparse: exit 2
+        ["scan-gamma", "--n", "1", "--zeta", "2", "--target", "joint", "--grid", "5", "--out", "{out}"],
+        ["opt-gamma", "--target", "joint", "--zeta", "2", "--lambda", "3", "--n-range", "0.5:5:3"],
+        ["opt-gamma", "--target", "joint", "--zeta", "2", "--n-range", "0.5:5:3", "--json"],
+        ["threshold", "--target", "f_lambda", "--zeta", "2", "--json", "--out", "{out}"],
+        ["qfi", "--n", "1", "--gamma", "0.5", "--theta", "inf", "--zeta", "2", "--lambda", "1"],  # DomainError: exit 2
+        ["selftest", "--jobs", "3"],
+        ["qfi", "--n", "1", "--gamma", "0.3", "--zeta", "2", "--lambda", "1", "--jobs", "x"],  # argparse: exit 2
+        ["threshold", "--target", "f_zeta", "--zeta", "3", "--lambda", "2", "--samples", "7"],
+        ["scan-phase", "--n", "2", "--gamma", "0.5", "--zeta", "3", "--target", "f_zeta", "--grid", "3", "--extended"],
+        ["opt-gamma", "--target", "f_lambda", "--zeta", "2", "3", "--n-range", "0.01:100:4", "--out", "{out}"],
+    ]
+
+    def test_interleaved_calls_match_fresh_parsers(self, capsys, tmp_path):
+        out_path = tmp_path / "out.txt"
+        fresh = []
+        for argv in self.CALLS:
+            cli._parser.cache_clear()
+            fresh.append(_capture(capsys, argv, out_path))
+        assert fresh[2][0] == fresh[7][0] == fresh[9][0] == 2
+        assert "argument --jobs: invalid int value: 'x'" in fresh[9][2]
+        assert all(result[0] == 0 for i, result in enumerate(fresh) if i not in (2, 7, 9))
+        cli._parser.cache_clear()
+        order = list(range(len(self.CALLS)))
+        for i in order + order[::-1]:
+            assert _capture(capsys, self.CALLS[i], out_path) == fresh[i], self.CALLS[i]
+        assert cli._parser.cache_info().misses == 1
+
+    def test_jobs_default_reads_the_environment_at_each_parse(self, monkeypatch):
+        parser = cli._parser()
+        for value, jobs in (("3", 3), ("5", 5), ("0", 1), ("x", 1), (None, 1)):
+            if value is None:
+                monkeypatch.delenv("NLPROBE_JOBS", raising=False)
+            else:
+                monkeypatch.setenv("NLPROBE_JOBS", value)
+            assert parser.parse_args(["selftest"]).jobs == jobs
+            assert parser.parse_args(["selftest", "--jobs", "2"]).jobs == 2
+        assert cli._parser() is parser
+
+    def test_lambda_default_cannot_leak_into_the_next_call(self, capsys, tmp_path):
+        argv = ["opt-gamma", "--target", "joint", "--zeta", "2", "--n-range", "0.5:5:3"]
+        first = cli._parser().parse_args(argv)
+        first.lam += (7.0,)  # extends a list in place; a tuple is replaced
+        assert tuple(cli._parser().parse_args(argv).lam) == cli.JOINT_LAMBDA_DEFAULTS
+        out_path = tmp_path / "out.txt"
+        cli._parser.cache_clear()
+        want = _capture(capsys, argv, out_path)
+        assert "# lambdas=0.01,1.0,100.0\n" in want[1]
+        assert _capture(capsys, [*argv, "--lambda", "0.25"], out_path)[0] == 0
+        assert _capture(capsys, argv, out_path) == want

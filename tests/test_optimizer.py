@@ -17,7 +17,7 @@ from nlprobe.optimizer import (
     optimize_gamma_grid,
     verify_zero_phase_optimality,
 )
-from nlprobe.qfi_core import ModelSpec
+from nlprobe.qfi_core import ModelSpec, normal_law_grid
 
 ANALYTIC_NTH = (3.0 * math.sqrt(2.0) - 4.0) / 8.0
 
@@ -244,6 +244,51 @@ class TestOptimizeGammaGrid:
         res = optimize_gamma(1e6, target("joint", 3, lam=100.0))
         assert 1.0 - 1e-6 < res.gamma_opt < 1.0
         assert not res.at_boundary
+
+
+class TestNonFinitePhases:
+    """A non-finite phase is outside the probe domain in every layer, as a bad gamma or N is."""
+
+    PHASES = [(math.inf, 0.0), (math.nan, 0.0), (0.0, -math.inf), (1.0, math.nan)]
+
+    @pytest.mark.parametrize("theta, phi", PHASES)
+    @pytest.mark.parametrize("extended", [False, True], ids=["double", "extended"])
+    def test_objective(self, theta, phi, extended):
+        for kind in ("f_lambda", "f_zeta", "joint"):
+            with pytest.raises(DomainError, match="phases must be finite"):
+                objective(0.5, 1.0, target(kind, 3), theta, phi, extended=extended)
+
+    @pytest.mark.parametrize("theta, phi", PHASES)
+    def test_grid_optimizer_and_threshold(self, theta, phi):
+        t = target("f_lambda", 2)
+        with pytest.raises(DomainError, match="phases must be finite"):
+            optimize_gamma_grid([0.5, 1.0], t, theta, phi)
+        with pytest.raises(DomainError, match="phases must be finite"):
+            find_threshold(t, theta, phi)
+
+    @pytest.mark.parametrize("theta, phi", PHASES)
+    def test_normal_law_grid(self, theta, phi):
+        with pytest.raises(DomainError, match="phases must be finite"):
+            normal_law_grid(1.0, [0.0, 0.5, 1.0], [[0.0], [theta]], phi, ModelSpec(lambda_eff=1.0, zeta=2))
+
+
+class TestThresholdSlope:
+    """For the individual targets the threshold is where the one-sided slope
+    dF/dgamma at gamma = 1 changes sign: squeezed vacuum stops being a local
+    maximum where the optimizer's global comparison first prefers an
+    interior gamma."""
+
+    @pytest.mark.parametrize(
+        "kind, zeta", [("f_lambda", 2), ("f_lambda", 3), ("f_lambda", 4), ("f_zeta", 3), ("f_zeta", 5)]
+    )
+    def test_slope_changes_sign_inside_the_bracket(self, kind, zeta):
+        t, rel_tol, h = target(kind, zeta), 1e-4, 1e-7
+        n_th = find_threshold(t, rel_tol=rel_tol)
+
+        def slope(n):  # 40-digit values, one rounding each
+            return (objective(1.0, n, t, extended=True) - objective(1.0 - h, n, t, extended=True)) / h
+
+        assert slope(n_th * (1.0 - rel_tol)) > 0.0 > slope(n_th * (1.0 + rel_tol))
 
 
 class TestFindThreshold:

@@ -27,6 +27,11 @@ class TestMakeProbe:
         with pytest.raises(DomainError):
             make_probe(n, g)
 
+    @pytest.mark.parametrize("theta, phi", [(math.inf, 0.0), (-math.inf, 1.0), (math.nan, 0.0), (0.5, math.nan), (0.0, math.inf)])
+    def test_rejects_non_finite_phases(self, theta, phi):
+        with pytest.raises(DomainError, match="phases must be finite"):
+            make_probe(1.0, 0.5, theta, phi)
+
     @pytest.mark.parametrize("n", [0.0, 0.3, 1.0, 7.5, 123.0])
     @pytest.mark.parametrize("g", [0.0, 0.25, 0.5, 0.9, 1.0])
     def test_energy_round_trip(self, n, g):
