@@ -7,7 +7,6 @@ byte-identical output regardless of locale or --jobs (accepted, no effect).
 """
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -75,25 +74,11 @@ class ScanResult:
             )
 
 
-class _FromEnvironment(str):
-    """A string default names the environment variable that _jobs reads.
-
-    argparse passes a string default through the option's type at every
-    parse in which the option is absent, so the variable is read then and
-    not when the parser is built.
-    """
-
-
-def _jobs(text):
-    if isinstance(text, _FromEnvironment):
-        try:
-            return max(1, int(os.environ.get(text, "1")))
-        except ValueError:
-            return 1
-    return int(text)
-
-
-_jobs.__name__ = "int"  # argparse names the type in its messages
+def _default_jobs():
+    try:
+        return max(1, int(os.environ.get("NLPROBE_JOBS", "1")))
+    except ValueError:
+        return 1
 
 
 def _fmt(x) -> str:
@@ -435,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--jobs", type=_jobs, default=_FromEnvironment("NLPROBE_JOBS"), help="no effect (env NLPROBE_JOBS)")
+        p.add_argument("--jobs", type=int, default=_default_jobs(), help="no effect (env NLPROBE_JOBS)")
         p.add_argument("--extended", action="store_true", help="extended-precision moment evaluation")
         p.add_argument("--json", action="store_true", help="emit a single JSON document instead of CSV/text")
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
@@ -473,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("opt-gamma", help="optimal squeezing fraction over a log-spaced N range")
     p.add_argument("--target", choices=["f_lambda", "f_zeta", "joint"], required=True)
     p.add_argument("--zeta", type=int, nargs="+", required=True)
-    p.add_argument("--lambda", dest="lam", type=float, nargs="+", default=JOINT_LAMBDA_DEFAULTS)
+    p.add_argument("--lambda", dest="lam", type=float, nargs="+", default=list(JOINT_LAMBDA_DEFAULTS))
     p.add_argument("--n-range", dest="n_range", type=_parse_n_range, required=True, metavar="LO:HI:COUNT")
     common(p)
     p.set_defaults(func=cmd_opt_gamma)
@@ -498,19 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of main, built once per process.
-
-    A parse with it gives what a fresh parser gives: argparse keeps no
-    state between parses, --jobs reads NLPROBE_JOBS at each parse and no
-    default is a mutable object.
-    """
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (NumericalRangeError, OverflowError) as exc:

@@ -221,7 +221,8 @@ def _normal_law_qfi(n_total, gamma, theta, phi, model):
 
     A point outside the probe domain raises make_probe's DomainError.
     """
-    if not (0.0 <= gamma <= 1.0 and 0.0 <= n_total < math.inf and -math.inf < theta + phi < math.inf):
+    if not (0.0 <= gamma <= 1.0 and 0.0 <= n_total < math.inf
+            and math.isfinite(theta) and math.isfinite(phi)):
         make_probe(n_total, gamma, theta, phi)
     v, w, g, _ = _normal_law_table(model.zeta)
     lz2 = (model.lambda_eff * model.zeta) ** 2
@@ -296,7 +297,7 @@ def _normal_law_arrays(n_total, gamma, theta, phi, model: ModelSpec):
         f_ll = scale * u * hv
         f_zz = scale * lz2 * hw
         joint = scale * lz2 * var * _horner_grid(g, x, above) / (u * hv + lz2 * hw)
-        ok = (np.isfinite(n) & (n >= 0.0) & (gam >= 0.0) & (gam <= 1.0)
+        ok = (np.isfinite(n) & (n >= 0.0) & (gam >= 0.0) & (gam <= 1.0) & np.isfinite(th) & np.isfinite(ph)
               & (f_ll < math.inf) & (f_zz < math.inf) & (joint < math.inf))
     return (f_ll, f_zz, joint), ok
 

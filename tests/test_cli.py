@@ -551,7 +551,7 @@ def _capture(capsys, argv, out_path):
     return code, captured.out, captured.err, out_path.read_bytes() if out_path.exists() else None
 
 
-class TestParserReuse:
+class TestInProcessCalls:
     CALLS = [
         ["qfi", "--n", "1", "--gamma", "0.3", "--theta", "0.4", "--zeta", "2", "--lambda", "1"],
         ["scan-phase", "--n", "2", "--gamma", "0.5", "--zeta", "3", "--target", "f_lambda", "--grid", "4", "--json"],
@@ -568,40 +568,12 @@ class TestParserReuse:
         ["opt-gamma", "--target", "f_lambda", "--zeta", "2", "3", "--n-range", "0.01:100:4", "--out", "{out}"],
     ]
 
-    def test_interleaved_calls_match_fresh_parsers(self, capsys, tmp_path):
+    def test_a_call_does_not_depend_on_the_calls_before_it(self, capsys, tmp_path):
         out_path = tmp_path / "out.txt"
-        fresh = []
-        for argv in self.CALLS:
-            cli._parser.cache_clear()
-            fresh.append(_capture(capsys, argv, out_path))
-        assert fresh[2][0] == fresh[7][0] == fresh[9][0] == 2
-        assert "argument --jobs: invalid int value: 'x'" in fresh[9][2]
-        assert all(result[0] == 0 for i, result in enumerate(fresh) if i not in (2, 7, 9))
-        cli._parser.cache_clear()
-        order = list(range(len(self.CALLS)))
-        for i in order + order[::-1]:
-            assert _capture(capsys, self.CALLS[i], out_path) == fresh[i], self.CALLS[i]
-        assert cli._parser.cache_info().misses == 1
-
-    def test_jobs_default_reads_the_environment_at_each_parse(self, monkeypatch):
-        parser = cli._parser()
-        for value, jobs in (("3", 3), ("5", 5), ("0", 1), ("x", 1), (None, 1)):
-            if value is None:
-                monkeypatch.delenv("NLPROBE_JOBS", raising=False)
-            else:
-                monkeypatch.setenv("NLPROBE_JOBS", value)
-            assert parser.parse_args(["selftest"]).jobs == jobs
-            assert parser.parse_args(["selftest", "--jobs", "2"]).jobs == 2
-        assert cli._parser() is parser
-
-    def test_lambda_default_cannot_leak_into_the_next_call(self, capsys, tmp_path):
-        argv = ["opt-gamma", "--target", "joint", "--zeta", "2", "--n-range", "0.5:5:3"]
-        first = cli._parser().parse_args(argv)
-        first.lam += (7.0,)  # extends a list in place; a tuple is replaced
-        assert tuple(cli._parser().parse_args(argv).lam) == cli.JOINT_LAMBDA_DEFAULTS
-        out_path = tmp_path / "out.txt"
-        cli._parser.cache_clear()
-        want = _capture(capsys, argv, out_path)
-        assert "# lambdas=0.01,1.0,100.0\n" in want[1]
-        assert _capture(capsys, [*argv, "--lambda", "0.25"], out_path)[0] == 0
-        assert _capture(capsys, argv, out_path) == want
+        forward = [_capture(capsys, argv, out_path) for argv in self.CALLS]
+        assert forward[2][0] == forward[7][0] == forward[9][0] == 2
+        assert "argument --jobs: invalid int value: 'x'" in forward[9][2]
+        assert "# lambdas=3.0\n" in forward[4][1]
+        assert all(result[0] == 0 for i, result in enumerate(forward) if i not in (2, 7, 9))
+        for i in reversed(range(len(self.CALLS))):
+            assert _capture(capsys, self.CALLS[i], out_path) == forward[i], self.CALLS[i]
