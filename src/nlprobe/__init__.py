@@ -34,7 +34,6 @@ from .qfi_core import (
     ModelSpec,
     QfiMatrix,
     qfi_cross,
-    qfi_from_moments,
     qfi_lambda,
     qfi_matrix,
     qfi_zeta,
@@ -62,7 +61,6 @@ __all__ = [
     "ModelSpec",
     "QfiMatrix",
     "qfi_cross",
-    "qfi_from_moments",
     "qfi_lambda",
     "qfi_matrix",
     "qfi_zeta",

@@ -9,7 +9,6 @@ byte-identical output regardless of locale or --jobs (accepted, no effect).
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -31,16 +30,7 @@ from .optimizer import (
     optimize_gamma_grid,
 )
 from .probe import make_probe
-from .qfi_core import (
-    ModelSpec,
-    _joint_bound_mp,
-    normal_law_grid,
-    normal_law_qfi,
-    qfi_lambda,
-    qfi_matrix,
-    qfi_zeta,
-    reparametrize_physical,
-)
+from .qfi_core import ModelSpec, QfiMatrix, _probe_qfi, normal_law_grid, qfi_lambda, qfi_zeta, reparametrize_physical
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -72,13 +62,6 @@ class ScanResult:
             raise InternalConsistencyError(
                 f"scan has {len(self.values)} values for {expected} grid points"
             )
-
-
-def _default_jobs():
-    try:
-        return max(1, int(os.environ.get("NLPROBE_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def _fmt(x) -> str:
@@ -151,16 +134,12 @@ def _base_metadata(args, **extra):
 def cmd_qfi(args) -> int:
     probe = make_probe(args.n, args.gamma, args.theta, args.phi)
     model = ModelSpec(lambda_eff=args.lam, zeta=args.zeta, time=args.time)
-    fm = qfi_matrix(probe, model, extended=args.extended)
+    # the bound is det F / tr F without the cancellation of f_ll f_zz - f_lz^2
+    f_ll, f_zz, f_lz, bound = _probe_qfi(probe, model, extended=args.extended)
+    fm = QfiMatrix(f_ll, f_zz, f_lz)
     t = args.time
-    # det F / tr F without the cancellation of f_ll f_zz - f_lz^2 in double
-    if args.extended:
-        bound = _joint_bound_mp(probe, model, t)
-    else:
-        f_ll, f_zz, bound = normal_law_qfi(probe, model)
-        if t != 1.0:  # det and trace of diag(t, 1) F diag(t, 1)
-            bound *= t * t * (f_ll + f_zz) / (t * t * f_ll + f_zz)
-    if t != 1.0:
+    if t != 1.0:  # det and trace of diag(t, 1) F diag(t, 1)
+        bound *= t * t * (f_ll + f_zz) / (t * t * f_ll + f_zz)
         fm = reparametrize_physical(fm, model)
     record = {
         "f_ll": fm.f_ll,
@@ -420,8 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--jobs", type=int, default=_default_jobs(), help="no effect (env NLPROBE_JOBS)")
-        p.add_argument("--extended", action="store_true", help="extended-precision moment evaluation")
+        p.add_argument("--jobs", type=int, default=1, help="no effect")
+        p.add_argument("--extended", action="store_true",
+                       help="evaluate the QFI polynomials at 40 digits and round each result once")
         p.add_argument("--json", action="store_true", help="emit a single JSON document instead of CSV/text")
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 

@@ -6,15 +6,18 @@ mean set by the family (below). In double precision the moments are
 
     <G_k> = sum_j C(k,2j) (2j-1)!! mean^(k-2j) eta^(2j),
 
-whose terms all have the sign of mean^k: nothing cancels. Extended
-precision instead evaluates the printed general-phase formula
+whose terms all have the sign of mean^k: nothing cancels. The extended
+mode of general_moments (so of moment_general and moment_vector) instead
+evaluates the printed general-phase formula
 
     <G_zeta> = eta^zeta * sum_{k,s} C(zeta,k,s) e^(i psi (zeta-2k-2s))
                conj(beta)^s beta^(zeta-2k-s)
 
-with (mu, nu, beta, eta, psi) as in probe.bogoliubov_view, at 40 digits:
-an independent reference that shares nothing with the normal law but the
-probe, and whose imaginary residue checks the phase bookkeeping.
+with (mu, nu, beta, eta, psi) as in probe.bogoliubov_view, at 40 digits.
+It is the moment-level reference the tests hold the normal law to: it
+shares nothing with it but the probe, and its imaginary residue checks the
+phase bookkeeping. The QFI does not use it; qfi_core evaluates the
+normal-law polynomials in both precisions.
 
 Bogoliubov amplitude convention
 -------------------------------
@@ -87,24 +90,25 @@ def _check_beta_sign(beta_sign):
         raise DomainError(f"beta_sign must be +1 or -1, got {beta_sign}")
 
 
-def _normal_law(n_total, gamma, theta, phi, beta_sign=+1):
-    """(mean, variance) of the quadrature in double precision (module docstring),
-    on the plain floats of a probe.
+def _normal_law(n_total, gamma, theta, phi, beta_sign=+1, m=math):
+    """(mean, variance) of the quadrature (module docstring) on the plain
+    numbers of a probe, in double precision, or with m = mpmath on mpf
+    arguments in the working precision.
 
     The forms there are |cosh r + sinh r e^(i theta)|^2 and, for the default
     family, 2|alpha| [cosh 2r cos phi + sinh 2r cos(theta - phi)] with their
     cancelling terms removed.
     """
     n_sq = gamma * n_total
-    e_r = math.sqrt(n_sq) + math.sqrt(1.0 + n_sq)
+    e_r = m.sqrt(n_sq) + m.sqrt(1.0 + n_sq)
     big, small = e_r * e_r, 1.0 / (e_r * e_r)
     h = 0.5 * theta
-    ch, sh = math.cos(h), math.sin(h)
+    ch, sh = m.cos(h), m.sin(h)
     var = big * ch * ch + small * sh * sh
-    a2 = 2.0 * math.sqrt((1.0 - gamma) * n_total)
+    a2 = 2.0 * m.sqrt((1.0 - gamma) * n_total)
     if beta_sign > 0:
-        return a2 * (big * ch * math.cos(h - phi) + small * sh * math.sin(h - phi)), var
-    return a2 * math.cos(phi), var
+        return a2 * (big * ch * m.cos(h - phi) + small * sh * m.sin(h - phi)), var
+    return a2 * m.cos(phi), var
 
 
 def general_moments(probe: ProbeSpec, orders, *, beta_sign: int = +1, extended: bool = False) -> dict:

@@ -14,16 +14,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalRangeError, ThresholdAmbiguousError
 from .probe import make_probe
-from .qfi_core import (
-    ModelSpec,
-    _joint_bound_mp,
-    _normal_law_arrays,
-    _normal_law_qfi,
-    normal_law_grid,
-    normal_law_qfi,
-    qfi_lambda,
-    qfi_zeta,
-)
+from .qfi_core import ModelSpec, _normal_law_arrays, _normal_law_qfi, normal_law_grid, normal_law_qfi
 
 __all__ = [
     "TargetKind",
@@ -50,7 +41,9 @@ class TargetKind(enum.Enum):
     JOINT_BOUND = "joint"
 
 
-_ENTRY = {TargetKind.F_LAMBDA: 0, TargetKind.F_ZETA: 1, TargetKind.JOINT_BOUND: 2}  # in normal_law_qfi
+# the objective's index in qfi_core._normal_law_qfi and in normal_law_grid (normal_law_qfi)
+_ENTRY = {TargetKind.F_LAMBDA: 0, TargetKind.F_ZETA: 1, TargetKind.JOINT_BOUND: 3}
+_GRID_ENTRY = {TargetKind.F_LAMBDA: 0, TargetKind.F_ZETA: 1, TargetKind.JOINT_BOUND: 2}
 
 
 @dataclass(frozen=True)
@@ -85,19 +78,11 @@ def objective(
 ) -> float:
     """Figure of merit as a function of the squeezing fraction.
 
-    In double precision every phase and target goes through the scalar
-    kernel of qfi_core.normal_law_qfi; extended mode sums the general-phase
-    moments at 40 digits.
+    Every phase, target and precision goes through the scalar kernel
+    qfi_core._normal_law_qfi.
     """
-    kind, model = target.kind, target.model
-    if not extended:
-        return _normal_law_qfi(float(n_total), float(gamma), float(theta), float(phi), model)[_ENTRY[kind]]
-    probe = make_probe(n_total, gamma, theta, phi)
-    if kind is TargetKind.F_LAMBDA:
-        return qfi_lambda(probe, model, extended=True)
-    if kind is TargetKind.F_ZETA:
-        return qfi_zeta(probe, model, extended=True)
-    return _joint_bound_mp(probe, model)
+    values = _normal_law_qfi(float(n_total), float(gamma), float(theta), float(phi), target.model, extended=extended)
+    return values[_ENTRY[target.kind]]
 
 
 def objective_grid(gammas, n_total: float, target: OptTarget, theta: float = 0.0, phi: float = 0.0) -> list:
@@ -106,7 +91,7 @@ def objective_grid(gammas, n_total: float, target: OptTarget, theta: float = 0.0
     Bit for bit the values objective gives point by point, and at the first
     point where it raises, the same error (qfi_core.normal_law_grid).
     """
-    return normal_law_grid(n_total, gammas, theta, phi, target.model)[_ENTRY[target.kind]].tolist()
+    return normal_law_grid(n_total, gammas, theta, phi, target.model)[_GRID_ENTRY[target.kind]].tolist()
 
 
 def _golden_max(fun, lo, hi, tol):
@@ -147,13 +132,13 @@ def optimize_gamma_grid(
 
     In double precision one pass of qfi_core.normal_law_grid fills the
     len(ns) x coarse table of the coarse grids and numpy flags the local
-    maxima of every row at once; extended mode fills each row with 40-digit
-    objective values. The golden section then refines each row's candidates
-    through the scalar kernel of normal_law_qfi (objective, in extended
-    mode). Results and errors are those of a loop over the energies: the
-    rows are checked and refined in order, and a row on which the table
-    holds a bad point is evaluated again point by point, which raises the
-    error that point raises on its own.
+    maxima of every row at once; extended mode fills each row point by
+    point. The golden section then refines each row's candidates through
+    the scalar kernel qfi_core._normal_law_qfi, in the same precision.
+    Results and errors are those of a loop over the energies: the rows are
+    checked and refined in order, and a row on which the table holds a bad
+    point is evaluated again point by point, which raises the error that
+    point raises on its own.
     """
     ns = list(ns)
     if not ns:
@@ -169,9 +154,7 @@ def optimize_gamma_grid(
 
     def fun(g):  # at the energy n_f of the row being refined
         try:
-            if extended:
-                return objective(g, n_f, target, theta, phi, extended=True)
-            return _normal_law_qfi(n_f, g, theta, phi, model)[entry]
+            return _normal_law_qfi(n_f, g, theta, phi, model, extended=extended)[entry]
         except OverflowError as exc:
             raise NumericalRangeError(OVERFLOW_MESSAGE) from exc
 
@@ -182,7 +165,7 @@ def optimize_gamma_grid(
     else:
         values, ok = _normal_law_arrays(np.array(ns, dtype=float)[:, None], grid, theta, phi, model)
         rows_ok = ok.all(axis=1).tolist()
-        table = values[entry]
+        table = values[_GRID_ENTRY[target.kind]]
         flags = _local_maxima(table)
 
     results = []
@@ -194,11 +177,6 @@ def optimize_gamma_grid(
         else:  # 40-digit values, or a row with a bad point: point by point it raises the error a loop meets first
             row = np.array([fun(g) for g in grid])
             row_flags = _local_maxima(row[None])[0]
-        if not np.isfinite(row).all():
-            raise NumericalRangeError(
-                "objective is not finite on the coarse grid; the probe energy or "
-                "order likely exceeds the double-precision budget (try extended mode)"
-            )
         vals = row.tolist()
         candidates = sorted(np.flatnonzero(row_flags).tolist(), key=vals.__getitem__, reverse=True)[:3]
 
@@ -317,7 +295,7 @@ def verify_zero_phase_optimality(
         raise DomainError("phase grid must have at least 8 points per axis")
     if kind is TargetKind.JOINT_BOUND:
         raise DomainError("phase-optimality check applies to individual QFI elements")
-    ref = normal_law_qfi(make_probe(n_total, gamma), model)[_ENTRY[kind]]
+    ref = normal_law_qfi(make_probe(n_total, gamma), model)[_GRID_ENTRY[kind]]
     phases = np.arange(grid) * (2.0 * math.pi / grid)
-    vals = normal_law_grid(n_total, gamma, phases[:, None], phases, model)[_ENTRY[kind]]
+    vals = normal_law_grid(n_total, gamma, phases[:, None], phases, model)[_GRID_ENTRY[kind]]
     return not np.any(vals > ref + 1e-9)

@@ -6,6 +6,13 @@ coupling QFI is 4 Var(G_zeta) on the probe, the order QFI follows from the
 power-rule derivative of the generator, and the two parameters are
 compatible: both generators are powers of the same Hermitian quadrature, so
 the Uhlmann antisymmetric part vanishes identically.
+
+Every entry and the joint bound come from one kernel, _normal_law_qfi: the
+quadrature is normal in both moment families, so the entries are integer
+polynomials in x = mu^2 / sigma^2 evaluated by Horner's rule, in double
+precision or, in extended mode, over the exact coefficients at 40 digits
+with one rounding per result. normal_law_grid evaluates the same formulas
+over numpy arrays.
 """
 
 import math
@@ -16,7 +23,7 @@ import numpy as np
 
 from .combinatorics import normal_law_covariance, normal_law_polynomials
 from .errors import DegenerateModelError, DomainError, InternalConsistencyError
-from .moments import EXTENDED_DPS, _check_beta_sign, _normal_law, general_moments
+from .moments import EXTENDED_DPS, _check_beta_sign, _normal_law
 from .probe import ProbeSpec, make_probe
 
 __all__ = [
@@ -26,7 +33,6 @@ __all__ = [
     "qfi_zeta",
     "qfi_cross",
     "qfi_matrix",
-    "qfi_from_moments",
     "normal_law_qfi",
     "normal_law_grid",
     "reparametrize_physical",
@@ -50,8 +56,8 @@ class ModelSpec:
             raise DomainError(f"nonlinearity order must be an integer >= 1, got {self.zeta}")
         if not math.isfinite(self.lambda_eff) or self.lambda_eff < 0:
             raise DomainError(f"effective coupling must be finite and >= 0, got {self.lambda_eff}")
-        if not self.time > 0:
-            raise DomainError(f"interaction time must be > 0, got {self.time}")
+        if not 0 < self.time < math.inf:
+            raise DomainError(f"interaction time must be finite and > 0, got {self.time}")
 
 
 @dataclass(frozen=True)
@@ -77,41 +83,99 @@ class QfiMatrix:
         )
 
 
-def qfi_from_moments(m, model: ModelSpec):
-    """(f_ll, f_zz, f_lz) from the quadrature moments m[k] = <G_k>, m[0] = 1.
+@lru_cache(maxsize=None)
+def _normal_law_table(zeta, exact=False):
+    """The coefficients of V, W, G (normal_law_polynomials(zeta)) and Q
+    (normal_law_covariance(zeta)) in the order Horner's rule takes them,
+    indexed by x > 1: highest power of x first, and lowest first for the
+    sum in 1/x. Floats, or with exact=True the integers themselves."""
+    polys = normal_law_polynomials(zeta) + (normal_law_covariance(zeta),)
+    low_first = tuple(tuple(c if exact else float(c) for c in p) for p in polys)
+    return tuple(p[::-1] for p in low_first), low_first
 
-    f_ll = 4 Var(G_z), f_zz = 4 (lambda z)^2 Var(G_(z-1)) and
-    f_lz = 4 lambda z Cov(G_z, G_(z-1)). Plain arithmetic: float moments give
-    double entries, mpf moments entries at their working precision (lambda
-    takes the type of m[0]). An entry that needs an order missing from m is
-    nan, so a caller that wants one entry sums only that entry's orders.
+
+def _horner(coeffs, t):
+    """c_0 t^d + c_1 t^(d-1) + ... + c_d for coeffs c_0..c_d."""
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * t + c
+    return acc
+
+
+def _assemble(mean, var, lz, zeta, table):
+    """(f_ll, f_zz, f_lz, det F / tr F) from the quadrature's mean and
+    variance, in the precision of mean, var and lz = lambda zeta.
+
+    V, W, G and Q run in t = x for x <= 1 and in t = 1/x for x > 1, which
+    divides them by max(x, 1) to their degrees and leaves the powers of x
+    to u = max(mu^2, sigma^2).
     """
-    z, nan = model.zeta, math.nan
-    lz = m[0] * model.lambda_eff * z
-    m_z, m_zm1 = m.get(z, nan), m.get(z - 1, nan)
+    lz2 = lz**2
+    x = mean * mean / var
+    above = x > 1.0
+    u, t = (mean * mean, 1.0 / x) if above else (var, x)
+    v, w, g, q = table[above]
+    hv, hw = _horner(v, t), _horner(w, t)
+    scale = 4.0 * var * u ** (zeta - 2)
     return (
-        4 * (m[2 * z] - m_z**2) if 2 * z in m else nan,
-        4 * lz**2 * (m[2 * z - 2] - m_zm1**2) if 2 * z - 2 in m else nan,
-        4 * lz * (m[2 * z - 1] - m_z * m_zm1) if 2 * z - 1 in m else nan,
+        scale * u * hv,
+        scale * lz2 * hw,
+        scale * lz * mean * _horner(q, t),
+        scale * lz2 * var * _horner(g, t) / (u * hv + lz2 * hw),
     )
 
 
-def _entries(probe, model, orders, beta_sign, extended):
-    """(f_ll, f_zz, f_lz): the normal law in double precision, else the
-    general-phase moments of the given orders through qfi_from_moments.
+def _normal_law_qfi(n_total, gamma, theta, phi, model, beta_sign=+1, extended=False):
+    """(f_ll, f_zz, f_lz, det F / tr F) on the plain floats of a probe: the
+    one QFI assembly of the package, for both families and both precisions.
 
-    Extended mode subtracts at EXTENDED_DPS digits and rounds once; rounding
-    the moments to double first would forfeit exactly the digits the mode
-    exists to preserve.
+    In both moment families the quadrature X = a + a^dag is normal, with
+    the mean mu and variance sigma^2 of moments._normal_law. Both variances,
+    the covariance over mu and the Gram determinant are polynomials in
+    x = mu^2 / sigma^2 of degrees zeta - 1, zeta - 2, zeta - 2 and
+    2 zeta - 4 whose cancelling terms were removed exactly (combinatorics.
+    normal_law_polynomials, normal_law_covariance); what is left has
+    positive coefficients but for one term of the determinant at odd zeta,
+    so Horner's rule loses nothing to cancellation. With
+    u = max(mu^2, sigma^2),
+
+        f_ll = 4 sigma^2 u^(zeta-1) V,  f_zz = 4 (lambda zeta)^2 sigma^2 u^(zeta-2) W,
+        f_lz = 4 lambda zeta mu sigma^2 u^(zeta-2) Q,
+        det F / tr F = 4 (lambda zeta)^2 sigma^4 u^(zeta-2) G / (u V + (lambda zeta)^2 W),
+
+    where V, W, Q, G are the polynomials divided by max(x, 1) to their
+    degrees, so at most their coefficient sums: no intermediate overflows
+    where the results fit. Extended mode runs the same formulas with mpmath
+    in place of math, over the exact integer coefficients at EXTENDED_DPS
+    digits, and rounds each result once. A point outside the probe domain
+    raises make_probe's DomainError, a result beyond the double range
+    OverflowError.
     """
-    _check_beta_sign(beta_sign)
-    if not extended:
-        return _normal_law_entries(probe, model, beta_sign)
-    import mpmath  # extended mode only (see moments.general_moments)
+    if not (0.0 <= gamma <= 1.0 and 0.0 <= n_total < math.inf
+            and math.isfinite(theta) and math.isfinite(phi)):
+        make_probe(n_total, gamma, theta, phi)
+    zeta = model.zeta
+    if extended:
+        import mpmath  # extended mode only, so that `import nlprobe.cli` never loads it
 
-    with mpmath.workdps(EXTENDED_DPS):
-        m = general_moments(probe, orders, beta_sign=beta_sign, extended=True)
-        return tuple(float(f) for f in qfi_from_moments(m, model))
+        with mpmath.workdps(EXTENDED_DPS):
+            num = mpmath.mpf
+            mean, var = _normal_law(num(n_total), num(gamma), num(theta), num(phi), beta_sign, mpmath)
+            lz = num(model.lambda_eff) * zeta
+            values = tuple(map(float, _assemble(mean, var, lz, zeta, _normal_law_table(zeta, True))))
+    else:
+        mean, var = _normal_law(n_total, gamma, theta, phi, beta_sign)
+        values = _assemble(mean, var, model.lambda_eff * zeta, zeta, _normal_law_table(zeta))
+    f_ll, f_zz, f_lz, joint = values
+    if not (f_ll < math.inf and f_zz < math.inf and -math.inf < f_lz < math.inf and joint < math.inf):
+        raise OverflowError(OVERFLOW)  # products overflow silently, and float() rounds to inf
+    return values
+
+
+def _probe_qfi(probe: ProbeSpec, model: ModelSpec, beta_sign=+1, extended=False):
+    """_normal_law_qfi at a probe."""
+    _check_beta_sign(beta_sign)
+    return _normal_law_qfi(probe.n_total, probe.gamma, probe.theta, probe.phi, model, beta_sign, extended)
 
 
 def qfi_lambda(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, extended: bool = False) -> float:
@@ -119,8 +183,7 @@ def qfi_lambda(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, exten
 
     Independent of lambda by construction; only model.zeta is read.
     """
-    z = model.zeta
-    return _entries(probe, model, (2 * z, z), beta_sign, extended)[0]
+    return _probe_qfi(probe, model, beta_sign, extended)[0]
 
 
 def qfi_zeta(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, extended: bool = False) -> float:
@@ -129,18 +192,12 @@ def qfi_zeta(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, extende
     At zeta = 1 the generator derivative is the identity (G_0 convention),
     whose variance vanishes, so the element is exactly zero.
     """
-    z = model.zeta
-    return _entries(probe, model, (2 * z - 2, z - 1), beta_sign, extended)[1]
+    return _probe_qfi(probe, model, beta_sign, extended)[1]
 
 
 def qfi_cross(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, extended: bool = False) -> float:
     """Off-diagonal element: 4 lambda zeta [<G_(2z-1)> - <G_z><G_(z-1)>]."""
-    z = model.zeta
-    return _entries(probe, model, (2 * z - 1, z, z - 1), beta_sign, extended)[2]
-
-
-def _orders(z):
-    return (2 * z, z, 2 * z - 2, z - 1, 2 * z - 1)
+    return _probe_qfi(probe, model, beta_sign, extended)[2]
 
 
 def qfi_matrix(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, extended: bool = False) -> QfiMatrix:
@@ -150,120 +207,22 @@ def qfi_matrix(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, exten
     operator, so the mean SLD commutator (the Uhlmann element) vanishes and
     joint estimation carries no intrinsic quantum incompatibility.
     """
-    return QfiMatrix(*_entries(probe, model, _orders(model.zeta), beta_sign, extended), u_lz=0.0)
-
-
-def _joint_bound_mp(probe: ProbeSpec, model: ModelSpec, time: float = 1.0) -> float:
-    """det F / tr F at 40 digits, of the matrix reparametrized to the given time.
-
-    The entries come from the general-phase moments and stay unrounded
-    through the determinant; the result is rounded once at the end.
-    """
-    import mpmath
-
-    with mpmath.workdps(EXTENDED_DPS):
-        m = general_moments(probe, _orders(model.zeta), extended=True)
-        f_ll, f_zz, f_lz = qfi_from_moments(m, model)
-        t = mpmath.mpf(time)
-        return float(scalar_bound_inverse(QfiMatrix(t * t * f_ll, f_zz, t * f_lz)))
-
-
-@lru_cache(maxsize=None)
-def _normal_law_table(zeta):
-    """normal_law_polynomials(zeta) and Q_zeta as float coefficients, highest power first."""
-    polys = normal_law_polynomials(zeta) + (normal_law_covariance(zeta),)
-    return tuple(tuple(float(c) for c in reversed(p)) for p in polys)
-
-
-def _horner(coeffs, x):
-    """sum_i c_i x^i / max(x, 1)^d for coefficients c_d..c_0, highest first.
-
-    For x > 1 the sum runs in 1/x, so that the powers of x stay with the
-    caller.
-    """
-    acc = 0.0
-    if x > 1.0:
-        y = 1.0 / x
-        for c in reversed(coeffs):
-            acc = acc * y + c
-    else:
-        for c in coeffs:
-            acc = acc * x + c
-    return acc
+    return QfiMatrix(*_probe_qfi(probe, model, beta_sign, extended)[:3], u_lz=0.0)
 
 
 def normal_law_qfi(probe: ProbeSpec, model: ModelSpec):
-    """(f_ll, f_zz, det F / tr F) in double precision, at any phase.
-
-    On the default moment family the quadrature X = a + a^dag is normal,
-    with the cancellation-free mean mu and variance sigma^2 of
-    moments._normal_law. Both variances and the Gram determinant are
-    polynomials in x = mu^2 / sigma^2 of degrees zeta - 1, zeta - 2 and
-    2 zeta - 4 whose cancelling terms were removed exactly (combinatorics.
-    normal_law_polynomials); what is left has positive coefficients but for
-    one term at odd zeta, so Horner's rule loses nothing to cancellation and
-    no extended-precision retry is needed. With u = max(mu^2, sigma^2),
-
-        f_ll = 4 sigma^2 u^(zeta-1) V,  f_zz = 4 (lambda zeta)^2 sigma^2 u^(zeta-2) W,
-        det F / tr F = 4 (lambda zeta)^2 sigma^4 u^(zeta-2) G / (u V + (lambda zeta)^2 W),
-
-    where V, W, G are the polynomials divided by max(x, 1) to their
-    degrees, so at most their coefficient sums: no intermediate overflows
-    where the results fit. A result beyond the double range raises
-    OverflowError.
-    """
-    return _normal_law_qfi(probe.n_total, probe.gamma, probe.theta, probe.phi, model)
-
-
-def _normal_law_qfi(n_total, gamma, theta, phi, model):
-    """normal_law_qfi on the plain floats of a probe: the scalar kernel of
-    the double-precision objective and of the golden section.
-
-    A point outside the probe domain raises make_probe's DomainError.
-    """
-    if not (0.0 <= gamma <= 1.0 and 0.0 <= n_total < math.inf
-            and math.isfinite(theta) and math.isfinite(phi)):
-        make_probe(n_total, gamma, theta, phi)
-    v, w, g, _ = _normal_law_table(model.zeta)
-    lz2 = (model.lambda_eff * model.zeta) ** 2
-    mean, var = _normal_law(n_total, gamma, theta, phi)
-    x = mean * mean / var
-    u = mean * mean if x > 1.0 else var
-    hv, hw = _horner(v, x), _horner(w, x)
-    scale = 4.0 * var * u ** (model.zeta - 2)
-    f_ll = scale * u * hv
-    f_zz = scale * lz2 * hw
-    joint = scale * lz2 * var * _horner(g, x) / (u * hv + lz2 * hw)
-    if not (f_ll < math.inf and f_zz < math.inf and joint < math.inf):  # products overflow silently
-        raise OverflowError(OVERFLOW)
+    """(f_ll, f_zz, det F / tr F) in double precision, at any phase
+    (_normal_law_qfi); the bound is formed without the cancellation of
+    f_ll f_zz - f_lz^2."""
+    f_ll, f_zz, _, joint = _probe_qfi(probe, model)
     return f_ll, f_zz, joint
 
 
-def _normal_law_entries(probe, model, beta_sign):
-    """(f_ll, f_zz, f_lz) of either family in double precision, as in normal_law_qfi.
-
-    f_lz = 4 lambda zeta mu sigma^2 u^(zeta-2) Q, Q the covariance polynomial
-    over max(x, 1)^(zeta-2); kept off normal_law_qfi, the optimizer's kernel.
-    """
-    v, w, _, q = _normal_law_table(model.zeta)
-    lz = model.lambda_eff * model.zeta
-    mean, var = _normal_law(probe.n_total, probe.gamma, probe.theta, probe.phi, beta_sign)
-    x = mean * mean / var
-    u = mean * mean if x > 1.0 else var
-    scale = 4.0 * var * u ** (model.zeta - 2)
-    f_ll = scale * u * _horner(v, x)
-    f_zz = scale * lz**2 * _horner(w, x)
-    f_lz = scale * lz * mean * _horner(q, x)
-    if not (f_ll < math.inf and f_zz < math.inf and abs(f_lz) < math.inf):
-        raise OverflowError(OVERFLOW)
-    return f_ll, f_zz, f_lz
-
-
-def _horner_grid(coeffs, x, above):
-    """_horner at every element of x, where above is x > 1."""
+def _horner_grid(high_first, low_first, x, above):
+    """_horner in t = x or 1/x at every element of x, where above is x > 1."""
     y = 1.0 / x
     acc_y = acc_x = 0.0
-    for c_y, c_x in zip(reversed(coeffs), coeffs):
+    for c_y, c_x in zip(low_first, high_first):
         acc_y = acc_y * y + c_y
         acc_x = acc_x * x + c_x
     return np.where(above, acc_y, acc_x)
@@ -275,7 +234,7 @@ def _normal_law_arrays(n_total, gamma, theta, phi, model: ModelSpec):
     values are meaningless and normal_law_qfi may raise.
     """
     n, gam, th, ph = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (n_total, gamma, theta, phi)))
-    v, w, g, _ = _normal_law_table(model.zeta)
+    (v, w, g, _), (v_low, w_low, g_low, _) = _normal_law_table(model.zeta)
     lz2 = (model.lambda_eff * model.zeta) ** 2
     with np.errstate(all="ignore"):  # both Horner branches run everywhere, 1/x included
         n_sq = gam * n
@@ -288,7 +247,7 @@ def _normal_law_arrays(n_total, gamma, theta, phi, model: ModelSpec):
         x = mean * mean / var
         above = x > 1.0
         u = np.where(above, mean * mean, var)
-        hv, hw = _horner_grid(v, x, above), _horner_grid(w, x, above)
+        hv, hw = _horner_grid(v, v_low, x, above), _horner_grid(w, w_low, x, above)
         try:
             powers = np.array([b ** (model.zeta - 2) for b in u.ravel().tolist()]).reshape(u.shape)
         except ArithmeticError:  # overflow or 0 ** -1 somewhere: no point is trusted
@@ -296,7 +255,7 @@ def _normal_law_arrays(n_total, gamma, theta, phi, model: ModelSpec):
         scale = 4.0 * var * powers
         f_ll = scale * u * hv
         f_zz = scale * lz2 * hw
-        joint = scale * lz2 * var * _horner_grid(g, x, above) / (u * hv + lz2 * hw)
+        joint = scale * lz2 * var * _horner_grid(g, g_low, x, above) / (u * hv + lz2 * hw)
         ok = (np.isfinite(n) & (n >= 0.0) & (gam >= 0.0) & (gam <= 1.0) & np.isfinite(th) & np.isfinite(ph)
               & (f_ll < math.inf) & (f_zz < math.inf) & (joint < math.inf))
     return (f_ll, f_zz, joint), ok
@@ -338,7 +297,6 @@ def scalar_bound_inverse(qfi: QfiMatrix) -> float:
     """Inverse of the identity-weight scalar bound: det(F) / tr(F).
 
     Zero for a singular matrix (one parameter carries no information).
-    Plain arithmetic, so entries at 40 digits give a 40-digit result.
     """
     trace = qfi.f_ll + qfi.f_zz
     if trace <= 0.0:

@@ -72,8 +72,10 @@ class TestQfiCommand:
                    "--zeta", "12", "--lambda", "1"]
     HIGH_N = ["--n", "1e6", "--gamma", "0.8", "--zeta", "3", "--lambda", "1"]
     TIMED = ["--n", "2", "--gamma", "0.3", "--zeta", "3", "--lambda", "1", "--time", "2.5"]
+    HUGE = ["--n", "1e30", "--gamma", "0.5", "--lambda", "1"]
     # the 80-digit normal law (tests/test_properties.py), with the determinant
-    # of the time-reparametrized matrix formed before rounding
+    # of the time-reparametrized matrix formed before rounding; at N = 1e30
+    # 80 digits lose the determinant, so those values were taken at 200
     WANT = {
         "found": {"f_ll": 5.3988768310296563e-30, "f_zz": 9.4744623333310874e-26, "f_lz": 1.078927583008031e-36,
                   "scalar_bound_inverse": 5.3985692018559978e-30},
@@ -81,6 +83,8 @@ class TestQfiCommand:
                    "scalar_bound_inverse": 737280921598800.08},
         "timed": {"f_ll": 10322218.317007631, "f_zz": 59282.451628199217, "f_lz": 775409.75692172786,
                   "scalar_bound_inverse": 1027.4157062654912},
+        "huge": {"f_ll": 2.5600000000000003e122, "f_zz": 3.2e31, "f_lz": 9.050966799187808e76,
+                 "scalar_bound_inverse": 3.9999999999999996e-30},
     }
 
     @pytest.mark.parametrize(
@@ -89,11 +93,17 @@ class TestQfiCommand:
             # entries 1e-30 where the moments summed are far larger: the
             # double moment sums printed an exit 2 "trace is zero" here
             pytest.param(FOUND_REPRO, "found", id="entries-far-below-the-terms"),
+            # the 40-digit general-phase sums needed 67 digits here and exited 2
+            # with "negative determinant"
+            pytest.param(FOUND_REPRO + ["--extended"], "found", id="entries-far-below-the-terms-extended"),
             # det F cancels 18 digits: subtracting rounded entries printed 1.19e24
             pytest.param(HIGH_N, "high_n", id="determinant-cancels"),
             pytest.param(HIGH_N + ["--extended"], "high_n", id="determinant-cancels-extended"),
             pytest.param(TIMED, "timed", id="time-reparametrized"),
             pytest.param(TIMED + ["--extended"], "timed", id="time-reparametrized-extended"),
+            pytest.param(HUGE + ["--zeta", "2"], "huge", id="huge-energy"),
+            # f_ll f_zz - f_lz^2 of the 40-digit moment sums came out -4.6e192: exit 2
+            pytest.param(HUGE + ["--zeta", "2", "--extended"], "huge", id="huge-energy-extended"),
         ],
     )
     def test_matches_the_80_digit_normal_law(self, capsys, argv, want):
@@ -107,6 +117,9 @@ class TestQfiCommand:
         "argv",
         [
             pytest.param(["qfi", "--n", "1"], id="missing-flags"),
+            # an infinite interaction time printed f_ll=inf and u_lz=nan
+            pytest.param(["qfi", "--n", "1", "--gamma", "0.5", "--zeta", "2", "--lambda", "1", "--time", "inf"],
+                         id="time-inf"),
             pytest.param(["threshold", "--target", "f_lambda", "--zeta", "2", "--samples", "1"], id="samples-1"),
             pytest.param(["threshold", "--target", "f_lambda", "--zeta", "2", "--n-hi", "1e-5"], id="n-hi-below-n-lo"),
             pytest.param(["threshold", "--target", "f_lambda", "--zeta", "2", "--rel-tol", "0"], id="rel-tol-0"),
@@ -117,10 +130,21 @@ class TestQfiCommand:
             ),
         ],
     )
-    def test_usage_error_exits_two(self, argv):
-        with pytest.raises(SystemExit) as info:
-            main(argv)
-        assert info.value.code == 2
+    def test_usage_error_exits_two(self, capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the arguments
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err
+
+    def test_extended_overflow_exits_three_as_double_does(self, capsys):
+        # the 40-digit sums raised DegenerateModelError (exit 2) here
+        for mode in ([], ["--extended"]):
+            code, out, err = run_cli(capsys, "qfi", *self.HUGE, "--zeta", "12", *mode)
+            assert (code, out) == (3, "")
+            assert json.loads(err)["error"] == "OverflowError"
 
 
 class TestScanPhase:
@@ -378,22 +402,22 @@ class TestErrorPaths:
         # the stderr of the row-by-row optimizer that the batched pass replaced
         assert run_cli(capsys, "opt-gamma", "--target", "f_lambda", "--zeta", "12", "--n-range", n_range) == (code, "", err)
 
-    def test_jobs_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("NLPROBE_JOBS", "4")
-        from nlprobe.cli import build_parser
-
-        args = build_parser().parse_args(["selftest"])
-        assert args.jobs == 4
-
-    def test_extended_mode_matches_double_on_scan(self, capsys):
-        base = ["scan-gamma", "--n", "1", "--zeta", "2", "--target", "f_lambda", "--grid", "5"]
+    @pytest.mark.parametrize(
+        "n, grid, rel",
+        # at N = 1e30 the 40-digit moment sums printed 9.1e141 for 2.56e122 at
+        # gamma = 0.5, and 6.399999999967508e31 for 6.4e31 at gamma = 0
+        [("1", "5", 1e-12), ("1e30", "3", 1e-15)],
+    )
+    def test_extended_mode_matches_double_on_scan(self, capsys, n, grid, rel):
+        base = ["scan-gamma", "--n", n, "--zeta", "2", "--target", "f_lambda", "--grid", grid]
         _, out_d, _ = run_cli(capsys, *base)
         _, out_e, _ = run_cli(capsys, *base, "--extended")
         rows_d = [l for l in out_d.splitlines() if not l.startswith("#")][1:]
         rows_e = [l for l in out_e.splitlines() if not l.startswith("#")][1:]
+        assert len(rows_d) == len(rows_e) == int(grid)
         for rd, re_ in zip(rows_d, rows_e):
             vd, ve = float(rd.split(",")[1]), float(re_.split(",")[1])
-            assert ve == pytest.approx(vd, rel=1e-12)
+            assert ve == pytest.approx(vd, rel=rel)
 
 
 class TestScanOutput:

@@ -189,7 +189,7 @@ class TestOptimizeGammaGrid:
             table = f_array(np.broadcast_to(np.asarray(g, dtype=float), np.broadcast_shapes(np.shape(n), np.shape(g))))
             return (table,) * 3, np.ones(table.shape, dtype=bool)
 
-        monkeypatch.setattr(opt, "_normal_law_qfi", lambda n, g, theta, phi, model: (f(g),) * 3)
+        monkeypatch.setattr(opt, "_normal_law_qfi", lambda n, g, theta, phi, model, extended=False: (f(g),) * 4)
         monkeypatch.setattr(opt, "_normal_law_arrays", arrays)
         t = target("f_lambda", 2)
         got = optimize_gamma_grid([1.0, 2.0], t)

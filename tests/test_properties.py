@@ -67,7 +67,7 @@ def test_joint_bound_lies_between_zero_and_the_smaller_diagonal(n, gamma, theta,
 @given(st.floats(0.0, 10.0), gammas, st.integers(1, 6), st.sampled_from(["f_lambda", "f_zeta"]), st.booleans())
 def test_scan_phase_prints_the_qfi_elements(n, gamma, zeta, target, extended):
     # double precision prints the normal-law elements, extended mode the
-    # 40-digit moment sums
+    # same polynomials evaluated at 40 digits
     argv = ["scan-phase", "--n", repr(n), "--gamma", repr(gamma), "--zeta", str(zeta),
             "--target", target, "--grid", "3"] + (["--extended"] if extended else [])
     out = io.StringIO()
@@ -211,13 +211,15 @@ def test_scan_phase_matches_the_80_digit_normal_law(n, gamma, zeta, target):
 @example(0.7, 1e3, 3.141592653589793, 1.5707963267948966, 12, 1.0, +1)
 @example(0.8, 1e6, 0.0, 0.0, 3, 1.0, -1)
 def test_double_qfi_matrix_and_moments_match_the_80_digit_normal_law(gamma, n, theta, phi, zeta, lam, sign):
-    # both families, with the magnitude-law tolerance of the objective tests
+    # both families and both precisions, with the magnitude-law tolerance of
+    # the objective tests
     probe, model = make_probe(n, gamma, theta, phi), ModelSpec(lambda_eff=lam, zeta=zeta)
     want = _reference_entries(gamma, n, zeta, lam, theta, phi, sign)
     scale = _reference_entries(gamma, n, zeta, lam, theta, phi, sign, magnitude=True)
-    got = qfi_matrix(probe, model, beta_sign=sign)
-    for g, w, s in zip(got.as_tuple(), want, scale):
-        assert abs(g - w) <= 1e-12 * s
+    for extended in (False, True):
+        got = qfi_matrix(probe, model, beta_sign=sign, extended=extended)
+        for g, w, s in zip(got.as_tuple(), want, scale):
+            assert abs(g - w) <= 1e-12 * s
     moments = general_moments(probe, range(2 * zeta + 1), beta_sign=sign)
     with mpmath.workdps(80):
         want_m = _reference_moments(gamma, n, zeta, theta, phi, sign)

@@ -1,10 +1,13 @@
 import math
+import random
 import warnings
 
+import mpmath
 import pytest
 
 from nlprobe.errors import CancellationWarning, DegenerateModelError, DomainError
 from nlprobe.fock_oracle import qfi_matrix_oracle
+from nlprobe.moments import general_moments
 from nlprobe.probe import make_probe
 from nlprobe.qfi_core import (
     ModelSpec,
@@ -27,6 +30,8 @@ class TestModelSpec:
         {"lambda_eff": 1.0, "zeta": 0},
         {"lambda_eff": -1.0, "zeta": 2},
         {"lambda_eff": 1.0, "zeta": 2, "time": 0.0},
+        {"lambda_eff": 1.0, "zeta": 2, "time": float("inf")},
+        {"lambda_eff": 1.0, "zeta": 2, "time": float("nan")},
         {"lambda_eff": float("inf"), "zeta": 2},
     ])
     def test_invalid(self, kw):
@@ -198,7 +203,7 @@ class TestExtendedPrecisionRescue:
     def test_cancellation_alarm_and_extended_rescue(self):
         # at N = 1e8 and zeta = 2 the moment differences cancel ~16 digits;
         # the double normal law never forms them, so it raises no alarm and
-        # agrees with the 40-digit sums, which land on the leading-order growth
+        # agrees with its polynomials at 40 digits and with the leading-order growth
         p = make_probe(1e8, 0.5)
         m = ModelSpec(lambda_eff=1.0, zeta=2)
         with warnings.catch_warnings():
@@ -226,3 +231,28 @@ class TestExtendedPrecisionRescue:
         with warnings.catch_warnings():
             warnings.simplefilter("error", CancellationWarning)
             assert qfi_cross(make_probe(3.0, 0.2), ModelSpec(lambda_eff=1.0, zeta=1)) == 0.0
+
+
+class TestPrintedSumReference:
+    """The 40-digit QFI polynomials against the printed general-phase moment
+    sum, which shares nothing with them but the probe."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_extended_qfi_matrix_matches_the_printed_sum(self, seed):
+        # N <= 10 and zeta <= 6, where the 40-digit sums keep their digits
+        rng = random.Random(seed)
+        for _ in range(50):
+            probe = make_probe(10 ** rng.uniform(-3, 1), rng.random(), rng.uniform(0, 2 * math.pi),
+                               rng.uniform(0, 2 * math.pi))
+            zeta, lam, sign = rng.randint(1, 6), 10 ** rng.uniform(-2, 1), rng.choice((+1, -1))
+            with mpmath.workdps(40):
+                m = general_moments(probe, range(2 * zeta + 1), beta_sign=sign, extended=True)
+                lz = mpmath.mpf(lam) * zeta
+                want = (
+                    4 * (m[2 * zeta] - m[zeta] ** 2),
+                    4 * lz**2 * (m[2 * zeta - 2] - m[zeta - 1] ** 2),
+                    4 * lz * (m[2 * zeta - 1] - m[zeta] * m[zeta - 1]),
+                )
+            got = qfi_matrix(probe, ModelSpec(lambda_eff=lam, zeta=zeta), beta_sign=sign, extended=True)
+            for g, w in zip(got.as_tuple(), map(float, want)):
+                assert abs(g - w) <= 1e-14 * abs(w), (probe, zeta, lam, sign)
