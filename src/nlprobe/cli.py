@@ -30,7 +30,9 @@ from .optimizer import (
     optimize_gamma_grid,
 )
 from .probe import make_probe
-from .qfi_core import ModelSpec, QfiMatrix, _probe_qfi, normal_law_grid, qfi_lambda, qfi_zeta, reparametrize_physical
+from .qfi_core import (
+    OVERFLOW, ModelSpec, QfiMatrix, _probe_qfi, normal_law_grid, qfi_lambda, qfi_zeta, reparametrize_physical
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -138,9 +140,12 @@ def cmd_qfi(args) -> int:
     f_ll, f_zz, f_lz, bound = _probe_qfi(probe, model, extended=args.extended)
     fm = QfiMatrix(f_ll, f_zz, f_lz)
     t = args.time
-    if t != 1.0:  # det and trace of diag(t, 1) F diag(t, 1)
-        bound *= t * t * (f_ll + f_zz) / (t * t * f_ll + f_zz)
+    if t != 1.0:  # det and trace of diag(t, 1) F diag(t, 1); det = 0 where f_zz = 0, as at zeta = 1
+        if bound:
+            bound *= t * t * (f_ll + f_zz) / (t * t * f_ll + f_zz)
         fm = reparametrize_physical(fm, model)
+        if not all(-math.inf < v < math.inf for v in (*fm.as_tuple(), bound)):
+            raise OverflowError(OVERFLOW)
     record = {
         "f_ll": fm.f_ll,
         "f_zz": fm.f_zz,
@@ -183,8 +188,9 @@ def cmd_scan_phase(args) -> int:
         element = qfi_lambda if target is TargetKind.F_LAMBDA else qfi_zeta
         vals = [element(make_probe(args.n, args.gamma, t, p), model, extended=True) for t, p in points]
     else:
-        grid = normal_law_grid(args.n, args.gamma, np.array(thetas)[:, None], phis, model)
-        vals = grid[0 if target is TargetKind.F_LAMBDA else 1].ravel().tolist()
+        (grid,) = normal_law_grid(args.n, args.gamma, np.array(thetas)[:, None], phis, model,
+                                  entries=(0 if target is TargetKind.F_LAMBDA else 1,))
+        vals = grid.ravel().tolist()
     rows = [(t, p, v) for (t, p), v in zip(points, vals)]
     md = _base_metadata(
         args,

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalRangeError, ThresholdAmbiguousError
-from .probe import make_probe
-from .qfi_core import ModelSpec, _normal_law_arrays, _normal_law_qfi, normal_law_grid, normal_law_qfi
+from .qfi_core import ModelSpec, _normal_law_arrays, _normal_law_qfi, normal_law_grid
 
 __all__ = [
     "TargetKind",
@@ -31,7 +30,8 @@ __all__ = [
 THRESHOLD_N_LO = 1e-4  # default lower end of the threshold search
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 OVERFLOW_MESSAGE = (
-    "objective overflowed double precision; reduce the probe energy or use the extended-precision mode"
+    "objective overflowed double precision, to which both modes round; "
+    "reduce the probe energy, the order or the coupling"
 )
 
 
@@ -41,9 +41,8 @@ class TargetKind(enum.Enum):
     JOINT_BOUND = "joint"
 
 
-# the objective's index in qfi_core._normal_law_qfi and in normal_law_grid (normal_law_qfi)
+# the objective's index in the entries (f_ll, f_zz, f_lz, det F / tr F) of qfi_core._normal_law_qfi
 _ENTRY = {TargetKind.F_LAMBDA: 0, TargetKind.F_ZETA: 1, TargetKind.JOINT_BOUND: 3}
-_GRID_ENTRY = {TargetKind.F_LAMBDA: 0, TargetKind.F_ZETA: 1, TargetKind.JOINT_BOUND: 2}
 
 
 @dataclass(frozen=True)
@@ -79,10 +78,14 @@ def objective(
     """Figure of merit as a function of the squeezing fraction.
 
     Every phase, target and precision goes through the scalar kernel
-    qfi_core._normal_law_qfi.
+    qfi_core._normal_law_qfi, asked for the target's entry alone: f_lambda
+    evaluates V, f_zeta W, and the joint bound V, W and G. It raises
+    OverflowError only where that entry does not fit in double.
     """
-    values = _normal_law_qfi(float(n_total), float(gamma), float(theta), float(phi), target.model, extended=extended)
-    return values[_ENTRY[target.kind]]
+    entries = (_ENTRY[target.kind],)
+    return _normal_law_qfi(
+        float(n_total), float(gamma), float(theta), float(phi), target.model, extended=extended, entries=entries
+    )[0]
 
 
 def objective_grid(gammas, n_total: float, target: OptTarget, theta: float = 0.0, phi: float = 0.0) -> list:
@@ -91,7 +94,7 @@ def objective_grid(gammas, n_total: float, target: OptTarget, theta: float = 0.0
     Bit for bit the values objective gives point by point, and at the first
     point where it raises, the same error (qfi_core.normal_law_grid).
     """
-    return normal_law_grid(n_total, gammas, theta, phi, target.model)[_GRID_ENTRY[target.kind]].tolist()
+    return normal_law_grid(n_total, gammas, theta, phi, target.model, entries=(_ENTRY[target.kind],))[0].tolist()
 
 
 def _golden_max(fun, lo, hi, tol):
@@ -135,6 +138,7 @@ def optimize_gamma_grid(
     maxima of every row at once; extended mode fills each row point by
     point. The golden section then refines each row's candidates through
     the scalar kernel qfi_core._normal_law_qfi, in the same precision.
+    Table and golden section evaluate the target's entry alone (objective).
     Results and errors are those of a loop over the energies: the rows are
     checked and refined in order, and a row on which the table holds a bad
     point is evaluated again point by point, which raises the error that
@@ -143,7 +147,7 @@ def optimize_gamma_grid(
     ns = list(ns)
     if not ns:
         return []
-    model, entry = target.model, _ENTRY[target.kind]
+    model, entries = target.model, (_ENTRY[target.kind],)
     theta, phi = float(theta), float(phi)
 
     def check(n):
@@ -154,7 +158,7 @@ def optimize_gamma_grid(
 
     def fun(g):  # at the energy n_f of the row being refined
         try:
-            return _normal_law_qfi(n_f, g, theta, phi, model, extended=extended)[entry]
+            return _normal_law_qfi(n_f, g, theta, phi, model, extended=extended, entries=entries)[0]
         except OverflowError as exc:
             raise NumericalRangeError(OVERFLOW_MESSAGE) from exc
 
@@ -163,9 +167,8 @@ def optimize_gamma_grid(
     if extended:
         rows_ok = [False] * len(ns)
     else:
-        values, ok = _normal_law_arrays(np.array(ns, dtype=float)[:, None], grid, theta, phi, model)
+        (table,), ok = _normal_law_arrays(np.array(ns, dtype=float)[:, None], grid, theta, phi, model, entries)
         rows_ok = ok.all(axis=1).tolist()
-        table = values[_GRID_ENTRY[target.kind]]
         flags = _local_maxima(table)
 
     results = []
@@ -295,7 +298,7 @@ def verify_zero_phase_optimality(
         raise DomainError("phase grid must have at least 8 points per axis")
     if kind is TargetKind.JOINT_BOUND:
         raise DomainError("phase-optimality check applies to individual QFI elements")
-    ref = normal_law_qfi(make_probe(n_total, gamma), model)[_GRID_ENTRY[kind]]
+    ref = objective(gamma, n_total, OptTarget(kind, model))
     phases = np.arange(grid) * (2.0 * math.pi / grid)
-    vals = normal_law_grid(n_total, gamma, phases[:, None], phases, model)[_GRID_ENTRY[kind]]
+    (vals,) = normal_law_grid(n_total, gamma, phases[:, None], phases, model, entries=(_ENTRY[kind],))
     return not np.any(vals > ref + 1e-9)

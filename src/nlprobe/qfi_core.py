@@ -12,10 +12,12 @@ quadrature is normal in both moment families, so the entries are integer
 polynomials in x = mu^2 / sigma^2 evaluated by Horner's rule, in double
 precision or, in extended mode, over the exact coefficients at 40 digits
 with one rounding per result. normal_law_grid evaluates the same formulas
-over numpy arrays.
+(_entry) over numpy arrays. Both take the entries a caller needs and
+evaluate only the polynomials those read.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,8 +58,8 @@ class ModelSpec:
             raise DomainError(f"nonlinearity order must be an integer >= 1, got {self.zeta}")
         if not math.isfinite(self.lambda_eff) or self.lambda_eff < 0:
             raise DomainError(f"effective coupling must be finite and >= 0, got {self.lambda_eff}")
-        if not 0 < self.time < math.inf:
-            raise DomainError(f"interaction time must be finite and > 0, got {self.time}")
+        if not (0 < self.time < math.inf and sys.float_info.min <= self.time * self.time < math.inf):
+            raise DomainError(f"interaction time must be > 0 with a square in the normal double range, got {self.time}")
 
 
 @dataclass(frozen=True)
@@ -102,32 +104,48 @@ def _horner(coeffs, t):
     return acc
 
 
-def _assemble(mean, var, lz, zeta, table):
-    """(f_ll, f_zz, f_lz, det F / tr F) from the quadrature's mean and
-    variance, in the precision of mean, var and lz = lambda zeta.
+def _entry(k, horner, polys, t, mean, var, u, scale, lz):
+    """Entry k of (f_ll, f_zz, f_lz, det F / tr F) (_normal_law_qfi) on floats,
+    mpf or arrays, with scale = 4 sigma^2 u^(zeta-2) and horner(polys[j], t)
+    polynomial j of (V, W, G, Q) divided by max(x, 1) to its degree. Only the
+    polynomials of entry k are evaluated, and f_ll does not read lz = lambda zeta.
+    """
+    if k == 0:
+        return scale * u * horner(polys[0], t)
+    if k == 2:
+        return scale * lz * mean * horner(polys[3], t)
+    try:
+        lz2 = lz**2  # not lz * lz, which differs in the last bit on some doubles
+    except OverflowError:  # float ** raises where * gives inf: leave it to the range check
+        lz2 = math.inf
+    if k == 1:
+        return scale * lz2 * horner(polys[1], t)
+    return scale * lz2 * var * horner(polys[2], t) / (u * horner(polys[0], t) + lz2 * horner(polys[1], t))
 
-    V, W, G and Q run in t = x for x <= 1 and in t = 1/x for x > 1, which
+
+def _assemble(mean, var, lz, zeta, table, entries):
+    """The entries of (f_ll, f_zz, f_lz, det F / tr F) at the indices in
+    entries, as a list, from the quadrature's mean and variance, in the
+    precision of mean, var and lz = lambda zeta.
+
+    The polynomials run in t = x for x <= 1 and in t = 1/x for x > 1, which
     divides them by max(x, 1) to their degrees and leaves the powers of x
     to u = max(mu^2, sigma^2).
     """
-    lz2 = lz**2
     x = mean * mean / var
     above = x > 1.0
     u, t = (mean * mean, 1.0 / x) if above else (var, x)
-    v, w, g, q = table[above]
-    hv, hw = _horner(v, t), _horner(w, t)
-    scale = 4.0 * var * u ** (zeta - 2)
-    return (
-        scale * u * hv,
-        scale * lz2 * hw,
-        scale * lz * mean * _horner(q, t),
-        scale * lz2 * var * _horner(g, t) / (u * hv + lz2 * hw),
-    )
+    polys, scale = table[above], 4.0 * var * u ** (zeta - 2)
+    values = []
+    for k in entries:  # a loop, not a comprehension: a frame less per kernel call
+        values.append(_entry(k, _horner, polys, t, mean, var, u, scale, lz))
+    return values
 
 
-def _normal_law_qfi(n_total, gamma, theta, phi, model, beta_sign=+1, extended=False):
-    """(f_ll, f_zz, f_lz, det F / tr F) on the plain floats of a probe: the
-    one QFI assembly of the package, for both families and both precisions.
+def _normal_law_qfi(n_total, gamma, theta, phi, model, beta_sign=+1, extended=False, entries=(0, 1, 2, 3)):
+    """The entries of (f_ll, f_zz, f_lz, det F / tr F) at the indices in
+    entries (all four by default), on the plain floats of a probe: the one
+    QFI assembly of the package, for both families and both precisions.
 
     In both moment families the quadrature X = a + a^dag is normal, with
     the mean mu and variance sigma^2 of moments._normal_law. Both variances,
@@ -145,11 +163,13 @@ def _normal_law_qfi(n_total, gamma, theta, phi, model, beta_sign=+1, extended=Fa
 
     where V, W, Q, G are the polynomials divided by max(x, 1) to their
     degrees, so at most their coefficient sums: no intermediate overflows
-    where the results fit. Extended mode runs the same formulas with mpmath
-    in place of math, over the exact integer coefficients at EXTENDED_DPS
-    digits, and rounds each result once. A point outside the probe domain
-    raises make_probe's DomainError, a result beyond the double range
-    OverflowError.
+    where the results fit. Only the polynomials that the requested entries
+    read are evaluated (_entry): f_ll alone costs one Horner sum and never
+    reads lambda. Extended mode runs the same formulas with mpmath in place
+    of math, over the exact integer coefficients at EXTENDED_DPS digits, and
+    rounds each result once. A point outside the probe domain raises
+    make_probe's DomainError, a requested entry beyond the double range
+    OverflowError; an entry that was not requested is not checked.
     """
     if not (0.0 <= gamma <= 1.0 and 0.0 <= n_total < math.inf
             and math.isfinite(theta) and math.isfinite(phi)):
@@ -162,20 +182,20 @@ def _normal_law_qfi(n_total, gamma, theta, phi, model, beta_sign=+1, extended=Fa
             num = mpmath.mpf
             mean, var = _normal_law(num(n_total), num(gamma), num(theta), num(phi), beta_sign, mpmath)
             lz = num(model.lambda_eff) * zeta
-            values = tuple(map(float, _assemble(mean, var, lz, zeta, _normal_law_table(zeta, True))))
+            values = [float(v) for v in _assemble(mean, var, lz, zeta, _normal_law_table(zeta, True), entries)]
     else:
         mean, var = _normal_law(n_total, gamma, theta, phi, beta_sign)
-        values = _assemble(mean, var, model.lambda_eff * zeta, zeta, _normal_law_table(zeta))
-    f_ll, f_zz, f_lz, joint = values
-    if not (f_ll < math.inf and f_zz < math.inf and -math.inf < f_lz < math.inf and joint < math.inf):
-        raise OverflowError(OVERFLOW)  # products overflow silently, and float() rounds to inf
+        values = _assemble(mean, var, model.lambda_eff * zeta, zeta, _normal_law_table(zeta), entries)
+    for value in values:
+        if not -math.inf < value < math.inf:
+            raise OverflowError(OVERFLOW)  # products overflow silently, and float() rounds to inf
     return values
 
 
-def _probe_qfi(probe: ProbeSpec, model: ModelSpec, beta_sign=+1, extended=False):
+def _probe_qfi(probe: ProbeSpec, model: ModelSpec, beta_sign=+1, extended=False, entries=(0, 1, 2, 3)):
     """_normal_law_qfi at a probe."""
     _check_beta_sign(beta_sign)
-    return _normal_law_qfi(probe.n_total, probe.gamma, probe.theta, probe.phi, model, beta_sign, extended)
+    return _normal_law_qfi(probe.n_total, probe.gamma, probe.theta, probe.phi, model, beta_sign, extended, entries)
 
 
 def qfi_lambda(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, extended: bool = False) -> float:
@@ -183,7 +203,7 @@ def qfi_lambda(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, exten
 
     Independent of lambda by construction; only model.zeta is read.
     """
-    return _probe_qfi(probe, model, beta_sign, extended)[0]
+    return _probe_qfi(probe, model, beta_sign, extended, (0,))[0]
 
 
 def qfi_zeta(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, extended: bool = False) -> float:
@@ -192,12 +212,12 @@ def qfi_zeta(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, extende
     At zeta = 1 the generator derivative is the identity (G_0 convention),
     whose variance vanishes, so the element is exactly zero.
     """
-    return _probe_qfi(probe, model, beta_sign, extended)[1]
+    return _probe_qfi(probe, model, beta_sign, extended, (1,))[0]
 
 
 def qfi_cross(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, extended: bool = False) -> float:
     """Off-diagonal element: 4 lambda zeta [<G_(2z-1)> - <G_z><G_(z-1)>]."""
-    return _probe_qfi(probe, model, beta_sign, extended)[2]
+    return _probe_qfi(probe, model, beta_sign, extended, (2,))[0]
 
 
 def qfi_matrix(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, extended: bool = False) -> QfiMatrix:
@@ -228,14 +248,14 @@ def _horner_grid(high_first, low_first, x, above):
     return np.where(above, acc_y, acc_x)
 
 
-def _normal_law_arrays(n_total, gamma, theta, phi, model: ModelSpec):
-    """normal_law_grid without its errors: ((f_ll, f_zz, det F / tr F), ok),
-    where ok marks the points at which all three are right. Elsewhere the
-    values are meaningless and normal_law_qfi may raise.
+def _normal_law_arrays(n_total, gamma, theta, phi, model: ModelSpec, entries):
+    """normal_law_grid without its errors: (values, ok), where values holds
+    the arrays of the entries at the indices in entries and ok marks the
+    points at which all of them are right. Elsewhere the values are
+    meaningless and _normal_law_qfi may raise.
     """
     n, gam, th, ph = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (n_total, gamma, theta, phi)))
-    (v, w, g, _), (v_low, w_low, g_low, _) = _normal_law_table(model.zeta)
-    lz2 = (model.lambda_eff * model.zeta) ** 2
+    polys = tuple(zip(*_normal_law_table(model.zeta)))  # (x <= 1, x > 1) coefficient orders of V, W, G, Q
     with np.errstate(all="ignore"):  # both Horner branches run everywhere, 1/x included
         n_sq = gam * n
         e_r = np.sqrt(n_sq) + np.sqrt(1.0 + n_sq)
@@ -247,37 +267,37 @@ def _normal_law_arrays(n_total, gamma, theta, phi, model: ModelSpec):
         x = mean * mean / var
         above = x > 1.0
         u = np.where(above, mean * mean, var)
-        hv, hw = _horner_grid(v, v_low, x, above), _horner_grid(w, w_low, x, above)
         try:
             powers = np.array([b ** (model.zeta - 2) for b in u.ravel().tolist()]).reshape(u.shape)
         except ArithmeticError:  # overflow or 0 ** -1 somewhere: no point is trusted
             powers = math.nan
-        scale = 4.0 * var * powers
-        f_ll = scale * u * hv
-        f_zz = scale * lz2 * hw
-        joint = scale * lz2 * var * _horner_grid(g, g_low, x, above) / (u * hv + lz2 * hw)
-        ok = (np.isfinite(n) & (n >= 0.0) & (gam >= 0.0) & (gam <= 1.0) & np.isfinite(th) & np.isfinite(ph)
-              & (f_ll < math.inf) & (f_zz < math.inf) & (joint < math.inf))
-    return (f_ll, f_zz, joint), ok
+        scale, lz = 4.0 * var * powers, model.lambda_eff * model.zeta
+        horner = lru_cache(lambda pair, _: _horner_grid(*pair, x, above))  # once per polynomial: V, W serve two entries
+        values = tuple(_entry(k, horner, polys, None, mean, var, u, scale, lz) for k in entries)
+        ok = np.isfinite(n) & (n >= 0.0) & (gam >= 0.0) & (gam <= 1.0) & np.isfinite(th) & np.isfinite(ph)
+        for value in values:
+            ok &= np.isfinite(value)
+    return values, ok
 
 
-def normal_law_grid(n_total, gamma, theta, phi, model: ModelSpec):
+def normal_law_grid(n_total, gamma, theta, phi, model: ModelSpec, *, entries=(0, 1, 3)):
     """normal_law_qfi over arrays of N, gamma, theta and phi, broadcast together.
 
-    Returns the arrays (f_ll, f_zz, det F / tr F), equal bit for bit to
-    normal_law_qfi at every point: the same formulas in the same order, with
-    numpy's sqrt, cos and sin, which agree with the math module's, and the
-    power of u taken per element by Python's float pow, which numpy's
-    vectorised power does not always match. Where a point lies outside the
-    probe domain or a result does not fit in double, the points are handed
-    to normal_law_qfi's kernel in C order, so that the error raised is the
-    one a loop over the points would raise.
+    Returns the arrays of the entries of (f_ll, f_zz, f_lz, det F / tr F)
+    at the indices in entries, by default (f_ll, f_zz, det F / tr F), equal
+    bit for bit to _normal_law_qfi(..., entries=entries) at every point: the
+    same formulas (_entry) in the same order, with numpy's sqrt, cos and sin,
+    which agree with the math module's, and the power of u taken per element
+    by Python's float pow, which numpy's vectorised power does not always
+    match. Where a point lies outside the probe domain or a requested entry
+    does not fit in double, the points are handed to that kernel in C order,
+    so that the error raised is the one a loop over the points would raise.
     """
-    values, ok = _normal_law_arrays(n_total, gamma, theta, phi, model)
+    values, ok = _normal_law_arrays(n_total, gamma, theta, phi, model, entries)
     if not ok.all():
         n, gam, th, ph = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (n_total, gamma, theta, phi)))
         for i in np.flatnonzero(~ok).tolist():
-            _normal_law_qfi(n.item(i), gam.item(i), th.item(i), ph.item(i), model)
+            _normal_law_qfi(n.item(i), gam.item(i), th.item(i), ph.item(i), model, entries=entries)
         raise InternalConsistencyError("normal_law_grid rejected points that normal_law_qfi accepts")
     return values
 

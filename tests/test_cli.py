@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -120,6 +121,12 @@ class TestQfiCommand:
             # an infinite interaction time printed f_ll=inf and u_lz=nan
             pytest.param(["qfi", "--n", "1", "--gamma", "0.5", "--zeta", "2", "--lambda", "1", "--time", "inf"],
                          id="time-inf"),
+            # t^2 underflows to 0: 0/0 in the bound's time factor, a ZeroDivisionError traceback and exit 1
+            pytest.param(["qfi", "--n", "1", "--gamma", "0.5", "--zeta", "1", "--lambda", "1", "--time", "1e-200"],
+                         id="time-square-underflows"),
+            # t^2 overflows: exit 0 with f_ll=inf and scalar_bound_inverse=nan
+            pytest.param(["qfi", "--n", "1", "--gamma", "0.5", "--zeta", "2", "--lambda", "1", "--time", "1e200"],
+                         id="time-square-overflows"),
             pytest.param(["threshold", "--target", "f_lambda", "--zeta", "2", "--samples", "1"], id="samples-1"),
             pytest.param(["threshold", "--target", "f_lambda", "--zeta", "2", "--n-hi", "1e-5"], id="n-hi-below-n-lo"),
             pytest.param(["threshold", "--target", "f_lambda", "--zeta", "2", "--rel-tol", "0"], id="rel-tol-0"),
@@ -138,6 +145,24 @@ class TestQfiCommand:
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
         assert err
+
+    def test_time_that_carries_an_entry_beyond_the_range_exits_three(self, capsys):
+        # t^2 = 1e308 is a normal double, t^2 f_ll is not: this printed f_ll=inf
+        argv = ["qfi", "--n", "1", "--gamma", "0.5", "--zeta", "2", "--lambda", "1", "--time", "1e154"]
+        assert run_cli(capsys, *argv) == (
+            3, "", '{"error": "OverflowError", "message": "QFI entries exceed the double-precision range"}\n'
+        )
+
+    def test_time_whose_square_times_f_ll_underflows_exits_zero(self, capsys):
+        # cos(theta / 2) = -4.7e-19 makes f_ll = 3.7e-18, and t^2 f_ll underflows
+        # to 0 at zeta = 1, where f_zz = 0: the bound's time factor was 0/0, a
+        # ZeroDivisionError traceback
+        argv = ["qfi", "--n", "5.3e17", "--gamma", "1", "--theta", "1.0638745296653083e+256", "--zeta", "1",
+                "--lambda", "1", "--time", "1.5e-154"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert parse_record(out) == {"f_ll": "0.0", "f_zz": "0.0", "f_lz": "0.0", "u_lz": "0.0",
+                                     "scalar_bound_inverse": "0.0"}
 
     def test_extended_overflow_exits_three_as_double_does(self, capsys):
         # the 40-digit sums raised DegenerateModelError (exit 2) here
@@ -363,15 +388,17 @@ class TestErrorPaths:
         assert code == 3
         assert json.loads(err)["error"] == "NumericalRangeError"
 
-    @pytest.mark.parametrize(
-        "n, message",
-        [("1e15", "(34, 'Numerical result out of range')"), ("1e28", "QFI entries exceed the double-precision range")],
-        ids=["power-overflows", "entry-overflows"],
-    )
+    @pytest.mark.parametrize("n", ["1e15", "1e28"], ids=["power-overflows", "entry-overflows"])
     @pytest.mark.parametrize("target", ["f_lambda", "f_zeta", "joint"])
-    def test_scan_gamma_overflow_is_the_point_loop_error(self, capsys, n, message, target):
+    def test_scan_gamma_overflow_is_the_point_loop_error(self, capsys, n, target):
         # the whole grid is one pass, but the error is the one the first
-        # failing point raises on its own: at 1e15 gamma = 0 still fits
+        # failing point raises on its own: at 1e15 gamma = 0 still fits; at
+        # 1e28 gamma = 0 overflows f_ll alone, so only f_lambda fails there,
+        # and f_zeta and the joint bound fail first at the power of gamma = 0.1
+        if (n, target) == ("1e28", "f_lambda"):
+            message = "QFI entries exceed the double-precision range"
+        else:
+            message = "(34, 'Numerical result out of range')"
         code, out, err = run_cli(capsys, "scan-gamma", "--n", n, "--zeta", "12", "--target", target, "--grid", "11")
         assert (code, out) == (3, "")
         assert json.loads(err) == {"error": "OverflowError", "message": message}
@@ -385,22 +412,54 @@ class TestErrorPaths:
         assert (code, out) == (3, "")
         assert json.loads(err) == {
             "error": "NumericalRangeError",
-            "message": "objective overflowed double precision; reduce the probe energy "
-            "or use the extended-precision mode",
+            "message": "objective overflowed double precision, to which both modes round; "
+            "reduce the probe energy, the order or the coupling",
         }
 
     @pytest.mark.parametrize(
         "n_range, code, err",
         [
             ("1:inf:3", 2, '{"error": "DomainError", "message": "mean photon number must be finite and >= 0, got inf"}\n'),
-            ("1e30:1e40:3", 3, '{"error": "NumericalRangeError", "message": "objective overflowed double precision; '
-             'reduce the probe energy or use the extended-precision mode"}\n'),
+            ("1e30:1e40:3", 3, '{"error": "NumericalRangeError", "message": "objective overflowed double precision, '
+             'to which both modes round; reduce the probe energy, the order or the coupling"}\n'),
         ],
         ids=["infinite-energy", "overflow"],
     )
     def test_opt_gamma_errors_keep_their_bytes(self, capsys, n_range, code, err):
         # the stderr of the row-by-row optimizer that the batched pass replaced
         assert run_cli(capsys, "opt-gamma", "--target", "f_lambda", "--zeta", "12", "--n-range", n_range) == (code, "", err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["threshold", "--target", "f_lambda", "--zeta", "2"],
+         ["scan-gamma", "--target", "f_lambda", "--zeta", "3", "--n", "1", "--grid", "3"]],
+        ids=["threshold", "scan-gamma"],
+    )
+    def test_f_lambda_does_not_read_the_coupling(self, capsys, argv):
+        # (lambda zeta)^2 overflowed for f_ll, which does not depend on it, and both exited 3
+        code, want, _ = run_cli(capsys, *argv, "--lambda", "1")
+        assert code == 0
+        code, out, err = run_cli(capsys, *argv, "--lambda", "1e200")
+        assert (code, out.replace("1e+200", "1.0"), err) == (0, want, "")
+
+    @pytest.mark.parametrize(
+        "argv, error, message",
+        [
+            (["qfi", "--n", "1", "--gamma", "0.5", "--zeta", "2"],
+             "OverflowError", "QFI entries exceed the double-precision range"),
+            (["scan-gamma", "--target", "f_zeta", "--zeta", "3", "--n", "1", "--grid", "3"],
+             "OverflowError", "QFI entries exceed the double-precision range"),
+            (["scan-gamma", "--target", "joint", "--zeta", "3", "--n", "1", "--grid", "3"],
+             "OverflowError", "QFI entries exceed the double-precision range"),
+            (["threshold", "--target", "joint", "--zeta", "2"], "NumericalRangeError",
+             "objective overflowed double precision, to which both modes round; "
+             "reduce the probe energy, the order or the coupling"),
+        ],
+        ids=["qfi", "scan-gamma-f_zeta", "scan-gamma-joint", "threshold-joint"],
+    )
+    def test_coupling_beyond_the_range_is_an_entry_overflow(self, capsys, argv, error, message):
+        # these printed the errno text of (lambda zeta) ** 2
+        assert run_cli(capsys, *argv, "--lambda", "1e200") == (3, "", json.dumps({"error": error, "message": message}) + "\n")
 
     @pytest.mark.parametrize(
         "n, grid, rel",
@@ -418,6 +477,63 @@ class TestErrorPaths:
         for rd, re_ in zip(rows_d, rows_e):
             vd, ve = float(rd.split(",")[1]), float(re_.split(",")[1])
             assert ve == pytest.approx(vd, rel=rel)
+
+
+class TestRegressionSet:
+    """stdout of the optimizer commands on a fixed set of inputs, all three
+    targets and zeta 2, 7 and 12, pinned by the sha256 of its bytes as the
+    commands printed them when the optimizer evaluated every QFI entry."""
+
+    CASES = {
+        "opt-gamma-f_lambda": (
+            ["opt-gamma", "--target", "f_lambda", "--zeta", "2", "7", "12", "--n-range", "1e-3:1e3:9"],
+            "e50cf1c952593be29630057cddeac22e47b4e93ef36933a6be3c5430a0cc7b2c",
+        ),
+        "opt-gamma-f_zeta": (
+            ["opt-gamma", "--target", "f_zeta", "--zeta", "2", "7", "12", "--n-range", "1e-3:1e3:9"],
+            "97d7e47402e626d9582b0d0ec63d643aa49ce38dbef4bce098f047e930e99c44",
+        ),
+        "opt-gamma-joint": (
+            ["opt-gamma", "--target", "joint", "--zeta", "2", "7", "12", "--lambda", "0.1", "10",
+             "--n-range", "1e-2:1e2:5"],
+            "06b82190b1ff75386e43640de4d8ba613b23930729b985df742e10c9dd9b8b55",
+        ),
+        "threshold-f_lambda-2": (
+            ["threshold", "--target", "f_lambda", "--zeta", "2"],
+            "2cc8442c05d982c84aeabf4259f516195fbbe939536428f7d3ad1822db406676",
+        ),
+        "threshold-f_zeta-7": (
+            ["threshold", "--target", "f_zeta", "--zeta", "7"],
+            "89567e40fc7e8bb7d770aba2638beebfe676361ce78136832563b99afc526a7e",
+        ),
+        "threshold-f_lambda-12": (
+            ["threshold", "--target", "f_lambda", "--zeta", "12"],
+            "3dcb49596375bcb178a52bb3f329b32ed87170bfc0847fc4433be3b578f1d325",
+        ),
+        "threshold-joint-7": (
+            ["threshold", "--target", "joint", "--zeta", "7", "--lambda", "1", "--n-hi", "1e6"],
+            "2d322db614cf26e166e139272e657fab39728b5a8498ad8b98fd23811c3c9f78",
+        ),
+        "scan-gamma-f_zeta-2": (
+            ["scan-gamma", "--n", "3", "--zeta", "2", "--target", "f_zeta", "--grid", "41"],
+            "c7ab9671fc7d001039b57402355708fc02c454d33966c9a56507748907bc5a56",
+        ),
+        "scan-gamma-joint-7": (
+            ["scan-gamma", "--n", "30", "--zeta", "7", "--target", "joint", "--lambda", "2", "--grid", "41"],
+            "fe409807f652abef101855581c4eb13106d1bc3049ec112461dde465551b3dc2",
+        ),
+        "scan-gamma-f_lambda-12": (
+            ["scan-gamma", "--n", "0.3", "--zeta", "12", "--target", "f_lambda", "--grid", "41"],
+            "e3134d54eddb53f160ab1b3615ff915b8ca6fe068b4d869ec842ac1d95e0ffd4",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_stdout_keeps_its_bytes(self, capsys, name):
+        argv, digest = self.CASES[name]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestScanOutput:

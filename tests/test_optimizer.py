@@ -185,11 +185,14 @@ class TestOptimizeGammaGrid:
             v = np.max([h - s * np.abs(g - c) for h, s, c in peaks], axis=0)
             return v if cap is None else np.maximum(v, np.minimum(cap, 3.0 - 40.0 * np.abs(g - 0.5)))
 
-        def arrays(n, g, theta, phi, model):
+        def arrays(n, g, theta, phi, model, entries):
             table = f_array(np.broadcast_to(np.asarray(g, dtype=float), np.broadcast_shapes(np.shape(n), np.shape(g))))
-            return (table,) * 3, np.ones(table.shape, dtype=bool)
+            return (table,) * len(entries), np.ones(table.shape, dtype=bool)
 
-        monkeypatch.setattr(opt, "_normal_law_qfi", lambda n, g, theta, phi, model, extended=False: (f(g),) * 4)
+        def kernel(n, g, theta, phi, model, extended=False, entries=(0, 1, 2, 3)):
+            return (f(g),) * len(entries)
+
+        monkeypatch.setattr(opt, "_normal_law_qfi", kernel)
         monkeypatch.setattr(opt, "_normal_law_arrays", arrays)
         t = target("f_lambda", 2)
         got = optimize_gamma_grid([1.0, 2.0], t)

@@ -20,6 +20,7 @@ from nlprobe.optimizer import OptTarget, TargetKind, objective  # noqa: E402
 from nlprobe.probe import make_probe  # noqa: E402
 from nlprobe.qfi_core import (  # noqa: E402
     ModelSpec,
+    _normal_law_qfi,
     normal_law_grid,
     normal_law_qfi,
     qfi_lambda,
@@ -187,6 +188,40 @@ def test_grid_kernel_equals_the_point_evaluation(zeta, lam, n, gamma_list, theta
     assert all(entry.shape == (len(gamma_list), len(theta_list), len(phi_list)) for entry in grid)
     got = list(zip(*(entry.ravel().tolist() for entry in grid)))
     assert got == want
+
+
+@settings(seeded, max_examples=300)
+@given(
+    st.integers(1, 12),
+    st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+    energies,
+    st.lists(gammas, min_size=1, max_size=4),
+    phases,
+    phases,
+    signs,
+    st.integers(0, 3),
+)
+@example(12, 1.0, 1e6, [0.0, 0.5, 1.0], 0.0, 0.0, +1, 3)
+@example(1, 0.01, 1e-4, [0.0, 1.0], 3.0, 1.5, -1, 1)
+def test_selected_entry_equals_the_full_kernel_bit_for_bit(zeta, lam, n, gamma_list, theta, phi, sign, k):
+    # the optimizer and scan-gamma ask for one entry; the scalar value and
+    # the table must be that entry of the full evaluation wherever it fits
+    model = ModelSpec(lambda_eff=lam, zeta=zeta)
+    try:
+        full = [_normal_law_qfi(n, g, theta, phi, model, sign) for g in gamma_list]
+        full_extended = _normal_law_qfi(n, gamma_list[0], theta, phi, model, sign, extended=True)
+    except OverflowError:
+        return
+    for g, want in zip(gamma_list, full):
+        assert _normal_law_qfi(n, g, theta, phi, model, sign, entries=(k,)) == [want[k]]
+    assert _normal_law_qfi(n, gamma_list[0], theta, phi, model, sign, extended=True, entries=(k,)) == [full_extended[k]]
+    if sign > 0:  # the table holds the default family
+        full_grid = normal_law_grid(n, gamma_list, theta, phi, model, entries=(0, 1, 2, 3))
+        (table,) = normal_law_grid(np.array([[n]]), gamma_list, theta, phi, model, entries=(k,))
+        assert table.shape == (1, len(gamma_list))
+        assert table.ravel().tolist() == full_grid[k].tolist() == [want[k] for want in full]
+        if k != 2:
+            assert table.ravel().tolist() == normal_law_grid(n, gamma_list, theta, phi, model)[(0, 1, None, 2)[k]].tolist()
 
 
 @settings(seeded, max_examples=40)
