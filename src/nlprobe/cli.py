@@ -20,19 +20,9 @@ from .errors import InternalConsistencyError, NlprobeError, NumericalRangeError,
 from .asymptotics import gamma_opt_high_n
 from .fock_oracle import converged_moments, qfi_matrix_oracle, sld_operator
 from .moments import moment_general
-from .optimizer import (
-    THRESHOLD_N_LO,
-    OptTarget,
-    TargetKind,
-    find_threshold,
-    objective,
-    objective_grid,
-    optimize_gamma_grid,
-)
+from .optimizer import THRESHOLD_N_LO, OptTarget, TargetKind, find_threshold, objective_grid, optimize_gamma_grid
 from .probe import make_probe
-from .qfi_core import (
-    OVERFLOW, ModelSpec, QfiMatrix, _probe_qfi, normal_law_grid, qfi_lambda, qfi_zeta, reparametrize_physical
-)
+from .qfi_core import OVERFLOW, ModelSpec, QfiMatrix, _probe_qfi, normal_law_grid, reparametrize_physical
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -46,8 +36,7 @@ JOINT_LAMBDA_DEFAULTS = (0.01, 1.0, 100.0)
 class ScanResult:
     """One scan: named axes, row-major primary values, full CSV rows, metadata.
 
-    The metadata records everything needed to reproduce the scan in the same
-    precision mode.
+    The metadata records everything needed to reproduce the scan.
     """
 
     axes: dict
@@ -128,7 +117,7 @@ def _write(args, text):
 
 
 def _base_metadata(args, **extra):
-    md = {"tool": "nlprobe", "version": __version__, "precision": "extended" if args.extended else "double"}
+    md = {"tool": "nlprobe", "version": __version__, "precision": "double"}
     md.update(extra)
     return md
 
@@ -137,7 +126,7 @@ def cmd_qfi(args) -> int:
     probe = make_probe(args.n, args.gamma, args.theta, args.phi)
     model = ModelSpec(lambda_eff=args.lam, zeta=args.zeta, time=args.time)
     # the bound is det F / tr F without the cancellation of f_ll f_zz - f_lz^2
-    f_ll, f_zz, f_lz, bound = _probe_qfi(probe, model, extended=args.extended)
+    f_ll, f_zz, f_lz, bound = _probe_qfi(probe, model)
     fm = QfiMatrix(f_ll, f_zz, f_lz)
     t = args.time
     if t != 1.0:  # det and trace of diag(t, 1) F diag(t, 1); det = 0 where f_zz = 0, as at zeta = 1
@@ -184,13 +173,9 @@ def cmd_scan_phase(args) -> int:
     points = [(t, p) for t in thetas for p in phis]
     # at lambda = 1 the order QFI is divided by lambda^2, its only lambda dependence
     model = ModelSpec(lambda_eff=1.0, zeta=args.zeta)
-    if args.extended:
-        element = qfi_lambda if target is TargetKind.F_LAMBDA else qfi_zeta
-        vals = [element(make_probe(args.n, args.gamma, t, p), model, extended=True) for t, p in points]
-    else:
-        (grid,) = normal_law_grid(args.n, args.gamma, np.array(thetas)[:, None], phis, model,
-                                  entries=(0 if target is TargetKind.F_LAMBDA else 1,))
-        vals = grid.ravel().tolist()
+    (grid,) = normal_law_grid(args.n, args.gamma, np.array(thetas)[:, None], phis, model,
+                              entries=(0 if target is TargetKind.F_LAMBDA else 1,))
+    vals = grid.ravel().tolist()
     rows = [(t, p, v) for (t, p), v in zip(points, vals)]
     md = _base_metadata(
         args,
@@ -210,10 +195,7 @@ def cmd_scan_gamma(args) -> int:
     model = ModelSpec(lambda_eff=args.lam, zeta=args.zeta)
     target = OptTarget(TargetKind(args.target), model)
     gammas = [i / (args.grid - 1) for i in range(args.grid)]
-    if args.extended:
-        vals = [objective(g, args.n, target, extended=True) for g in gammas]
-    else:
-        vals = objective_grid(gammas, args.n, target)
+    vals = objective_grid(gammas, args.n, target)
     rows = list(zip(gammas, vals))
     md = _base_metadata(
         args,
@@ -265,7 +247,7 @@ def cmd_opt_gamma(args) -> int:
             asym = gamma_opt_high_n(zeta)
         for lam in lambdas:
             target = OptTarget(kind, ModelSpec(lambda_eff=lam, zeta=zeta))
-            for res in optimize_gamma_grid(ns, target, extended=args.extended):
+            for res in optimize_gamma_grid(ns, target):
                 rows.append((res.n_total, zeta, lam, res.gamma_opt, res.objective_value, asym))
     md = _base_metadata(
         args,
@@ -289,13 +271,7 @@ def cmd_threshold(args) -> int:
     records = []
     for lam in lambdas:
         target = OptTarget(kind, ModelSpec(lambda_eff=lam, zeta=args.zeta))
-        n_th = find_threshold(
-            target,
-            rel_tol=args.rel_tol,
-            n_hi=args.n_hi,
-            samples=args.samples,
-            extended=args.extended,
-        )
+        n_th = find_threshold(target, rel_tol=args.rel_tol, n_hi=args.n_hi, samples=args.samples)
         rec = {"target": args.target, "zeta": args.zeta, "lambda": lam, "rel_tol": args.rel_tol}
         if math.isinf(n_th):
             rec["n_th"] = "no-threshold"
@@ -406,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--jobs", type=int, default=1, help="no effect")
-        p.add_argument("--extended", action="store_true",
-                       help="evaluate the QFI polynomials at 40 digits and round each result once")
         p.add_argument("--json", action="store_true", help="emit a single JSON document instead of CSV/text")
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 

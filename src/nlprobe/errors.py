@@ -28,7 +28,7 @@ class InternalConsistencyError(NlprobeError):
 
 
 class NumericalRangeError(NlprobeError):
-    """A value left the range representable in the current precision mode."""
+    """A value left the double-precision range."""
 
 
 class DegenerateModelError(NlprobeError):

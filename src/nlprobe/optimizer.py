@@ -29,10 +29,7 @@ __all__ = [
 
 THRESHOLD_N_LO = 1e-4  # default lower end of the threshold search
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-OVERFLOW_MESSAGE = (
-    "objective overflowed double precision, to which both modes round; "
-    "reduce the probe energy, the order or the coupling"
-)
+OVERFLOW_MESSAGE = "objective overflowed double precision; reduce the probe energy, the order or the coupling"
 
 
 class TargetKind(enum.Enum):
@@ -72,24 +69,20 @@ def objective(
     target: OptTarget,
     theta: float = 0.0,
     phi: float = 0.0,
-    *,
-    extended: bool = False,
 ) -> float:
     """Figure of merit as a function of the squeezing fraction.
 
-    Every phase, target and precision goes through the scalar kernel
+    Every phase and target goes through the scalar kernel
     qfi_core._normal_law_qfi, asked for the target's entry alone: f_lambda
     evaluates V, f_zeta W, and the joint bound V, W and G. It raises
     OverflowError only where that entry does not fit in double.
     """
     entries = (_ENTRY[target.kind],)
-    return _normal_law_qfi(
-        float(n_total), float(gamma), float(theta), float(phi), target.model, extended=extended, entries=entries
-    )[0]
+    return _normal_law_qfi(float(n_total), float(gamma), float(theta), float(phi), target.model, entries=entries)[0]
 
 
 def objective_grid(gammas, n_total: float, target: OptTarget, theta: float = 0.0, phi: float = 0.0) -> list:
-    """The double-precision objective at every squeezing fraction of gammas, in one pass.
+    """The objective at every squeezing fraction of gammas, in one pass.
 
     Bit for bit the values objective gives point by point, and at the first
     point where it raises, the same error (qfi_core.normal_law_grid).
@@ -129,16 +122,14 @@ def optimize_gamma_grid(
     *,
     coarse: int = 129,
     gamma_tol: float = 1e-6,
-    extended: bool = False,
 ) -> list:
     """optimize_gamma at every energy of ns, as a list of GammaOptResult.
 
-    In double precision one pass of qfi_core.normal_law_grid fills the
-    len(ns) x coarse table of the coarse grids and numpy flags the local
-    maxima of every row at once; extended mode fills each row point by
-    point. The golden section then refines each row's candidates through
-    the scalar kernel qfi_core._normal_law_qfi, in the same precision.
-    Table and golden section evaluate the target's entry alone (objective).
+    One pass of qfi_core.normal_law_grid fills the len(ns) x coarse table
+    of the coarse grids and numpy flags the local maxima of every row at
+    once. The golden section then refines each row's candidates through
+    the scalar kernel qfi_core._normal_law_qfi. Table and golden section
+    evaluate the target's entry alone (objective).
     Results and errors are those of a loop over the energies: the rows are
     checked and refined in order, and a row on which the table holds a bad
     point is evaluated again point by point, which raises the error that
@@ -158,18 +149,15 @@ def optimize_gamma_grid(
 
     def fun(g):  # at the energy n_f of the row being refined
         try:
-            return _normal_law_qfi(n_f, g, theta, phi, model, extended=extended, entries=entries)[0]
+            return _normal_law_qfi(n_f, g, theta, phi, model, entries=entries)[0]
         except OverflowError as exc:
             raise NumericalRangeError(OVERFLOW_MESSAGE) from exc
 
     check(ns[0])  # the first row's checks come before its grid, as in a loop over the energies
     grid = [i / (coarse - 1) for i in range(coarse)]
-    if extended:
-        rows_ok = [False] * len(ns)
-    else:
-        (table,), ok = _normal_law_arrays(np.array(ns, dtype=float)[:, None], grid, theta, phi, model, entries)
-        rows_ok = ok.all(axis=1).tolist()
-        flags = _local_maxima(table)
+    (table,), ok = _normal_law_arrays(np.array(ns, dtype=float)[:, None], grid, theta, phi, model, entries)
+    rows_ok = ok.all(axis=1).tolist()
+    flags = _local_maxima(table)
 
     results = []
     for i, n in enumerate(ns):
@@ -177,7 +165,7 @@ def optimize_gamma_grid(
         n_f = float(n)
         if rows_ok[i]:
             row, row_flags = table[i], flags[i]
-        else:  # 40-digit values, or a row with a bad point: point by point it raises the error a loop meets first
+        else:  # a row with a bad point: point by point it raises the error a loop meets first
             row = np.array([fun(g) for g in grid])
             row_flags = _local_maxima(row[None])[0]
         vals = row.tolist()
@@ -206,7 +194,6 @@ def optimize_gamma(
     *,
     coarse: int = 129,
     gamma_tol: float = 1e-6,
-    extended: bool = False,
 ) -> GammaOptResult:
     """Maximize the target over gamma in [0, 1] to absolute tolerance 1e-6.
 
@@ -218,9 +205,7 @@ def optimize_gamma(
     gamma = 1 endpoint won that comparison (gamma_opt == 1.0). This is
     optimize_gamma_grid([n_total], ...)[0].
     """
-    return optimize_gamma_grid(
-        [n_total], target, theta, phi, coarse=coarse, gamma_tol=gamma_tol, extended=extended
-    )[0]
+    return optimize_gamma_grid([n_total], target, theta, phi, coarse=coarse, gamma_tol=gamma_tol)[0]
 
 
 def find_threshold(
@@ -232,7 +217,6 @@ def find_threshold(
     n_hi: float = 1e3,
     rel_tol: float = 1e-4,
     samples: int = 15,
-    extended: bool = False,
 ) -> float:
     """Energy below which pure squeezed vacuum (gamma = 1) is optimal.
 
@@ -253,7 +237,7 @@ def find_threshold(
 
     ratio = (n_hi / n_lo) ** (1.0 / (samples - 1))
     ns = [n_lo * ratio**i for i in range(samples)]
-    flags = [res.at_boundary for res in optimize_gamma_grid(ns, target, theta, phi, extended=extended)]
+    flags = [res.at_boundary for res in optimize_gamma_grid(ns, target, theta, phi)]
 
     if not flags[0]:
         raise ThresholdAmbiguousError(
@@ -274,7 +258,7 @@ def find_threshold(
         mid = math.sqrt(lo * hi)
         if not lo < mid < hi:  # lo and hi are adjacent doubles: the bracket cannot shrink
             break
-        if optimize_gamma(mid, target, theta, phi, extended=extended).at_boundary:
+        if optimize_gamma(mid, target, theta, phi).at_boundary:
             lo = mid
         else:
             hi = mid
@@ -291,8 +275,7 @@ def verify_zero_phase_optimality(
     """True iff the zero-phase probe maximizes the QFI element on a phase grid.
 
     Checks F(theta=0, phi=0) >= F(theta_i, phi_j) - 1e-9 over a grid x grid
-    sweep of both phases across [0, 2 pi), in double precision, the whole
-    grid in one pass (qfi_core.normal_law_grid).
+    sweep of both phases across [0, 2 pi), the whole grid in one pass (qfi_core.normal_law_grid).
     """
     if grid < 8:
         raise DomainError("phase grid must have at least 8 points per axis")

@@ -9,9 +9,8 @@ the Uhlmann antisymmetric part vanishes identically.
 
 Every entry and the joint bound come from one kernel, _normal_law_qfi: the
 quadrature is normal in both moment families, so the entries are integer
-polynomials in x = mu^2 / sigma^2 evaluated by Horner's rule, in double
-precision or, in extended mode, over the exact coefficients at 40 digits
-with one rounding per result. normal_law_grid evaluates the same formulas
+polynomials in x = mu^2 / sigma^2 evaluated in double precision by Horner's
+rule. normal_law_grid evaluates the same normal law and the same formulas
 (_entry) over numpy arrays. Both take the entries a caller needs and
 evaluate only the polynomials those read.
 """
@@ -25,7 +24,7 @@ import numpy as np
 
 from .combinatorics import normal_law_covariance, normal_law_polynomials
 from .errors import DegenerateModelError, DomainError, InternalConsistencyError
-from .moments import EXTENDED_DPS, _check_beta_sign, _normal_law
+from .moments import _check_beta_sign, _normal_law
 from .probe import ProbeSpec, make_probe
 
 __all__ = [
@@ -86,13 +85,13 @@ class QfiMatrix:
 
 
 @lru_cache(maxsize=None)
-def _normal_law_table(zeta, exact=False):
-    """The coefficients of V, W, G (normal_law_polynomials(zeta)) and Q
+def _normal_law_table(zeta):
+    """The float coefficients of V, W, G (normal_law_polynomials(zeta)) and Q
     (normal_law_covariance(zeta)) in the order Horner's rule takes them,
     indexed by x > 1: highest power of x first, and lowest first for the
-    sum in 1/x. Floats, or with exact=True the integers themselves."""
+    sum in 1/x."""
     polys = normal_law_polynomials(zeta) + (normal_law_covariance(zeta),)
-    low_first = tuple(tuple(c if exact else float(c) for c in p) for p in polys)
+    low_first = tuple(tuple(map(float, p)) for p in polys)
     return tuple(p[::-1] for p in low_first), low_first
 
 
@@ -105,8 +104,8 @@ def _horner(coeffs, t):
 
 
 def _entry(k, horner, polys, t, mean, var, u, scale, lz):
-    """Entry k of (f_ll, f_zz, f_lz, det F / tr F) (_normal_law_qfi) on floats,
-    mpf or arrays, with scale = 4 sigma^2 u^(zeta-2) and horner(polys[j], t)
+    """Entry k of (f_ll, f_zz, f_lz, det F / tr F) (_normal_law_qfi) on floats
+    or arrays, with scale = 4 sigma^2 u^(zeta-2) and horner(polys[j], t)
     polynomial j of (V, W, G, Q) divided by max(x, 1) to its degree. Only the
     polynomials of entry k are evaluated, and f_ll does not read lz = lambda zeta.
     """
@@ -125,8 +124,8 @@ def _entry(k, horner, polys, t, mean, var, u, scale, lz):
 
 def _assemble(mean, var, lz, zeta, table, entries):
     """The entries of (f_ll, f_zz, f_lz, det F / tr F) at the indices in
-    entries, as a list, from the quadrature's mean and variance, in the
-    precision of mean, var and lz = lambda zeta.
+    entries, as a list, from the quadrature's mean and variance and
+    lz = lambda zeta.
 
     The polynomials run in t = x for x <= 1 and in t = 1/x for x > 1, which
     divides them by max(x, 1) to their degrees and leaves the powers of x
@@ -142,10 +141,10 @@ def _assemble(mean, var, lz, zeta, table, entries):
     return values
 
 
-def _normal_law_qfi(n_total, gamma, theta, phi, model, beta_sign=+1, extended=False, entries=(0, 1, 2, 3)):
+def _normal_law_qfi(n_total, gamma, theta, phi, model, beta_sign=+1, entries=(0, 1, 2, 3)):
     """The entries of (f_ll, f_zz, f_lz, det F / tr F) at the indices in
     entries (all four by default), on the plain floats of a probe: the one
-    QFI assembly of the package, for both families and both precisions.
+    QFI assembly of the package, for both families.
 
     In both moment families the quadrature X = a + a^dag is normal, with
     the mean mu and variance sigma^2 of moments._normal_law. Both variances,
@@ -165,9 +164,7 @@ def _normal_law_qfi(n_total, gamma, theta, phi, model, beta_sign=+1, extended=Fa
     degrees, so at most their coefficient sums: no intermediate overflows
     where the results fit. Only the polynomials that the requested entries
     read are evaluated (_entry): f_ll alone costs one Horner sum and never
-    reads lambda. Extended mode runs the same formulas with mpmath in place
-    of math, over the exact integer coefficients at EXTENDED_DPS digits, and
-    rounds each result once. A point outside the probe domain raises
+    reads lambda. A point outside the probe domain raises
     make_probe's DomainError, a requested entry beyond the double range
     OverflowError; an entry that was not requested is not checked.
     """
@@ -175,59 +172,50 @@ def _normal_law_qfi(n_total, gamma, theta, phi, model, beta_sign=+1, extended=Fa
             and math.isfinite(theta) and math.isfinite(phi)):
         make_probe(n_total, gamma, theta, phi)
     zeta = model.zeta
-    if extended:
-        import mpmath  # extended mode only, so that `import nlprobe.cli` never loads it
-
-        with mpmath.workdps(EXTENDED_DPS):
-            num = mpmath.mpf
-            mean, var = _normal_law(num(n_total), num(gamma), num(theta), num(phi), beta_sign, mpmath)
-            lz = num(model.lambda_eff) * zeta
-            values = [float(v) for v in _assemble(mean, var, lz, zeta, _normal_law_table(zeta, True), entries)]
-    else:
-        mean, var = _normal_law(n_total, gamma, theta, phi, beta_sign)
-        values = _assemble(mean, var, model.lambda_eff * zeta, zeta, _normal_law_table(zeta), entries)
+    mean, var = _normal_law(n_total, gamma, theta, phi, beta_sign)
+    values = _assemble(mean, var, model.lambda_eff * zeta, zeta, _normal_law_table(zeta), entries)
     for value in values:
         if not -math.inf < value < math.inf:
-            raise OverflowError(OVERFLOW)  # products overflow silently, and float() rounds to inf
+            raise OverflowError(OVERFLOW)  # products overflow silently
     return values
 
 
-def _probe_qfi(probe: ProbeSpec, model: ModelSpec, beta_sign=+1, extended=False, entries=(0, 1, 2, 3)):
+def _probe_qfi(probe: ProbeSpec, model: ModelSpec, beta_sign=+1, entries=(0, 1, 2, 3)):
     """_normal_law_qfi at a probe."""
     _check_beta_sign(beta_sign)
-    return _normal_law_qfi(probe.n_total, probe.gamma, probe.theta, probe.phi, model, beta_sign, extended, entries)
+    return _normal_law_qfi(probe.n_total, probe.gamma, probe.theta, probe.phi, model, beta_sign, entries)
 
 
-def qfi_lambda(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, extended: bool = False) -> float:
+def qfi_lambda(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1) -> float:
     """QFI for the effective coupling: 4 [<G_2z> - <G_z>^2].
 
     Independent of lambda by construction; only model.zeta is read.
     """
-    return _probe_qfi(probe, model, beta_sign, extended, (0,))[0]
+    return _probe_qfi(probe, model, beta_sign, (0,))[0]
 
 
-def qfi_zeta(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, extended: bool = False) -> float:
+def qfi_zeta(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1) -> float:
     """QFI for the nonlinearity order: 4 (lambda zeta)^2 [<G_2(z-1)> - <G_(z-1)>^2].
 
     At zeta = 1 the generator derivative is the identity (G_0 convention),
     whose variance vanishes, so the element is exactly zero.
     """
-    return _probe_qfi(probe, model, beta_sign, extended, (1,))[0]
+    return _probe_qfi(probe, model, beta_sign, (1,))[0]
 
 
-def qfi_cross(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, extended: bool = False) -> float:
+def qfi_cross(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1) -> float:
     """Off-diagonal element: 4 lambda zeta [<G_(2z-1)> - <G_z><G_(z-1)>]."""
-    return _probe_qfi(probe, model, beta_sign, extended, (2,))[0]
+    return _probe_qfi(probe, model, beta_sign, (2,))[0]
 
 
-def qfi_matrix(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1, extended: bool = False) -> QfiMatrix:
+def qfi_matrix(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1) -> QfiMatrix:
     """Assemble the full matrix; u_lz is identically zero for this model.
 
     [G_zeta, G_(zeta-1)] = 0 because both are powers of the same Hermitian
     operator, so the mean SLD commutator (the Uhlmann element) vanishes and
     joint estimation carries no intrinsic quantum incompatibility.
     """
-    return QfiMatrix(*_probe_qfi(probe, model, beta_sign, extended)[:3], u_lz=0.0)
+    return QfiMatrix(*_probe_qfi(probe, model, beta_sign)[:3], u_lz=0.0)
 
 
 def normal_law_qfi(probe: ProbeSpec, model: ModelSpec):
@@ -257,13 +245,7 @@ def _normal_law_arrays(n_total, gamma, theta, phi, model: ModelSpec, entries):
     n, gam, th, ph = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (n_total, gamma, theta, phi)))
     polys = tuple(zip(*_normal_law_table(model.zeta)))  # (x <= 1, x > 1) coefficient orders of V, W, G, Q
     with np.errstate(all="ignore"):  # both Horner branches run everywhere, 1/x included
-        n_sq = gam * n
-        e_r = np.sqrt(n_sq) + np.sqrt(1.0 + n_sq)
-        big, small = e_r * e_r, 1.0 / (e_r * e_r)
-        h = 0.5 * th
-        ch, sh = np.cos(h), np.sin(h)
-        var = big * ch * ch + small * sh * sh
-        mean = 2.0 * np.sqrt((1.0 - gam) * n) * (big * ch * np.cos(h - ph) + small * sh * np.sin(h - ph))
+        mean, var = _normal_law(n, gam, th, ph, +1, np)
         x = mean * mean / var
         above = x > 1.0
         u = np.where(above, mean * mean, var)

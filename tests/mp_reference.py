@@ -1,0 +1,156 @@
+"""40-digit references that the tests hold the double-precision code to.
+
+kernel is qfi_core._normal_law_qfi evaluated with mpmath: the quadrature's
+normal law at 40 digits, without the compensated phase difference of
+moments._normal_law (at 40 digits the rounding of h - phi is harmless), and
+qfi_core's assembly over the exact integer coefficients of the polynomials,
+with each entry rounded to double once. It checks the precision of the
+double kernel, not its formulas; tests/test_properties.py holds those to an
+independent 80-digit moment recursion.
+
+printed_moments evaluates the printed general-phase formula
+
+    <G_zeta> = eta^zeta * sum_{k,s} C(zeta,k,s) e^(i psi (zeta-2k-2s))
+               conj(beta)^s beta^(zeta-2k-s)
+
+with (mu, nu, beta, eta, psi) as in probe.bogoliubov_view, at 40 digits. It
+shares nothing with the normal law but the probe, and its imaginary residue
+checks the phase bookkeeping.
+"""
+
+import math
+from functools import lru_cache
+from unittest import mock
+
+import mpmath
+import numpy as np
+
+from nlprobe import optimizer
+from nlprobe.combinatorics import normal_law_covariance, normal_law_polynomials, normal_order_coeff
+from nlprobe.errors import InternalConsistencyError
+from nlprobe.moments import _normal_sum
+from nlprobe.qfi_core import OVERFLOW, QfiMatrix, _assemble
+
+DPS = 40  # working digits
+IMAG_RESIDUE_TOL = 1e-10
+
+
+@lru_cache(maxsize=None)
+def _exact_table(zeta):
+    """qfi_core._normal_law_table with the integer coefficients themselves."""
+    low_first = tuple(map(tuple, normal_law_polynomials(zeta) + (normal_law_covariance(zeta),)))
+    return tuple(p[::-1] for p in low_first), low_first
+
+
+def _normal_law(n_total, gamma, theta, phi, beta_sign):
+    """moments._normal_law on mpf arguments, in the working precision."""
+    n_sq = gamma * n_total
+    e_r = mpmath.sqrt(n_sq) + mpmath.sqrt(1 + n_sq)
+    big, small = e_r * e_r, 1 / (e_r * e_r)
+    h = theta / 2
+    ch, sh = mpmath.cos(h), mpmath.sin(h)
+    var = big * ch * ch + small * sh * sh
+    a2 = 2 * mpmath.sqrt((1 - gamma) * n_total)
+    if beta_sign > 0:
+        return a2 * (big * ch * mpmath.cos(h - phi) + small * sh * mpmath.sin(h - phi)), var
+    return a2 * mpmath.cos(phi), var
+
+
+def kernel(n_total, gamma, theta, phi, model, beta_sign=+1, entries=(0, 1, 2, 3)):
+    """qfi_core._normal_law_qfi at 40 digits, one rounding per entry."""
+    zeta = model.zeta
+    with mpmath.workdps(DPS):
+        mean, var = _normal_law(*map(mpmath.mpf, (n_total, gamma, theta, phi)), beta_sign)
+        lz = mpmath.mpf(model.lambda_eff) * zeta
+        values = [float(v) for v in _assemble(mean, var, lz, zeta, _exact_table(zeta), entries)]
+    if not all(-math.inf < v < math.inf for v in values):
+        raise OverflowError(OVERFLOW)
+    return values
+
+
+def probe_qfi(probe, model, beta_sign=+1, entries=(0, 1, 2, 3)):
+    """qfi_core._probe_qfi at 40 digits."""
+    return kernel(probe.n_total, probe.gamma, probe.theta, probe.phi, model, beta_sign, entries)
+
+
+def qfi_matrix(probe, model, beta_sign=+1):
+    """qfi_core.qfi_matrix at 40 digits."""
+    return QfiMatrix(*probe_qfi(probe, model, beta_sign)[:3])
+
+
+def objective(gamma, n_total, target, theta=0.0, phi=0.0):
+    """optimizer.objective at 40 digits."""
+    return kernel(n_total, gamma, theta, phi, target.model, entries=(optimizer._ENTRY[target.kind],))[0]
+
+
+def _no_table(n_total, gamma, theta, phi, model, entries):
+    """A coarse table on which every point is bad, so that every row is filled point by point."""
+    shape = np.broadcast_shapes(np.shape(n_total), np.shape(gamma))
+    return (np.zeros(shape),) * len(entries), np.zeros(shape, dtype=bool)
+
+
+def optimize_gamma_grid(ns, target, theta=0.0, phi=0.0):
+    """optimizer.optimize_gamma_grid with every objective value from kernel."""
+    with mock.patch.object(optimizer, "_normal_law_qfi", kernel), \
+            mock.patch.object(optimizer, "_normal_law_arrays", _no_table):
+        return optimizer.optimize_gamma_grid(ns, target, theta, phi)
+
+
+def optimize_gamma(n_total, target, theta=0.0, phi=0.0):
+    return optimize_gamma_grid([n_total], target, theta, phi)[0]
+
+
+def real_axis_moment(alpha, r, k, beta_sign=+1):
+    """moments.moment_real_axis at 40 digits."""
+    with mpmath.workdps(DPS):
+        big = mpmath.exp(2 * mpmath.mpf(r))
+        return float(_normal_sum(k, 2 * mpmath.mpf(alpha) * (big if beta_sign > 0 else 1), big))
+
+
+# built at DPS digits and cached, so only asked for inside mpmath.workdps(DPS)
+@lru_cache(maxsize=None)
+def _printed_table(k):
+    """The terms (C(k,j,s), phase multiplier, power of conj(beta), power of beta) of order k."""
+    terms = (
+        (normal_order_coeff(k, j, s), k - 2 * j - 2 * s, s, k - 2 * j - s)
+        for j in range(k // 2 + 1)
+        for s in range(k - 2 * j + 1)
+    )
+    return tuple((mpmath.mpf(c.numerator) / c.denominator, ph, s, p) for c, ph, s, p in terms)
+
+
+def printed_moments(probe, orders, beta_sign=+1):
+    """{k: <G_k>} for k = 0 and every k in orders from the printed sum, as
+    unrounded mpf at DPS digits: combine them inside mpmath.workdps(DPS).
+
+    An imaginary residue above IMAG_RESIDUE_TOL of eta^k max|term| means the
+    phase bookkeeping is broken and raises InternalConsistencyError.
+    """
+    orders = set(orders) | {0}
+    k_max = max(orders)
+    with mpmath.workdps(DPS):
+        mpf = mpmath.mpf
+        n_sq = mpf(probe.gamma) * mpf(probe.n_total)
+        n_ch = (1 - mpf(probe.gamma)) * mpf(probe.n_total)
+        r = mpmath.asinh(mpmath.sqrt(n_sq))
+        alpha = mpmath.sqrt(n_ch) * mpmath.expj(mpf(probe.phi))
+        mu = mpmath.cosh(r)
+        nu = mpmath.expj(mpf(probe.theta)) * mpmath.sinh(r)
+        eta = abs(mu + nu)
+        psi = mpmath.arg(mu + mpmath.conj(nu))
+        phase = {ph: mpmath.expj(psi * ph) for ph in range(-k_max, k_max + 1)}
+        beta = mu * alpha + beta_sign * nu * mpmath.conj(alpha)
+        betac = mpmath.conj(beta)
+        beta_pow = [beta**p for p in range(k_max + 1)]
+        betac_pow = [betac**s for s in range(k_max + 1)]
+        out = {}
+        for k in orders:
+            terms = [c * phase[ph] * betac_pow[s] * beta_pow[p] for c, ph, s, p in _printed_table(k)]
+            scale = eta**k
+            total = scale * sum(terms)
+            if abs(total.imag) > IMAG_RESIDUE_TOL * scale * max(map(abs, terms)):
+                raise InternalConsistencyError(
+                    f"imaginary residue {float(total.imag):.3e} exceeds tolerance for k={k} probe={probe}"
+                )
+            out[k] = total.real
+        return out

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+import mp_reference
 from nlprobe.combinatorics import coeff_row_sum, normal_order_coeff
 from nlprobe.asymptotics import qfi_lambda_low_n, qfi_zeta_low_n
 from nlprobe.cli import main as cli_main
@@ -258,8 +259,8 @@ def test_c09_supplement_low_n_expansion_attainable():
     reason=(
         "criterion 10 asks for a finite joint threshold above the individual one "
         "at zeta = 3 and 4, but at zeta = 3 (lambda = 1) gamma = 1 stays optimal "
-        "for the joint bound over the whole searched range: the 40-digit path "
-        "(optimize_gamma(..., extended=True)) and an independent 50-digit "
+        "for the joint bound over the whole searched range: the 40-digit reference "
+        "kernel (tests/mp_reference.py) and an independent 50-digit "
         "normal-law reference keep gamma_opt = 1 at N = 5.3e3, 1e5 and 1e7. "
         "The crossover near N = 5268 that this check once found came from a "
         "double-precision det F that had lost its digits to cancellation; with "
@@ -292,7 +293,10 @@ def test_c10_supplement_joint_threshold_ordering_attainable():
     individual = find_threshold(OptTarget(TargetKind.F_LAMBDA, ModelSpec(lambda_eff=1.0, zeta=4)))
     joint4 = find_threshold(zeta4, n_hi=1e6, samples=21)
     joint3 = find_threshold(zeta3, n_hi=1e6, samples=21)
-    vacuum_optimal = optimize_gamma(5.3e3, zeta3, extended=True).at_boundary
+    # gamma = 1 beats a fine gamma grid, and the points next to it, at 40 digits
+    at_one = mp_reference.objective(1.0, 5.3e3, zeta3)
+    grid = [i / 1000 for i in range(1000)] + [1.0 - 10.0**-k for k in range(4, 10)]
+    vacuum_optimal = all(mp_reference.objective(g, 5.3e3, zeta3) < at_one for g in grid)
     ok = (
         abs(joint4 - 1.28139) <= 1e-3
         and joint4 > individual + 1e-4
@@ -303,7 +307,7 @@ def test_c10_supplement_joint_threshold_ordering_attainable():
         "C10s",
         ok,
         f"z=4: joint={joint4:.5f} individual={individual:.4f}; z=3: joint={joint3} "
-        f"(gamma=1 optimal at N=5.3e3 in extended precision: {vacuum_optimal})",
+        f"(gamma=1 beats a 1000-point grid at N=5.3e3 at 40 digits: {vacuum_optimal})",
     )
     assert ok
 

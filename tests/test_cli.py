@@ -10,20 +10,26 @@ from pathlib import Path
 
 import pytest
 
+import mp_reference
 import nlprobe
 import nlprobe.cli as cli
 from nlprobe.cli import main
 from nlprobe.errors import InternalConsistencyError
 from nlprobe.moments import moment_real_axis
-from nlprobe.optimizer import OptTarget, TargetKind, objective, optimize_gamma
+from nlprobe.optimizer import OptTarget, TargetKind, objective
 from nlprobe.probe import bogoliubov_view, make_probe
-from nlprobe.qfi_core import ModelSpec, qfi_lambda
+from nlprobe.qfi_core import ModelSpec
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def use_40_digit_kernel(monkeypatch):
+    """Make qfi compute its entries with the 40-digit reference kernel."""
+    monkeypatch.setattr(cli, "_probe_qfi", mp_reference.probe_qfi)
 
 
 def parse_record(text):
@@ -89,25 +95,27 @@ class TestQfiCommand:
     }
 
     @pytest.mark.parametrize(
-        "argv, want",
+        "argv, want, reference",
         [
             # entries 1e-30 where the moments summed are far larger: the
             # double moment sums printed an exit 2 "trace is zero" here
-            pytest.param(FOUND_REPRO, "found", id="entries-far-below-the-terms"),
+            pytest.param(FOUND_REPRO, "found", False, id="entries-far-below-the-terms"),
             # the 40-digit general-phase sums needed 67 digits here and exited 2
             # with "negative determinant"
-            pytest.param(FOUND_REPRO + ["--extended"], "found", id="entries-far-below-the-terms-extended"),
+            pytest.param(FOUND_REPRO, "found", True, id="entries-far-below-the-terms-40-digit"),
             # det F cancels 18 digits: subtracting rounded entries printed 1.19e24
-            pytest.param(HIGH_N, "high_n", id="determinant-cancels"),
-            pytest.param(HIGH_N + ["--extended"], "high_n", id="determinant-cancels-extended"),
-            pytest.param(TIMED, "timed", id="time-reparametrized"),
-            pytest.param(TIMED + ["--extended"], "timed", id="time-reparametrized-extended"),
-            pytest.param(HUGE + ["--zeta", "2"], "huge", id="huge-energy"),
+            pytest.param(HIGH_N, "high_n", False, id="determinant-cancels"),
+            pytest.param(HIGH_N, "high_n", True, id="determinant-cancels-40-digit"),
+            pytest.param(TIMED, "timed", False, id="time-reparametrized"),
+            pytest.param(TIMED, "timed", True, id="time-reparametrized-40-digit"),
+            pytest.param(HUGE + ["--zeta", "2"], "huge", False, id="huge-energy"),
             # f_ll f_zz - f_lz^2 of the 40-digit moment sums came out -4.6e192: exit 2
-            pytest.param(HUGE + ["--zeta", "2", "--extended"], "huge", id="huge-energy-extended"),
+            pytest.param(HUGE + ["--zeta", "2"], "huge", True, id="huge-energy-40-digit"),
         ],
     )
-    def test_matches_the_80_digit_normal_law(self, capsys, argv, want):
+    def test_matches_the_80_digit_normal_law(self, capsys, monkeypatch, argv, want, reference):
+        if reference:
+            use_40_digit_kernel(monkeypatch)
         code, out, _ = run_cli(capsys, "qfi", *argv)
         assert code == 0
         rec = parse_record(out)
@@ -135,6 +143,9 @@ class TestQfiCommand:
                 ["scan-phase", "--n", "1", "--gamma", "0.5", "--zeta", "2", "--target", "f_lambda", "--grid", "0"],
                 id="phase-grid-0",
             ),
+            # the 40-digit mode is retired: its flag is an unknown argument
+            pytest.param(["qfi", "--n", "1", "--gamma", "0.5", "--zeta", "2", "--lambda", "1", "--extended"],
+                         id="extended"),
         ],
     )
     def test_usage_error_exits_two(self, capsys, argv):
@@ -164,12 +175,14 @@ class TestQfiCommand:
         assert parse_record(out) == {"f_ll": "0.0", "f_zz": "0.0", "f_lz": "0.0", "u_lz": "0.0",
                                      "scalar_bound_inverse": "0.0"}
 
-    def test_extended_overflow_exits_three_as_double_does(self, capsys):
+    @pytest.mark.parametrize("kernel", ["double", "40-digit"])
+    def test_overflow_exits_three(self, capsys, monkeypatch, kernel):
         # the 40-digit sums raised DegenerateModelError (exit 2) here
-        for mode in ([], ["--extended"]):
-            code, out, err = run_cli(capsys, "qfi", *self.HUGE, "--zeta", "12", *mode)
-            assert (code, out) == (3, "")
-            assert json.loads(err)["error"] == "OverflowError"
+        if kernel == "40-digit":
+            use_40_digit_kernel(monkeypatch)
+        code, out, err = run_cli(capsys, "qfi", *self.HUGE, "--zeta", "12")
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == "OverflowError"
 
 
 class TestScanPhase:
@@ -215,16 +228,6 @@ class TestScanPhase:
         assert main(args + ["--jobs", "8", "--out", str(f8)]) == 0
         assert f1.read_bytes() == f8.read_bytes()
 
-    def test_jobs_do_not_change_extended_bytes(self, tmp_path):
-        # mpmath's working precision is process-wide: worker threads leaving
-        # their 40-digit blocks used to cut the digits of the others
-        args = ["scan-phase", "--n", "2", "--gamma", "0.3", "--zeta", "4", "--target", "f_zeta", "--grid", "12",
-                "--extended"]
-        outs = [tmp_path / f"{i}.csv" for i in range(3)]
-        for out, jobs in zip(outs, ("1", "4", "4")):
-            assert main(args + ["--jobs", jobs, "--out", str(out)]) == 0
-        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
-
 
     def scan_values(self, out):
         rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")][1:]
@@ -245,7 +248,7 @@ class TestScanPhase:
         model = ModelSpec(lambda_eff=1.0, zeta=6)
         for i, j in [(24, 8), (0, 0), (7, 31), (40, 13), (13, 45)]:
             probe = make_probe(10.0, 0.5, i * step, j * step)
-            expected = qfi_lambda(probe, model, extended=True)
+            expected = mp_reference.probe_qfi(probe, model, entries=(0,))[0]
             # double precision is accurate relative to the summed term
             # magnitudes eta^k sum|C| |beta|^(k-2j), not to the value itself
             view = bogoliubov_view(probe)
@@ -253,17 +256,20 @@ class TestScanPhase:
             tol = 1e-12 * 4 * (size[0] + size[1] ** 2)
             assert values[(i * step, j * step)] == pytest.approx(expected, rel=0, abs=tol)
 
-    def test_extended_subtracts_before_rounding(self, capsys):
-        # at N = 1e8 the variance cancels ~16 digits; rounding each moment to
-        # double before the subtraction printed 0.0 here
+    def test_high_energy_scan_keeps_the_40_digit_values(self, capsys):
+        # at N = 1e8 the variance cancels ~16 digits; the 40-digit moment sums,
+        # rounded to double before the subtraction, printed 0.0 here
         code, out, _ = run_cli(
             capsys,
             "scan-phase", "--n", "1e8", "--gamma", "0.5", "--zeta", "2",
-            "--target", "f_lambda", "--grid", "8", "--extended",
+            "--target", "f_lambda", "--grid", "8",
         )
         assert code == 0
-        expected = qfi_lambda(make_probe(1e8, 0.5), ModelSpec(1.0, 2), extended=True)
-        assert self.scan_values(out)[(0.0, 0.0)] == expected
+        values = self.scan_values(out)
+        assert len(values) == 64
+        for (theta, phi), value in values.items():
+            expected = mp_reference.probe_qfi(make_probe(1e8, 0.5, theta, phi), ModelSpec(1.0, 2), entries=(0,))[0]
+            assert value == pytest.approx(expected, rel=1e-14, abs=0)
 
 
 class TestOutFile:
@@ -358,16 +364,16 @@ class TestThreshold:
     def test_joint_interior_optimum_near_one_is_not_a_second_crossing(self, capsys):
         # at high energy the joint optimum is interior but within 1e-6 of
         # gamma = 1; only gamma_opt == 1 counts as the boundary, so the single
-        # crossing near N = 1.26 is found, where the 40-digit path puts it
+        # crossing near N = 1.26 is found, where the 40-digit reference puts it
         argv = ["threshold", "--target", "joint", "--zeta", "3", "--lambda", "100", "--n-hi", "1e6", "--samples", "21"]
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
         assert out == "target=joint zeta=3 lambda=100.0 rel_tol=0.0001 n_th=1.2579261672532058\n"
         t = OptTarget(TargetKind.JOINT_BOUND, ModelSpec(lambda_eff=100.0, zeta=3))
         n_th = 1.2579261672532058
-        assert optimize_gamma(n_th * (1 - 1e-3), t, extended=True).at_boundary
-        assert not optimize_gamma(n_th * (1 + 1e-3), t, extended=True).at_boundary
-        high = optimize_gamma(1e6, t, extended=True)
+        assert mp_reference.optimize_gamma(n_th * (1 - 1e-3), t).at_boundary
+        assert not mp_reference.optimize_gamma(n_th * (1 + 1e-3), t).at_boundary
+        high = mp_reference.optimize_gamma(1e6, t)
         assert 1.0 - 1e-6 < high.gamma_opt < 1.0 and not high.at_boundary
 
 
@@ -412,16 +418,15 @@ class TestErrorPaths:
         assert (code, out) == (3, "")
         assert json.loads(err) == {
             "error": "NumericalRangeError",
-            "message": "objective overflowed double precision, to which both modes round; "
-            "reduce the probe energy, the order or the coupling",
+            "message": "objective overflowed double precision; reduce the probe energy, the order or the coupling",
         }
 
     @pytest.mark.parametrize(
         "n_range, code, err",
         [
             ("1:inf:3", 2, '{"error": "DomainError", "message": "mean photon number must be finite and >= 0, got inf"}\n'),
-            ("1e30:1e40:3", 3, '{"error": "NumericalRangeError", "message": "objective overflowed double precision, '
-             'to which both modes round; reduce the probe energy, the order or the coupling"}\n'),
+            ("1e30:1e40:3", 3, '{"error": "NumericalRangeError", "message": "objective overflowed double precision; '
+             'reduce the probe energy, the order or the coupling"}\n'),
         ],
         ids=["infinite-energy", "overflow"],
     )
@@ -452,8 +457,7 @@ class TestErrorPaths:
             (["scan-gamma", "--target", "joint", "--zeta", "3", "--n", "1", "--grid", "3"],
              "OverflowError", "QFI entries exceed the double-precision range"),
             (["threshold", "--target", "joint", "--zeta", "2"], "NumericalRangeError",
-             "objective overflowed double precision, to which both modes round; "
-             "reduce the probe energy, the order or the coupling"),
+             "objective overflowed double precision; reduce the probe energy, the order or the coupling"),
         ],
         ids=["qfi", "scan-gamma-f_zeta", "scan-gamma-joint", "threshold-joint"],
     )
@@ -467,16 +471,13 @@ class TestErrorPaths:
         # gamma = 0.5, and 6.399999999967508e31 for 6.4e31 at gamma = 0
         [("1", "5", 1e-12), ("1e30", "3", 1e-15)],
     )
-    def test_extended_mode_matches_double_on_scan(self, capsys, n, grid, rel):
-        base = ["scan-gamma", "--n", n, "--zeta", "2", "--target", "f_lambda", "--grid", grid]
-        _, out_d, _ = run_cli(capsys, *base)
-        _, out_e, _ = run_cli(capsys, *base, "--extended")
-        rows_d = [l for l in out_d.splitlines() if not l.startswith("#")][1:]
-        rows_e = [l for l in out_e.splitlines() if not l.startswith("#")][1:]
-        assert len(rows_d) == len(rows_e) == int(grid)
-        for rd, re_ in zip(rows_d, rows_e):
-            vd, ve = float(rd.split(",")[1]), float(re_.split(",")[1])
-            assert ve == pytest.approx(vd, rel=rel)
+    def test_scan_matches_40_digits(self, capsys, n, grid, rel):
+        _, out, _ = run_cli(capsys, "scan-gamma", "--n", n, "--zeta", "2", "--target", "f_lambda", "--grid", grid)
+        rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")][1:]
+        assert len(rows) == int(grid)
+        t = OptTarget(TargetKind.F_LAMBDA, ModelSpec(1.0, 2))
+        for gamma, value in rows:
+            assert mp_reference.objective(float(gamma), float(n), t) == pytest.approx(float(value), rel=rel)
 
 
 class TestRegressionSet:
@@ -563,17 +564,30 @@ class TestScanOutput:
 
 
 def test_cli_import_loads_no_scipy():
-    # only the oracle needs scipy and only extended mode needs mpmath;
+    # only the oracle needs scipy, and no module or command of the program
+    # needs mpmath, which only the tests' 40-digit reference uses;
     # perfbench's tracer still finds the oracle module loaded
+    calls = [
+        ["qfi", "--n", "2", "--gamma", "0.3", "--theta", "0.4", "--phi", "1.8", "--zeta", "3", "--lambda", "1"],
+        ["scan-phase", "--n", "2", "--gamma", "0.5", "--zeta", "3", "--target", "f_lambda", "--grid", "4"],
+        ["scan-gamma", "--n", "2", "--zeta", "3", "--target", "joint", "--grid", "5"],
+        ["opt-gamma", "--target", "f_zeta", "--zeta", "3", "--n-range", "0.1:10:3"],
+        ["threshold", "--target", "f_lambda", "--zeta", "2"],
+        ["selftest"],
+    ]
     code = (
-        "import sys, nlprobe.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
-        "sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'), 'nlprobe.fock_oracle' in sys.modules)"
+        "import contextlib, importlib, io, pkgutil, sys, nlprobe.cli\n"
+        "def loaded(name): return sorted(m for m in sys.modules if m.split('.')[0] == name)\n"
+        "print(loaded('scipy'), loaded('mpmath'), 'nlprobe.fock_oracle' in sys.modules)\n"
+        "for info in pkgutil.iter_modules(nlprobe.__path__): importlib.import_module('nlprobe.' + info.name)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [nlprobe.cli.main(argv) for argv in {calls!r}]\n"
+        "print(codes, loaded('mpmath'))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(nlprobe.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[]", "[]", "True"]
+    assert proc.stdout.splitlines() == ["[] [] True", f"{[0] * len(calls)} []"]
 
 
 class TestNonFinitePhases:
@@ -583,7 +597,7 @@ class TestNonFinitePhases:
          (["--phi=-inf"], "theta=0.0, phi=-inf"), (["--theta", "1", "--phi", "nan"], "theta=1.0, phi=nan")],
         ids=["theta-inf", "theta-nan", "phi-minus-inf", "phi-nan"],
     )
-    @pytest.mark.parametrize("mode", [[], ["--extended"], ["--oracle"]], ids=["double", "extended", "oracle"])
+    @pytest.mark.parametrize("mode", [[], ["--oracle"]], ids=["double", "oracle"])
     def test_qfi_exits_two(self, capsys, phase, shown, mode):
         argv = ["qfi", "--n", "1", "--gamma", "0.5", *phase, "--zeta", "2", "--lambda", "1", *mode]
         err = f'{{"error": "DomainError", "message": "phases must be finite, got {shown}"}}\n'
@@ -622,17 +636,17 @@ class TestEmission:
             ["scan-phase", "--n", "2", "--gamma", "0.5", "--zeta", "3", "--target", "f_lambda", "--grid", "1"],
             ["scan-phase", "--n", "10", "--gamma", "0.5", "--zeta", "6", "--target", "f_lambda", "--grid", "30"],
             ["scan-phase", "--n", "1.7", "--gamma", "0.4", "--zeta", "4", "--target", "f_zeta", "--grid", "32"],
-            ["scan-phase", "--n", "1.3", "--gamma", "0.6", "--zeta", "3", "--target", "f_zeta", "--grid", "5", "--extended"],
+            ["scan-phase", "--n", "1.3", "--gamma", "0.6", "--zeta", "3", "--target", "f_zeta", "--grid", "5"],
             ["scan-gamma", "--n", "3", "--zeta", "2", "--target", "joint", "--grid", "2"],
             ["scan-gamma", "--n", "0.37", "--zeta", "7", "--target", "f_lambda", "--grid", "1601"],
-            ["scan-gamma", "--n", "2", "--zeta", "3", "--target", "f_zeta", "--grid", "6", "--extended"],
+            ["scan-gamma", "--n", "2", "--zeta", "3", "--target", "f_zeta", "--grid", "6"],
             ["opt-gamma", "--target", "joint", "--zeta", "2", "3", "--lambda", "0.5", "1", "7", "--n-range", "0.1:10:4"],
             ["opt-gamma", "--target", "joint", "--zeta", "3", "--n-range", "1:100:3"],
             ["opt-gamma", "--target", "f_zeta", "--zeta", "1", "3", "5", "--n-range", "0.01:100:5"],
-            ["opt-gamma", "--target", "f_lambda", "--zeta", "2", "4", "--n-range", "1e-3:1e3:7", "--extended"],
+            ["opt-gamma", "--target", "f_lambda", "--zeta", "2", "4", "--n-range", "1e-3:1e3:7"],
         ],
-        ids=["phase-1", "phase-30", "phase-32", "phase-extended", "gamma-2", "gamma-1601", "gamma-extended",
-             "opt-zetas-lambdas", "opt-default-lambdas", "opt-f_zeta-nan-asymptote", "opt-extended"],
+        ids=["phase-1", "phase-30", "phase-32", "phase-5", "gamma-2", "gamma-1601", "gamma-6",
+             "opt-zetas-lambdas", "opt-default-lambdas", "opt-f_zeta-nan-asymptote", "opt-f_lambda-7"],
     )
     def test_csv_bytes_are_the_per_row_format(self, capsys, scans, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -704,16 +718,17 @@ class TestInProcessCalls:
         ["selftest", "--jobs", "3"],
         ["qfi", "--n", "1", "--gamma", "0.3", "--zeta", "2", "--lambda", "1", "--jobs", "x"],  # argparse: exit 2
         ["threshold", "--target", "f_zeta", "--zeta", "3", "--lambda", "2", "--samples", "7"],
-        ["scan-phase", "--n", "2", "--gamma", "0.5", "--zeta", "3", "--target", "f_zeta", "--grid", "3", "--extended"],
+        ["scan-phase", "--n", "2", "--gamma", "0.5", "--zeta", "3", "--target", "f_zeta", "--grid", "3", "--extended"],  # exit 2
         ["opt-gamma", "--target", "f_lambda", "--zeta", "2", "3", "--n-range", "0.01:100:4", "--out", "{out}"],
     ]
 
     def test_a_call_does_not_depend_on_the_calls_before_it(self, capsys, tmp_path):
         out_path = tmp_path / "out.txt"
         forward = [_capture(capsys, argv, out_path) for argv in self.CALLS]
-        assert forward[2][0] == forward[7][0] == forward[9][0] == 2
+        assert forward[2][0] == forward[7][0] == forward[9][0] == forward[11][0] == 2
         assert "argument --jobs: invalid int value: 'x'" in forward[9][2]
+        assert "unrecognized arguments: --extended" in forward[11][2]
         assert "# lambdas=3.0\n" in forward[4][1]
-        assert all(result[0] == 0 for i, result in enumerate(forward) if i not in (2, 7, 9))
+        assert all(result[0] == 0 for i, result in enumerate(forward) if i not in (2, 7, 9, 11))
         for i in reversed(range(len(self.CALLS))):
             assert _capture(capsys, self.CALLS[i], out_path) == forward[i], self.CALLS[i]

@@ -1,8 +1,9 @@
 import math
 
+import mpmath
 import pytest
 
-from nlprobe import moments
+import mp_reference
 from nlprobe.errors import DomainError, InternalConsistencyError
 from nlprobe.fock_oracle import converged_moments
 from nlprobe.moments import moment_general, moment_real_axis, moment_vector
@@ -60,7 +61,7 @@ class TestMomentGeneral:
         # flip the phase multiplier of one term of the 40-digit general-phase
         # sum: the terms no longer pair into complex conjugates, and the
         # imaginary residue must be caught
-        table = moments._table
+        table = mp_reference._printed_table
 
         def corrupted(k):
             terms = list(table(k))
@@ -68,9 +69,9 @@ class TestMomentGeneral:
             terms[0] = (c, -ph, s, p)
             return tuple(terms)
 
-        monkeypatch.setattr(moments, "_table", corrupted)
+        monkeypatch.setattr(mp_reference, "_printed_table", corrupted)
         with pytest.raises(InternalConsistencyError):
-            moment_general(make_probe(2.0, 0.4, 0.9, 0.3), 4, extended=True)
+            mp_reference.printed_moments(make_probe(2.0, 0.4, 0.9, 0.3), (4,))
 
 
 class TestRealAxis:
@@ -167,15 +168,15 @@ class TestMomentVector:
             assert mv[k] == moment_general(p, k)
 
 
-class TestExtendedPrecision:
-    def test_extended_agrees_with_double_in_safe_range(self):
+class TestFortyDigitReference:
+    def test_printed_sum_agrees_with_double_in_safe_range(self):
         p = make_probe(2.0, 0.5, 0.4, 0.9)
+        with mpmath.workdps(mp_reference.DPS):
+            want = mp_reference.printed_moments(p, (1, 4, 9))
         for k in (1, 4, 9):
-            a = moment_general(p, k)
-            b = moment_general(p, k, extended=True)
-            assert b == pytest.approx(a, rel=1e-12)
+            assert float(want[k]) == pytest.approx(moment_general(p, k), rel=1e-12)
 
-    def test_extended_real_axis(self):
+    def test_real_axis(self):
         a = moment_real_axis(1.5, 0.8, 6)
-        b = moment_real_axis(1.5, 0.8, 6, extended=True)
+        b = mp_reference.real_axis_moment(1.5, 0.8, 6)
         assert b == pytest.approx(a, rel=1e-12)

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import mp_reference
 import nlprobe.optimizer as opt
 from nlprobe.asymptotics import gamma_opt_high_n
 from nlprobe.errors import DomainError, NumericalRangeError, ThresholdAmbiguousError
@@ -48,12 +49,12 @@ class TestObjective:
         # from an 80-digit normal-law moment recursion
         assert objective(0.5, 1e6, target("joint", 12)) == pytest.approx(1.870925172296251859e187, rel=1e-12)
 
-    def test_joint_matches_extended_at_high_energy(self):
+    def test_joint_matches_40_digits_at_high_energy(self):
         # the double determinant cancels about 2 log10(N) digits; the exact
         # polynomials lose none of them
         t = target("joint", 4)
         for n in (1e3, 1e6):
-            assert objective(0.8, n, t) == pytest.approx(objective(0.8, n, t, extended=True), rel=1e-12)
+            assert objective(0.8, n, t) == pytest.approx(mp_reference.objective(0.8, n, t), rel=1e-12)
 
 
 class TestOptimizeGamma:
@@ -189,7 +190,7 @@ class TestOptimizeGammaGrid:
             table = f_array(np.broadcast_to(np.asarray(g, dtype=float), np.broadcast_shapes(np.shape(n), np.shape(g))))
             return (table,) * len(entries), np.ones(table.shape, dtype=bool)
 
-        def kernel(n, g, theta, phi, model, extended=False, entries=(0, 1, 2, 3)):
+        def kernel(n, g, theta, phi, model, entries=(0, 1, 2, 3)):
             return (f(g),) * len(entries)
 
         monkeypatch.setattr(opt, "_normal_law_qfi", kernel)
@@ -207,7 +208,7 @@ class TestOptimizeGammaGrid:
     def test_rows_agree_with_the_40_digit_path(self, kind, zeta, theta, phi, ns):
         t = target(kind, zeta)
         fast = optimize_gamma_grid(ns, t, theta, phi)
-        slow = optimize_gamma_grid(ns, t, theta, phi, extended=True)
+        slow = mp_reference.optimize_gamma_grid(ns, t, theta, phi)
         for f, s in zip(fast, slow):
             assert f.gamma_opt == pytest.approx(s.gamma_opt, abs=2e-6)
             assert f.objective_value == pytest.approx(s.objective_value, rel=1e-10)
@@ -255,11 +256,10 @@ class TestNonFinitePhases:
     PHASES = [(math.inf, 0.0), (math.nan, 0.0), (0.0, -math.inf), (1.0, math.nan)]
 
     @pytest.mark.parametrize("theta, phi", PHASES)
-    @pytest.mark.parametrize("extended", [False, True], ids=["double", "extended"])
-    def test_objective(self, theta, phi, extended):
+    def test_objective(self, theta, phi):
         for kind in ("f_lambda", "f_zeta", "joint"):
             with pytest.raises(DomainError, match="phases must be finite"):
-                objective(0.5, 1.0, target(kind, 3), theta, phi, extended=extended)
+                objective(0.5, 1.0, target(kind, 3), theta, phi)
 
     @pytest.mark.parametrize("theta, phi", PHASES)
     def test_grid_optimizer_and_threshold(self, theta, phi):
@@ -289,7 +289,7 @@ class TestThresholdSlope:
         n_th = find_threshold(t, rel_tol=rel_tol)
 
         def slope(n):  # 40-digit values, one rounding each
-            return (objective(1.0, n, t, extended=True) - objective(1.0 - h, n, t, extended=True)) / h
+            return (mp_reference.objective(1.0, n, t) - mp_reference.objective(1.0 - h, n, t)) / h
 
         assert slope(n_th * (1.0 - rel_tol)) > 0.0 > slope(n_th * (1.0 + rel_tol))
 
@@ -322,13 +322,13 @@ class TestFindThreshold:
     def test_joint_exceeds_individual(self):
         # zeta = 4 has a finite joint threshold above the individual one; at
         # zeta = 3 squeezed vacuum stays optimal for the joint bound up to
-        # N = 1e6, as the 40-digit path confirms
+        # N = 1e6, as the 40-digit reference confirms
         individual = find_threshold(target("f_lambda", 4))
         joint = find_threshold(target("joint", 4, lam=1.0), n_hi=1e6, samples=21)
         assert joint == pytest.approx(1.28139, abs=1e-3)
         assert joint > individual + 1e-4
         assert find_threshold(target("joint", 3, lam=1.0), n_hi=1e6, samples=21) == math.inf
-        assert optimize_gamma(5.3e3, target("joint", 3, lam=1.0), extended=True).at_boundary
+        assert mp_reference.optimize_gamma(5.3e3, target("joint", 3, lam=1.0)).at_boundary
 
     def test_joint_no_threshold_in_narrow_range_is_a_sentinel(self):
         # a range without a crossing reports the documented no-threshold

@@ -2,12 +2,15 @@
 
 import contextlib
 import io
+import math
 import sys
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
+
+import mp_reference
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
@@ -50,9 +53,9 @@ def test_row_sums_match_general_phase_sum_on_the_real_axis(n, gamma, zeta, lam, 
 
 @seeded
 @given(st.floats(0.0, 1e3), gammas, phases, phases, st.integers(1, 6), lambdas, signs)
-def test_extended_qfi_matrix_is_positive_semidefinite(n, gamma, theta, phi, zeta, lam, sign):
+def test_40_digit_qfi_matrix_is_positive_semidefinite(n, gamma, theta, phi, zeta, lam, sign):
     probe = make_probe(n, gamma, theta, phi)
-    fm = qfi_matrix(probe, ModelSpec(lambda_eff=lam, zeta=zeta), beta_sign=sign, extended=True)
+    fm = mp_reference.qfi_matrix(probe, ModelSpec(lambda_eff=lam, zeta=zeta), beta_sign=sign)
     assert fm.is_positive_semidefinite()
 
 
@@ -65,25 +68,23 @@ def test_joint_bound_lies_between_zero_and_the_smaller_diagonal(n, gamma, theta,
 
 
 @seeded
-@given(st.floats(0.0, 10.0), gammas, st.integers(1, 6), st.sampled_from(["f_lambda", "f_zeta"]), st.booleans())
-def test_scan_phase_prints_the_qfi_elements(n, gamma, zeta, target, extended):
-    # double precision prints the normal-law elements, extended mode the
-    # same polynomials evaluated at 40 digits
+@given(st.floats(0.0, 10.0), gammas, st.integers(1, 6), st.sampled_from(["f_lambda", "f_zeta"]))
+def test_scan_phase_prints_the_qfi_elements(n, gamma, zeta, target):
+    # the normal-law elements, which the same polynomials evaluated at 40
+    # digits confirm
     argv = ["scan-phase", "--n", repr(n), "--gamma", repr(gamma), "--zeta", str(zeta),
-            "--target", target, "--grid", "3"] + (["--extended"] if extended else [])
+            "--target", target, "--grid", "3"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
-    element = qfi_lambda if target == "f_lambda" else qfi_zeta
+    k = 0 if target == "f_lambda" else 1
     model = ModelSpec(lambda_eff=1.0, zeta=zeta)
     rows = [line.split(",") for line in out.getvalue().splitlines() if not line.startswith("#")][1:]
     assert len(rows) == 9
     for theta, phi, value in rows:
         probe = make_probe(n, gamma, float(theta), float(phi))
-        if extended:
-            assert float(value) == element(probe, model, extended=True)
-        else:
-            assert float(value) == normal_law_qfi(probe, model)[0 if target == "f_lambda" else 1]
+        assert float(value) == normal_law_qfi(probe, model)[k]
+        assert float(value) == pytest.approx(mp_reference.probe_qfi(probe, model, entries=(k,))[0], rel=1e-13, abs=0)
 
 
 def _reference_moments(gamma, n, zeta, theta, phi, sign=+1, magnitude=False):
@@ -209,12 +210,12 @@ def test_selected_entry_equals_the_full_kernel_bit_for_bit(zeta, lam, n, gamma_l
     model = ModelSpec(lambda_eff=lam, zeta=zeta)
     try:
         full = [_normal_law_qfi(n, g, theta, phi, model, sign) for g in gamma_list]
-        full_extended = _normal_law_qfi(n, gamma_list[0], theta, phi, model, sign, extended=True)
+        full_40 = mp_reference.kernel(n, gamma_list[0], theta, phi, model, sign)
     except OverflowError:
         return
     for g, want in zip(gamma_list, full):
         assert _normal_law_qfi(n, g, theta, phi, model, sign, entries=(k,)) == [want[k]]
-    assert _normal_law_qfi(n, gamma_list[0], theta, phi, model, sign, extended=True, entries=(k,)) == [full_extended[k]]
+    assert mp_reference.kernel(n, gamma_list[0], theta, phi, model, sign, entries=(k,)) == [full_40[k]]
     if sign > 0:  # the table holds the default family
         full_grid = normal_law_grid(n, gamma_list, theta, phi, model, entries=(0, 1, 2, 3))
         (table,) = normal_law_grid(np.array([[n]]), gamma_list, theta, phi, model, entries=(k,))
@@ -246,13 +247,12 @@ def test_scan_phase_matches_the_80_digit_normal_law(n, gamma, zeta, target):
 @example(0.7, 1e3, 3.141592653589793, 1.5707963267948966, 12, 1.0, +1)
 @example(0.8, 1e6, 0.0, 0.0, 3, 1.0, -1)
 def test_double_qfi_matrix_and_moments_match_the_80_digit_normal_law(gamma, n, theta, phi, zeta, lam, sign):
-    # both families and both precisions, with the magnitude-law tolerance of
-    # the objective tests
+    # both families, in double precision and at 40 digits, with the
+    # magnitude-law tolerance of the objective tests
     probe, model = make_probe(n, gamma, theta, phi), ModelSpec(lambda_eff=lam, zeta=zeta)
     want = _reference_entries(gamma, n, zeta, lam, theta, phi, sign)
     scale = _reference_entries(gamma, n, zeta, lam, theta, phi, sign, magnitude=True)
-    for extended in (False, True):
-        got = qfi_matrix(probe, model, beta_sign=sign, extended=extended)
+    for got in (qfi_matrix(probe, model, beta_sign=sign), mp_reference.qfi_matrix(probe, model, beta_sign=sign)):
         for g, w, s in zip(got.as_tuple(), want, scale):
             assert abs(g - w) <= 1e-12 * s
     moments = general_moments(probe, range(2 * zeta + 1), beta_sign=sign)
@@ -269,3 +269,36 @@ def test_qfi_matrix_raises_no_cancellation_alarm_at_low_energy(n, gamma, theta, 
     with warnings.catch_warnings():
         warnings.simplefilter("error", CancellationWarning)
         qfi_matrix(make_probe(n, gamma, theta, phi), ModelSpec(lambda_eff=lam, zeta=zeta), beta_sign=sign)
+
+
+def _check_entries_relative(points, zeta, lam=1.0):
+    """f_ll, f_zz and f_lz of the scalar kernel and of normal_law_grid at
+    each (N, gamma, theta, phi) of points within 1e-12 of the 80-digit
+    normal law, relative to each entry itself."""
+    model = ModelSpec(lambda_eff=lam, zeta=zeta)
+    grid = normal_law_grid(*(np.array(axis) for axis in zip(*points)), model, entries=(0, 1, 2))
+    for i, (n, gamma, theta, phi) in enumerate(points):
+        want = _reference_entries(gamma, n, zeta, lam, theta, phi)
+        for got in (_normal_law_qfi(n, gamma, theta, phi, model, entries=(0, 1, 2)), [entry[i] for entry in grid]):
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-12 * abs(w), (n, gamma, theta, phi, zeta)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-12, -1e-12, 1e-8, -1e-8, 1e-3, -1e-3])
+def test_entries_keep_their_digits_where_the_mean_is_small(delta):
+    # near phi = theta/2 + pi/2 the default family's mean is small next to
+    # its terms, and E multiplied the rounding of theta/2 - phi: f_lz was off
+    # by up to 256 %, f_ll and f_zz by up to 7e-9 at N <= 1e7
+    points = [
+        (n, gamma, theta, 0.5 * theta + math.pi / 2 + delta)
+        for n in (1e2, 1e3, 1e4, 1e5, 1e6, 1e7)
+        for gamma in (0.3, 0.7715140665366023)
+        for theta in (0.2621530019113677, 1.3, 2.9, 4.4)
+    ]
+    for zeta in (2, 3, 5, 8, 12):
+        _check_entries_relative(points, zeta)
+
+
+def test_entries_keep_their_digits_at_the_small_mean_probe():
+    # f_lz was 110 % off here
+    _check_entries_relative([(14567509.29699417, 0.7715140665366023, 0.2621530019113677, 1.7018728277505804)], 12)

@@ -5,9 +5,9 @@ import warnings
 import mpmath
 import pytest
 
+import mp_reference
 from nlprobe.errors import CancellationWarning, DegenerateModelError, DomainError
 from nlprobe.fock_oracle import qfi_matrix_oracle
-from nlprobe.moments import general_moments
 from nlprobe.probe import make_probe
 from nlprobe.qfi_core import (
     ModelSpec,
@@ -199,8 +199,8 @@ class TestScalarBound:
             scalar_bound_inverse(QfiMatrix(0.0, 0.0, 0.0))
 
 
-class TestExtendedPrecisionRescue:
-    def test_cancellation_alarm_and_extended_rescue(self):
+class TestHighEnergyCancellation:
+    def test_no_cancellation_alarm_and_40_digit_agreement(self):
         # at N = 1e8 and zeta = 2 the moment differences cancel ~16 digits;
         # the double normal law never forms them, so it raises no alarm and
         # agrees with its polynomials at 40 digits and with the leading-order growth
@@ -209,7 +209,7 @@ class TestExtendedPrecisionRescue:
         with warnings.catch_warnings():
             warnings.simplefilter("error", CancellationWarning)
             got = qfi_lambda(p, m)
-        assert got == pytest.approx(qfi_lambda(p, m, extended=True), rel=1e-12)
+        assert got == pytest.approx(mp_reference.probe_qfi(p, m, entries=(0,))[0], rel=1e-12)
         alpha_sq = 0.5e8
         big_e = 1.0 + 2 * 0.5e8 + 2 * math.sqrt(0.5e8 * (1 + 0.5e8))
         leading = 4.0 * 4**2 * alpha_sq * big_e**3  # zeta^2 4^zeta alpha^2 E^3
@@ -223,7 +223,7 @@ class TestExtendedPrecisionRescue:
         with warnings.catch_warnings():
             warnings.simplefilter("error", CancellationWarning)
             got = qfi_cross(p, m)
-            assert got == pytest.approx(qfi_cross(p, m, extended=True), rel=1e-12)
+            assert got == pytest.approx(mp_reference.probe_qfi(p, m, entries=(2,))[0], rel=1e-12)
         assert got > 0.0
 
     def test_no_covariance_alarm_at_order_one(self):
@@ -234,25 +234,26 @@ class TestExtendedPrecisionRescue:
 
 
 class TestPrintedSumReference:
-    """The 40-digit QFI polynomials against the printed general-phase moment
-    sum, which shares nothing with them but the probe."""
+    """The 40-digit QFI polynomials (tests/mp_reference.py) against the
+    printed general-phase moment sum, which shares nothing with them but the
+    probe."""
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_extended_qfi_matrix_matches_the_printed_sum(self, seed):
+    def test_40_digit_qfi_matrix_matches_the_printed_sum(self, seed):
         # N <= 10 and zeta <= 6, where the 40-digit sums keep their digits
         rng = random.Random(seed)
         for _ in range(50):
             probe = make_probe(10 ** rng.uniform(-3, 1), rng.random(), rng.uniform(0, 2 * math.pi),
                                rng.uniform(0, 2 * math.pi))
             zeta, lam, sign = rng.randint(1, 6), 10 ** rng.uniform(-2, 1), rng.choice((+1, -1))
-            with mpmath.workdps(40):
-                m = general_moments(probe, range(2 * zeta + 1), beta_sign=sign, extended=True)
+            with mpmath.workdps(mp_reference.DPS):
+                m = mp_reference.printed_moments(probe, range(2 * zeta + 1), beta_sign=sign)
                 lz = mpmath.mpf(lam) * zeta
                 want = (
                     4 * (m[2 * zeta] - m[zeta] ** 2),
                     4 * lz**2 * (m[2 * zeta - 2] - m[zeta - 1] ** 2),
                     4 * lz * (m[2 * zeta - 1] - m[zeta] * m[zeta - 1]),
                 )
-            got = qfi_matrix(probe, ModelSpec(lambda_eff=lam, zeta=zeta), beta_sign=sign, extended=True)
+            got = mp_reference.qfi_matrix(probe, ModelSpec(lambda_eff=lam, zeta=zeta), beta_sign=sign)
             for g, w in zip(got.as_tuple(), map(float, want)):
                 assert abs(g - w) <= 1e-14 * abs(w), (probe, zeta, lam, sign)
