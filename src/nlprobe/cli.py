@@ -55,14 +55,8 @@ class ScanResult:
             )
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _axis_column(name, cells, coords):
-    """[_fmt(c) for c in cells] for a column of coordinates of one axis,
+    """[str(c) for c in cells] for a column of coordinates of one axis,
     formatting each coordinate of the axis once.
 
     The table is keyed on the value, under which 0.0 and -0.0 (or 1 and 1.0)
@@ -71,20 +65,20 @@ def _axis_column(name, cells, coords):
     from, and any other cell is formatted on its own. A cell that equals no
     coordinate of the axis raises.
     """
-    table = {c: (c, _fmt(c)) for c in coords}
+    table = {c: (c, str(c)) for c in coords}
     try:
         entries = list(map(table.__getitem__, cells))
     except KeyError as exc:
         raise InternalConsistencyError(f"a scan row holds {name}={exc.args[0]!r}, which is not on that axis") from None
-    return [text if source is cell else _fmt(cell) for (source, text), cell in zip(entries, cells)]
+    return [text if source is cell else str(cell) for (source, text), cell in zip(entries, cells)]
 
 
 def _emit(args, scan: ScanResult):
     """Write a scan as metadata-prefixed CSV (default) or a JSON document.
 
     In CSV a column named after an axis takes its coordinates' strings from
-    one table per axis (_axis_column); the other columns go through _fmt
-    cell by cell.
+    one table per axis (_axis_column); the other columns go through str
+    cell by cell, which writes a float as its repr.
     """
     if args.json:
         doc = {
@@ -96,10 +90,10 @@ def _emit(args, scan: ScanResult):
         }
         text = json.dumps(doc, sort_keys=True) + "\n"
     else:
-        lines = [f"# {key}={_fmt(scan.metadata[key])}" for key in sorted(scan.metadata)]
+        lines = [f"# {key}={scan.metadata[key]}" for key in sorted(scan.metadata)]
         lines.append(",".join(scan.header))
         columns = [
-            _axis_column(name, cells, scan.axes[name]) if name in scan.axes else list(map(_fmt, cells))
+            _axis_column(name, cells, scan.axes[name]) if name in scan.axes else list(map(str, cells))
             for name, cells in zip(scan.header, zip(*scan.rows))
         ]
         lines.extend(map(",".join, zip(*columns)))
@@ -160,7 +154,7 @@ def cmd_qfi(args) -> int:
     if args.json:
         _write(args, json.dumps(record, sort_keys=True) + "\n")
     else:
-        _write(args, "".join(f"{key}={_fmt(val)}\n" for key, val in record.items()))
+        _write(args, "".join(f"{key}={val}\n" for key, val in record.items()))
     return EXIT_OK
 
 
@@ -254,7 +248,7 @@ def cmd_opt_gamma(args) -> int:
         command="opt-gamma",
         target=args.target,
         zetas=",".join(map(str, args.zeta)),
-        lambdas=",".join(map(_fmt, lambdas)),
+        lambdas=",".join(map(str, lambdas)),
         n_lo=ns[0],
         n_hi=ns[-1],
         n_count=len(ns),
@@ -287,7 +281,7 @@ def cmd_threshold(args) -> int:
     if args.json:
         _write(args, json.dumps(records, sort_keys=True) + "\n")
     else:
-        _write(args, "".join(" ".join(f"{k}={_fmt(v)}" for k, v in rec.items()) + "\n" for rec in records))
+        _write(args, "".join(" ".join(f"{k}={v}" for k, v in rec.items()) + "\n" for rec in records))
     return EXIT_OK
 
 
@@ -372,20 +366,13 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if failures == 0 else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nlprobe",
-        description="Precision bounds for probing optical nonlinearities with squeezed light",
-    )
-    parser.add_argument("--version", action="version", version=f"nlprobe {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def common(p):
+    p.add_argument("--jobs", type=int, default=1, help="no effect")
+    p.add_argument("--json", action="store_true", help="emit a single JSON document instead of CSV/text")
+    p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
-    def common(p):
-        p.add_argument("--jobs", type=int, default=1, help="no effect")
-        p.add_argument("--json", action="store_true", help="emit a single JSON document instead of CSV/text")
-        p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
-    p = sub.add_parser("qfi", help="QFI matrix, Uhlmann residual and joint bound at one point")
+def _qfi_arguments(p):
     p.add_argument("--n", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--theta", type=float, default=0.0)
@@ -397,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_qfi)
 
-    p = sub.add_parser("scan-phase", help="QFI over a (theta, phi) grid at fixed N, gamma, zeta")
+
+def _scan_phase_arguments(p):
     p.add_argument("--n", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--zeta", type=int, required=True)
@@ -406,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_scan_phase)
 
-    p = sub.add_parser("scan-gamma", help="figure of merit over gamma at fixed N")
+
+def _scan_gamma_arguments(p):
     p.add_argument("--n", type=float, required=True)
     p.add_argument("--zeta", type=int, required=True)
     p.add_argument("--target", choices=["f_lambda", "f_zeta", "joint"], required=True)
@@ -415,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_scan_gamma)
 
-    p = sub.add_parser("opt-gamma", help="optimal squeezing fraction over a log-spaced N range")
+
+def _opt_gamma_arguments(p):
     p.add_argument("--target", choices=["f_lambda", "f_zeta", "joint"], required=True)
     p.add_argument("--zeta", type=int, nargs="+", required=True)
     p.add_argument("--lambda", dest="lam", type=float, nargs="+", default=list(JOINT_LAMBDA_DEFAULTS))
@@ -423,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_opt_gamma)
 
-    p = sub.add_parser("threshold", help="energy below which squeezed vacuum is the optimal probe")
+
+def _threshold_arguments(p):
     p.add_argument("--target", choices=["f_lambda", "f_zeta", "joint"], required=True)
     p.add_argument("--zeta", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=float, nargs="*", default=None)
@@ -436,10 +427,47 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_threshold)
 
-    p = sub.add_parser("selftest", help="run the oracle-agreement suite")
+
+def _selftest_arguments(p):
     common(p)
     p.set_defaults(func=cmd_selftest)
 
+
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser that adds its options when it first parses.
+
+    argparse's subparsers action calls parse_known_args on the chosen
+    subcommand only, so a call builds the options of that one; the
+    top-level usage and help read only the subcommands' names and help.
+    """
+
+    def __init__(self, *, arguments, **kwargs):
+        super().__init__(**kwargs)
+        self._add_options = arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_options is not None:
+            self._add_options(self)
+            self._add_options = None
+        return super().parse_known_args(args, namespace)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="nlprobe",
+        description="Precision bounds for probing optical nonlinearities with squeezed light",
+    )
+    parser.add_argument("--version", action="version", version=f"nlprobe {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    sub.add_parser("qfi", help="QFI matrix, Uhlmann residual and joint bound at one point", arguments=_qfi_arguments)
+    sub.add_parser("scan-phase", help="QFI over a (theta, phi) grid at fixed N, gamma, zeta",
+                   arguments=_scan_phase_arguments)
+    sub.add_parser("scan-gamma", help="figure of merit over gamma at fixed N", arguments=_scan_gamma_arguments)
+    sub.add_parser("opt-gamma", help="optimal squeezing fraction over a log-spaced N range",
+                   arguments=_opt_gamma_arguments)
+    sub.add_parser("threshold", help="energy below which squeezed vacuum is the optimal probe",
+                   arguments=_threshold_arguments)
+    sub.add_parser("selftest", help="run the oracle-agreement suite", arguments=_selftest_arguments)
     return parser
 
 

@@ -537,6 +537,107 @@ class TestRegressionSet:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="the pinned bytes are CPython 3.11's argparse output")
+class TestFrontEndBytes:
+    """Exit code, stdout and stderr of the paths that argparse writes: help,
+    version, usage errors. Pinned by the sha256 of the bytes that the parser
+    printed at 80 columns, under CPython 3.11, when build_parser still added
+    every subcommand's options up front. argparse's wording and layout
+    change between Python versions, so other interpreters skip these."""
+
+    CASES = {
+        "help": (["--help"], 0, "c9a81d80cbd6016512a837be423ee78e254979c8c644ffdd25455ed11735d99a", EMPTY),
+        "version": (["--version"], 0, "d52241dfb3ae3c3c95f215e298717f58110db9b5418eaed5796e9597da12943a", EMPTY),
+        "no-arguments": ([], 2, EMPTY, "418b428070413058a75ebb506bf10ab4c488bb2ce72b04861e66a649b939d438"),
+        "unknown-subcommand": (
+            ["frobnicate"], 2, EMPTY, "dbcae8878a132211cfc83ddc6998e9c736ad62c45ad7d564b21b8536c0bcaf57",
+        ),
+        "qfi-help": (["qfi", "--help"], 0, "479d45bde2e7acc884259ffe217ebe87ac7225c0fb2f821e5c70b0c7c46bfea2", EMPTY),
+        "scan-phase-help": (
+            ["scan-phase", "--help"], 0, "ba81867dde74e375ed08b00931e84278234a434c4039e64ce003908a79ca6680", EMPTY,
+        ),
+        "scan-gamma-help": (
+            ["scan-gamma", "--help"], 0, "82c4c55c100a9947ac02a26d620d8cd7e648f1adf45393d70948d7406f9600d9", EMPTY,
+        ),
+        "opt-gamma-help": (
+            ["opt-gamma", "--help"], 0, "711d1c0753cf901d04f353b52afa6442000c7ed7497c4459060b763a75a990b6", EMPTY,
+        ),
+        "threshold-help": (
+            ["threshold", "--help"], 0, "c72b1cab07e2532e6ab16f76cc83642a83cd25eb6fa98083d451f58bd596d451", EMPTY,
+        ),
+        "selftest-help": (
+            ["selftest", "--help"], 0, "499be9ce1657f9852b791a2d852efce58bb99ca0e3dba5b7b53f775ec8b13e93", EMPTY,
+        ),
+        "missing-required": (
+            ["qfi", "--n", "1"], 2, EMPTY, "aaeddd78fc913b173d0136e0f32351fdcd8e8a1121b4c74061ce204582a49330",
+        ),
+        "bad-choice": (
+            ["threshold", "--target", "x", "--zeta", "2"], 2, EMPTY,
+            "ad203d695adcbbc79663198f81fdaa3e3d1a6460582068d07c11c272ad7ffce7",
+        ),
+        "bad-checked-type": (
+            ["threshold", "--target", "joint", "--zeta", "3", "--samples", "1"], 2, EMPTY,
+            "0f25b356b96229ff16847b27f9e44359a6d7053749234534a2f072dad8416481",
+        ),
+        # the same bytes as opt-gamma-help
+        "abbreviated-option": (
+            ["opt-gamma", "--hel"], 0, "711d1c0753cf901d04f353b52afa6442000c7ed7497c4459060b763a75a990b6", EMPTY,
+        ),
+        "unrecognized-argument": (
+            ["selftest", "--frob"], 2, EMPTY, "2a1def7810086cff4f75cea3dfaec6049d0c3f5f8d79b4a2452ea4f9db009a70",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_keeps_its_bytes(self, capsys, monkeypatch, name):
+        argv, code, out_digest, err_digest = self.CASES[name]
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        got = (exc.value.code, hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(err.encode()).hexdigest())
+        assert got == (code, out_digest, err_digest), out + err
+
+
+class TestSubcommandParsers:
+    QFI = ["qfi", "--n", "1", "--gamma", "0.5", "--zeta", "2", "--lambda", "1"]
+
+    @staticmethod
+    def subcommands(parser):
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    def test_only_the_chosen_subcommand_gets_its_options(self):
+        parser = cli.build_parser()
+        assert parser.parse_args(self.QFI).func is cli.cmd_qfi
+        options = {name: [a.option_strings for a in p._actions] for name, p in self.subcommands(parser).items()}
+        assert options.pop("qfi") == [
+            ["-h", "--help"], ["--n"], ["--gamma"], ["--theta"], ["--phi"], ["--zeta"], ["--lambda"], ["--time"],
+            ["--oracle"], ["--jobs"], ["--json"], ["--out"],
+        ]
+        assert options == {name: [["-h", "--help"]] for name in ("scan-phase", "scan-gamma", "opt-gamma",
+                                                                    "threshold", "selftest")}
+
+    def test_a_subcommand_adds_its_options_once(self):
+        selftest = self.subcommands(cli.build_parser())["selftest"]
+        assert selftest.parse_args([]) == selftest.parse_args([])  # a second add_argument would conflict
+
+    def test_two_calls_in_one_process_print_the_same_bytes(self, capsys):
+        calls = [self.QFI, ["qfi", "--help"], ["threshold", "--target", "f_lambda", "--zeta", "2", "--samples", "1"]]
+        results = []
+        for argv in calls * 2:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            results.append((code, *capsys.readouterr()))
+        assert [r[0] for r in results] == [0, 0, 2] * 2
+        assert results[:3] == results[3:]
+
+
 class TestScanOutput:
     @pytest.mark.filterwarnings("error")  # a RuntimeWarning from the grid pass fails the test
     @pytest.mark.parametrize(
@@ -575,13 +676,18 @@ def test_cli_import_loads_no_scipy():
         ["threshold", "--target", "f_lambda", "--zeta", "2"],
         ["selftest"],
     ]
+    # each subcommand's options are added when it parses: its help shows them all
+    calls += [[argv[0], "--help"] for argv in calls]
     code = (
         "import contextlib, importlib, io, pkgutil, sys, nlprobe.cli\n"
         "def loaded(name): return sorted(m for m in sys.modules if m.split('.')[0] == name)\n"
+        "def run(argv):\n"
+        "    try: return nlprobe.cli.main(argv)\n"
+        "    except SystemExit as exc: return exc.code\n"
         "print(loaded('scipy'), loaded('mpmath'), 'nlprobe.fock_oracle' in sys.modules)\n"
         "for info in pkgutil.iter_modules(nlprobe.__path__): importlib.import_module('nlprobe.' + info.name)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    codes = [nlprobe.cli.main(argv) for argv in {calls!r}]\n"
+        f"    codes = [run(argv) for argv in {calls!r}]\n"
         "print(codes, loaded('mpmath'))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(nlprobe.__file__).resolve().parents[1]))
@@ -609,7 +715,8 @@ def _fmt_frozen(x):
 
 
 def per_row_csv(scan):
-    """The CSV that _emit wrote before it formatted axis coordinates once: every cell through _fmt."""
+    """The CSV that _emit wrote before it formatted axis coordinates once: every cell through the
+    formatter of that time, repr for a float and str for anything else."""
     lines = [f"# {key}={_fmt_frozen(scan.metadata[key])}" for key in sorted(scan.metadata)]
     lines.append(",".join(scan.header))
     lines.extend(",".join(_fmt_frozen(v) for v in row) for row in scan.rows)
