@@ -1,8 +1,9 @@
 """Small-N and large-N closed-form behaviour of the QFIs.
 
-These are diagnostics and optimizer warm starts only; the optimizer always
-evaluates exact moments inside its objective because the validity windows
-of the expansions are not sharply quantified.
+These are diagnostics only: the optimizer uses none of them and always
+evaluates exact moments, because the validity windows of the expansions
+are not sharply quantified. `opt-gamma` prints gamma_opt_high_n next to
+each optimum for comparison.
 """
 
 import math

@@ -18,7 +18,7 @@ from . import __version__
 from .combinatorics import coeff_row_sum, normal_order_coeff
 from .errors import InternalConsistencyError, NlprobeError, NumericalRangeError, ThresholdAmbiguousError
 from .asymptotics import gamma_opt_high_n
-from .fock_oracle import converged_moments, qfi_matrix_oracle, sld_operator
+from .fock_oracle import build_state, converged_moments, qfi_matrix_oracle, quadrature, sld_operator
 from .moments import moment_general
 from .optimizer import THRESHOLD_N_LO, OptTarget, TargetKind, find_threshold, objective_grid, optimize_gamma_grid
 from .probe import make_probe
@@ -341,10 +341,8 @@ def cmd_selftest(args) -> int:
     sld = sld_operator(probe, model)
     from scipy.linalg import expm
 
-    from .fock_oracle import _x_sparse, build_state
-
     psi = build_state(probe, sld.dim).amplitudes
-    gz = np.linalg.matrix_power(_x_sparse(sld.dim).toarray(), model.zeta)
+    gz = np.linalg.matrix_power(quadrature(sld.dim).entries, model.zeta)
     u = expm(-1j * model.lambda_eff * gz)
     psi_l = u @ psi
     rho = np.outer(psi_l, psi_l.conj())

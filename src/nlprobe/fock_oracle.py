@@ -4,10 +4,10 @@ Nothing in here shares code with the closed-form moment machinery: states
 D(alpha) S(xi)|0> are built by applying the squeezing and displacement
 exponentials to the vacuum vector, each exactly on the truncated space as
 a diagonal phase rotation of a real tridiagonal exponential taken from its
-cached eigendecomposition; moments come from repeated matrix-vector
-application of the quadrature, and QFI/Uhlmann/SLD quantities from explicit
-state derivatives. Agreement with the analytic layer is therefore evidence,
-not tautology.
+cached eigendecomposition; moments come from repeated application of the
+quadrature as a three-term stencil, and QFI/Uhlmann/SLD quantities from
+explicit state derivatives. Agreement with the analytic layer is therefore
+evidence, not tautology.
 
 Truncation policy: results must be stable under doubling the cutoff
 (1e-9 relative) and states must satisfy a tail-mass bound; the top 1/8 of
@@ -18,18 +18,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import CutoffError, InternalConsistencyError
+from .errors import CutoffError, DomainError, InternalConsistencyError
 from .probe import ProbeSpec
 from .qfi_core import ModelSpec, QfiMatrix
-
-# scipy is imported inside the functions that use it: it takes longer to
-# import than the rest of the package, and only the oracle needs it
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
 
 __all__ = [
     "TruncatedOperator",
@@ -68,17 +62,13 @@ class TruncatedState:
         return float(np.sum(np.abs(self.amplitudes[self.dim - guard:]) ** 2))
 
 
-@lru_cache(maxsize=32)
-def _a_sparse(dim: int) -> "csr_matrix":
-    from scipy.sparse import diags
-
-    return diags(np.sqrt(np.arange(1, dim)), 1, shape=(dim, dim), dtype=complex).tocsr()
-
-
-@lru_cache(maxsize=32)
-def _x_sparse(dim: int) -> "csr_matrix":
-    a = _a_sparse(dim)
-    return (a + a.conj().T).tocsr()
+def _x_apply(v: np.ndarray) -> np.ndarray:
+    """X v for X = a + a^dag: (X v)_n = sqrt(n) v_(n-1) + sqrt(n+1) v_(n+1)."""
+    s = np.sqrt(np.arange(1.0, v.size))
+    w = np.zeros_like(v)
+    w[:-1] = s * v[1:]
+    w[1:] += s * v[:-1]
+    return w
 
 
 def _tridiagonal_eigh(diag: np.ndarray, off: np.ndarray):
@@ -89,6 +79,8 @@ def _tridiagonal_eigh(diag: np.ndarray, off: np.ndarray):
     is orthogonal only to about 1e-13 and puts errors of that size into the
     oracle moments.
     """
+    # imported here: scipy takes longer to import than the rest of the
+    # package, and only the oracle needs it
     from scipy.linalg import eigh_tridiagonal
 
     return eigh_tridiagonal(diag, off, lapack_driver="stevd")
@@ -143,12 +135,15 @@ def _evolution_matrix(dim: int, lam: float, zeta: int) -> np.ndarray:
 
 def annihilation(dim: int) -> TruncatedOperator:
     """Matrix of a: sqrt(n) on the superdiagonal, zero elsewhere."""
-    return TruncatedOperator(dim, _a_sparse(dim).toarray())
+    if dim < 1:
+        raise DomainError(f"Fock cutoff must be >= 1, got {dim}")
+    return TruncatedOperator(dim, np.diag(np.sqrt(np.arange(1.0, dim)).astype(complex), 1))
 
 
 def quadrature(dim: int) -> TruncatedOperator:
     """Hermitian X = a + a^dag."""
-    return TruncatedOperator(dim, _x_sparse(dim).toarray())
+    a = annihilation(dim).entries
+    return TruncatedOperator(dim, a + a.T)
 
 
 def default_dim(probe: ProbeSpec, zeta: int = 0, lam: float = 0.0) -> int:
@@ -201,19 +196,18 @@ def build_state(probe: ProbeSpec, dim: int) -> TruncatedState:
 
 
 def expectation_moment(state: TruncatedState, k: int) -> float:
-    """<psi| X^k |psi> by k matrix-vector applications (never dense powers)."""
+    """<psi| X^k |psi> by k applications of the stencil (never dense powers)."""
     return float(expectation_moments(state, k)[k])
 
 
 def expectation_moments(state: TruncatedState, k_max: int) -> np.ndarray:
     """All moments <X^0>..<X^k_max> in one cumulative sweep."""
-    x = _x_sparse(state.dim)
     v = state.amplitudes
     out = np.empty(k_max + 1)
     out[0] = 1.0
     w = v
     for k in range(1, k_max + 1):
-        w = x @ w
+        w = _x_apply(w)
         out[k] = float(np.real(np.vdot(v, w)))
     return out
 
@@ -249,12 +243,11 @@ def _derivative_vectors(probe: ProbeSpec, model: ModelSpec, dim: int):
     the order of application is irrelevant.
     """
     z = model.zeta
-    x = _x_sparse(dim)
     psi0 = build_state(probe, dim).amplitudes
 
     def xpow(v, p):
         for _ in range(p):
-            v = x @ v
+            v = _x_apply(v)
         return v
 
     psi = _evolve(psi0, dim, model.lambda_eff, z)
@@ -342,8 +335,7 @@ def sld_operator(probe: ProbeSpec, model: ModelSpec, dim: int | None = None) -> 
             if dim is not None or exc.suggested_dim is None or exc.suggested_dim > DIM_CAP:
                 raise
             d = exc.suggested_dim
-    x = _x_sparse(d).toarray()
-    gz = np.linalg.matrix_power(x, model.zeta)
+    gz = np.linalg.matrix_power(quadrature(d).entries, model.zeta)
     rho0 = np.outer(psi0, psi0.conj())
     u = _evolution_matrix(d, model.lambda_eff, model.zeta)
     sld = -2j * (u @ (gz @ rho0 - rho0 @ gz) @ u.conj().T)
@@ -372,17 +364,15 @@ def zeta_derivative_diagnostic(
     principal-branch spectral power X^(zeta +/- step). The two genuinely
     disagree; the numbers are returned for inspection, never asserted.
     """
-    from scipy.linalg import expm
-
     d = dim or default_dim(probe, zeta=2 * model.zeta, lam=model.lambda_eff)
     z, lam = model.zeta, model.lambda_eff
     evals, vecs = _x_eigh(d)
     psi0 = build_state(probe, d).amplitudes
 
     def psi_of(zeta_val):
+        # exp(-i lam V diag(p) V^T) = V diag(exp(-i lam p)) V^T, as V is orthogonal
         powers = np.power(evals.astype(complex), zeta_val)  # principal branch
-        gen = (vecs * powers) @ vecs.T
-        return expm(-1j * lam * gen) @ psi0
+        return _spectral_apply(vecs, np.exp(-1j * lam * powers), psi0)
 
     plus, minus = psi_of(z + step), psi_of(z - step)
     d_zeta = (plus - minus) / (2.0 * step)

@@ -665,11 +665,12 @@ class TestScanOutput:
 
 
 def test_cli_import_loads_no_scipy():
-    # only the oracle needs scipy, and no module or command of the program
-    # needs mpmath, which only the tests' 40-digit reference uses;
-    # perfbench's tracer still finds the oracle module loaded
+    # only the oracle needs scipy, and of it only scipy.linalg; no module or
+    # command of the program needs mpmath, which only the tests' 40-digit
+    # reference uses; perfbench's tracer still finds the oracle module loaded
     calls = [
         ["qfi", "--n", "2", "--gamma", "0.3", "--theta", "0.4", "--phi", "1.8", "--zeta", "3", "--lambda", "1"],
+        ["qfi", "--n", "1", "--gamma", "0.5", "--zeta", "2", "--lambda", "0.1", "--oracle"],
         ["scan-phase", "--n", "2", "--gamma", "0.5", "--zeta", "3", "--target", "f_lambda", "--grid", "4"],
         ["scan-gamma", "--n", "2", "--zeta", "3", "--target", "joint", "--grid", "5"],
         ["opt-gamma", "--target", "f_zeta", "--zeta", "3", "--n-range", "0.1:10:3"],
@@ -680,7 +681,7 @@ def test_cli_import_loads_no_scipy():
     calls += [[argv[0], "--help"] for argv in calls]
     code = (
         "import contextlib, importlib, io, pkgutil, sys, nlprobe.cli\n"
-        "def loaded(name): return sorted(m for m in sys.modules if m.split('.')[0] == name)\n"
+        "def loaded(name): return sorted(m for m in sys.modules if (m + '.').startswith(name + '.'))\n"
         "def run(argv):\n"
         "    try: return nlprobe.cli.main(argv)\n"
         "    except SystemExit as exc: return exc.code\n"
@@ -688,12 +689,12 @@ def test_cli_import_loads_no_scipy():
         "for info in pkgutil.iter_modules(nlprobe.__path__): importlib.import_module('nlprobe.' + info.name)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [run(argv) for argv in {calls!r}]\n"
-        "print(codes, loaded('mpmath'))\n"
+        "print(codes, loaded('mpmath'), loaded('scipy.sparse'))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(nlprobe.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[] [] True", f"{[0] * len(calls)} []"]
+    assert proc.stdout.splitlines() == ["[] [] True", f"{[0] * len(calls)} [] []"]
 
 
 class TestNonFinitePhases:

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from nlprobe.errors import CutoffError
+from nlprobe.errors import CutoffError, DomainError
 from nlprobe.fock_oracle import (
     _k_eigh,
+    _x_apply,
     _x_eigh,
     annihilation,
     build_state,
@@ -32,9 +33,36 @@ class TestOperators:
             expected[n - 1, n] = math.sqrt(n)
         assert np.array_equal(a, expected)
 
+    @pytest.mark.parametrize("dim", [1, 2, 64])
+    def test_operators_are_complex128(self, dim):
+        assert annihilation(dim).entries.dtype == np.complex128
+        assert quadrature(dim).entries.dtype == np.complex128
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_empty_cutoff_rejected(self, dim):
+        with pytest.raises(DomainError, match="cutoff must be >= 1"):
+            annihilation(dim)
+        with pytest.raises(DomainError, match="cutoff must be >= 1"):
+            quadrature(dim)
+
     def test_quadrature_hermitian_exactly(self):
         x = quadrature(64).entries
         assert np.array_equal(x, x.conj().T)
+
+    @pytest.mark.parametrize("dim", [1, 2, 64, 127])
+    def test_stencil_is_the_textbook_formula_bit_for_bit(self, dim):
+        # (X v)_n = sqrt(n) v_(n-1) + sqrt(n+1) v_(n+1)
+        rng = np.random.default_rng(dim)
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        expected = np.zeros(dim, dtype=complex)
+        for n in range(dim):
+            if n >= 1:
+                expected[n] += math.sqrt(n) * v[n - 1]
+            if n + 1 < dim:
+                expected[n] += math.sqrt(n + 1) * v[n + 1]
+        got = _x_apply(v)
+        assert got.dtype == np.complex128
+        assert all(g == e for g, e in zip(got.tolist(), expected.tolist()))
 
 
 class TestBuildState:
@@ -242,6 +270,34 @@ class TestZetaDerivativeDiagnostic:
         assert d["f_zz_power_rule"] > 0
         # the two derivative readings genuinely differ; we only record by how much
         assert d["relative_difference"] >= 0
+
+    @pytest.mark.parametrize(
+        "probe, model",
+        [
+            (make_probe(1.0, 0.5), ModelSpec(lambda_eff=0.1, zeta=2)),
+            (make_probe(2.0, 0.3, 0.4, 1.1), ModelSpec(lambda_eff=0.05, zeta=3)),
+            (make_probe(0.5, 1.0), ModelSpec(lambda_eff=0.2, zeta=2)),
+        ],
+    )
+    def test_spectral_log_matches_dense_exponential_of_generator(self, probe, model):
+        # reference: exp(-i lam G) psi0 with the dense generator G = V diag(X^zeta) V^T
+        from scipy.linalg import expm
+
+        dim, step = default_dim(probe, zeta=2 * model.zeta, lam=model.lambda_eff), 1e-5
+        evals, vecs = _x_eigh(dim)
+        psi0 = build_state(probe, dim).amplitudes
+
+        def psi_of(zeta_val):
+            gen = (vecs * np.power(evals.astype(complex), zeta_val)) @ vecs.T
+            return expm(-1j * model.lambda_eff * gen) @ psi0
+
+        d_zeta = (psi_of(model.zeta + step) - psi_of(model.zeta - step)) / (2.0 * step)
+        psi = psi_of(model.zeta)
+        psi = psi / np.linalg.norm(psi)
+        overlap = np.vdot(d_zeta, psi)
+        expected = 4.0 * float(np.real(np.vdot(d_zeta, d_zeta) - overlap * overlap.conjugate()))
+        got = zeta_derivative_diagnostic(probe, model, dim=dim)["f_zz_spectral_log"]
+        assert got == pytest.approx(expected, rel=1e-9)
 
 
 class TestDeterminism:

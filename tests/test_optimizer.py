@@ -14,6 +14,7 @@ from nlprobe.optimizer import (
     TargetKind,
     find_threshold,
     objective,
+    objective_grid,
     optimize_gamma,
     optimize_gamma_grid,
     verify_zero_phase_optimality,
@@ -55,6 +56,35 @@ class TestObjective:
         t = target("joint", 4)
         for n in (1e3, 1e6):
             assert objective(0.8, n, t) == pytest.approx(mp_reference.objective(0.8, n, t), rel=1e-12)
+
+
+class TestObjectiveGrid:
+    KINDS = ("f_lambda", "f_zeta", "joint")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n, theta, phi", [(0.3, 0.0, 0.0), (5.0, 0.7, 1.9), (1e4, 0.0, 0.0), (1e6, 2.5, -0.4)])
+    def test_equals_objective_point_by_point(self, kind, n, theta, phi):
+        t = target(kind, 3)
+        gammas = [i / 64.0 for i in range(65)] + [0.123456789, 0.987654321]
+        expected = [objective(g, n, t, theta, phi) for g in gammas]
+        assert objective_grid(gammas, n, t, theta, phi) == expected
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("gammas", [[0.0, 0.5, 1.0], [0.0, 1.0, 0.5]])
+    def test_overflow_raises_the_first_failing_points_error(self, kind, gammas):
+        # at N = 1e25 and zeta 12, gamma = 0 fits in double, 0.5 overflows in
+        # a float power and (for two targets) 1.0 in the entry check: the two
+        # orders must give the errors of different points
+        t = target(kind, 12)
+        for g in gammas:
+            try:
+                objective(g, 1e25, t)
+            except OverflowError as exc:
+                first = exc
+                break
+        with pytest.raises(OverflowError) as info:
+            objective_grid(gammas, 1e25, t)
+        assert info.value.args == first.args
 
 
 class TestOptimizeGamma:
