@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .combinatorics import coeff_row_sum, normal_order_coeff
-from .errors import InternalConsistencyError, NlprobeError, NumericalRangeError, ThresholdAmbiguousError
+from .errors import CutoffError, InternalConsistencyError, NlprobeError, NumericalRangeError, ThresholdAmbiguousError
 from .asymptotics import gamma_opt_high_n
 from .fock_oracle import build_state, converged_moments, qfi_matrix_oracle, quadrature, sld_operator
 from .moments import moment_general
@@ -474,7 +474,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NumericalRangeError, OverflowError) as exc:
+    except (CutoffError, NumericalRangeError, OverflowError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return EXIT_NUMERICAL
     except ThresholdAmbiguousError as exc:

@@ -127,12 +127,6 @@ def _evolve(vec: np.ndarray, dim: int, lam: float, zeta: int) -> np.ndarray:
     return _spectral_apply(vecs, np.exp(-1j * lam * evals**zeta), vec)
 
 
-def _evolution_matrix(dim: int, lam: float, zeta: int) -> np.ndarray:
-    evals, vecs = _x_eigh(dim)
-    phases = np.exp(-1j * lam * evals**zeta)
-    return (vecs * phases) @ vecs.T
-
-
 def annihilation(dim: int) -> TruncatedOperator:
     """Matrix of a: sqrt(n) on the superdiagonal, zero elsewhere."""
     if dim < 1:
@@ -167,9 +161,12 @@ def build_state(probe: ProbeSpec, dim: int) -> TruncatedState:
     S(xi)|0> = R(theta/2 + pi/4) exp(-i r K)|0> with K = (a^2 + a^dag^2)/2,
     and D(alpha) = R(phi + pi/2) exp(-i |alpha| X) R(-phi - pi/2) with
     X = a + a^dag. Each exponential is applied through the cached
-    eigendecomposition of its tridiagonal. Raises CutoffError, carrying a
-    suggested dimension, if the tail-mass bound fails.
+    eigendecomposition of its tridiagonal. Raises DomainError for dim < 1
+    and CutoffError, carrying a suggested dimension, if the tail-mass bound
+    fails.
     """
+    if dim < 1:
+        raise DomainError(f"Fock cutoff must be >= 1, got {dim}")
     alpha = probe.alpha
     xi = probe.xi
     v = np.zeros(dim, dtype=complex)
@@ -202,6 +199,8 @@ def expectation_moment(state: TruncatedState, k: int) -> float:
 
 def expectation_moments(state: TruncatedState, k_max: int) -> np.ndarray:
     """All moments <X^0>..<X^k_max> in one cumulative sweep."""
+    if k_max < 0:
+        raise DomainError(f"moment order must be >= 0, got {k_max}")
     v = state.amplitudes
     out = np.empty(k_max + 1)
     out[0] = 1.0
@@ -212,25 +211,33 @@ def expectation_moments(state: TruncatedState, k_max: int) -> np.ndarray:
     return out
 
 
-def converged_moments(probe: ProbeSpec, k_max: int, dim: int | None = None) -> np.ndarray:
-    """Moments at a cutoff validated by doubling until stable to 1e-9 relative."""
-    d = dim or default_dim(probe, zeta=k_max)
+def _until_stable(d: int, compute, stable, message: str):
+    """The first of compute(d), compute(2d), ... up to DIM_CAP that is stable
+    against the one before; cutoffs that raise CutoffError are skipped."""
     prev = None
     while d <= DIM_CAP:
         try:
-            cur = expectation_moments(build_state(probe, d), k_max)
+            cur = compute(d)
         except CutoffError:
             d *= 2
             continue
-        if prev is not None:
-            drift = np.max(np.abs(cur - prev) / np.maximum(1.0, np.abs(cur)))
-            if drift <= STABILITY_TOL:
-                return cur
+        if prev is not None and stable(cur, prev):
+            return cur
         prev = cur
         d *= 2
-    raise CutoffError(
+    raise CutoffError(message, suggested_dim=2 * DIM_CAP)
+
+
+def converged_moments(probe: ProbeSpec, k_max: int, dim: int | None = None) -> np.ndarray:
+    """Moments at a cutoff validated by doubling, from dim (default_dim when
+    None), until stable to 1e-9 relative."""
+    if k_max < 0:
+        raise DomainError(f"moment order must be >= 0, got {k_max}")
+    return _until_stable(
+        default_dim(probe, zeta=k_max) if dim is None else dim,
+        lambda d: expectation_moments(build_state(probe, d), k_max),
+        lambda cur, prev: np.max(np.abs(cur - prev) / np.maximum(1.0, np.abs(cur))) <= STABILITY_TOL,
         f"moments did not stabilize below dim={DIM_CAP} for k_max={k_max}",
-        suggested_dim=2 * DIM_CAP,
     )
 
 
@@ -240,24 +247,15 @@ def _derivative_vectors(probe: ProbeSpec, model: ModelSpec, dim: int):
     d/d(lambda) psi = -i G_zeta psi, and the nonlinearity-order derivative is
     taken with the operator power rule, d/d(zeta) G_zeta -> zeta G_(zeta-1),
     i.e. d/d(zeta) psi = -i lambda zeta G_(zeta-1) psi. All powers commute, so
-    the order of application is irrelevant.
+    the order of application is irrelevant, and one stencil chain
+    g = G_(zeta-1) psi serves both (G_0 is the identity).
     """
-    z = model.zeta
-    psi0 = build_state(probe, dim).amplitudes
-
-    def xpow(v, p):
-        for _ in range(p):
-            v = _x_apply(v)
-        return v
-
-    psi = _evolve(psi0, dim, model.lambda_eff, z)
-    d_lam = -1j * xpow(psi, z)
-    if z >= 2:
-        d_zeta = -1j * model.lambda_eff * z * xpow(psi, z - 1)
-    else:
-        # G_0 is the identity by convention
-        d_zeta = -1j * model.lambda_eff * z * psi
-    return psi, d_lam, d_zeta
+    z, lam = model.zeta, model.lambda_eff
+    psi = _evolve(build_state(probe, dim).amplitudes, dim, lam, z)
+    g = psi
+    for _ in range(z - 1):
+        g = _x_apply(g)
+    return psi, -1j * _x_apply(g), -1j * lam * z * g
 
 
 def _qfi_from_vectors(psi, d_lam, d_zeta) -> QfiMatrix:
@@ -281,23 +279,14 @@ def _qfi_from_vectors(psi, d_lam, d_zeta) -> QfiMatrix:
 def qfi_matrix_oracle(probe: ProbeSpec, model: ModelSpec, dim: int | None = None) -> QfiMatrix:
     """2x2 QFI matrix plus Uhlmann off-diagonal from explicit state derivatives.
 
-    The result is recomputed at twice the cutoff until every entry is stable
-    to 1e-9 relative.
+    The result is recomputed at twice the cutoff, starting from dim
+    (default_dim when None), until every entry is stable to 1e-9 relative.
     """
-    d = dim or default_dim(probe, zeta=2 * model.zeta, lam=model.lambda_eff)
-    prev = None
-    while d <= DIM_CAP:
-        try:
-            cur = _qfi_from_vectors(*_derivative_vectors(probe, model, d))
-        except CutoffError:
-            d *= 2
-            continue
-        if prev is not None and _matrix_stable(cur, prev):
-            return cur
-        prev = cur
-        d *= 2
-    raise CutoffError(
-        f"oracle QFI did not stabilize below dim={DIM_CAP}", suggested_dim=2 * DIM_CAP
+    return _until_stable(
+        default_dim(probe, zeta=2 * model.zeta, lam=model.lambda_eff) if dim is None else dim,
+        lambda d: _qfi_from_vectors(*_derivative_vectors(probe, model, d)),
+        _matrix_stable,
+        f"oracle QFI did not stabilize below dim={DIM_CAP}",
     )
 
 
@@ -322,23 +311,25 @@ def _matrix_stable(cur: QfiMatrix, prev: QfiMatrix) -> bool:
 def sld_operator(probe: ProbeSpec, model: ModelSpec, dim: int | None = None) -> TruncatedOperator:
     """Symmetric logarithmic derivative L = 2 d(rho_lambda)/d(lambda).
 
-    For the pure unitary family this is -2i U [G_zeta, rho_0] U^dag with
-    U = exp(-i lambda G_zeta), evaluated densely. Hermiticity is enforced to
-    1e-9 and Tr[rho L^2] must reproduce the oracle f_ll.
+    For the pure unitary family, -2i U [G_zeta, rho_0] U^dag with
+    U = exp(-i lambda G_zeta) is the rank-2 operator
+    2 (|d_lambda psi><psi| + |psi><d_lambda psi|), as G_zeta commutes with U
+    and d_lambda psi = -i G_zeta psi; it is formed from the state derivative
+    alone. A given dim is a fixed cutoff: CutoffError if the state does not
+    fit. Without it the cutoff doubles from default_dim until the state
+    fits, up to DIM_CAP. Hermiticity is enforced to 1e-9 and Tr[rho L^2]
+    must reproduce the oracle f_ll.
     """
-    d = dim or default_dim(probe, zeta=2 * model.zeta, lam=model.lambda_eff)
+    d = default_dim(probe, zeta=2 * model.zeta, lam=model.lambda_eff) if dim is None else dim
     while True:
         try:
-            psi0 = build_state(probe, d).amplitudes
+            psi, d_lam, _ = _derivative_vectors(probe, model, d)
             break
-        except CutoffError as exc:
-            if dim is not None or exc.suggested_dim is None or exc.suggested_dim > DIM_CAP:
+        except CutoffError:
+            if dim is not None or 2 * d > DIM_CAP:
                 raise
-            d = exc.suggested_dim
-    gz = np.linalg.matrix_power(quadrature(d).entries, model.zeta)
-    rho0 = np.outer(psi0, psi0.conj())
-    u = _evolution_matrix(d, model.lambda_eff, model.zeta)
-    sld = -2j * (u @ (gz @ rho0 - rho0 @ gz) @ u.conj().T)
+            d *= 2
+    sld = 2.0 * (np.outer(d_lam, psi.conj()) + np.outer(psi, d_lam.conj()))
     herm = float(np.max(np.abs(sld - sld.conj().T)))
     if herm > 1e-9:
         raise InternalConsistencyError(f"SLD hermiticity residue {herm:.3e} at dim={d}")
@@ -347,7 +338,8 @@ def sld_operator(probe: ProbeSpec, model: ModelSpec, dim: int | None = None) -> 
 
 def evolution_unitarity_defect(model: ModelSpec, dim: int) -> float:
     """max |(U^dag U - I)_nm| over the sub-block excluding the top 1/8 of states."""
-    u = _evolution_matrix(dim, model.lambda_eff, model.zeta)
+    evals, vecs = _x_eigh(dim)
+    u = (vecs * np.exp(-1j * model.lambda_eff * evals**model.zeta)) @ vecs.T
     keep = dim - dim // 8
     defect = (u.conj().T @ u - np.eye(dim))[:keep, :keep]
     return float(np.max(np.abs(defect)))
@@ -363,8 +355,11 @@ def zeta_derivative_diagnostic(
     X^zeta log X is evaluated here by central finite differences of the
     principal-branch spectral power X^(zeta +/- step). The two genuinely
     disagree; the numbers are returned for inspection, never asserted.
+    f_zz_spectral_log is taken at the cutoff d (dim, or default_dim when
+    None); f_zz_power_rule is the validated qfi_matrix_oracle value, doubled
+    from d until stable.
     """
-    d = dim or default_dim(probe, zeta=2 * model.zeta, lam=model.lambda_eff)
+    d = default_dim(probe, zeta=2 * model.zeta, lam=model.lambda_eff) if dim is None else dim
     z, lam = model.zeta, model.lambda_eff
     evals, vecs = _x_eigh(d)
     psi0 = build_state(probe, d).amplitudes

@@ -386,6 +386,13 @@ class TestSelftest:
 
 
 class TestErrorPaths:
+    def test_oracle_cutoff_failure_exits_three(self, capsys):
+        # valid arguments whose oracle needs a cutoff above DIM_CAP: a
+        # numerical-range failure, not a usage error (it exited 2)
+        argv = ["qfi", "--n", "1e6", "--gamma", "0.5", "--zeta", "2", "--lambda", "1", "--oracle"]
+        err = '{"error": "CutoffError", "message": "oracle QFI did not stabilize below dim=4096"}\n'
+        assert run_cli(capsys, *argv) == (3, "", err)
+
     def test_numerical_overflow_exits_three(self, capsys):
         code, out, err = run_cli(
             capsys,

@@ -1,11 +1,15 @@
+import ast
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nlprobe import fock_oracle
 from nlprobe.errors import CutoffError, DomainError
 from nlprobe.fock_oracle import (
+    DIM_CAP,
     _k_eigh,
     _x_apply,
     _x_eigh,
@@ -44,6 +48,11 @@ class TestOperators:
             annihilation(dim)
         with pytest.raises(DomainError, match="cutoff must be >= 1"):
             quadrature(dim)
+        # build_state raised IndexError (dim 0) or numpy's ValueError (dim -1)
+        with pytest.raises(DomainError, match="cutoff must be >= 1"):
+            build_state(make_probe(1.0, 0.5), dim)
+        with pytest.raises(DomainError, match="cutoff must be >= 1"):
+            converged_moments(make_probe(1.0, 0.5), 4, dim=dim)
 
     def test_quadrature_hermitian_exactly(self):
         x = quadrature(64).entries
@@ -174,6 +183,19 @@ class TestMoments:
         m_hi = expectation_moments(build_state(p, 1024), 12)
         assert np.max(np.abs(m - m_hi) / np.maximum(1.0, np.abs(m_hi))) < 1e-9
 
+    @pytest.mark.parametrize("k_max", [-1, -2])
+    def test_negative_order_rejected(self, k_max):
+        # IndexError or numpy's ValueError before
+        s = build_state(make_probe(1.0, 0.5), 64)
+        for call in (
+            lambda: expectation_moment(s, k_max),
+            lambda: expectation_moments(s, k_max),
+            lambda: converged_moments(make_probe(1.0, 0.5), k_max),
+            lambda: converged_moments(make_probe(1e6, 0.5), k_max),  # no cutoff below DIM_CAP
+        ):
+            with pytest.raises(DomainError, match="moment order must be >= 0"):
+                call()
+
     def test_default_dim_power_of_two_floor(self):
         d = default_dim(make_probe(0.1, 0.5))
         assert d == 64
@@ -199,9 +221,53 @@ class TestQfiOracle:
         fm = qfi_matrix_oracle(make_probe(1.0, gamma, 0.4, 0.8), ModelSpec(lambda_eff=0.2, zeta=zeta))
         assert abs(fm.u_lz) <= 1e-10
 
+    def test_start_that_does_not_build_is_skipped(self):
+        # the doubling skips cutoffs whose state fails the tail-mass bound
+        p, m = make_probe(12.0, 1.0, 0.3, 0.0), ModelSpec(lambda_eff=0.1, zeta=2)
+        first = 32
+        with pytest.raises(CutoffError):
+            build_state(p, first)
+        while True:
+            first *= 2
+            try:
+                build_state(p, first)
+                break
+            except CutoffError:
+                pass
+        assert qfi_matrix_oracle(p, m, dim=32) == qfi_matrix_oracle(p, m, dim=first)
+
     def test_unitarity_on_guarded_block(self):
         defect = evolution_unitarity_defect(ModelSpec(lambda_eff=0.1, zeta=2), 256)
         assert defect <= 1e-9
+
+
+class TestCutoffCap:
+    # N = 1e6 has a default cutoff above DIM_CAP, so no cutoff is tried
+    def test_moments(self):
+        with pytest.raises(CutoffError, match=r"^moments did not stabilize below dim=4096 for k_max=4$") as info:
+            converged_moments(make_probe(1e6, 0.5), 4)
+        assert info.value.suggested_dim == 2 * DIM_CAP
+
+    def test_qfi(self):
+        with pytest.raises(CutoffError, match=r"^oracle QFI did not stabilize below dim=4096$") as info:
+            qfi_matrix_oracle(make_probe(1e6, 0.5), ModelSpec(lambda_eff=1.0, zeta=2))
+        assert info.value.suggested_dim == 2 * DIM_CAP
+
+
+class TestIndependence:
+    def test_imports_nothing_of_the_closed_forms(self):
+        # the oracle checks the closed forms only if it shares no code with them
+        tree = ast.parse(Path(fock_oracle.__file__).read_text())
+        package = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not [a.name for a in node.names if a.name.split(".")[0] == "nlprobe"]
+            elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("nlprobe")):
+                module = (node.module or "").removeprefix("nlprobe").lstrip(".")
+                package.setdefault(module, set()).update(a.name for a in node.names)
+        assert set(package) == {"errors", "probe", "qfi_core"}
+        assert package["probe"] == {"ProbeSpec"}
+        assert package["qfi_core"] == {"ModelSpec", "QfiMatrix"}
 
 
 class TestSpectralCaches:
@@ -257,6 +323,39 @@ class TestSld:
         m = ModelSpec(lambda_eff=0.1, zeta=2)
         expected = 8.0 * (1.0 + math.sqrt(2.0)) ** 4
         assert qfi_matrix_oracle(p, m).f_ll == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "n,gamma,theta,phi,zeta,lam",
+        [
+            (1.0, 0.0, 0.0, 0.4, 1, 0.3),  # coherent
+            (1.0, 1.0, 0.9, 0.0, 2, 0.1),  # squeezed vacuum
+            (12.0, 1.0, 0.3, 0.0, 1, 0.1),  # default cutoff too small: doubles
+            (2.0, 0.5, 0.7, 1.3, 3, 0.05),  # mixed, general phases
+            (0.5, 0.3, -1.0, 2.0, 4, 0.02),
+        ],
+    )
+    def test_matches_dense_commutator(self, n, gamma, theta, phi, zeta, lam):
+        # -2i U [G, rho_0] U^dag with dense G = X^zeta and U from the eigenbasis of X
+        p, m = make_probe(n, gamma, theta, phi), ModelSpec(lambda_eff=lam, zeta=zeta)
+        dim = default_dim(p, zeta=2 * zeta, lam=lam)
+        while True:
+            try:
+                psi0 = build_state(p, dim).amplitudes
+                break
+            except CutoffError:
+                dim *= 2
+        gz = np.linalg.matrix_power(quadrature(dim).entries, zeta)
+        rho0 = np.outer(psi0, psi0.conj())
+        evals, vecs = _x_eigh(dim)
+        u = (vecs * np.exp(-1j * lam * evals**zeta)) @ vecs.T
+        expected = -2j * (u @ (gz @ rho0 - rho0 @ gz) @ u.conj().T)
+        sld = sld_operator(p, m)
+        assert sld.dim == dim
+        assert np.max(np.abs(sld.entries - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_fixed_cutoff_too_small_raises(self):
+        with pytest.raises(CutoffError):
+            sld_operator(make_probe(30.0, 0.7), ModelSpec(lambda_eff=0.1, zeta=2), dim=32)
 
     def test_hermitian(self):
         sld = sld_operator(make_probe(1.0, 0.5), ModelSpec(lambda_eff=0.1, zeta=2))
