@@ -9,7 +9,6 @@ squeezing fraction at fixed probe energy.
 from .asymptotics import gamma_opt_high_n, qfi_high_n, qfi_lambda_low_n, qfi_zeta_low_n
 from .combinatorics import amplitude_A, coeff_row_sum, normal_order_coeff, scaling_B
 from .errors import (
-    CancellationWarning,
     CutoffError,
     DegenerateModelError,
     DomainError,
@@ -85,5 +84,4 @@ __all__ = [
     "NumericalRangeError",
     "DegenerateModelError",
     "ThresholdAmbiguousError",
-    "CancellationWarning",
 ]

@@ -4,6 +4,10 @@ Scans emit CSV with '#'-prefixed metadata lines followed by a header row;
 floats are written with repr (shortest round-trip form), newlines are LF,
 and the decimal separator is always '.', so identical invocations produce
 byte-identical output regardless of locale or --jobs (accepted, no effect).
+A scan is held as columns (ScanResult): its axes in row-major order and one
+list per other column; CSV formats each axis coordinate once.
+A call constructs only the top-level parser and the chosen subcommand's
+(_Subcommand).
 """
 
 import argparse
@@ -34,69 +38,67 @@ JOINT_LAMBDA_DEFAULTS = (0.01, 1.0, 100.0)
 
 @dataclass(frozen=True)
 class ScanResult:
-    """One scan: named axes, row-major primary values, full CSV rows, metadata.
+    """One scan: its axes, one list per other column, and metadata.
 
-    The metadata records everything needed to reproduce the scan.
+    The grid's points run in row-major order over the axes, the first axis
+    slowest; every column that is not an axis holds one value per point in
+    that order. header orders the columns for output, and the primary
+    column is the one JSON also writes as "values". The metadata records
+    everything needed to reproduce the scan.
     """
 
     axes: dict
+    columns: dict
     header: tuple
-    rows: list
-    values: list = field(default_factory=list)
+    primary: str
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        expected = 1
-        for coords in self.axes.values():
-            expected *= len(coords)
-        if len(self.values) != expected:
-            raise InternalConsistencyError(
-                f"scan has {len(self.values)} values for {expected} grid points"
-            )
+        expected = math.prod(map(len, self.axes.values()))
+        for name, values in self.columns.items():
+            if len(values) != expected:
+                raise InternalConsistencyError(f"scan column {name} has {len(values)} values for {expected} points")
 
+    def cells(self, convert):
+        """The columns in header order, one cell per grid point. Each axis
+        coordinate goes through convert once and is repeated down its
+        column; every other value goes through it on its own."""
+        sizes = [len(coords) for coords in self.axes.values()]
+        spans = {name: (math.prod(sizes[:i]), math.prod(sizes[i + 1:])) for i, name in enumerate(self.axes)}
+        out = []
+        for name in self.header:
+            if name in spans:
+                outer, inner = spans[name]
+                out.append([cell for cell in map(convert, self.axes[name]) for _ in range(inner)] * outer)
+            else:
+                out.append(list(map(convert, self.columns[name])))
+        return out
 
-def _axis_column(name, cells, coords):
-    """[str(c) for c in cells] for a column of coordinates of one axis,
-    formatting each coordinate of the axis once.
-
-    The table is keyed on the value, under which 0.0 and -0.0 (or 1 and 1.0)
-    are one key although they print differently. So a cell takes the
-    table's string only if it is the very object that string was made
-    from, and any other cell is formatted on its own. A cell that equals no
-    coordinate of the axis raises.
-    """
-    table = {c: (c, str(c)) for c in coords}
-    try:
-        entries = list(map(table.__getitem__, cells))
-    except KeyError as exc:
-        raise InternalConsistencyError(f"a scan row holds {name}={exc.args[0]!r}, which is not on that axis") from None
-    return [text if source is cell else str(cell) for (source, text), cell in zip(entries, cells)]
+    @property
+    def rows(self):
+        """The grid's points as tuples in header order."""
+        return list(zip(*self.cells(lambda v: v)))
 
 
 def _emit(args, scan: ScanResult):
     """Write a scan as metadata-prefixed CSV (default) or a JSON document.
 
-    In CSV a column named after an axis takes its coordinates' strings from
-    one table per axis (_axis_column); the other columns go through str
-    cell by cell, which writes a float as its repr.
+    CSV cells go through str, which writes a float as its repr; an axis
+    coordinate is formatted once for all the rows that hold it.
     """
     if args.json:
         doc = {
             "axes": scan.axes,
             "header": list(scan.header),
-            "values": scan.values,
-            "rows": [list(r) for r in scan.rows],
+            "values": scan.columns[scan.primary],
+            "rows": scan.rows,
             "metadata": scan.metadata,
         }
         text = json.dumps(doc, sort_keys=True) + "\n"
     else:
         lines = [f"# {key}={scan.metadata[key]}" for key in sorted(scan.metadata)]
         lines.append(",".join(scan.header))
-        columns = [
-            _axis_column(name, cells, scan.axes[name]) if name in scan.axes else list(map(str, cells))
-            for name, cells in zip(scan.header, zip(*scan.rows))
-        ]
-        lines.extend(map(",".join, zip(*columns)))
+        lines.extend(map(",".join, zip(*scan.cells(str))))
         text = "\n".join(lines) + "\n"
     _write(args, text)
 
@@ -164,13 +166,10 @@ def cmd_scan_phase(args) -> int:
     step = 2.0 * math.pi / k
     thetas = [i * step for i in range(k)]
     phis = [j * step for j in range(k)]
-    points = [(t, p) for t in thetas for p in phis]
     # at lambda = 1 the order QFI is divided by lambda^2, its only lambda dependence
     model = ModelSpec(lambda_eff=1.0, zeta=args.zeta)
     (grid,) = normal_law_grid(args.n, args.gamma, np.array(thetas)[:, None], phis, model,
                               entries=(0 if target is TargetKind.F_LAMBDA else 1,))
-    vals = grid.ravel().tolist()
-    rows = [(t, p, v) for (t, p), v in zip(points, vals)]
     md = _base_metadata(
         args,
         command="scan-phase",
@@ -181,7 +180,8 @@ def cmd_scan_phase(args) -> int:
         grid=k,
         normalization="lambda_squared" if target is TargetKind.F_ZETA else "none",
     )
-    _emit(args, ScanResult({"theta": thetas, "phi": phis}, ("theta", "phi", "value"), rows, vals, md))
+    _emit(args, ScanResult({"theta": thetas, "phi": phis}, {"value": grid.ravel().tolist()},
+                           ("theta", "phi", "value"), "value", md))
     return EXIT_OK
 
 
@@ -190,7 +190,6 @@ def cmd_scan_gamma(args) -> int:
     target = OptTarget(TargetKind(args.target), model)
     gammas = [i / (args.grid - 1) for i in range(args.grid)]
     vals = objective_grid(gammas, args.n, target)
-    rows = list(zip(gammas, vals))
     md = _base_metadata(
         args,
         command="scan-gamma",
@@ -200,7 +199,7 @@ def cmd_scan_gamma(args) -> int:
         target=args.target,
         grid=args.grid,
     )
-    _emit(args, ScanResult({"gamma": gammas}, ("gamma", "value"), rows, vals, md))
+    _emit(args, ScanResult({"gamma": gammas}, {"value": vals}, ("gamma", "value"), "value", md))
     return EXIT_OK
 
 
@@ -233,7 +232,7 @@ def cmd_opt_gamma(args) -> int:
     kind = TargetKind(args.target)
     ns = args.n_range
     lambdas = args.lam if kind is TargetKind.JOINT_BOUND else [1.0]
-    rows = []
+    columns = {"gamma_opt": [], "objective": [], "asymptote": []}
     for zeta in args.zeta:
         if kind is TargetKind.F_ZETA:
             asym = gamma_opt_high_n(zeta - 1) if zeta >= 2 else float("nan")
@@ -242,7 +241,9 @@ def cmd_opt_gamma(args) -> int:
         for lam in lambdas:
             target = OptTarget(kind, ModelSpec(lambda_eff=lam, zeta=zeta))
             for res in optimize_gamma_grid(ns, target):
-                rows.append((res.n_total, zeta, lam, res.gamma_opt, res.objective_value, asym))
+                columns["gamma_opt"].append(res.gamma_opt)
+                columns["objective"].append(res.objective_value)
+        columns["asymptote"] += [asym] * (len(lambdas) * len(ns))
     md = _base_metadata(
         args,
         command="opt-gamma",
@@ -255,7 +256,7 @@ def cmd_opt_gamma(args) -> int:
     )
     header = ("n", "zeta", "lambda", "gamma_opt", "objective", "asymptote")
     axes = {"zeta": list(args.zeta), "lambda": list(lambdas), "n": ns}
-    _emit(args, ScanResult(axes, header, rows, [r[3] for r in rows], md))
+    _emit(args, ScanResult(axes, columns, header, "gamma_opt", md))
     return EXIT_OK
 
 
@@ -432,21 +433,24 @@ def _selftest_arguments(p):
 
 
 class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser that adds its options when it first parses.
+    """A subcommand's parser that is built when it first parses.
 
-    argparse's subparsers action calls parse_known_args on the chosen
-    subcommand only, so a call builds the options of that one; the
-    top-level usage and help read only the subcommands' names and help.
+    Until then it holds only its keyword arguments and its options
+    function. argparse's subparsers action calls parse_known_args on the
+    chosen subcommand only, so a call constructs two parsers: the top-level
+    one and the chosen subcommand's. The top-level usage and help read only
+    the subcommands' names and help, which the subparsers action keeps.
     """
 
     def __init__(self, *, arguments, **kwargs):
-        super().__init__(**kwargs)
-        self._add_options = arguments
+        self._pending = (arguments, kwargs)
 
     def parse_known_args(self, args=None, namespace=None):
-        if self._add_options is not None:
-            self._add_options(self)
-            self._add_options = None
+        if self._pending is not None:
+            arguments, kwargs = self._pending
+            self._pending = None
+            super().__init__(**kwargs)
+            arguments(self)
         return super().parse_known_args(args, namespace)
 
 

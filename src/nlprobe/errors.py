@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class NlprobeError(Exception):
@@ -44,8 +44,3 @@ class ThresholdAmbiguousError(NlprobeError):
     def __init__(self, message, crossings=()):
         super().__init__(message)
         self.crossings = list(crossings)
-
-
-class CancellationWarning(UserWarning):
-    """Two large terms agreed to more than 12 significant digits before
-    subtraction; the returned difference may carry few correct digits."""

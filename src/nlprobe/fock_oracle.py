@@ -317,10 +317,13 @@ def sld_operator(probe: ProbeSpec, model: ModelSpec, dim: int | None = None) -> 
     and d_lambda psi = -i G_zeta psi; it is formed from the state derivative
     alone. A given dim is a fixed cutoff: CutoffError if the state does not
     fit. Without it the cutoff doubles from default_dim until the state
-    fits, up to DIM_CAP. Hermiticity is enforced to 1e-9 and Tr[rho L^2]
-    must reproduce the oracle f_ll.
+    fits, up to DIM_CAP; a default_dim above DIM_CAP raises CutoffError
+    before any state is built. Hermiticity is enforced to 1e-9 and
+    Tr[rho L^2] must reproduce the oracle f_ll.
     """
     d = default_dim(probe, zeta=2 * model.zeta, lam=model.lambda_eff) if dim is None else dim
+    if dim is None and d > DIM_CAP:
+        raise CutoffError(f"SLD needs a cutoff of at least {d}, above DIM_CAP={DIM_CAP}", suggested_dim=d)
     while True:
         try:
             psi, d_lam, _ = _derivative_vectors(probe, model, d)

@@ -488,9 +488,10 @@ class TestErrorPaths:
 
 
 class TestRegressionSet:
-    """stdout of the optimizer commands on a fixed set of inputs, all three
-    targets and zeta 2, 7 and 12, pinned by the sha256 of its bytes as the
-    commands printed them when the optimizer evaluated every QFI entry."""
+    """stdout of the optimizer and scan commands on a fixed set of inputs, all
+    three targets and zeta 2, 7 and 12, pinned by the sha256 of its bytes as
+    the commands printed them when the optimizer evaluated every QFI entry;
+    the scan-phase and JSON cases as they were printed from per-row scans."""
 
     CASES = {
         "opt-gamma-f_lambda": (
@@ -533,6 +534,29 @@ class TestRegressionSet:
         "scan-gamma-f_lambda-12": (
             ["scan-gamma", "--n", "0.3", "--zeta", "12", "--target", "f_lambda", "--grid", "41"],
             "e3134d54eddb53f160ab1b3615ff915b8ca6fe068b4d869ec842ac1d95e0ffd4",
+        ),
+        # pinned when scans were still built row by row; the 30 x 30 grid holds theta = phi = pi
+        "scan-phase-f_lambda-30": (
+            ["scan-phase", "--n", "10", "--gamma", "0.5", "--zeta", "6", "--target", "f_lambda", "--grid", "30"],
+            "26ec96bf45819e975667c9debe394be8721631bab9b558be8e48a876480b5a96",
+        ),
+        "scan-phase-f_zeta-json": (
+            ["scan-phase", "--n", "1.7", "--gamma", "0.4", "--zeta", "4", "--target", "f_zeta", "--grid", "6",
+             "--json"],
+            "0e801a9b2b44f0fbcfd37ceb87d029063b91e8e9221c602a4d8357de58f97484",
+        ),
+        "scan-gamma-joint-json": (
+            ["scan-gamma", "--n", "30", "--zeta", "7", "--target", "joint", "--lambda", "2", "--grid", "21", "--json"],
+            "4a18185ed9ece8c8419bf1e5c6819388e6449b2f3996dacb1415b5813d2ab759",
+        ),
+        "opt-gamma-joint-json": (
+            ["opt-gamma", "--target", "joint", "--zeta", "2", "3", "5", "--lambda", "0.1", "1", "10",
+             "--n-range", "1e-2:1e2:5", "--json"],
+            "3c4ed0e68d289ad8ad33bb3397eb46e66a41c258e97fd96289ab0f25fd31c97c",
+        ),
+        "opt-gamma-f_zeta-nan-json": (
+            ["opt-gamma", "--target", "f_zeta", "--zeta", "1", "3", "--n-range", "0.01:100:4", "--json"],
+            "3d3a03db5cb81c71a53167049dc7b2a80a458128b6adbb14dfe8c8d5332649ca",
         ),
     }
 
@@ -617,16 +641,28 @@ class TestSubcommandParsers:
         (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         return action.choices
 
-    def test_only_the_chosen_subcommand_gets_its_options(self):
+    def test_only_the_chosen_subcommand_gets_its_options(self, capsys, monkeypatch):
         parser = cli.build_parser()
         assert parser.parse_args(self.QFI).func is cli.cmd_qfi
-        options = {name: [a.option_strings for a in p._actions] for name, p in self.subcommands(parser).items()}
-        assert options.pop("qfi") == [
+        subcommands = dict(self.subcommands(parser))
+        assert [a.option_strings for a in subcommands.pop("qfi")._actions] == [
             ["-h", "--help"], ["--n"], ["--gamma"], ["--theta"], ["--phi"], ["--zeta"], ["--lambda"], ["--time"],
             ["--oracle"], ["--jobs"], ["--json"], ["--out"],
         ]
-        assert options == {name: [["-h", "--help"]] for name in ("scan-phase", "scan-gamma", "opt-gamma",
-                                                                    "threshold", "selftest")}
+        # the other five were never constructed: they hold no actions, not even -h
+        assert sorted(subcommands) == ["opt-gamma", "scan-gamma", "scan-phase", "selftest", "threshold"]
+        assert not any("_actions" in vars(p) for p in subcommands.values())
+        # one call constructs the top-level parser and the chosen subcommand's
+        constructed = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            constructed.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert run_cli(capsys, *self.QFI)[0] == 0
+        assert constructed == ["nlprobe", "nlprobe qfi"]
 
     def test_a_subcommand_adds_its_options_once(self):
         selftest = self.subcommands(cli.build_parser())["selftest"]
@@ -702,6 +738,41 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[] [] True", f"{[0] * len(calls)} [] []"]
+
+
+def test_front_end_paths_on_this_interpreter():
+    # TestFrontEndBytes pins argparse's bytes on CPython 3.11 only. A subcommand's
+    # parser is constructed when argparse first calls its parse_known_args, so
+    # check on whichever Python runs the tests that help, usage errors and an
+    # unknown subcommand still reach the chosen subcommand's own parser.
+    commands = ["qfi", "scan-phase", "scan-gamma", "opt-gamma", "threshold", "selftest"]
+    calls = [[cmd, "--help"] for cmd in commands] + [[cmd] for cmd in commands[:-1]] + [["bogus"]]
+    code = (
+        "import contextlib, io, json, nlprobe.cli\n"
+        "def run(argv):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        try: code = nlprobe.cli.main(argv)\n"
+        "        except SystemExit as exc: code = exc.code\n"
+        "    return code, out.getvalue(), err.getvalue()\n"
+        f"print(json.dumps([run(argv) for argv in {calls!r}]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(nlprobe.__file__).resolve().parents[1]), COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    results = dict(zip(map(" ".join, calls), json.loads(proc.stdout)))
+    for cmd in commands:
+        code, out, err = results[f"{cmd} --help"]
+        assert (code, err) == (0, "")
+        assert re.match(rf"usage: nlprobe {cmd}( |\n|$)", out), out
+        assert "--json" in out and "--out" in out
+    for cmd in commands[:-1]:
+        code, out, err = results[cmd]
+        assert (code, out) == (2, "")
+        assert f"nlprobe {cmd}: error: the following arguments are required" in err, err
+    code, out, err = results["bogus"]
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: nlprobe ") and "nlprobe: error: " in err and "'bogus'" in err, err
 
 
 class TestNonFinitePhases:
@@ -786,26 +857,17 @@ class TestEmission:
         cli._emit(argparse.Namespace(json=False, out=None), scan)
         return capsys.readouterr().out
 
-    def test_signed_zeros_and_int_coordinates_keep_their_own_form(self, capsys):
-        # 0.0 == -0.0 and 1 == 1.0 are one key of a table keyed on the value
+    def test_axis_coordinates_print_as_themselves(self, capsys):
+        # 0.0 == -0.0 and 1 == 1.0, yet each coordinate keeps its own form
         xs = [0.0, -0.0, 1, 1.0, float("nan")]
         ys = [-0.0, 0.0]
-        rows = [(x, y, 0.5) for x in xs for y in ys]
-        scan = cli.ScanResult({"x": xs, "y": ys}, ("x", "y", "value"), rows, [0.5] * len(rows), {"k": -0.0})
+        scan = cli.ScanResult({"x": xs, "y": ys}, {"value": [0.5] * 10}, ("x", "y", "value"), "value", {"k": -0.0})
         out = self.emit(capsys, scan)
         assert out == per_row_csv(scan)
-        assert out.splitlines()[2:5] == ["0.0,-0.0,0.5", "0.0,0.0,0.5", "-0.0,-0.0,0.5"]
-
-    def test_equal_cells_that_are_other_objects_are_formatted_on_their_own(self, capsys):
-        # the axis holds 0.0 and 2.0, the rows hold -0.0 and the int 2
-        scan = cli.ScanResult({"x": [0.0, 2.0]}, ("x", "value"), [(-0.0, 1.0), (2, 3.0)], [1.0, 3.0])
-        assert self.emit(capsys, scan) == "x,value\n-0.0,1.0\n2,3.0\n"
-
-    def test_a_row_off_its_axis_raises(self, capsys):
-        scan = cli.ScanResult({"x": [0.0, 1.0]}, ("x", "value"), [(0.0, 1.0), (0.5, 2.0)], [1.0, 2.0])
-        with pytest.raises(InternalConsistencyError, match="x=0.5"):
-            self.emit(capsys, scan)
-        assert capsys.readouterr().out == ""
+        cells = [f"{x},{y},0.5" for x in ("0.0", "-0.0", "1", "1.0", "nan") for y in ("-0.0", "0.0")]
+        assert out.splitlines()[2:] == cells
+        with pytest.raises(InternalConsistencyError, match="column value has 9 values for 10 points"):
+            cli.ScanResult({"x": xs, "y": ys}, {"value": [0.5] * 9}, ("x", "y", "value"), "value")
 
 
 def _capture(capsys, argv, out_path):

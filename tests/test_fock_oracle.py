@@ -361,6 +361,22 @@ class TestSld:
         sld = sld_operator(make_probe(1.0, 0.5), ModelSpec(lambda_eff=0.1, zeta=2))
         assert np.max(np.abs(sld.entries - sld.entries.conj().T)) <= 1e-9
 
+    def test_default_cutoff_above_the_cap_raises_before_any_state(self, monkeypatch):
+        # default_dim is 8192 here: a 512 MB eigenvector matrix and a 1 GB SLD
+        probe, model = make_probe(600.0, 0.5), ModelSpec(0.1, 2)
+        assert default_dim(probe, zeta=4, lam=0.1) == 8192 > DIM_CAP
+
+        def unreachable(*args):
+            raise AssertionError(f"_derivative_vectors{args[2:]} called")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fock_oracle, "_derivative_vectors", unreachable)
+            with pytest.raises(CutoffError, match="above DIM_CAP=4096") as exc:
+                sld_operator(probe, model)
+        assert exc.value.suggested_dim == 8192
+        # the selftest's SLD keeps its cutoff
+        assert sld_operator(make_probe(1.0, 0.5), ModelSpec(lambda_eff=0.1, zeta=2)).dim == 64
+
 
 class TestZetaDerivativeDiagnostic:
     def test_reports_disagreement_without_asserting(self):

@@ -17,7 +17,6 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from nlprobe.cli import main  # noqa: E402
-from nlprobe.errors import CancellationWarning  # noqa: E402
 from nlprobe.moments import general_moments  # noqa: E402
 from nlprobe.optimizer import OptTarget, TargetKind, objective  # noqa: E402
 from nlprobe.probe import make_probe  # noqa: E402
@@ -267,7 +266,7 @@ def test_double_qfi_matrix_and_moments_match_the_80_digit_normal_law(gamma, n, t
 @given(st.floats(0.0, 10.0), gammas, phases, phases, st.integers(1, 6), lambdas, signs)
 def test_qfi_matrix_raises_no_cancellation_alarm_at_low_energy(n, gamma, theta, phi, zeta, lam, sign):
     with warnings.catch_warnings():
-        warnings.simplefilter("error", CancellationWarning)
+        warnings.simplefilter("error")
         qfi_matrix(make_probe(n, gamma, theta, phi), ModelSpec(lambda_eff=lam, zeta=zeta), beta_sign=sign)
 
 

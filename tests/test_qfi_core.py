@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 import mp_reference
-from nlprobe.errors import CancellationWarning, DegenerateModelError, DomainError
+from nlprobe.errors import DegenerateModelError, DomainError
 from nlprobe.fock_oracle import qfi_matrix_oracle
 from nlprobe.probe import make_probe
 from nlprobe.qfi_core import (
@@ -207,7 +207,7 @@ class TestHighEnergyCancellation:
         p = make_probe(1e8, 0.5)
         m = ModelSpec(lambda_eff=1.0, zeta=2)
         with warnings.catch_warnings():
-            warnings.simplefilter("error", CancellationWarning)
+            warnings.simplefilter("error")
             got = qfi_lambda(p, m)
         assert got == pytest.approx(mp_reference.probe_qfi(p, m, entries=(0,))[0], rel=1e-12)
         alpha_sq = 0.5e8
@@ -221,7 +221,7 @@ class TestHighEnergyCancellation:
         p = make_probe(1e8, 0.5)
         m = ModelSpec(lambda_eff=1.0, zeta=2)
         with warnings.catch_warnings():
-            warnings.simplefilter("error", CancellationWarning)
+            warnings.simplefilter("error")
             got = qfi_cross(p, m)
             assert got == pytest.approx(mp_reference.probe_qfi(p, m, entries=(2,))[0], rel=1e-12)
         assert got > 0.0
@@ -229,7 +229,7 @@ class TestHighEnergyCancellation:
     def test_no_covariance_alarm_at_order_one(self):
         # G_0 is the identity, so Cov(G_1, G_0) = m_1 - m_1 m_0 is exactly 0 by design
         with warnings.catch_warnings():
-            warnings.simplefilter("error", CancellationWarning)
+            warnings.simplefilter("error")
             assert qfi_cross(make_probe(3.0, 0.2), ModelSpec(lambda_eff=1.0, zeta=1)) == 0.0
 
 
