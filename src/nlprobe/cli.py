@@ -13,8 +13,10 @@ A call constructs only the top-level parser and the chosen subcommand's
 import argparse
 import json
 import math
+import shutil
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -455,21 +457,24 @@ class _Subcommand(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # HelpFormatter's default width, looked up once, not in each add_argument's formatter
+    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="nlprobe",
         description="Precision bounds for probing optical nonlinearities with squeezed light",
+        formatter_class=formatter,
     )
     parser.add_argument("--version", action="version", version=f"nlprobe {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
-    sub.add_parser("qfi", help="QFI matrix, Uhlmann residual and joint bound at one point", arguments=_qfi_arguments)
-    sub.add_parser("scan-phase", help="QFI over a (theta, phi) grid at fixed N, gamma, zeta",
-                   arguments=_scan_phase_arguments)
-    sub.add_parser("scan-gamma", help="figure of merit over gamma at fixed N", arguments=_scan_gamma_arguments)
-    sub.add_parser("opt-gamma", help="optimal squeezing fraction over a log-spaced N range",
-                   arguments=_opt_gamma_arguments)
-    sub.add_parser("threshold", help="energy below which squeezed vacuum is the optimal probe",
-                   arguments=_threshold_arguments)
-    sub.add_parser("selftest", help="run the oracle-agreement suite", arguments=_selftest_arguments)
+    for name, help_text, arguments in (
+        ("qfi", "QFI matrix, Uhlmann residual and joint bound at one point", _qfi_arguments),
+        ("scan-phase", "QFI over a (theta, phi) grid at fixed N, gamma, zeta", _scan_phase_arguments),
+        ("scan-gamma", "figure of merit over gamma at fixed N", _scan_gamma_arguments),
+        ("opt-gamma", "optimal squeezing fraction over a log-spaced N range", _opt_gamma_arguments),
+        ("threshold", "energy below which squeezed vacuum is the optimal probe", _threshold_arguments),
+        ("selftest", "run the oracle-agreement suite", _selftest_arguments),
+    ):
+        sub.add_parser(name, help=help_text, arguments=arguments, formatter_class=formatter)
     return parser
 
 

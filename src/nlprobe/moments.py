@@ -59,33 +59,48 @@ def _check_beta_sign(beta_sign):
         raise DomainError(f"beta_sign must be +1 or -1, got {beta_sign}")
 
 
-def _normal_law(n_total, gamma, theta, phi, beta_sign=+1, m=math):
-    """(mean, variance) of the quadrature (module docstring) on the plain
-    numbers of a probe: floats with m = math, arrays with m = numpy, bit
-    for bit the same at every element.
-
-    The forms there are |cosh r + sinh r e^(i theta)|^2 and, for the default
-    family, 2|alpha| [cosh 2r cos phi + sinh 2r cos(theta - phi)] with their
-    cancelling terms removed. The default family takes h - phi as s + e
-    exactly (TwoSum), with cos(h - phi) = cos s - e sin s and
-    sin(h - phi) = sin s + e cos s, because near phi = h + pi/2
+def _phase_terms(theta, phi, beta_sign=+1, m=math):
+    """The (theta, phi) half of _normal_law: (cos h, sin h, c, s) with
+    h = theta/2, c and s cos(h - phi) and sin(h - phi) in the default
+    family, c = cos phi and s None in the other. h - phi is taken as s' + e
+    exactly (TwoSum), with cos(h - phi) = cos s' - e sin s' and
+    sin(h - phi) = sin s' + e cos s', because near phi = h + pi/2
     cos(h - phi) is about as small as the rounding of h - phi, and E
     multiplies it.
     """
-    n_sq = gamma * n_total
-    e_r = m.sqrt(n_sq) + m.sqrt(1.0 + n_sq)
-    big, small = e_r * e_r, 1.0 / (e_r * e_r)
     h = 0.5 * theta
     ch, sh = m.cos(h), m.sin(h)
-    var = big * ch * ch + small * sh * sh
-    a2 = 2.0 * m.sqrt((1.0 - gamma) * n_total)
     if beta_sign < 0:
-        return a2 * m.cos(phi), var
+        return ch, sh, m.cos(phi), None
     s = h - phi
     h_part = s + phi
     e = (h - h_part) - (phi + (s - h_part))
     cs, ss = m.cos(s), m.sin(s)
-    return a2 * (big * ch * (cs - e * ss) + small * sh * (ss + e * cs)), var
+    return ch, sh, cs - e * ss, ss + e * cs
+
+
+def _energy_law(n_total, gamma, phase, m=math):
+    """The (N, gamma) half of _normal_law, on the terms phase = _phase_terms(...)."""
+    ch, sh, c, s = phase
+    n_sq = gamma * n_total
+    e_r = m.sqrt(n_sq) + m.sqrt(1.0 + n_sq)
+    big, small = e_r * e_r, 1.0 / (e_r * e_r)
+    var = big * ch * ch + small * sh * sh
+    a2 = 2.0 * m.sqrt((1.0 - gamma) * n_total)
+    if s is None:
+        return a2 * c, var
+    return a2 * (big * ch * c + small * sh * s), var
+
+
+def _normal_law(n_total, gamma, theta, phi, beta_sign=+1, m=math):
+    """(mean, variance) of the quadrature (module docstring) on the plain
+    numbers of a probe: floats with m = math, arrays with m = numpy, bit
+    for bit the same at every element. The forms there are
+    |cosh r + sinh r e^(i theta)|^2 and, for the default family,
+    2|alpha| [cosh 2r cos phi + sinh 2r cos(theta - phi)] with their
+    cancelling terms removed, in two halves: _phase_terms, _energy_law.
+    """
+    return _energy_law(n_total, gamma, _phase_terms(theta, phi, beta_sign, m), m)
 
 
 def general_moments(probe: ProbeSpec, orders, *, beta_sign: int = +1) -> dict:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalRangeError, ThresholdAmbiguousError
-from .qfi_core import ModelSpec, _normal_law_arrays, _normal_law_qfi, normal_law_grid
+from .qfi_core import ModelSpec, _normal_law_arrays, _normal_law_kernel, normal_law_grid
 
 __all__ = [
     "TargetKind",
@@ -29,6 +29,7 @@ __all__ = [
 
 THRESHOLD_N_LO = 1e-4  # default lower end of the threshold search
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+BISECTION_LEVELS = 3  # find_threshold fills the 2**3 - 1 = 7 midpoints of three levels in one table
 OVERFLOW_MESSAGE = "objective overflowed double precision; reduce the probe energy, the order or the coupling"
 
 
@@ -73,12 +74,13 @@ def objective(
     """Figure of merit as a function of the squeezing fraction.
 
     Every phase and target goes through the scalar kernel
-    qfi_core._normal_law_qfi, asked for the target's entry alone: f_lambda
+    qfi_core._normal_law_kernel, the one the golden section of
+    optimize_gamma_grid calls, asked for the target's entry alone: f_lambda
     evaluates V, f_zeta W, and the joint bound V, W and G. It raises
     OverflowError only where that entry does not fit in double.
     """
-    entries = (_ENTRY[target.kind],)
-    return _normal_law_qfi(float(n_total), float(gamma), float(theta), float(phi), target.model, entries=entries)[0]
+    kernel = _normal_law_kernel(float(n_total), float(theta), float(phi), target.model, entries=(_ENTRY[target.kind],))
+    return kernel(float(gamma))[0]
 
 
 def objective_grid(gammas, n_total: float, target: OptTarget, theta: float = 0.0, phi: float = 0.0) -> list:
@@ -114,55 +116,36 @@ def _local_maxima(table):
     return flags
 
 
-def optimize_gamma_grid(
-    ns,
-    target: OptTarget,
-    theta: float = 0.0,
-    phi: float = 0.0,
-    *,
-    coarse: int = 129,
-    gamma_tol: float = 1e-6,
-) -> list:
-    """optimize_gamma at every energy of ns, as a list of GammaOptResult.
+def _check_row(n, coarse):
+    if n <= 0:
+        raise DomainError("optimize_gamma requires n_total > 0")
+    if coarse < 64:
+        raise DomainError("coarse grid must have at least 64 points")
 
-    One pass of qfi_core.normal_law_grid fills the len(ns) x coarse table
-    of the coarse grids and numpy flags the local maxima of every row at
-    once. The golden section then refines each row's candidates through
-    the scalar kernel qfi_core._normal_law_qfi. Table and golden section
-    evaluate the target's entry alone (objective).
-    Results and errors are those of a loop over the energies: the rows are
-    checked and refined in order, and a row on which the table holds a bad
-    point is evaluated again point by point, which raises the error that
-    point raises on its own.
+
+def _row_solver(ns, target, theta, phi, coarse, gamma_tol):
+    """solve(i) = optimize_gamma(ns[i], ...), with the coarse grids of all
+    energies in one table that raises nothing: solve(i) checks ns[i] and
+    raises optimize_gamma's errors, so rows never solved may hold bad points.
     """
-    ns = list(ns)
-    if not ns:
-        return []
     model, entries = target.model, (_ENTRY[target.kind],)
     theta, phi = float(theta), float(phi)
-
-    def check(n):
-        if n <= 0:
-            raise DomainError("optimize_gamma requires n_total > 0")
-        if coarse < 64:
-            raise DomainError("coarse grid must have at least 64 points")
-
-    def fun(g):  # at the energy n_f of the row being refined
-        try:
-            return _normal_law_qfi(n_f, g, theta, phi, model, entries=entries)[0]
-        except OverflowError as exc:
-            raise NumericalRangeError(OVERFLOW_MESSAGE) from exc
-
-    check(ns[0])  # the first row's checks come before its grid, as in a loop over the energies
     grid = [i / (coarse - 1) for i in range(coarse)]
     (table,), ok = _normal_law_arrays(np.array(ns, dtype=float)[:, None], grid, theta, phi, model, entries)
     rows_ok = ok.all(axis=1).tolist()
     flags = _local_maxima(table)
 
-    results = []
-    for i, n in enumerate(ns):
-        check(n)
-        n_f = float(n)
+    def solve(i):
+        n = ns[i]
+        _check_row(n, coarse)
+        kernel = _normal_law_kernel(float(n), theta, phi, model, entries=entries)
+
+        def fun(g):
+            try:
+                return kernel(g)[0]
+            except OverflowError as exc:
+                raise NumericalRangeError(OVERFLOW_MESSAGE) from exc
+
         if rows_ok[i]:
             row, row_flags = table[i], flags[i]
         else:  # a row with a bad point: point by point it raises the error a loop meets first
@@ -182,8 +165,38 @@ def optimize_gamma_grid(
         for edge in (0, coarse - 1):
             if vals[edge] >= best_v:
                 best_g, best_v = grid[edge], vals[edge]
-        results.append(GammaOptResult(best_g, best_v, best_g == 1.0, n))
-    return results
+        return GammaOptResult(best_g, best_v, best_g == 1.0, n)
+
+    return solve
+
+
+def optimize_gamma_grid(
+    ns,
+    target: OptTarget,
+    theta: float = 0.0,
+    phi: float = 0.0,
+    *,
+    coarse: int = 129,
+    gamma_tol: float = 1e-6,
+) -> list:
+    """optimize_gamma at every energy of ns, as a list of GammaOptResult.
+
+    One pass of qfi_core.normal_law_grid fills the len(ns) x coarse table
+    of the coarse grids and numpy flags the local maxima of every row at
+    once. The golden section then refines each row's candidates through
+    the scalar kernel of that row's energy (qfi_core._normal_law_kernel).
+    Table and golden section evaluate the target's entry alone (objective).
+    Results and errors are those of a loop over the energies: the rows are
+    checked and refined in order, and a row on which the table holds a bad
+    point is evaluated again point by point, which raises the error that
+    point raises on its own.
+    """
+    ns = list(ns)
+    if not ns:
+        return []
+    _check_row(ns[0], coarse)  # the first row's checks come before its grid, as in a loop over the energies
+    solve = _row_solver(ns, target, theta, phi, coarse, gamma_tol)
+    return [solve(i) for i in range(len(ns))]
 
 
 def optimize_gamma(
@@ -228,7 +241,10 @@ def find_threshold(
     crossings raise ThresholdAmbiguousError listing them all. If the
     indicator never turns False the target has no threshold in the searched
     range and math.inf is returned as a sentinel. The bisection stops at
-    rel_tol (finite, > 0) or when the bracket is two adjacent doubles.
+    rel_tol (finite, > 0) or when the bracket is two adjacent doubles. It
+    fills the midpoints of its next BISECTION_LEVELS steps in one table and
+    refines only those it visits, so its brackets and result are those of
+    one optimize_gamma per step.
     """
     if samples < 2 or not 0 < n_lo < n_hi:
         raise DomainError(f"threshold search needs samples >= 2 and 0 < n_lo < n_hi, got {samples} {n_lo} {n_hi}")
@@ -255,13 +271,23 @@ def find_threshold(
 
     lo, hi = crossings[0]
     while hi / lo - 1.0 > rel_tol:
-        mid = math.sqrt(lo * hi)
-        if not lo < mid < hi:  # lo and hi are adjacent doubles: the bracket cannot shrink
-            break
-        if optimize_gamma(mid, target, theta, phi).at_boundary:
-            lo = mid
-        else:
-            hi = mid
+        # the midpoints of the next BISECTION_LEVELS steps in heap order: node j
+        # bisects brackets[j], its children are 2j+1 (lo = mid) and 2j+2 (hi = mid)
+        brackets, mids = [(lo, hi)], []
+        while len(mids) < 2**BISECTION_LEVELS - 1:
+            a, b = brackets[len(mids)]
+            mids.append(math.sqrt(a * b))
+            brackets += [(mids[-1], b), (a, mids[-1])]
+        solve = _row_solver(mids, target, theta, phi, 129, 1e-6)  # optimize_gamma's defaults
+        j = 0
+        while j < len(mids) and hi / lo - 1.0 > rel_tol:
+            mid = mids[j]
+            if not lo < mid < hi:  # lo and hi are adjacent doubles: the bracket cannot shrink
+                return math.sqrt(lo * hi)
+            if solve(j).at_boundary:
+                lo, j = mid, 2 * j + 1
+            else:
+                hi, j = mid, 2 * j + 2
     return math.sqrt(lo * hi)
 
 

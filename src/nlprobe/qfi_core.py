@@ -7,7 +7,8 @@ power-rule derivative of the generator, and the two parameters are
 compatible: both generators are powers of the same Hermitian quadrature, so
 the Uhlmann antisymmetric part vanishes identically.
 
-Every entry and the joint bound come from one kernel, _normal_law_qfi: the
+Every entry and the joint bound come from one kernel, _normal_law_qfi (at
+fixed energy and phases, _normal_law_kernel as a function of gamma): the
 quadrature is normal in both moment families, so the entries are integer
 polynomials in x = mu^2 / sigma^2 evaluated in double precision by Horner's
 rule. normal_law_grid evaluates the same normal law and the same formulas
@@ -24,7 +25,7 @@ import numpy as np
 
 from .combinatorics import normal_law_covariance, normal_law_polynomials
 from .errors import DegenerateModelError, DomainError, InternalConsistencyError
-from .moments import _check_beta_sign, _normal_law
+from .moments import _check_beta_sign, _energy_law, _phase_terms
 from .probe import ProbeSpec, make_probe
 
 __all__ = [
@@ -141,6 +142,28 @@ def _assemble(mean, var, lz, zeta, table, entries):
     return values
 
 
+def _normal_law_kernel(n_total, theta, phi, model, beta_sign=+1, entries=(0, 1, 2, 3)):
+    """gamma -> _normal_law_qfi(n_total, gamma, theta, phi, model, beta_sign,
+    entries), with the phase terms, coefficient table and lambda zeta taken once."""
+    zeta = model.zeta
+    table, lz = _normal_law_table(zeta), model.lambda_eff * zeta
+    fixed_ok = math.isfinite(theta) and math.isfinite(phi)
+    phase = _phase_terms(theta, phi, beta_sign) if fixed_ok else None  # else make_probe raises
+    fixed_ok = fixed_ok and 0.0 <= n_total < math.inf
+
+    def kernel(gamma):
+        if not (fixed_ok and 0.0 <= gamma <= 1.0):
+            make_probe(n_total, gamma, theta, phi)
+        mean, var = _energy_law(n_total, gamma, phase)
+        values = _assemble(mean, var, lz, zeta, table, entries)
+        for value in values:
+            if not -math.inf < value < math.inf:
+                raise OverflowError(OVERFLOW)  # products overflow silently
+        return values
+
+    return kernel
+
+
 def _normal_law_qfi(n_total, gamma, theta, phi, model, beta_sign=+1, entries=(0, 1, 2, 3)):
     """The entries of (f_ll, f_zz, f_lz, det F / tr F) at the indices in
     entries (all four by default), on the plain floats of a probe: the one
@@ -166,18 +189,10 @@ def _normal_law_qfi(n_total, gamma, theta, phi, model, beta_sign=+1, entries=(0,
     read are evaluated (_entry): f_ll alone costs one Horner sum and never
     reads lambda. A point outside the probe domain raises
     make_probe's DomainError, a requested entry beyond the double range
-    OverflowError; an entry that was not requested is not checked.
+    OverflowError; an entry that was not requested is not checked. It is
+    _normal_law_kernel called once.
     """
-    if not (0.0 <= gamma <= 1.0 and 0.0 <= n_total < math.inf
-            and math.isfinite(theta) and math.isfinite(phi)):
-        make_probe(n_total, gamma, theta, phi)
-    zeta = model.zeta
-    mean, var = _normal_law(n_total, gamma, theta, phi, beta_sign)
-    values = _assemble(mean, var, model.lambda_eff * zeta, zeta, _normal_law_table(zeta), entries)
-    for value in values:
-        if not -math.inf < value < math.inf:
-            raise OverflowError(OVERFLOW)  # products overflow silently
-    return values
+    return _normal_law_kernel(n_total, theta, phi, model, beta_sign, entries)(gamma)
 
 
 def _probe_qfi(probe: ProbeSpec, model: ModelSpec, beta_sign=+1, entries=(0, 1, 2, 3)):
@@ -242,18 +257,16 @@ def _normal_law_arrays(n_total, gamma, theta, phi, model: ModelSpec, entries):
     points at which all of them are right. Elsewhere the values are
     meaningless and _normal_law_qfi may raise.
     """
-    n, gam, th, ph = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (n_total, gamma, theta, phi)))
+    arrays = [np.asarray(a, dtype=float) for a in (n_total, gamma, theta, phi)]
+    n, gam, th, ph = np.broadcast_arrays(*arrays)
     polys = tuple(zip(*_normal_law_table(model.zeta)))  # (x <= 1, x > 1) coefficient orders of V, W, G, Q
     with np.errstate(all="ignore"):  # both Horner branches run everywhere, 1/x included
-        mean, var = _normal_law(n, gam, th, ph, +1, np)
+        mean, var = _energy_law(n, gam, _phase_terms(arrays[2], arrays[3], +1, np), np)  # phases unbroadcast
         x = mean * mean / var
         above = x > 1.0
         u = np.where(above, mean * mean, var)
-        try:
-            powers = np.array([b ** (model.zeta - 2) for b in u.ravel().tolist()]).reshape(u.shape)
-        except ArithmeticError:  # overflow or 0 ** -1 somewhere: no point is trusted
-            powers = math.nan
-        scale, lz = 4.0 * var * powers, model.lambda_eff * model.zeta
+        # libm's pow, as float ** takes it; where ** raises it gives inf, which fails ok
+        scale, lz = 4.0 * var * np.float_power(u, model.zeta - 2), model.lambda_eff * model.zeta
         horner = lru_cache(lambda pair, _: _horner_grid(*pair, x, above))  # once per polynomial: V, W serve two entries
         values = tuple(_entry(k, horner, polys, None, mean, var, u, scale, lz) for k in entries)
         ok = np.isfinite(n) & (n >= 0.0) & (gam >= 0.0) & (gam <= 1.0) & np.isfinite(th) & np.isfinite(ph)
@@ -269,9 +282,8 @@ def normal_law_grid(n_total, gamma, theta, phi, model: ModelSpec, *, entries=(0,
     at the indices in entries, by default (f_ll, f_zz, det F / tr F), equal
     bit for bit to _normal_law_qfi(..., entries=entries) at every point: the
     same formulas (_entry) in the same order, with numpy's sqrt, cos and sin,
-    which agree with the math module's, and the power of u taken per element
-    by Python's float pow, which numpy's vectorised power does not always
-    match. Where a point lies outside the probe domain or a requested entry
+    which agree with the math module's, and np.float_power, which calls
+    libm's pow as float ** does (numpy's vectorised power may not). Where a point lies outside the probe domain or a requested entry
     does not fit in double, the points are handed to that kernel in C order,
     so that the error raised is the one a loop over the points would raise.
     """

@@ -83,6 +83,11 @@ def objective(gamma, n_total, target, theta=0.0, phi=0.0):
     return kernel(n_total, gamma, theta, phi, target.model, entries=(optimizer._ENTRY[target.kind],))[0]
 
 
+def _kernel_at(n_total, theta, phi, model, beta_sign=+1, entries=(0, 1, 2, 3)):
+    """qfi_core._normal_law_kernel at 40 digits: kernel as a function of gamma."""
+    return lambda gamma: kernel(n_total, gamma, theta, phi, model, beta_sign, entries)
+
+
 def _no_table(n_total, gamma, theta, phi, model, entries):
     """A coarse table on which every point is bad, so that every row is filled point by point."""
     shape = np.broadcast_shapes(np.shape(n_total), np.shape(gamma))
@@ -91,7 +96,7 @@ def _no_table(n_total, gamma, theta, phi, model, entries):
 
 def optimize_gamma_grid(ns, target, theta=0.0, phi=0.0):
     """optimizer.optimize_gamma_grid with every objective value from kernel."""
-    with mock.patch.object(optimizer, "_normal_law_qfi", kernel), \
+    with mock.patch.object(optimizer, "_normal_law_kernel", _kernel_at), \
             mock.patch.object(optimizer, "_normal_law_arrays", _no_table):
         return optimizer.optimize_gamma_grid(ns, target, theta, phi)
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -679,6 +680,32 @@ class TestSubcommandParsers:
             results.append((code, *capsys.readouterr()))
         assert [r[0] for r in results] == [0, 0, 2] * 2
         assert results[:3] == results[3:]
+
+    def test_the_terminal_size_is_looked_up_once_per_call(self, capsys, monkeypatch):
+        calls = []
+        size = shutil.get_terminal_size
+        monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or size(*a))
+        argv = ["scan-phase", "--n", "3", "--gamma", "0.5", "--zeta", "3", "--target", "f_lambda", "--grid", "4"]
+        assert run_cli(capsys, *argv)[0] == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("columns", ["60", "133", None])
+    @pytest.mark.parametrize("argv", [["--help"], ["qfi", "--help"], ["threshold", "--zeta", "2"]])
+    def test_help_width_is_the_formatters_own(self, capsys, monkeypatch, columns, argv):
+        # build_parser hands the width to HelpFormatter; left to itself, each
+        # formatter looks up the same width
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        results = []
+        for formatter in (cli.partial, lambda cls, width: cls):
+            monkeypatch.setattr(cli, "partial", formatter)
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            results.append((exc.value.code, *capsys.readouterr()))
+        assert results[0] == results[1]
+        assert any(len(line) > 40 for line in (results[0][1] + results[0][2]).splitlines())  # the width matters
 
 
 class TestScanOutput:

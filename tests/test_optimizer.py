@@ -7,7 +7,7 @@ import pytest
 import mp_reference
 import nlprobe.optimizer as opt
 from nlprobe.asymptotics import gamma_opt_high_n
-from nlprobe.errors import DomainError, NumericalRangeError, ThresholdAmbiguousError
+from nlprobe.errors import DomainError, NlprobeError, NumericalRangeError, ThresholdAmbiguousError
 from nlprobe.optimizer import (
     GammaOptResult,
     OptTarget,
@@ -220,10 +220,10 @@ class TestOptimizeGammaGrid:
             table = f_array(np.broadcast_to(np.asarray(g, dtype=float), np.broadcast_shapes(np.shape(n), np.shape(g))))
             return (table,) * len(entries), np.ones(table.shape, dtype=bool)
 
-        def kernel(n, g, theta, phi, model, entries=(0, 1, 2, 3)):
-            return (f(g),) * len(entries)
+        def kernel(n, theta, phi, model, beta_sign=+1, entries=(0, 1, 2, 3)):
+            return lambda g: (f(g),) * len(entries)
 
-        monkeypatch.setattr(opt, "_normal_law_qfi", kernel)
+        monkeypatch.setattr(opt, "_normal_law_kernel", kernel)  # the golden section's and objective's kernel
         monkeypatch.setattr(opt, "_normal_law_arrays", arrays)
         t = target("f_lambda", 2)
         got = optimize_gamma_grid([1.0, 2.0], t)
@@ -386,6 +386,102 @@ class TestFindThreshold:
         with pytest.raises(ThresholdAmbiguousError) as info:
             opt.find_threshold(target("f_lambda", 2), n_lo=1e-3, n_hi=1.0, samples=7)
         assert len(info.value.crossings) > 1
+
+
+def loop_threshold(t, theta=0.0, phi=0.0, *, n_lo=opt.THRESHOLD_N_LO, n_hi=1e3, rel_tol=1e-4, samples=15,
+                   visited=None):
+    """Frozen copy of find_threshold bisecting with one optimize_gamma(mid)
+    per step; each energy it refines is appended to visited."""
+    if samples < 2 or not 0 < n_lo < n_hi:
+        raise DomainError(f"threshold search needs samples >= 2 and 0 < n_lo < n_hi, got {samples} {n_lo} {n_hi}")
+    if not 0 < rel_tol < math.inf:
+        raise DomainError(f"threshold search needs a finite rel_tol > 0, got {rel_tol}")
+    ratio = (n_hi / n_lo) ** (1.0 / (samples - 1))
+    ns = [n_lo * ratio**i for i in range(samples)]
+    flags = [res.at_boundary for res in optimize_gamma_grid(ns, t, theta, phi)]
+    if not flags[0]:
+        raise ThresholdAmbiguousError(f"gamma_opt already interior at N={n_lo}; lower n_lo to bracket the threshold")
+    crossings = [(ns[i], ns[i + 1]) for i in range(samples - 1) if flags[i] != flags[i + 1]]
+    if len(crossings) > 1:
+        raise ThresholdAmbiguousError("boundary indicator is not monotone on the sampling grid", crossings=crossings)
+    if not crossings:
+        return math.inf
+    lo, hi = crossings[0]
+    while hi / lo - 1.0 > rel_tol:
+        mid = math.sqrt(lo * hi)
+        if not lo < mid < hi:
+            break
+        if visited is not None:
+            visited.append(mid)
+        if optimize_gamma(mid, t, theta, phi).at_boundary:
+            lo = mid
+        else:
+            hi = mid
+    return math.sqrt(lo * hi)
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result as a hex string, or its error's type, arguments and crossings."""
+    try:
+        return fn(*args, **kwargs).hex()
+    except (NlprobeError, ArithmeticError) as exc:  # the same error, with the same message, on both sides
+        return type(exc), exc.args, getattr(exc, "crossings", None)
+
+
+class TestBatchedBisection:
+    """find_threshold solves the midpoints of BISECTION_LEVELS steps from one
+    table; its lo, hi and result equal those of one optimize_gamma per step."""
+
+    JOINT = [(3, 1.0, 21), (4, 1.0, 21), (5, 100.0, 15), (6, 1.0, 12), (2, 0.01, 51)]
+
+    @pytest.mark.parametrize("kind", ["f_lambda", "f_zeta"])
+    @pytest.mark.parametrize("zeta", range(2, 13))
+    def test_individual_targets(self, kind, zeta):
+        t = target(kind, zeta)
+        assert outcome(find_threshold, t) == outcome(loop_threshold, t)
+
+    @pytest.mark.parametrize("zeta, lam, samples", JOINT)
+    def test_joint_inputs(self, zeta, lam, samples):
+        t = target("joint", zeta, lam)
+        kw = dict(n_hi=1e6, samples=samples)
+        assert outcome(find_threshold, t, **kw) == outcome(loop_threshold, t, **kw)
+
+    @pytest.mark.parametrize("rel_tol", [1e-20, 1e-9, 0.3, 50.0], ids=["adjacent-doubles", "fine", "coarse", "no-step"])
+    def test_stop_rules(self, rel_tol):
+        for t in (target("f_lambda", 2), target("f_zeta", 5)):
+            visited = []
+            want = outcome(loop_threshold, t, rel_tol=rel_tol, visited=visited)
+            assert outcome(find_threshold, t, rel_tol=rel_tol) == want
+            assert (len(visited) == 0) is (rel_tol == 50.0)
+
+    @pytest.mark.parametrize("theta, phi", [(0.3, 0.0), (0.0, 0.7), (2 * math.pi, 0.0), (0.25, 3.5)])
+    def test_nonzero_phases(self, theta, phi):
+        for t in (target("f_lambda", 3), target("f_zeta", 4)):
+            assert outcome(find_threshold, t, theta, phi) == outcome(loop_threshold, t, theta, phi)
+
+    def test_a_bad_point_on_a_row_never_visited_raises_nothing(self, monkeypatch):
+        t, visited = target("f_lambda", 3), []
+        want = loop_threshold(t, visited=visited)
+        unvisited, arrays, kernel = [], opt._normal_law_arrays, opt._normal_law_kernel
+
+        def bad_unvisited_rows(n, *args):
+            (table,), ok = arrays(n, *args)
+            if len(n) == 2**opt.BISECTION_LEVELS - 1:  # a bisection table, not the samples'
+                for i, e in enumerate(n[:, 0].tolist()):
+                    if e not in visited:
+                        table[i, 5], ok[i, 5] = math.nan, False
+                        unvisited.append(e)
+            return (table,), ok
+
+        def raising_off_the_walk(n, *args, **kwargs):
+            if n in unvisited:
+                raise AssertionError(f"row N={n!r} is refined but the bisection never visits it")
+            return kernel(n, *args, **kwargs)
+
+        monkeypatch.setattr(opt, "_normal_law_arrays", bad_unvisited_rows)
+        monkeypatch.setattr(opt, "_normal_law_kernel", raising_off_the_walk)
+        assert find_threshold(t) == want
+        assert len(unvisited) >= 4  # four of a table's seven rows are never visited
 
 
 class TestZeroPhaseOptimality:

@@ -3,6 +3,7 @@ import random
 import warnings
 
 import mpmath
+import numpy as np
 import pytest
 
 import mp_reference
@@ -257,3 +258,28 @@ class TestPrintedSumReference:
             got = mp_reference.qfi_matrix(probe, ModelSpec(lambda_eff=lam, zeta=zeta), beta_sign=sign)
             for g, w in zip(got.as_tuple(), map(float, want)):
                 assert abs(g - w) <= 1e-14 * abs(w), (probe, zeta, lam, sign)
+
+
+class TestPowerStep:
+    """normal_law_grid takes u^(zeta-2) with np.float_power and the scalar
+    kernel with float **: both must call libm's pow, or the grid and the
+    point-by-point kernel part in the last bit. np.power, which is
+    vectorised, does not always agree with **."""
+
+    @pytest.mark.parametrize("k", range(-1, 11))  # zeta 1..12
+    def test_float_power_is_float_pow_bit_for_bit(self, k):
+        rng = np.random.default_rng(k + 1)
+        # log-uniform from the smallest subnormal to the largest double, and zero
+        u = np.exp(rng.uniform(math.log(5e-324), math.log(1.7976931348623157e308), 100_000))
+        u[:16] = [0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1.7976931348623157e308] + [1e30] * 11
+
+        def pow_or_inf(b):
+            try:
+                return b**k
+            except (OverflowError, ZeroDivisionError):  # where ** raises, the grid gives inf and a bad point
+                return math.inf
+
+        with np.errstate(all="ignore"):
+            got = np.float_power(u, k)
+        want = np.array([pow_or_inf(b) for b in u.tolist()])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
