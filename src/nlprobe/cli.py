@@ -114,10 +114,8 @@ def _write(args, text):
         sys.stdout.write(text)
 
 
-def _base_metadata(args, **extra):
-    md = {"tool": "nlprobe", "version": __version__, "precision": "double"}
-    md.update(extra)
-    return md
+def _base_metadata(**extra):
+    return {"tool": "nlprobe", "version": __version__, "precision": "double", **extra}
 
 
 def cmd_qfi(args) -> int:
@@ -173,7 +171,6 @@ def cmd_scan_phase(args) -> int:
     (grid,) = normal_law_grid(args.n, args.gamma, np.array(thetas)[:, None], phis, model,
                               entries=(0 if target is TargetKind.F_LAMBDA else 1,))
     md = _base_metadata(
-        args,
         command="scan-phase",
         n=args.n,
         gamma=args.gamma,
@@ -193,7 +190,6 @@ def cmd_scan_gamma(args) -> int:
     gammas = [i / (args.grid - 1) for i in range(args.grid)]
     vals = objective_grid(gammas, args.n, target)
     md = _base_metadata(
-        args,
         command="scan-gamma",
         n=args.n,
         zeta=args.zeta,
@@ -247,7 +243,6 @@ def cmd_opt_gamma(args) -> int:
                 columns["objective"].append(res.objective_value)
         columns["asymptote"] += [asym] * (len(lambdas) * len(ns))
     md = _base_metadata(
-        args,
         command="opt-gamma",
         target=args.target,
         zetas=",".join(map(str, args.zeta)),

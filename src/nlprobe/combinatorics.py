@@ -4,7 +4,6 @@ Everything here is integer or rational arithmetic; floats appear only in
 the high-energy scaling law, which is a plain real-valued formula.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -12,7 +11,6 @@ from math import factorial
 from .errors import DomainError
 
 __all__ = [
-    "OrderingCoeff",
     "normal_order_coeff",
     "coeff_row_sum",
     "normal_law_polynomials",
@@ -43,20 +41,6 @@ def normal_order_coeff(zeta: int, m: int, s: int) -> Fraction:
         factorial(zeta),
         2**m * factorial(m) * factorial(s) * factorial(zeta - 2 * m - s),
     )
-
-
-@dataclass(frozen=True)
-class OrderingCoeff:
-    """One term of the normal-ordered expansion, with its exact coefficient."""
-
-    zeta: int
-    m: int
-    s: int
-    value: Fraction
-
-    @classmethod
-    def make(cls, zeta: int, m: int, s: int) -> "OrderingCoeff":
-        return cls(zeta, m, s, normal_order_coeff(zeta, m, s))
 
 
 def coeff_row_sum(zeta: int, k: int) -> Fraction:

@@ -211,9 +211,21 @@ def expectation_moments(state: TruncatedState, k_max: int) -> np.ndarray:
     return out
 
 
-def _until_stable(d: int, compute, stable, message: str):
+def _start_dim(probe: ProbeSpec, model: ModelSpec, dim: int | None, message: str) -> int:
+    """The first cutoff of an oracle call on a model: dim, or when None
+    default_dim for the 2 zeta quadrature powers of the evolved state; a
+    default above DIM_CAP raises CutoffError(message) before any build."""
+    if dim is None:
+        dim = default_dim(probe, zeta=2 * model.zeta, lam=model.lambda_eff)
+        if dim > DIM_CAP:
+            raise CutoffError(message, suggested_dim=2 * DIM_CAP)
+    return dim
+
+
+def _until_stable(d: int, compute, message: str, stable=None):
     """The first of compute(d), compute(2d), ... up to DIM_CAP that is stable
-    against the one before; cutoffs that raise CutoffError are skipped."""
+    against the one before, or without stable the first; cutoffs that raise
+    CutoffError are skipped."""
     prev = None
     while d <= DIM_CAP:
         try:
@@ -221,7 +233,7 @@ def _until_stable(d: int, compute, stable, message: str):
         except CutoffError:
             d *= 2
             continue
-        if prev is not None and stable(cur, prev):
+        if stable is None or prev is not None and stable(cur, prev):
             return cur
         prev = cur
         d *= 2
@@ -236,8 +248,8 @@ def converged_moments(probe: ProbeSpec, k_max: int, dim: int | None = None) -> n
     return _until_stable(
         default_dim(probe, zeta=k_max) if dim is None else dim,
         lambda d: expectation_moments(build_state(probe, d), k_max),
-        lambda cur, prev: np.max(np.abs(cur - prev) / np.maximum(1.0, np.abs(cur))) <= STABILITY_TOL,
         f"moments did not stabilize below dim={DIM_CAP} for k_max={k_max}",
+        lambda cur, prev: np.max(np.abs(cur - prev) / np.maximum(1.0, np.abs(cur))) <= STABILITY_TOL,
     )
 
 
@@ -282,11 +294,12 @@ def qfi_matrix_oracle(probe: ProbeSpec, model: ModelSpec, dim: int | None = None
     The result is recomputed at twice the cutoff, starting from dim
     (default_dim when None), until every entry is stable to 1e-9 relative.
     """
+    message = f"oracle QFI did not stabilize below dim={DIM_CAP}"
     return _until_stable(
-        default_dim(probe, zeta=2 * model.zeta, lam=model.lambda_eff) if dim is None else dim,
+        _start_dim(probe, model, dim, message),
         lambda d: _qfi_from_vectors(*_derivative_vectors(probe, model, d)),
+        message,
         _matrix_stable,
-        f"oracle QFI did not stabilize below dim={DIM_CAP}",
     )
 
 
@@ -317,26 +330,23 @@ def sld_operator(probe: ProbeSpec, model: ModelSpec, dim: int | None = None) -> 
     and d_lambda psi = -i G_zeta psi; it is formed from the state derivative
     alone. A given dim is a fixed cutoff: CutoffError if the state does not
     fit. Without it the cutoff doubles from default_dim until the state
-    fits, up to DIM_CAP; a default_dim above DIM_CAP raises CutoffError
-    before any state is built. Hermiticity is enforced to 1e-9 and
-    Tr[rho L^2] must reproduce the oracle f_ll.
+    fits (_until_stable), up to DIM_CAP; a default_dim above DIM_CAP raises
+    CutoffError before any state is built. Hermiticity is enforced to 1e-9
+    and Tr[rho L^2] must reproduce the oracle f_ll.
     """
-    d = default_dim(probe, zeta=2 * model.zeta, lam=model.lambda_eff) if dim is None else dim
-    if dim is None and d > DIM_CAP:
-        raise CutoffError(f"SLD needs a cutoff of at least {d}, above DIM_CAP={DIM_CAP}", suggested_dim=d)
-    while True:
-        try:
-            psi, d_lam, _ = _derivative_vectors(probe, model, d)
-            break
-        except CutoffError:
-            if dim is not None or 2 * d > DIM_CAP:
-                raise
-            d *= 2
-    sld = 2.0 * (np.outer(d_lam, psi.conj()) + np.outer(psi, d_lam.conj()))
-    herm = float(np.max(np.abs(sld - sld.conj().T)))
-    if herm > 1e-9:
-        raise InternalConsistencyError(f"SLD hermiticity residue {herm:.3e} at dim={d}")
-    return TruncatedOperator(d, sld)
+
+    def compute(d):
+        psi, d_lam, _ = _derivative_vectors(probe, model, d)
+        sld = 2.0 * (np.outer(d_lam, psi.conj()) + np.outer(psi, d_lam.conj()))
+        herm = float(np.max(np.abs(sld - sld.conj().T)))
+        if herm > 1e-9:
+            raise InternalConsistencyError(f"SLD hermiticity residue {herm:.3e} at dim={d}")
+        return TruncatedOperator(d, sld)
+
+    if dim is not None:
+        return compute(dim)
+    message = f"SLD needs a cutoff of at least {2 * DIM_CAP}, above DIM_CAP={DIM_CAP}"
+    return _until_stable(_start_dim(probe, model, None, message), compute, message)
 
 
 def evolution_unitarity_defect(model: ModelSpec, dim: int) -> float:
@@ -359,10 +369,12 @@ def zeta_derivative_diagnostic(
     principal-branch spectral power X^(zeta +/- step). The two genuinely
     disagree; the numbers are returned for inspection, never asserted.
     f_zz_spectral_log is taken at the cutoff d (dim, or default_dim when
-    None); f_zz_power_rule is the validated qfi_matrix_oracle value, doubled
-    from d until stable.
+    None, which raises CutoffError before any build when above DIM_CAP);
+    f_zz_power_rule is the validated qfi_matrix_oracle value, doubled from d
+    until stable.
     """
-    d = default_dim(probe, zeta=2 * model.zeta, lam=model.lambda_eff) if dim is None else dim
+    message = f"zeta-derivative diagnostic needs a cutoff of at least {2 * DIM_CAP}, above DIM_CAP={DIM_CAP}"
+    d = _start_dim(probe, model, dim, message)
     z, lam = model.zeta, model.lambda_eff
     evals, vecs = _x_eigh(d)
     psi0 = build_state(probe, d).amplitudes

@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 THRESHOLD_N_LO = 1e-4  # default lower end of the threshold search
+COARSE = 129  # default points of the coarse gamma grid
+GAMMA_TOL = 1e-6  # default absolute tolerance of the golden section
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 BISECTION_LEVELS = 3  # find_threshold fills the 2**3 - 1 = 7 midpoints of three levels in one table
 OVERFLOW_MESSAGE = "objective overflowed double precision; reduce the probe energy, the order or the coupling"
@@ -39,7 +41,7 @@ class TargetKind(enum.Enum):
     JOINT_BOUND = "joint"
 
 
-# the objective's index in the entries (f_ll, f_zz, f_lz, det F / tr F) of qfi_core._normal_law_qfi
+# the objective's index in the entries (f_ll, f_zz, f_lz, det F / tr F) of qfi_core._normal_law_kernel
 _ENTRY = {TargetKind.F_LAMBDA: 0, TargetKind.F_ZETA: 1, TargetKind.JOINT_BOUND: 3}
 
 
@@ -127,6 +129,8 @@ def _row_solver(ns, target, theta, phi, coarse, gamma_tol):
     """solve(i) = optimize_gamma(ns[i], ...), with the coarse grids of all
     energies in one table that raises nothing: solve(i) checks ns[i] and
     raises optimize_gamma's errors, so rows never solved may hold bad points.
+    A row with a bad point goes to qfi_core.normal_law_grid, which raises the
+    error that a loop over its points meets first.
     """
     model, entries = target.model, (_ENTRY[target.kind],)
     theta, phi = float(theta), float(phi)
@@ -138,28 +142,21 @@ def _row_solver(ns, target, theta, phi, coarse, gamma_tol):
     def solve(i):
         n = ns[i]
         _check_row(n, coarse)
-        kernel = _normal_law_kernel(float(n), theta, phi, model, entries=entries)
+        try:
+            if not rows_ok[i]:  # normal_law_grid raises the error that a loop over the row meets first
+                normal_law_grid(n, grid, theta, phi, model, entries=entries)
+            kernel = _normal_law_kernel(float(n), theta, phi, model, entries=entries)
+            vals = table[i].tolist()
+            candidates = sorted(np.flatnonzero(flags[i]).tolist(), key=vals.__getitem__, reverse=True)[:3]
 
-        def fun(g):
-            try:
-                return kernel(g)[0]
-            except OverflowError as exc:
-                raise NumericalRangeError(OVERFLOW_MESSAGE) from exc
-
-        if rows_ok[i]:
-            row, row_flags = table[i], flags[i]
-        else:  # a row with a bad point: point by point it raises the error a loop meets first
-            row = np.array([fun(g) for g in grid])
-            row_flags = _local_maxima(row[None])[0]
-        vals = row.tolist()
-        candidates = sorted(np.flatnonzero(row_flags).tolist(), key=vals.__getitem__, reverse=True)[:3]
-
-        best_g, best_v = None, -math.inf
-        for j in candidates:
-            g = _golden_max(fun, grid[max(j - 1, 0)], grid[min(j + 1, coarse - 1)], gamma_tol)
-            v = fun(g)
-            if v > best_v:
-                best_g, best_v = g, v
+            best_g, best_v = None, -math.inf
+            for j in candidates:
+                g = _golden_max(lambda g: kernel(g)[0], grid[max(j - 1, 0)], grid[min(j + 1, coarse - 1)], gamma_tol)
+                v = kernel(g)[0]
+                if v > best_v:
+                    best_g, best_v = g, v
+        except OverflowError as exc:
+            raise NumericalRangeError(OVERFLOW_MESSAGE) from exc
         # grid endpoints can beat the refined interior value when the maximum
         # sits exactly on the boundary
         for edge in (0, coarse - 1):
@@ -176,8 +173,8 @@ def optimize_gamma_grid(
     theta: float = 0.0,
     phi: float = 0.0,
     *,
-    coarse: int = 129,
-    gamma_tol: float = 1e-6,
+    coarse: int = COARSE,
+    gamma_tol: float = GAMMA_TOL,
 ) -> list:
     """optimize_gamma at every energy of ns, as a list of GammaOptResult.
 
@@ -188,8 +185,8 @@ def optimize_gamma_grid(
     Table and golden section evaluate the target's entry alone (objective).
     Results and errors are those of a loop over the energies: the rows are
     checked and refined in order, and a row on which the table holds a bad
-    point is evaluated again point by point, which raises the error that
-    point raises on its own.
+    point goes to normal_law_grid, which raises the error that point raises
+    on its own.
     """
     ns = list(ns)
     if not ns:
@@ -205,10 +202,10 @@ def optimize_gamma(
     theta: float = 0.0,
     phi: float = 0.0,
     *,
-    coarse: int = 129,
-    gamma_tol: float = 1e-6,
+    coarse: int = COARSE,
+    gamma_tol: float = GAMMA_TOL,
 ) -> GammaOptResult:
-    """Maximize the target over gamma in [0, 1] to absolute tolerance 1e-6.
+    """Maximize the target over gamma in [0, 1] to absolute tolerance gamma_tol.
 
     Strategy: a coarse bracketing grid (at least 64 points), then
     golden-section refinement of up to three local-maximum brackets; the
@@ -278,7 +275,7 @@ def find_threshold(
             a, b = brackets[len(mids)]
             mids.append(math.sqrt(a * b))
             brackets += [(mids[-1], b), (a, mids[-1])]
-        solve = _row_solver(mids, target, theta, phi, 129, 1e-6)  # optimize_gamma's defaults
+        solve = _row_solver(mids, target, theta, phi, COARSE, GAMMA_TOL)
         j = 0
         while j < len(mids) and hi / lo - 1.0 > rel_tol:
             mid = mids[j]
@@ -301,13 +298,13 @@ def verify_zero_phase_optimality(
     """True iff the zero-phase probe maximizes the QFI element on a phase grid.
 
     Checks F(theta=0, phi=0) >= F(theta_i, phi_j) - 1e-9 over a grid x grid
-    sweep of both phases across [0, 2 pi), the whole grid in one pass (qfi_core.normal_law_grid).
+    sweep of both phases across [0, 2 pi), the whole grid in one pass
+    (qfi_core.normal_law_grid); the reference is its zero-phase cell.
     """
     if grid < 8:
         raise DomainError("phase grid must have at least 8 points per axis")
     if kind is TargetKind.JOINT_BOUND:
         raise DomainError("phase-optimality check applies to individual QFI elements")
-    ref = objective(gamma, n_total, OptTarget(kind, model))
     phases = np.arange(grid) * (2.0 * math.pi / grid)
     (vals,) = normal_law_grid(n_total, gamma, phases[:, None], phases, model, entries=(_ENTRY[kind],))
-    return not np.any(vals > ref + 1e-9)
+    return not np.any(vals > vals[0, 0] + 1e-9)

@@ -7,11 +7,11 @@ power-rule derivative of the generator, and the two parameters are
 compatible: both generators are powers of the same Hermitian quadrature, so
 the Uhlmann antisymmetric part vanishes identically.
 
-Every entry and the joint bound come from one kernel, _normal_law_qfi (at
-fixed energy and phases, _normal_law_kernel as a function of gamma): the
-quadrature is normal in both moment families, so the entries are integer
-polynomials in x = mu^2 / sigma^2 evaluated in double precision by Horner's
-rule. normal_law_grid evaluates the same normal law and the same formulas
+Every entry and the joint bound come from one kernel, _normal_law_kernel,
+a function of gamma at fixed energy and phases: the quadrature is normal in
+both moment families, so the entries are integer polynomials in
+x = mu^2 / sigma^2 evaluated in double precision by Horner's rule.
+normal_law_grid evaluates the same normal law and the same formulas
 (_entry) over numpy arrays. Both take the entries a caller needs and
 evaluate only the polynomials those read.
 """
@@ -35,7 +35,6 @@ __all__ = [
     "qfi_zeta",
     "qfi_cross",
     "qfi_matrix",
-    "normal_law_qfi",
     "normal_law_grid",
     "reparametrize_physical",
     "scalar_bound_inverse",
@@ -105,7 +104,7 @@ def _horner(coeffs, t):
 
 
 def _entry(k, horner, polys, t, mean, var, u, scale, lz):
-    """Entry k of (f_ll, f_zz, f_lz, det F / tr F) (_normal_law_qfi) on floats
+    """Entry k of (f_ll, f_zz, f_lz, det F / tr F) (_normal_law_kernel) on floats
     or arrays, with scale = 4 sigma^2 u^(zeta-2) and horner(polys[j], t)
     polynomial j of (V, W, G, Q) divided by max(x, 1) to its degree. Only the
     polynomials of entry k are evaluated, and f_ll does not read lz = lambda zeta.
@@ -143,31 +142,11 @@ def _assemble(mean, var, lz, zeta, table, entries):
 
 
 def _normal_law_kernel(n_total, theta, phi, model, beta_sign=+1, entries=(0, 1, 2, 3)):
-    """gamma -> _normal_law_qfi(n_total, gamma, theta, phi, model, beta_sign,
-    entries), with the phase terms, coefficient table and lambda zeta taken once."""
-    zeta = model.zeta
-    table, lz = _normal_law_table(zeta), model.lambda_eff * zeta
-    fixed_ok = math.isfinite(theta) and math.isfinite(phi)
-    phase = _phase_terms(theta, phi, beta_sign) if fixed_ok else None  # else make_probe raises
-    fixed_ok = fixed_ok and 0.0 <= n_total < math.inf
-
-    def kernel(gamma):
-        if not (fixed_ok and 0.0 <= gamma <= 1.0):
-            make_probe(n_total, gamma, theta, phi)
-        mean, var = _energy_law(n_total, gamma, phase)
-        values = _assemble(mean, var, lz, zeta, table, entries)
-        for value in values:
-            if not -math.inf < value < math.inf:
-                raise OverflowError(OVERFLOW)  # products overflow silently
-        return values
-
-    return kernel
-
-
-def _normal_law_qfi(n_total, gamma, theta, phi, model, beta_sign=+1, entries=(0, 1, 2, 3)):
-    """The entries of (f_ll, f_zz, f_lz, det F / tr F) at the indices in
-    entries (all four by default), on the plain floats of a probe: the one
-    QFI assembly of the package, for both families.
+    """gamma -> the entries of (f_ll, f_zz, f_lz, det F / tr F) at the
+    indices in entries (all four by default), as a list, at the probe
+    (n_total, gamma, theta, phi): the one QFI assembly of the package, for
+    both families, with the phase terms, coefficient table and lambda zeta
+    taken once.
 
     In both moment families the quadrature X = a + a^dag is normal, with
     the mean mu and variance sigma^2 of moments._normal_law. Both variances,
@@ -187,18 +166,33 @@ def _normal_law_qfi(n_total, gamma, theta, phi, model, beta_sign=+1, entries=(0,
     degrees, so at most their coefficient sums: no intermediate overflows
     where the results fit. Only the polynomials that the requested entries
     read are evaluated (_entry): f_ll alone costs one Horner sum and never
-    reads lambda. A point outside the probe domain raises
-    make_probe's DomainError, a requested entry beyond the double range
-    OverflowError; an entry that was not requested is not checked. It is
-    _normal_law_kernel called once.
+    reads lambda. A point outside the probe domain raises make_probe's
+    DomainError, a requested entry beyond the double range OverflowError;
+    an entry that was not requested is not checked.
     """
-    return _normal_law_kernel(n_total, theta, phi, model, beta_sign, entries)(gamma)
+    zeta = model.zeta
+    table, lz = _normal_law_table(zeta), model.lambda_eff * zeta
+    fixed_ok = math.isfinite(theta) and math.isfinite(phi)
+    phase = _phase_terms(theta, phi, beta_sign) if fixed_ok else None  # else make_probe raises
+    fixed_ok = fixed_ok and 0.0 <= n_total < math.inf
+
+    def kernel(gamma):
+        if not (fixed_ok and 0.0 <= gamma <= 1.0):
+            make_probe(n_total, gamma, theta, phi)
+        mean, var = _energy_law(n_total, gamma, phase)
+        values = _assemble(mean, var, lz, zeta, table, entries)
+        for value in values:
+            if not -math.inf < value < math.inf:
+                raise OverflowError(OVERFLOW)  # products overflow silently
+        return values
+
+    return kernel
 
 
 def _probe_qfi(probe: ProbeSpec, model: ModelSpec, beta_sign=+1, entries=(0, 1, 2, 3)):
-    """_normal_law_qfi at a probe."""
+    """_normal_law_kernel at a probe."""
     _check_beta_sign(beta_sign)
-    return _normal_law_qfi(probe.n_total, probe.gamma, probe.theta, probe.phi, model, beta_sign, entries)
+    return _normal_law_kernel(probe.n_total, probe.theta, probe.phi, model, beta_sign, entries)(probe.gamma)
 
 
 def qfi_lambda(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1) -> float:
@@ -233,14 +227,6 @@ def qfi_matrix(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1) -> Qf
     return QfiMatrix(*_probe_qfi(probe, model, beta_sign)[:3], u_lz=0.0)
 
 
-def normal_law_qfi(probe: ProbeSpec, model: ModelSpec):
-    """(f_ll, f_zz, det F / tr F) in double precision, at any phase
-    (_normal_law_qfi); the bound is formed without the cancellation of
-    f_ll f_zz - f_lz^2."""
-    f_ll, f_zz, _, joint = _probe_qfi(probe, model)
-    return f_ll, f_zz, joint
-
-
 def _horner_grid(high_first, low_first, x, above):
     """_horner in t = x or 1/x at every element of x, where above is x > 1."""
     y = 1.0 / x
@@ -255,7 +241,7 @@ def _normal_law_arrays(n_total, gamma, theta, phi, model: ModelSpec, entries):
     """normal_law_grid without its errors: (values, ok), where values holds
     the arrays of the entries at the indices in entries and ok marks the
     points at which all of them are right. Elsewhere the values are
-    meaningless and _normal_law_qfi may raise.
+    meaningless and _normal_law_kernel may raise.
     """
     arrays = [np.asarray(a, dtype=float) for a in (n_total, gamma, theta, phi)]
     n, gam, th, ph = np.broadcast_arrays(*arrays)
@@ -276,11 +262,11 @@ def _normal_law_arrays(n_total, gamma, theta, phi, model: ModelSpec, entries):
 
 
 def normal_law_grid(n_total, gamma, theta, phi, model: ModelSpec, *, entries=(0, 1, 3)):
-    """normal_law_qfi over arrays of N, gamma, theta and phi, broadcast together.
+    """_normal_law_kernel over arrays of N, gamma, theta and phi, broadcast together.
 
     Returns the arrays of the entries of (f_ll, f_zz, f_lz, det F / tr F)
     at the indices in entries, by default (f_ll, f_zz, det F / tr F), equal
-    bit for bit to _normal_law_qfi(..., entries=entries) at every point: the
+    bit for bit to _normal_law_kernel(..., entries=entries) at every point: the
     same formulas (_entry) in the same order, with numpy's sqrt, cos and sin,
     which agree with the math module's, and np.float_power, which calls
     libm's pow as float ** does (numpy's vectorised power may not). Where a point lies outside the probe domain or a requested entry
@@ -291,8 +277,8 @@ def normal_law_grid(n_total, gamma, theta, phi, model: ModelSpec, *, entries=(0,
     if not ok.all():
         n, gam, th, ph = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (n_total, gamma, theta, phi)))
         for i in np.flatnonzero(~ok).tolist():
-            _normal_law_qfi(n.item(i), gam.item(i), th.item(i), ph.item(i), model, entries=entries)
-        raise InternalConsistencyError("normal_law_grid rejected points that normal_law_qfi accepts")
+            _normal_law_kernel(n.item(i), th.item(i), ph.item(i), model, entries=entries)(gam.item(i))
+        raise InternalConsistencyError("normal_law_grid rejected points that the scalar kernel accepts")
     return values
 
 

@@ -1,6 +1,6 @@
 """40-digit references that the tests hold the double-precision code to.
 
-kernel is qfi_core._normal_law_qfi evaluated with mpmath: the quadrature's
+kernel is qfi_core._normal_law_kernel evaluated with mpmath: the quadrature's
 normal law at 40 digits, without the compensated phase difference of
 moments._normal_law (at 40 digits the rounding of h - phi is harmless), and
 qfi_core's assembly over the exact integer coefficients of the polynomials,
@@ -57,7 +57,8 @@ def _normal_law(n_total, gamma, theta, phi, beta_sign):
 
 
 def kernel(n_total, gamma, theta, phi, model, beta_sign=+1, entries=(0, 1, 2, 3)):
-    """qfi_core._normal_law_qfi at 40 digits, one rounding per entry."""
+    """qfi_core._normal_law_kernel(n_total, theta, phi, model, beta_sign,
+    entries)(gamma) at 40 digits, one rounding per entry."""
     zeta = model.zeta
     with mpmath.workdps(DPS):
         mean, var = _normal_law(*map(mpmath.mpf, (n_total, gamma, theta, phi)), beta_sign)
@@ -88,16 +89,19 @@ def _kernel_at(n_total, theta, phi, model, beta_sign=+1, entries=(0, 1, 2, 3)):
     return lambda gamma: kernel(n_total, gamma, theta, phi, model, beta_sign, entries)
 
 
-def _no_table(n_total, gamma, theta, phi, model, entries):
-    """A coarse table on which every point is bad, so that every row is filled point by point."""
-    shape = np.broadcast_shapes(np.shape(n_total), np.shape(gamma))
-    return (np.zeros(shape),) * len(entries), np.zeros(shape, dtype=bool)
+def _table(n_total, gamma, theta, phi, model, entries):
+    """The optimizer's coarse table (qfi_core._normal_law_arrays over a
+    column of energies and a list of gammas) with every point from kernel,
+    whose errors raise at once."""
+    rows = [[kernel(n, g, theta, phi, model, entries=entries) for g in gamma] for n in np.ravel(n_total).tolist()]
+    values = np.moveaxis(np.array(rows, dtype=float), -1, 0)
+    return tuple(values), np.ones(values.shape[1:], dtype=bool)
 
 
 def optimize_gamma_grid(ns, target, theta=0.0, phi=0.0):
     """optimizer.optimize_gamma_grid with every objective value from kernel."""
     with mock.patch.object(optimizer, "_normal_law_kernel", _kernel_at), \
-            mock.patch.object(optimizer, "_normal_law_arrays", _no_table):
+            mock.patch.object(optimizer, "_normal_law_arrays", _table):
         return optimizer.optimize_gamma_grid(ns, target, theta, phi)
 
 

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from nlprobe.combinatorics import (
-    OrderingCoeff,
     amplitude_A,
     coeff_row_sum,
     normal_law_covariance,
@@ -37,10 +36,6 @@ class TestNormalOrderCoeff:
     def test_out_of_range_indices(self, zeta, m, s):
         with pytest.raises(DomainError):
             normal_order_coeff(zeta, m, s)
-
-    def test_ordering_coeff_factory(self):
-        c = OrderingCoeff.make(4, 1, 2)
-        assert c.value == normal_order_coeff(4, 1, 2)
 
 
 class TestRowSum:

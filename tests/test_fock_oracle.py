@@ -357,6 +357,31 @@ class TestSld:
         with pytest.raises(CutoffError):
             sld_operator(make_probe(30.0, 0.7), ModelSpec(lambda_eff=0.1, zeta=2), dim=32)
 
+    def test_doubles_from_the_default_and_stops_at_the_cap(self, monkeypatch):
+        # the state fits from 256 on; every cutoff up to DIM_CAP is tried, and none above it
+        probe, model = make_probe(1.0, 0.5), ModelSpec(lambda_eff=0.1, zeta=2)
+        real, tried = fock_oracle._derivative_vectors, []
+
+        def fits_from(first):
+            def derivative_vectors(p, m, dim):
+                tried.append(dim)
+                if dim < first:
+                    raise CutoffError(f"too small at dim={dim}", suggested_dim=2 * dim)
+                return real(p, m, dim)
+
+            return derivative_vectors
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fock_oracle, "_derivative_vectors", fits_from(256))
+            assert sld_operator(probe, model).dim == 256
+            assert tried == [64, 128, 256]
+            tried.clear()
+            patch.setattr(fock_oracle, "_derivative_vectors", fits_from(2 * DIM_CAP))
+            with pytest.raises(CutoffError, match=r"^SLD needs a cutoff of at least 8192, above DIM_CAP=4096$") as exc:
+                sld_operator(probe, model)
+        assert tried == [64, 128, 256, 512, 1024, 2048, 4096]
+        assert exc.value.suggested_dim == 8192
+
     def test_hermitian(self):
         sld = sld_operator(make_probe(1.0, 0.5), ModelSpec(lambda_eff=0.1, zeta=2))
         assert np.max(np.abs(sld.entries - sld.entries.conj().T)) <= 1e-9
@@ -379,6 +404,21 @@ class TestSld:
 
 
 class TestZetaDerivativeDiagnostic:
+    def test_default_cutoff_above_the_cap_raises_before_any_build(self, monkeypatch):
+        # default_dim is 8192 here: _x_eigh(8192) alone is a 512 MB eigenvector matrix
+        probe, model = make_probe(600.0, 0.5), ModelSpec(0.1, 2)
+        assert default_dim(probe, zeta=4, lam=0.1) == 8192 > DIM_CAP
+
+        def unreachable(*args):
+            raise AssertionError(f"built at {args}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fock_oracle, "_x_eigh", unreachable)
+            patch.setattr(fock_oracle, "build_state", unreachable)
+            with pytest.raises(CutoffError, match="above DIM_CAP=4096") as exc:
+                zeta_derivative_diagnostic(probe, model)
+        assert exc.value.suggested_dim == 8192
+
     def test_reports_disagreement_without_asserting(self):
         d = zeta_derivative_diagnostic(make_probe(1.0, 0.5), ModelSpec(lambda_eff=0.1, zeta=2))
         assert set(d) == {"f_zz_power_rule", "f_zz_spectral_log", "relative_difference"}

@@ -22,9 +22,8 @@ from nlprobe.optimizer import OptTarget, TargetKind, objective  # noqa: E402
 from nlprobe.probe import make_probe  # noqa: E402
 from nlprobe.qfi_core import (  # noqa: E402
     ModelSpec,
-    _normal_law_qfi,
+    _normal_law_kernel,
     normal_law_grid,
-    normal_law_qfi,
     qfi_lambda,
     qfi_matrix,
     qfi_zeta,
@@ -82,7 +81,7 @@ def test_scan_phase_prints_the_qfi_elements(n, gamma, zeta, target):
     assert len(rows) == 9
     for theta, phi, value in rows:
         probe = make_probe(n, gamma, float(theta), float(phi))
-        assert float(value) == normal_law_qfi(probe, model)[k]
+        assert float(value) == _normal_law_kernel(n, float(theta), float(phi), model)(gamma)[k]
         assert float(value) == pytest.approx(mp_reference.probe_qfi(probe, model, entries=(k,))[0], rel=1e-13, abs=0)
 
 
@@ -178,7 +177,7 @@ def test_grid_kernel_equals_the_point_evaluation(zeta, lam, n, gamma_list, theta
     axes = (np.reshape(gamma_list, (-1, 1, 1)), np.reshape(theta_list, (-1, 1)), phi_list)
     points = [(g, t, p) for g in gamma_list for t in theta_list for p in phi_list]
     try:
-        want = [normal_law_qfi(make_probe(n, *point), model) for point in points]
+        want = [tuple(_normal_law_kernel(n, t, p, model, entries=(0, 1, 3))(g)) for g, t, p in points]
     except OverflowError as exc:  # the grid raises what the first failing point raises
         with pytest.raises(OverflowError) as info:
             normal_law_grid(n, *axes, model)
@@ -208,12 +207,12 @@ def test_selected_entry_equals_the_full_kernel_bit_for_bit(zeta, lam, n, gamma_l
     # the table must be that entry of the full evaluation wherever it fits
     model = ModelSpec(lambda_eff=lam, zeta=zeta)
     try:
-        full = [_normal_law_qfi(n, g, theta, phi, model, sign) for g in gamma_list]
+        full = [_normal_law_kernel(n, theta, phi, model, sign)(g) for g in gamma_list]
         full_40 = mp_reference.kernel(n, gamma_list[0], theta, phi, model, sign)
     except OverflowError:
         return
     for g, want in zip(gamma_list, full):
-        assert _normal_law_qfi(n, g, theta, phi, model, sign, entries=(k,)) == [want[k]]
+        assert _normal_law_kernel(n, theta, phi, model, sign, entries=(k,))(g) == [want[k]]
     assert mp_reference.kernel(n, gamma_list[0], theta, phi, model, sign, entries=(k,)) == [full_40[k]]
     if sign > 0:  # the table holds the default family
         full_grid = normal_law_grid(n, gamma_list, theta, phi, model, entries=(0, 1, 2, 3))
@@ -278,7 +277,7 @@ def _check_entries_relative(points, zeta, lam=1.0):
     grid = normal_law_grid(*(np.array(axis) for axis in zip(*points)), model, entries=(0, 1, 2))
     for i, (n, gamma, theta, phi) in enumerate(points):
         want = _reference_entries(gamma, n, zeta, lam, theta, phi)
-        for got in (_normal_law_qfi(n, gamma, theta, phi, model, entries=(0, 1, 2)), [entry[i] for entry in grid]):
+        for got in (_normal_law_kernel(n, theta, phi, model, entries=(0, 1, 2))(gamma), [entry[i] for entry in grid]):
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-12 * abs(w), (n, gamma, theta, phi, zeta)
 
