@@ -211,14 +211,14 @@ def expectation_moments(state: TruncatedState, k_max: int) -> np.ndarray:
     return out
 
 
-def _start_dim(probe: ProbeSpec, model: ModelSpec, dim: int | None, message: str) -> int:
-    """The first cutoff of an oracle call on a model: dim, or when None
-    default_dim for the 2 zeta quadrature powers of the evolved state; a
-    default above DIM_CAP raises CutoffError(message) before any build."""
+def _start_dim(probe: ProbeSpec, dim: int | None, order: int, lam: float, what: str) -> int:
+    """The first cutoff of an oracle call: dim, or when None default_dim for
+    quadrature powers up to order at coupling lam. A start above DIM_CAP,
+    where no cutoff can be tried, raises CutoffError before any build."""
     if dim is None:
-        dim = default_dim(probe, zeta=2 * model.zeta, lam=model.lambda_eff)
-        if dim > DIM_CAP:
-            raise CutoffError(message, suggested_dim=2 * DIM_CAP)
+        dim = default_dim(probe, zeta=order, lam=lam)
+    if dim > DIM_CAP:
+        raise CutoffError(f"{what}: start cutoff {dim} is above DIM_CAP={DIM_CAP}", suggested_dim=2 * DIM_CAP)
     return dim
 
 
@@ -242,11 +242,11 @@ def _until_stable(d: int, compute, message: str, stable=None):
 
 def converged_moments(probe: ProbeSpec, k_max: int, dim: int | None = None) -> np.ndarray:
     """Moments at a cutoff validated by doubling, from dim (default_dim when
-    None), until stable to 1e-9 relative."""
+    None; _start_dim), until stable to 1e-9 relative."""
     if k_max < 0:
         raise DomainError(f"moment order must be >= 0, got {k_max}")
     return _until_stable(
-        default_dim(probe, zeta=k_max) if dim is None else dim,
+        _start_dim(probe, dim, k_max, 0.0, f"moments for k_max={k_max}"),
         lambda d: expectation_moments(build_state(probe, d), k_max),
         f"moments did not stabilize below dim={DIM_CAP} for k_max={k_max}",
         lambda cur, prev: np.max(np.abs(cur - prev) / np.maximum(1.0, np.abs(cur))) <= STABILITY_TOL,
@@ -292,13 +292,13 @@ def qfi_matrix_oracle(probe: ProbeSpec, model: ModelSpec, dim: int | None = None
     """2x2 QFI matrix plus Uhlmann off-diagonal from explicit state derivatives.
 
     The result is recomputed at twice the cutoff, starting from dim
-    (default_dim when None), until every entry is stable to 1e-9 relative.
+    (default_dim when None; _start_dim), until every entry is stable to
+    1e-9 relative.
     """
-    message = f"oracle QFI did not stabilize below dim={DIM_CAP}"
     return _until_stable(
-        _start_dim(probe, model, dim, message),
+        _start_dim(probe, dim, 2 * model.zeta, model.lambda_eff, "oracle QFI"),
         lambda d: _qfi_from_vectors(*_derivative_vectors(probe, model, d)),
-        message,
+        f"oracle QFI did not stabilize below dim={DIM_CAP}",
         _matrix_stable,
     )
 
@@ -345,8 +345,8 @@ def sld_operator(probe: ProbeSpec, model: ModelSpec, dim: int | None = None) -> 
 
     if dim is not None:
         return compute(dim)
-    message = f"SLD needs a cutoff of at least {2 * DIM_CAP}, above DIM_CAP={DIM_CAP}"
-    return _until_stable(_start_dim(probe, model, None, message), compute, message)
+    start = _start_dim(probe, None, 2 * model.zeta, model.lambda_eff, "SLD")
+    return _until_stable(start, compute, f"SLD needs a cutoff of at least {2 * DIM_CAP}, above DIM_CAP={DIM_CAP}")
 
 
 def evolution_unitarity_defect(model: ModelSpec, dim: int) -> float:
@@ -369,12 +369,11 @@ def zeta_derivative_diagnostic(
     principal-branch spectral power X^(zeta +/- step). The two genuinely
     disagree; the numbers are returned for inspection, never asserted.
     f_zz_spectral_log is taken at the cutoff d (dim, or default_dim when
-    None, which raises CutoffError before any build when above DIM_CAP);
+    None; above DIM_CAP either raises CutoffError before any build);
     f_zz_power_rule is the validated qfi_matrix_oracle value, doubled from d
     until stable.
     """
-    message = f"zeta-derivative diagnostic needs a cutoff of at least {2 * DIM_CAP}, above DIM_CAP={DIM_CAP}"
-    d = _start_dim(probe, model, dim, message)
+    d = _start_dim(probe, dim, 2 * model.zeta, model.lambda_eff, "zeta-derivative diagnostic")
     z, lam = model.zeta, model.lambda_eff
     evals, vecs = _x_eigh(d)
     psi0 = build_state(probe, d).amplitudes

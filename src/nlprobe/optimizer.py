@@ -81,8 +81,8 @@ def objective(
     evaluates V, f_zeta W, and the joint bound V, W and G. It raises
     OverflowError only where that entry does not fit in double.
     """
-    kernel = _normal_law_kernel(float(n_total), float(theta), float(phi), target.model, entries=(_ENTRY[target.kind],))
-    return kernel(float(gamma))[0]
+    kernel = _normal_law_kernel(float(n_total), float(theta), float(phi), target.model, entry=_ENTRY[target.kind])
+    return kernel(float(gamma))
 
 
 def objective_grid(gammas, n_total: float, target: OptTarget, theta: float = 0.0, phi: float = 0.0) -> list:
@@ -132,10 +132,10 @@ def _row_solver(ns, target, theta, phi, coarse, gamma_tol):
     A row with a bad point goes to qfi_core.normal_law_grid, which raises the
     error that a loop over its points meets first.
     """
-    model, entries = target.model, (_ENTRY[target.kind],)
+    model, entry = target.model, _ENTRY[target.kind]
     theta, phi = float(theta), float(phi)
     grid = [i / (coarse - 1) for i in range(coarse)]
-    (table,), ok = _normal_law_arrays(np.array(ns, dtype=float)[:, None], grid, theta, phi, model, entries)
+    (table,), ok = _normal_law_arrays(np.array(ns, dtype=float)[:, None], grid, theta, phi, model, (entry,))
     rows_ok = ok.all(axis=1).tolist()
     flags = _local_maxima(table)
 
@@ -144,15 +144,15 @@ def _row_solver(ns, target, theta, phi, coarse, gamma_tol):
         _check_row(n, coarse)
         try:
             if not rows_ok[i]:  # normal_law_grid raises the error that a loop over the row meets first
-                normal_law_grid(n, grid, theta, phi, model, entries=entries)
-            kernel = _normal_law_kernel(float(n), theta, phi, model, entries=entries)
+                normal_law_grid(n, grid, theta, phi, model, entries=(entry,))
+            kernel = _normal_law_kernel(float(n), theta, phi, model, entry=entry)
             vals = table[i].tolist()
             candidates = sorted(np.flatnonzero(flags[i]).tolist(), key=vals.__getitem__, reverse=True)[:3]
 
             best_g, best_v = None, -math.inf
             for j in candidates:
-                g = _golden_max(lambda g: kernel(g)[0], grid[max(j - 1, 0)], grid[min(j + 1, coarse - 1)], gamma_tol)
-                v = kernel(g)[0]
+                g = _golden_max(kernel, grid[max(j - 1, 0)], grid[min(j + 1, coarse - 1)], gamma_tol)
+                v = kernel(g)
                 if v > best_v:
                     best_g, best_v = g, v
         except OverflowError as exc:

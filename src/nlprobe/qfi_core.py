@@ -7,13 +7,13 @@ power-rule derivative of the generator, and the two parameters are
 compatible: both generators are powers of the same Hermitian quadrature, so
 the Uhlmann antisymmetric part vanishes identically.
 
-Every entry and the joint bound come from one kernel, _normal_law_kernel,
-a function of gamma at fixed energy and phases: the quadrature is normal in
-both moment families, so the entries are integer polynomials in
-x = mu^2 / sigma^2 evaluated in double precision by Horner's rule.
+Every entry and the joint bound come from _normal_law_kernel, a function
+of gamma at fixed energy and phases that computes one entry: the quadrature
+is normal in both moment families, so the entries are integer polynomials
+in x = mu^2 / sigma^2 evaluated in double precision by Horner's rule.
 normal_law_grid evaluates the same normal law and the same formulas
-(_entry) over numpy arrays. Both take the entries a caller needs and
-evaluate only the polynomials those read.
+(_entry) over numpy arrays, bit for bit. Both evaluate only the
+polynomials that the requested entries read.
 """
 
 import math
@@ -95,58 +95,31 @@ def _normal_law_table(zeta):
     return tuple(p[::-1] for p in low_first), low_first
 
 
-def _horner(coeffs, t):
-    """c_0 t^d + c_1 t^(d-1) + ... + c_d for coeffs c_0..c_d."""
-    acc = 0.0
-    for c in coeffs:
-        acc = acc * t + c
-    return acc
-
-
-def _entry(k, horner, polys, t, mean, var, u, scale, lz):
-    """Entry k of (f_ll, f_zz, f_lz, det F / tr F) (_normal_law_kernel) on floats
-    or arrays, with scale = 4 sigma^2 u^(zeta-2) and horner(polys[j], t)
-    polynomial j of (V, W, G, Q) divided by max(x, 1) to its degree. Only the
-    polynomials of entry k are evaluated, and f_ll does not read lz = lambda zeta.
+def _entry(k, horner, mean, var, u, scale, lz):
+    """Entry k of (f_ll, f_zz, f_lz, det F / tr F) (_normal_law_kernel) over
+    arrays or other plain numbers, with scale = 4 sigma^2 u^(zeta-2) and
+    horner(j) polynomial j of (V, W, G, Q) divided by max(x, 1) to its
+    degree. Only the polynomials of entry k are evaluated, and f_ll does not
+    read lz = lambda zeta.
     """
     if k == 0:
-        return scale * u * horner(polys[0], t)
+        return scale * u * horner(0)
     if k == 2:
-        return scale * lz * mean * horner(polys[3], t)
+        return scale * lz * mean * horner(3)
     try:
         lz2 = lz**2  # not lz * lz, which differs in the last bit on some doubles
     except OverflowError:  # float ** raises where * gives inf: leave it to the range check
         lz2 = math.inf
     if k == 1:
-        return scale * lz2 * horner(polys[1], t)
-    return scale * lz2 * var * horner(polys[2], t) / (u * horner(polys[0], t) + lz2 * horner(polys[1], t))
+        return scale * lz2 * horner(1)
+    return scale * lz2 * var * horner(2) / (u * horner(0) + lz2 * horner(1))
 
 
-def _assemble(mean, var, lz, zeta, table, entries):
-    """The entries of (f_ll, f_zz, f_lz, det F / tr F) at the indices in
-    entries, as a list, from the quadrature's mean and variance and
-    lz = lambda zeta.
-
-    The polynomials run in t = x for x <= 1 and in t = 1/x for x > 1, which
-    divides them by max(x, 1) to their degrees and leaves the powers of x
-    to u = max(mu^2, sigma^2).
-    """
-    x = mean * mean / var
-    above = x > 1.0
-    u, t = (mean * mean, 1.0 / x) if above else (var, x)
-    polys, scale = table[above], 4.0 * var * u ** (zeta - 2)
-    values = []
-    for k in entries:  # a loop, not a comprehension: a frame less per kernel call
-        values.append(_entry(k, _horner, polys, t, mean, var, u, scale, lz))
-    return values
-
-
-def _normal_law_kernel(n_total, theta, phi, model, beta_sign=+1, entries=(0, 1, 2, 3)):
-    """gamma -> the entries of (f_ll, f_zz, f_lz, det F / tr F) at the
-    indices in entries (all four by default), as a list, at the probe
-    (n_total, gamma, theta, phi): the one QFI assembly of the package, for
-    both families, with the phase terms, coefficient table and lambda zeta
-    taken once.
+def _normal_law_kernel(n_total, theta, phi, model, beta_sign=+1, *, entry):
+    """gamma -> the entry of (f_ll, f_zz, f_lz, det F / tr F) at index entry,
+    a float, at the probe (n_total, gamma, theta, phi): the scalar QFI
+    assembly of the package, for both families, with the phase terms, the
+    coefficients that entry reads and lambda zeta taken once.
 
     In both moment families the quadrature X = a + a^dag is normal, with
     the mean mu and variance sigma^2 of moments._normal_law. Both variances,
@@ -163,36 +136,70 @@ def _normal_law_kernel(n_total, theta, phi, model, beta_sign=+1, entries=(0, 1, 
         det F / tr F = 4 (lambda zeta)^2 sigma^4 u^(zeta-2) G / (u V + (lambda zeta)^2 W),
 
     where V, W, Q, G are the polynomials divided by max(x, 1) to their
-    degrees, so at most their coefficient sums: no intermediate overflows
-    where the results fit. Only the polynomials that the requested entries
-    read are evaluated (_entry): f_ll alone costs one Horner sum and never
-    reads lambda. A point outside the probe domain raises make_probe's
-    DomainError, a requested entry beyond the double range OverflowError;
-    an entry that was not requested is not checked.
+    degrees, so at most their coefficient sums: f_ll, f_zz and f_lz have no
+    intermediate overflow where they fit, but the joint bound's numerator
+    can overflow where the bound would fit. They run in t = x for x <= 1
+    and in t = 1/x for x > 1, which leaves the powers of x to u. Only the
+    polynomials that the entry reads are evaluated: f_ll costs one Horner
+    sum and never reads lambda. The formulas are those of _entry, which
+    evaluates them over arrays, operation for operation, so both give the
+    same doubles. A point outside the probe domain raises make_probe's
+    DomainError, an entry beyond the double range OverflowError(OVERFLOW).
     """
-    zeta = model.zeta
-    table, lz = _normal_law_table(zeta), model.lambda_eff * zeta
+    zeta, inf = model.zeta, math.inf
+    power, lz = zeta - 2, model.lambda_eff * zeta
+    try:
+        lz2 = lz**2  # as in _entry
+    except OverflowError:
+        lz2 = inf
+    # the polynomials of (V, W, G, Q) that the entry reads, for x <= 1 and x > 1
+    reads = ((0,), (1,), (3,), (2, 0, 1))[entry]
+    below, above = (tuple(polys[j] for j in reads) for polys in _normal_law_table(zeta))
     fixed_ok = math.isfinite(theta) and math.isfinite(phi)
     phase = _phase_terms(theta, phi, beta_sign) if fixed_ok else None  # else make_probe raises
-    fixed_ok = fixed_ok and 0.0 <= n_total < math.inf
+    fixed_ok = fixed_ok and 0.0 <= n_total < inf
 
     def kernel(gamma):
         if not (fixed_ok and 0.0 <= gamma <= 1.0):
             make_probe(n_total, gamma, theta, phi)
         mean, var = _energy_law(n_total, gamma, phase)
-        values = _assemble(mean, var, lz, zeta, table, entries)
-        for value in values:
-            if not -math.inf < value < math.inf:
-                raise OverflowError(OVERFLOW)  # products overflow silently
-        return values
+        x = mean * mean / var
+        if x > 1.0:
+            u, t, polys = mean * mean, 1.0 / x, above
+        else:
+            u, t, polys = var, x, below
+        try:
+            scale = 4.0 * var * u**power
+        except OverflowError:  # float ** raises its own error where np.float_power gives inf
+            raise OverflowError(OVERFLOW) from None
+        h0 = 0.0
+        for c in polys[0]:
+            h0 = h0 * t + c
+        if entry == 0:
+            value = scale * u * h0
+        elif entry == 1:
+            value = scale * lz2 * h0
+        elif entry == 2:
+            value = scale * lz * mean * h0
+        else:
+            h1 = h2 = 0.0
+            for c in polys[1]:
+                h1 = h1 * t + c
+            for c in polys[2]:
+                h2 = h2 * t + c
+            value = scale * lz2 * var * h0 / (u * h1 + lz2 * h2)
+        if not -inf < value < inf:
+            raise OverflowError(OVERFLOW)  # products overflow silently
+        return value
 
     return kernel
 
 
 def _probe_qfi(probe: ProbeSpec, model: ModelSpec, beta_sign=+1, entries=(0, 1, 2, 3)):
-    """_normal_law_kernel at a probe."""
+    """The entries at the indices in entries, as a list: one _normal_law_kernel
+    per entry, in order, at a probe."""
     _check_beta_sign(beta_sign)
-    return _normal_law_kernel(probe.n_total, probe.theta, probe.phi, model, beta_sign, entries)(probe.gamma)
+    return [_normal_law_kernel(probe.n_total, probe.theta, probe.phi, model, beta_sign, entry=k)(probe.gamma) for k in entries]
 
 
 def qfi_lambda(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1) -> float:
@@ -228,7 +235,7 @@ def qfi_matrix(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1) -> Qf
 
 
 def _horner_grid(high_first, low_first, x, above):
-    """_horner in t = x or 1/x at every element of x, where above is x > 1."""
+    """Horner's rule in t = x or 1/x at every element of x, where above is x > 1."""
     y = 1.0 / x
     acc_y = acc_x = 0.0
     for c_y, c_x in zip(low_first, high_first):
@@ -253,8 +260,8 @@ def _normal_law_arrays(n_total, gamma, theta, phi, model: ModelSpec, entries):
         u = np.where(above, mean * mean, var)
         # libm's pow, as float ** takes it; where ** raises it gives inf, which fails ok
         scale, lz = 4.0 * var * np.float_power(u, model.zeta - 2), model.lambda_eff * model.zeta
-        horner = lru_cache(lambda pair, _: _horner_grid(*pair, x, above))  # once per polynomial: V, W serve two entries
-        values = tuple(_entry(k, horner, polys, None, mean, var, u, scale, lz) for k in entries)
+        horner = lru_cache(lambda j: _horner_grid(*polys[j], x, above))  # once per polynomial: V, W serve two entries
+        values = tuple(_entry(k, horner, mean, var, u, scale, lz) for k in entries)
         ok = np.isfinite(n) & (n >= 0.0) & (gam >= 0.0) & (gam <= 1.0) & np.isfinite(th) & np.isfinite(ph)
         for value in values:
             ok &= np.isfinite(value)
@@ -266,18 +273,21 @@ def normal_law_grid(n_total, gamma, theta, phi, model: ModelSpec, *, entries=(0,
 
     Returns the arrays of the entries of (f_ll, f_zz, f_lz, det F / tr F)
     at the indices in entries, by default (f_ll, f_zz, det F / tr F), equal
-    bit for bit to _normal_law_kernel(..., entries=entries) at every point: the
+    bit for bit to _normal_law_kernel(..., entry=k) at every point: the
     same formulas (_entry) in the same order, with numpy's sqrt, cos and sin,
     which agree with the math module's, and np.float_power, which calls
-    libm's pow as float ** does (numpy's vectorised power may not). Where a point lies outside the probe domain or a requested entry
-    does not fit in double, the points are handed to that kernel in C order,
-    so that the error raised is the one a loop over the points would raise.
+    libm's pow as float ** does (numpy's vectorised power may not). Where a
+    point lies outside the probe domain or a requested entry does not fit in
+    double, the points are handed in C order to one kernel per entry, in the
+    order of entries, so that the error raised is the one a loop over the
+    points would raise.
     """
     values, ok = _normal_law_arrays(n_total, gamma, theta, phi, model, entries)
     if not ok.all():
         n, gam, th, ph = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (n_total, gamma, theta, phi)))
         for i in np.flatnonzero(~ok).tolist():
-            _normal_law_kernel(n.item(i), th.item(i), ph.item(i), model, entries=entries)(gam.item(i))
+            for k in entries:
+                _normal_law_kernel(n.item(i), th.item(i), ph.item(i), model, entry=k)(gam.item(i))
         raise InternalConsistencyError("normal_law_grid rejected points that the scalar kernel accepts")
     return values
 

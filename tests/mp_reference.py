@@ -3,10 +3,11 @@
 kernel is qfi_core._normal_law_kernel evaluated with mpmath: the quadrature's
 normal law at 40 digits, without the compensated phase difference of
 moments._normal_law (at 40 digits the rounding of h - phi is harmless), and
-qfi_core's assembly over the exact integer coefficients of the polynomials,
-with each entry rounded to double once. It checks the precision of the
-double kernel, not its formulas; tests/test_properties.py holds those to an
-independent 80-digit moment recursion.
+qfi_core's entry formulas (_entry, through assemble) over the exact integer
+coefficients of the polynomials, with each entry rounded to double once. It
+checks the precision of the double kernel, not its formulas;
+tests/test_properties.py holds those to an independent 80-digit moment
+recursion.
 
 printed_moments evaluates the printed general-phase formula
 
@@ -29,7 +30,7 @@ from nlprobe import optimizer
 from nlprobe.combinatorics import normal_law_covariance, normal_law_polynomials, normal_order_coeff
 from nlprobe.errors import InternalConsistencyError
 from nlprobe.moments import _normal_sum
-from nlprobe.qfi_core import OVERFLOW, QfiMatrix, _assemble
+from nlprobe.qfi_core import OVERFLOW, QfiMatrix, _entry
 
 DPS = 40  # working digits
 IMAG_RESIDUE_TOL = 1e-10
@@ -40,6 +41,28 @@ def _exact_table(zeta):
     """qfi_core._normal_law_table with the integer coefficients themselves."""
     low_first = tuple(map(tuple, normal_law_polynomials(zeta) + (normal_law_covariance(zeta),)))
     return tuple(p[::-1] for p in low_first), low_first
+
+
+def assemble(mean, var, lz, zeta, table, entries):
+    """The entries of (f_ll, f_zz, f_lz, det F / tr F) at the indices in
+    entries, as a list, from the quadrature's mean and variance, lz = lambda
+    zeta and a coefficient table ordered as qfi_core._normal_law_table's:
+    qfi_core._entry on plain numbers, whose type sets the precision. On
+    floats and that table it is the scalar kernel's arithmetic, the
+    polynomials in t = x for x <= 1 and in t = 1/x for x > 1.
+    """
+    x = mean * mean / var
+    above = x > 1.0
+    u, t = (mean * mean, 1.0 / x) if above else (var, x)
+    polys, scale = table[above], 4.0 * var * u ** (zeta - 2)
+
+    def horner(j):
+        acc = 0.0
+        for c in polys[j]:
+            acc = acc * t + c
+        return acc
+
+    return [_entry(k, horner, mean, var, u, scale, lz) for k in entries]
 
 
 def _normal_law(n_total, gamma, theta, phi, beta_sign):
@@ -63,7 +86,7 @@ def kernel(n_total, gamma, theta, phi, model, beta_sign=+1, entries=(0, 1, 2, 3)
     with mpmath.workdps(DPS):
         mean, var = _normal_law(*map(mpmath.mpf, (n_total, gamma, theta, phi)), beta_sign)
         lz = mpmath.mpf(model.lambda_eff) * zeta
-        values = [float(v) for v in _assemble(mean, var, lz, zeta, _exact_table(zeta), entries)]
+        values = [float(v) for v in assemble(mean, var, lz, zeta, _exact_table(zeta), entries)]
     if not all(-math.inf < v < math.inf for v in values):
         raise OverflowError(OVERFLOW)
     return values
@@ -84,9 +107,9 @@ def objective(gamma, n_total, target, theta=0.0, phi=0.0):
     return kernel(n_total, gamma, theta, phi, target.model, entries=(optimizer._ENTRY[target.kind],))[0]
 
 
-def _kernel_at(n_total, theta, phi, model, beta_sign=+1, entries=(0, 1, 2, 3)):
-    """qfi_core._normal_law_kernel at 40 digits: kernel as a function of gamma."""
-    return lambda gamma: kernel(n_total, gamma, theta, phi, model, beta_sign, entries)
+def _kernel_at(n_total, theta, phi, model, beta_sign=+1, *, entry):
+    """qfi_core._normal_law_kernel at 40 digits: entry of kernel as a function of gamma."""
+    return lambda gamma: kernel(n_total, gamma, theta, phi, model, beta_sign, (entry,))[0]
 
 
 def _table(n_total, gamma, theta, phi, model, entries):

@@ -391,7 +391,7 @@ class TestErrorPaths:
         # valid arguments whose oracle needs a cutoff above DIM_CAP: a
         # numerical-range failure, not a usage error (it exited 2)
         argv = ["qfi", "--n", "1e6", "--gamma", "0.5", "--zeta", "2", "--lambda", "1", "--oracle"]
-        err = '{"error": "CutoffError", "message": "oracle QFI did not stabilize below dim=4096"}\n'
+        err = '{"error": "CutoffError", "message": "oracle QFI: start cutoff 8388608 is above DIM_CAP=4096"}\n'
         assert run_cli(capsys, *argv) == (3, "", err)
 
     def test_numerical_overflow_exits_three(self, capsys):
@@ -408,11 +408,9 @@ class TestErrorPaths:
         # the whole grid is one pass, but the error is the one the first
         # failing point raises on its own: at 1e15 gamma = 0 still fits; at
         # 1e28 gamma = 0 overflows f_ll alone, so only f_lambda fails there,
-        # and f_zeta and the joint bound fail first at the power of gamma = 0.1
-        if (n, target) == ("1e28", "f_lambda"):
-            message = "QFI entries exceed the double-precision range"
-        else:
-            message = "(34, 'Numerical result out of range')"
+        # and f_zeta and the joint bound fail first at the power of gamma = 0.1,
+        # which printed the errno text of float ** until it became an entry overflow
+        message = "QFI entries exceed the double-precision range"
         code, out, err = run_cli(capsys, "scan-gamma", "--n", n, "--zeta", "12", "--target", target, "--grid", "11")
         assert (code, out) == (3, "")
         assert json.loads(err) == {"error": "OverflowError", "message": message}
@@ -472,6 +470,18 @@ class TestErrorPaths:
     def test_coupling_beyond_the_range_is_an_entry_overflow(self, capsys, argv, error, message):
         # these printed the errno text of (lambda zeta) ** 2
         assert run_cli(capsys, *argv, "--lambda", "1e200") == (3, "", json.dumps({"error": error, "message": message}) + "\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["qfi", "--n", "1e300", "--gamma", "0", "--zeta", "12", "--lambda", "1"],
+         ["scan-gamma", "--n", "1e300", "--zeta", "12", "--target", "f_lambda", "--grid", "3"],
+         ["scan-phase", "--n", "1e300", "--gamma", "0", "--zeta", "12", "--target", "f_zeta", "--grid", "2"]],
+        ids=["qfi", "scan-gamma", "scan-phase"],
+    )
+    def test_power_beyond_the_range_is_an_entry_overflow(self, capsys, argv):
+        # u ** (zeta - 2) overflows here: these printed "(34, 'Numerical result out of range')"
+        err = '{"error": "OverflowError", "message": "QFI entries exceed the double-precision range"}\n'
+        assert run_cli(capsys, *argv) == (3, "", err)
 
     @pytest.mark.parametrize(
         "n, grid, rel",

@@ -241,17 +241,28 @@ class TestQfiOracle:
         assert defect <= 1e-9
 
 
+def _unreachable(*args):
+    raise AssertionError(f"built at {args[1:]}")
+
+
 class TestCutoffCap:
-    # N = 1e6 has a default cutoff above DIM_CAP, so no cutoff is tried
-    def test_moments(self):
-        with pytest.raises(CutoffError, match=r"^moments did not stabilize below dim=4096 for k_max=4$") as info:
+    # N = 1e6 has a default cutoff above DIM_CAP, so no cutoff is tried; both
+    # said "... did not stabilize below dim=4096" before they raised at the start
+    def test_moments(self, monkeypatch):
+        monkeypatch.setattr(fock_oracle, "build_state", _unreachable)
+        with pytest.raises(CutoffError, match=r"^moments for k_max=4: start cutoff 8388608 is above DIM_CAP=4096$") as info:
             converged_moments(make_probe(1e6, 0.5), 4)
         assert info.value.suggested_dim == 2 * DIM_CAP
+        with pytest.raises(CutoffError, match=r"^moments for k_max=4: start cutoff 8192 is above DIM_CAP=4096$"):
+            converged_moments(make_probe(1.0, 0.5), 4, dim=8192)
 
-    def test_qfi(self):
-        with pytest.raises(CutoffError, match=r"^oracle QFI did not stabilize below dim=4096$") as info:
+    def test_qfi(self, monkeypatch):
+        monkeypatch.setattr(fock_oracle, "_derivative_vectors", _unreachable)
+        with pytest.raises(CutoffError, match=r"^oracle QFI: start cutoff 8388608 is above DIM_CAP=4096$") as info:
             qfi_matrix_oracle(make_probe(1e6, 0.5), ModelSpec(lambda_eff=1.0, zeta=2))
         assert info.value.suggested_dim == 2 * DIM_CAP
+        with pytest.raises(CutoffError, match=r"^oracle QFI: start cutoff 8192 is above DIM_CAP=4096$"):
+            qfi_matrix_oracle(make_probe(1.0, 0.5), ModelSpec(lambda_eff=1.0, zeta=2), dim=8192)
 
 
 class TestIndependence:

@@ -178,6 +178,25 @@ def bits(results):
     return [(r.gamma_opt.hex(), r.objective_value.hex(), r.at_boundary, r.n_total) for r in results]
 
 
+class TestEnergyScaling:
+    # claim iv in the default family: the optimized probe's log-log slope from
+    # N = 1e4 to 1e5 beats the coherent probe's, at zero phase and lambda = 1
+    SLOPES = {  # target: (optimized, coherent) at zeta 2, 3, 4, 5
+        "f_lambda": ((4, 7, 10, 13), (1, 2, 3, 4)),  # 3 zeta - 2, zeta - 1
+        "f_zeta": ((1, 4, 7, 10), (0, 1, 2, 3)),  # 3 zeta - 5, zeta - 2
+        "joint": ((1, 2, 5, 8), (-1, 0, 1, 2)),  # zeta - 3 for the coherent probe
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SLOPES))
+    def test_log_log_slopes(self, kind):
+        for zeta, optimized, coherent in zip((2, 3, 4, 5), *self.SLOPES[kind]):
+            t = target(kind, zeta)
+            best = [optimize_gamma(n, t).objective_value for n in (1e4, 1e5)]
+            plain = [objective(0.0, n, t) for n in (1e4, 1e5)]
+            assert math.log10(best[1] / best[0]) == pytest.approx(optimized, abs=1e-3), zeta
+            assert math.log10(plain[1] / plain[0]) == pytest.approx(coherent, abs=1e-3), zeta
+
+
 class TestOptimizeGammaGrid:
     @pytest.mark.parametrize("seed", range(24))
     def test_equals_the_scalar_loop_bit_for_bit(self, seed):
@@ -220,8 +239,8 @@ class TestOptimizeGammaGrid:
             table = f_array(np.broadcast_to(np.asarray(g, dtype=float), np.broadcast_shapes(np.shape(n), np.shape(g))))
             return (table,) * len(entries), np.ones(table.shape, dtype=bool)
 
-        def kernel(n, theta, phi, model, beta_sign=+1, entries=(0, 1, 2, 3)):
-            return lambda g: (f(g),) * len(entries)
+        def kernel(n, theta, phi, model, beta_sign=+1, *, entry):
+            return f
 
         monkeypatch.setattr(opt, "_normal_law_kernel", kernel)  # the golden section's and objective's kernel
         monkeypatch.setattr(opt, "_normal_law_arrays", arrays)

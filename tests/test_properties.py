@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+import re
 import sys
 import warnings
 
@@ -17,12 +18,14 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from nlprobe.cli import main  # noqa: E402
-from nlprobe.moments import general_moments  # noqa: E402
+from nlprobe.moments import _normal_law, general_moments  # noqa: E402
 from nlprobe.optimizer import OptTarget, TargetKind, objective  # noqa: E402
 from nlprobe.probe import make_probe  # noqa: E402
 from nlprobe.qfi_core import (  # noqa: E402
+    OVERFLOW,
     ModelSpec,
     _normal_law_kernel,
+    _normal_law_table,
     normal_law_grid,
     qfi_lambda,
     qfi_matrix,
@@ -37,6 +40,8 @@ phases = st.floats(0.0, 6.3)
 lambdas = st.floats(0.01, 10.0)
 signs = st.sampled_from([+1, -1])
 energies = st.floats(-4.0, 6.0).map(lambda e: 10.0**e)
+# half of them where some entry or u^(zeta-2) overflows at the larger orders
+energies_to_overflow = st.one_of(energies, st.floats(6.0, 300.0).map(lambda e: 10.0**e))
 targets = st.sampled_from(["f_lambda", "f_zeta", "joint"])
 
 
@@ -81,7 +86,7 @@ def test_scan_phase_prints_the_qfi_elements(n, gamma, zeta, target):
     assert len(rows) == 9
     for theta, phi, value in rows:
         probe = make_probe(n, gamma, float(theta), float(phi))
-        assert float(value) == _normal_law_kernel(n, float(theta), float(phi), model)(gamma)[k]
+        assert float(value) == _normal_law_kernel(n, float(theta), float(phi), model, entry=k)(gamma)
         assert float(value) == pytest.approx(mp_reference.probe_qfi(probe, model, entries=(k,))[0], rel=1e-13, abs=0)
 
 
@@ -167,34 +172,52 @@ def test_objective_matches_80_digit_normal_law_at_any_phase(kind, gamma, n, zeta
 @given(
     st.integers(1, 12),
     lambdas,
-    energies,
+    energies_to_overflow,
     st.lists(gammas, min_size=1, max_size=4).map(lambda gs: [0.0, 1.0] + gs),
     st.lists(phases, min_size=1, max_size=3).map(lambda ts: [0.0] + ts),
     st.lists(phases, min_size=1, max_size=3).map(lambda ps: [0.0] + ps),
 )
+@example(12, 1.0, 1e300, [0.0, 1.0], [0.0], [0.0])  # u^(zeta-2) overflows at gamma = 0
+@example(1, 1.0, 1e300, [1.0, 0.0], [0.0], [0.0])  # u^(-1); f_zz and f_lz are 0
+@example(6, 1.0, 1e30, [1.0, 0.0, 0.5], [0.0, 3.0], [0.0, 1.5])  # every entry fits at gamma 1 and 0, none at 0.5
 def test_grid_kernel_equals_the_point_evaluation(zeta, lam, n, gamma_list, theta_list, phi_list):
-    model = ModelSpec(lambda_eff=lam, zeta=zeta)
+    # every entry of the grid is the one-entry scalar kernel at each point,
+    # on both sides of x = 1 (gamma = 1 has mean 0, gamma = 0 at N > 1/4 has
+    # x > 1); where a point does not fit, the grid raises the error that a
+    # loop over the points and entries in C order meets first
+    model, entries = ModelSpec(lambda_eff=lam, zeta=zeta), (0, 1, 2, 3)
     axes = (np.reshape(gamma_list, (-1, 1, 1)), np.reshape(theta_list, (-1, 1)), phi_list)
     points = [(g, t, p) for g in gamma_list for t in theta_list for p in phi_list]
     try:
-        want = [tuple(_normal_law_kernel(n, t, p, model, entries=(0, 1, 3))(g)) for g, t, p in points]
-    except OverflowError as exc:  # the grid raises what the first failing point raises
-        with pytest.raises(OverflowError) as info:
-            normal_law_grid(n, *axes, model)
-        assert str(info.value) == str(exc)
+        want = [tuple(_normal_law_kernel(n, t, p, model, entry=k)(g) for k in entries) for g, t, p in points]
+    except ArithmeticError as exc:
+        with pytest.raises(type(exc)) as info:
+            normal_law_grid(n, *axes, model, entries=entries)
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
         return
-    grid = normal_law_grid(n, *axes, model)
+    grid = normal_law_grid(n, *axes, model, entries=entries)
     assert all(entry.shape == (len(gamma_list), len(theta_list), len(phi_list)) for entry in grid)
     got = list(zip(*(entry.ravel().tolist() for entry in grid)))
-    assert got == want
+    assert [tuple(map(float.hex, p)) for p in got] == [tuple(map(float.hex, p)) for p in want]
+
+
+def _entries_by_formula(n, gamma, theta, phi, model, sign):
+    """The four entries from qfi_core._entry on floats, the formulas that
+    normal_law_grid runs over arrays (mp_reference.assemble over the double
+    coefficient table); inf where u^(zeta-2) overflows float **."""
+    mean, var = _normal_law(n, gamma, theta, phi, sign)
+    try:
+        return mp_reference.assemble(mean, var, model.lambda_eff * model.zeta, model.zeta, _normal_law_table(model.zeta), range(4))
+    except OverflowError:
+        return [math.inf] * 4
 
 
 @settings(seeded, max_examples=300)
 @given(
     st.integers(1, 12),
     st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
-    energies,
-    st.lists(gammas, min_size=1, max_size=4),
+    energies_to_overflow,
+    st.lists(gammas, min_size=1, max_size=4).map(lambda gs: [0.0, 1.0] + gs),
     phases,
     phases,
     signs,
@@ -202,19 +225,25 @@ def test_grid_kernel_equals_the_point_evaluation(zeta, lam, n, gamma_list, theta
 )
 @example(12, 1.0, 1e6, [0.0, 0.5, 1.0], 0.0, 0.0, +1, 3)
 @example(1, 0.01, 1e-4, [0.0, 1.0], 3.0, 1.5, -1, 1)
+@example(12, 1.0, 1e300, [0.0, 1.0], 0.0, 0.0, -1, 0)  # u^(zeta-2) overflows at gamma = 0
+@example(2, 19.048891397772485, 2.0, [0.3, 0.5], 0.0, 0.0, +1, 1)  # (lambda zeta) ** 2 is not lz * lz here
 def test_selected_entry_equals_the_full_kernel_bit_for_bit(zeta, lam, n, gamma_list, theta, phi, sign, k):
-    # the optimizer and scan-gamma ask for one entry; the scalar value and
-    # the table must be that entry of the full evaluation wherever it fits
+    # the one-entry scalar kernel is entry k of the full evaluation by _entry,
+    # in both families, and where that entry does not fit it raises OVERFLOW
     model = ModelSpec(lambda_eff=lam, zeta=zeta)
-    try:
-        full = [_normal_law_kernel(n, theta, phi, model, sign)(g) for g in gamma_list]
-        full_40 = mp_reference.kernel(n, gamma_list[0], theta, phi, model, sign)
-    except OverflowError:
-        return
+    kernel = _normal_law_kernel(n, theta, phi, model, sign, entry=k)
+    full = [_entries_by_formula(n, g, theta, phi, model, sign) for g in gamma_list]
     for g, want in zip(gamma_list, full):
-        assert _normal_law_kernel(n, theta, phi, model, sign, entries=(k,))(g) == [want[k]]
+        if math.isfinite(want[k]):
+            assert kernel(g).hex() == want[k].hex()
+        else:
+            with pytest.raises(OverflowError, match=f"^{re.escape(OVERFLOW)}$"):
+                kernel(g)
+    if not all(math.isfinite(v) for v in full[0]):
+        return
+    full_40 = mp_reference.kernel(n, gamma_list[0], theta, phi, model, sign)
     assert mp_reference.kernel(n, gamma_list[0], theta, phi, model, sign, entries=(k,)) == [full_40[k]]
-    if sign > 0:  # the table holds the default family
+    if sign > 0 and all(math.isfinite(v) for want in full for v in want):  # the table holds the default family
         full_grid = normal_law_grid(n, gamma_list, theta, phi, model, entries=(0, 1, 2, 3))
         (table,) = normal_law_grid(np.array([[n]]), gamma_list, theta, phi, model, entries=(k,))
         assert table.shape == (1, len(gamma_list))
@@ -277,7 +306,8 @@ def _check_entries_relative(points, zeta, lam=1.0):
     grid = normal_law_grid(*(np.array(axis) for axis in zip(*points)), model, entries=(0, 1, 2))
     for i, (n, gamma, theta, phi) in enumerate(points):
         want = _reference_entries(gamma, n, zeta, lam, theta, phi)
-        for got in (_normal_law_kernel(n, theta, phi, model, entries=(0, 1, 2))(gamma), [entry[i] for entry in grid]):
+        kernel = [_normal_law_kernel(n, theta, phi, model, entry=k)(gamma) for k in range(3)]
+        for got in (kernel, [entry[i] for entry in grid]):
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-12 * abs(w), (n, gamma, theta, phi, zeta)
 

@@ -1,0 +1,121 @@
+"""Check that two source trees give the same bytes on every benchmark operation.
+
+    python3 tools/same_bytes.py PARENT_SRC CHANGE_SRC [--seeds 1 2 3]
+
+PARENT_SRC and CHANGE_SRC are the directories that hold the nlprobe package
+(the src/ of two checkouts). The operations are those that
+perfbench/workloads.build makes for each workload and seed. Each tree runs
+each workload's operations once, in a fresh interpreter per tree and
+workload, with BLAS on one thread, PYTHONHASHSEED=0 and the same output
+directory, so the --out paths in the arguments agree. For every operation
+it compares the exit code, stdout, stderr and --out bytes of a CLI call,
+and the repr of what a library call returned or raised. Every difference
+is listed; the exit code is 1 if there is any, 0 otherwise.
+"""
+
+import argparse
+import importlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ONE_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_workload(src, workload, seeds, outdir):
+    """Run every operation of workload for each seed with the nlprobe of src
+    (in this interpreter) and return one record per operation: its label,
+    the repr of its result and the bytes of the files it wrote, by suffix."""
+    sys.path[:0] = [str(src), str(PERFBENCH)]
+    workloads = importlib.import_module("workloads")
+    records = []
+    for seed in seeds:
+        seed_dir = outdir / str(seed)
+        seed_dir.mkdir()
+        for op in workloads.build(workload, seed, seed_dir):
+            before = set(seed_dir.iterdir())
+            try:
+                result = repr(op.call())
+            except Exception as exc:  # an operation that raises is compared by its error
+                result = f"raised {type(exc).__name__}: {exc}"
+            files = {f.suffix: f.read_bytes().decode("latin-1") for f in sorted(set(seed_dir.iterdir()) - before)}
+            records.append({"seed": seed, "label": op.label, "result": result, "files": files})
+    return records
+
+
+def records_of(src, workload, seeds, outdir):
+    """run_workload in a fresh interpreter, in an empty outdir."""
+    shutil.rmtree(outdir, ignore_errors=True)
+    outdir.mkdir()
+    env = dict(os.environ, PYTHONHASHSEED="0", **dict.fromkeys(ONE_THREAD, "1"))
+    env.pop("PYTHONPATH", None)
+    out = outdir.with_suffix(".json")
+    argv = [sys.executable, __file__, "--child", str(src), workload, str(outdir), str(out), *map(str, seeds)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"{workload} on {src} failed:\n{proc.stderr}")
+    return json.loads(out.read_text())
+
+
+def _excerpts(old, new):
+    """Both texts from a little before their first difference (None: no such file)."""
+    if old is None or new is None:
+        return repr(old), repr(new)
+    at = next((i for i, (x, y) in enumerate(zip(old, new)) if x != y), min(len(old), len(new)))
+    return repr(old[max(at - 80, 0):at + 160]), repr(new[max(at - 80, 0):at + 160])
+
+
+def differences(parent, change):
+    """One report per operation whose records differ: its label, then each
+    field that differs (result or a file suffix) with both around the first difference."""
+    if [r["label"] for r in parent] != [r["label"] for r in change]:
+        return ["the operation lists differ"]
+    reports = []
+    for i, (a, b) in enumerate(zip(parent, change)):
+        fields = [("result", a["result"], b["result"])]
+        for suffix in sorted(set(a["files"]) | set(b["files"])):
+            fields.append((suffix, a["files"].get(suffix), b["files"].get(suffix)))
+        lines = ["  {}\n    parent: {}\n    change: {}".format(name, *_excerpts(old, new)) for name, old, new in fields if old != new]
+        if lines:
+            reports.append("\n".join([f"seed {a['seed']} op {i} {a['label']}", *lines]))
+    return reports
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("change_src", type=Path)
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    args = parser.parse_args(argv)
+    for src in (args.parent_src, args.change_src):
+        if not (src / "nlprobe" / "__init__.py").is_file():
+            parser.error(f"{src} holds no nlprobe package")
+    sys.path.insert(0, str(PERFBENCH))
+    names = importlib.import_module("workloads").WORKLOADS
+    total, diffs = 0, []
+    with tempfile.TemporaryDirectory() as tmp:
+        outdir = Path(tmp) / "out"
+        for workload in names:
+            parent = records_of(args.parent_src.resolve(), workload, args.seeds, outdir)
+            change = records_of(args.change_src.resolve(), workload, args.seeds, outdir)
+            found = differences(parent, change)
+            total += len(parent)
+            diffs += [f"{workload} {line}" for line in found]
+            print(f"{workload}: {len(parent)} operations, {len(found)} differ")
+    for report in diffs:
+        print(report)
+    print(f"{total} operations, {f'{len(diffs)} differ' if diffs else 'all byte-identical'}")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--child"]:
+        src, workload, outdir, out, *seeds = sys.argv[2:]
+        Path(out).write_text(json.dumps(run_workload(Path(src), workload, [int(s) for s in seeds], Path(outdir))))
+    else:
+        sys.exit(main())
