@@ -25,7 +25,7 @@ from .combinatorics import coeff_row_sum, normal_order_coeff
 from .errors import CutoffError, InternalConsistencyError, NlprobeError, NumericalRangeError, ThresholdAmbiguousError
 from .asymptotics import gamma_opt_high_n
 from .fock_oracle import build_state, converged_moments, qfi_matrix_oracle, quadrature, sld_operator
-from .moments import moment_general
+from .moments import moment_vector
 from .optimizer import THRESHOLD_N_LO, OptTarget, TargetKind, find_threshold, objective_grid, optimize_gamma_grid
 from .probe import make_probe
 from .qfi_core import OVERFLOW, ModelSpec, QfiMatrix, _probe_qfi, normal_law_grid, reparametrize_physical
@@ -122,7 +122,7 @@ def cmd_qfi(args) -> int:
     probe = make_probe(args.n, args.gamma, args.theta, args.phi)
     model = ModelSpec(lambda_eff=args.lam, zeta=args.zeta, time=args.time)
     # the bound is det F / tr F without the cancellation of f_ll f_zz - f_lz^2
-    f_ll, f_zz, f_lz, bound = _probe_qfi(probe, model)
+    f_ll, f_zz, f_lz, bound = _probe_qfi(probe, model, +1, (0, 1, 2, 3))
     fm = QfiMatrix(f_ll, f_zz, f_lz)
     t = args.time
     if t != 1.0:  # det and trace of diag(t, 1) F diag(t, 1); det = 0 where f_zz = 0, as at zeta = 1
@@ -309,9 +309,9 @@ def cmd_selftest(args) -> int:
             for theta, phi in ((0.0, 0.0), (1.0, 2.0)):
                 probe = make_probe(n, gamma, theta, phi)
                 om = converged_moments(probe, 8)
+                cm = moment_vector(probe, 8)
                 for k in range(9):
-                    cm = moment_general(probe, k)
-                    worst_pure = max(worst_pure, abs(cm - om[k]) / max(1.0, abs(om[k])))
+                    worst_pure = max(worst_pure, abs(cm[k] - om[k]) / max(1.0, abs(om[k])))
     check("moments.oracle-agreement-pure-probes", worst_pure <= 1e-8, f"max_rel={worst_pure:.2e}")
 
     # state-exact amplitude convention against the oracle at mixed gamma
@@ -320,11 +320,10 @@ def cmd_selftest(args) -> int:
     for n in (1.0, 3.0):
         probe = make_probe(n, 0.5, 0.7, 1.3)
         om = converged_moments(probe, 8)
+        exact, default = moment_vector(probe, 8, beta_sign=-1), moment_vector(probe, 8)
         for k in range(9):
-            exact = moment_general(probe, k, beta_sign=-1)
-            default = moment_general(probe, k)
-            worst_exact = max(worst_exact, abs(exact - om[k]) / max(1.0, abs(om[k])))
-            worst_default = max(worst_default, abs(default - om[k]) / max(1.0, abs(om[k])))
+            worst_exact = max(worst_exact, abs(exact[k] - om[k]) / max(1.0, abs(om[k])))
+            worst_default = max(worst_default, abs(default[k] - om[k]) / max(1.0, abs(om[k])))
     check("moments.oracle-agreement-state-exact-mode", worst_exact <= 1e-8, f"max_rel={worst_exact:.2e}")
     lines.append(
         f"INFO moments.default-family-vs-state-delta max_rel={worst_default:.2e} "

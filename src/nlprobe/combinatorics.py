@@ -1,10 +1,9 @@
 """Exact combinatorics of normal-ordering the quadrature power (a + a^dag)^zeta.
 
-Everything here is integer or rational arithmetic; floats appear only in
-the high-energy scaling law, which is a plain real-valued formula.
+Everything here is integer arithmetic; floats appear only in the
+high-energy scaling law, which is a plain real-valued formula.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -14,7 +13,6 @@ __all__ = [
     "normal_order_coeff",
     "coeff_row_sum",
     "normal_law_polynomials",
-    "normal_law_covariance",
     "amplitude_A",
     "scaling_B",
 ]
@@ -29,36 +27,28 @@ def _check_index_range(zeta, m, s):
         raise DomainError(f"creation power s={s} exceeds zeta-2m={zeta - 2 * m}")
 
 
-def normal_order_coeff(zeta: int, m: int, s: int) -> Fraction:
+def normal_order_coeff(zeta: int, m: int, s: int) -> int:
     """Coefficient of (a^dag)^s a^(zeta-2m-s) in the normal ordering of (a+a^dag)^zeta.
 
-    Equals zeta! / (2^m m! s! (zeta-2m-s)!), computed exactly. The value is
-    always a positive integer (it counts operator pairings), but it is
-    returned as a Fraction so callers can keep downstream sums exact.
+    Equals zeta! / (2^m m! s! (zeta-2m-s)!), an exact positive integer (it
+    counts operator pairings).
     """
     _check_index_range(zeta, m, s)
-    return Fraction(
-        factorial(zeta),
-        2**m * factorial(m) * factorial(s) * factorial(zeta - 2 * m - s),
-    )
+    return factorial(zeta) // (2**m * factorial(m) * factorial(s) * factorial(zeta - 2 * m - s))
 
 
-def coeff_row_sum(zeta: int, k: int) -> Fraction:
+def coeff_row_sum(zeta: int, k: int) -> int:
     """Sum over s of the ordering coefficients at fixed contraction count k.
 
-    Closed form 2^(zeta-3k) zeta! / (k! (zeta-2k)!). The direct term-by-term
-    sum is evaluated as well and must agree exactly; a mismatch would mean a
-    broken coefficient table, so it is asserted rather than tolerated.
+    Closed form 2^(zeta-2k) zeta! / (2^k k! (zeta-2k)!), an exact integer.
+    The direct term-by-term sum is evaluated as well and must agree exactly;
+    a mismatch would mean a broken coefficient table, so it is asserted
+    rather than tolerated.
     """
     if k < 0 or zeta < 0 or k > zeta // 2:
         raise DomainError(f"row index k={k} out of range for zeta={zeta}")
-    closed = Fraction(2) ** (zeta - 3 * k) * Fraction(
-        factorial(zeta), factorial(k) * factorial(zeta - 2 * k)
-    )
-    direct = sum(
-        (normal_order_coeff(zeta, k, s) for s in range(zeta - 2 * k + 1)),
-        start=Fraction(0),
-    )
+    closed = 2 ** (zeta - 2 * k) * factorial(zeta) // (2**k * factorial(k) * factorial(zeta - 2 * k))
+    direct = sum(normal_order_coeff(zeta, k, s) for s in range(zeta - 2 * k + 1))
     assert closed == direct, f"row-sum identity violated at zeta={zeta} k={k}"
     return closed
 
@@ -101,45 +91,29 @@ def _in_x(p):
 
 @lru_cache(maxsize=None)
 def normal_law_polynomials(zeta: int):
-    """Variances and Gram determinant of X^zeta, X^(zeta-1) for a normal X.
+    """Variances, Gram determinant and covariance of X^zeta, X^(zeta-1) for a normal X.
 
     For X ~ N(mu, sigma^2) and x = mu^2 / sigma^2, returns the exact integer
-    coefficients, lowest power of x first, of Var(X^zeta) / sigma^(2 zeta),
-    Var(X^(zeta-1)) / sigma^(2 zeta - 2) and
-    [Var(X^zeta) Var(X^(zeta-1)) - Cov(X^zeta, X^(zeta-1))^2] / sigma^(4 zeta - 2).
-    Their degrees are zeta - 1, zeta - 2 and 2 zeta - 4 (the zero polynomial,
-    an empty tuple, at zeta = 1): the leading powers cancel exactly here,
-    once, instead of in floating point. Every coefficient left is positive
-    except the x^1 one of the determinant, which is zero at even zeta and
-    negative at odd zeta, where it raises the condition number of the sum
-    to below 2 (both checked in the tests up to zeta = 24).
+    coefficients (V, W, G, Q), lowest power of x first, of
+    V = Var(X^zeta) / sigma^(2 zeta), W = Var(X^(zeta-1)) / sigma^(2 zeta - 2),
+    G = [Var(X^zeta) Var(X^(zeta-1)) - Cov(X^zeta, X^(zeta-1))^2] / sigma^(4 zeta - 2)
+    and Q = Cov(X^zeta, X^(zeta-1)) / (mu sigma^(2 zeta - 2)).
+    Their degrees are zeta - 1, zeta - 2, 2 zeta - 4 and zeta - 2 (W, G and Q
+    are the zero polynomial, an empty tuple, at zeta = 1): the leading powers
+    cancel exactly here, once, instead of in floating point. Every
+    coefficient left is positive except the x^1 one of G, which is zero at
+    even zeta and negative at odd zeta, where it raises the condition number
+    of the sum to below 2 (both checked in the tests up to zeta = 24); Q is
+    (12, 6) at zeta = 3.
     """
     if zeta < 1:
         raise DomainError(f"normal_law_polynomials requires zeta >= 1, got {zeta}")
-    p = {k: _normal_moment(k) for k in (2 * zeta, 2 * zeta - 2, zeta, zeta - 1)}
+    p = {k: _normal_moment(k) for k in (2 * zeta, 2 * zeta - 1, 2 * zeta - 2, zeta, zeta - 1)}
     var_z = _sub(p[2 * zeta], _mul(p[zeta], p[zeta]))
     var_zm1 = _sub(p[2 * zeta - 2], _mul(p[zeta - 1], p[zeta - 1]))
-    cov = _covariance(zeta)
+    cov = _sub(p[2 * zeta - 1], _mul(p[zeta], p[zeta - 1]))  # an odd polynomial in mu
     gram = _sub(_mul(var_z, var_zm1), _mul(cov, cov))
-    return _in_x(var_z), _in_x(var_zm1), _in_x(gram)
-
-
-def _covariance(zeta):
-    """Cov(Y^zeta, Y^(zeta-1)) for Y ~ N(m, 1), by power of m: an odd polynomial."""
-    return _sub(_normal_moment(2 * zeta - 1), _mul(_normal_moment(zeta), _normal_moment(zeta - 1)))
-
-
-@lru_cache(maxsize=None)
-def normal_law_covariance(zeta: int):
-    """Q_zeta(x) = Cov(X^zeta, X^(zeta-1)) / (mu sigma^(2 zeta - 2)) for X ~ N(mu, sigma^2).
-
-    Exact integer coefficients in x = mu^2 / sigma^2, lowest power first
-    ((12, 6) at zeta = 3), of degree zeta - 2 (none at zeta = 1). All are
-    positive, so Horner's rule evaluates the covariance without cancellation.
-    """
-    if zeta < 1:
-        raise DomainError(f"normal_law_covariance requires zeta >= 1, got {zeta}")
-    return _in_x(_covariance(zeta)[1:])
+    return _in_x(var_z), _in_x(var_zm1), _in_x(gram), _in_x(cov[1:])
 
 
 def amplitude_A(zeta: int) -> int:

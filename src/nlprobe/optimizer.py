@@ -28,8 +28,9 @@ __all__ = [
 ]
 
 THRESHOLD_N_LO = 1e-4  # default lower end of the threshold search
-COARSE = 129  # default points of the coarse gamma grid
-GAMMA_TOL = 1e-6  # default absolute tolerance of the golden section
+COARSE = 129  # points of the coarse gamma grid
+GAMMA_TOL = 1e-6  # absolute tolerance of the golden section
+_GRID = tuple(i / (COARSE - 1) for i in range(COARSE))  # Python floats, which GammaOptResult may hold
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 BISECTION_LEVELS = 3  # find_threshold fills the 2**3 - 1 = 7 midpoints of three levels in one table
 OVERFLOW_MESSAGE = "objective overflowed double precision; reduce the probe energy, the order or the coupling"
@@ -118,14 +119,7 @@ def _local_maxima(table):
     return flags
 
 
-def _check_row(n, coarse):
-    if n <= 0:
-        raise DomainError("optimize_gamma requires n_total > 0")
-    if coarse < 64:
-        raise DomainError("coarse grid must have at least 64 points")
-
-
-def _row_solver(ns, target, theta, phi, coarse, gamma_tol):
+def _row_solver(ns, target, theta, phi):
     """solve(i) = optimize_gamma(ns[i], ...), with the coarse grids of all
     energies in one table that raises nothing: solve(i) checks ns[i] and
     raises optimize_gamma's errors, so rows never solved may hold bad points.
@@ -134,24 +128,24 @@ def _row_solver(ns, target, theta, phi, coarse, gamma_tol):
     """
     model, entry = target.model, _ENTRY[target.kind]
     theta, phi = float(theta), float(phi)
-    grid = [i / (coarse - 1) for i in range(coarse)]
-    (table,), ok = _normal_law_arrays(np.array(ns, dtype=float)[:, None], grid, theta, phi, model, (entry,))
+    (table,), ok = _normal_law_arrays(np.array(ns, dtype=float)[:, None], _GRID, theta, phi, model, (entry,))
     rows_ok = ok.all(axis=1).tolist()
     flags = _local_maxima(table)
 
     def solve(i):
         n = ns[i]
-        _check_row(n, coarse)
+        if n <= 0:
+            raise DomainError("optimize_gamma requires n_total > 0")
         try:
             if not rows_ok[i]:  # normal_law_grid raises the error that a loop over the row meets first
-                normal_law_grid(n, grid, theta, phi, model, entries=(entry,))
+                normal_law_grid(n, _GRID, theta, phi, model, entries=(entry,))
             kernel = _normal_law_kernel(float(n), theta, phi, model, entry=entry)
             vals = table[i].tolist()
             candidates = sorted(np.flatnonzero(flags[i]).tolist(), key=vals.__getitem__, reverse=True)[:3]
 
             best_g, best_v = None, -math.inf
             for j in candidates:
-                g = _golden_max(kernel, grid[max(j - 1, 0)], grid[min(j + 1, coarse - 1)], gamma_tol)
+                g = _golden_max(kernel, _GRID[max(j - 1, 0)], _GRID[min(j + 1, COARSE - 1)], GAMMA_TOL)
                 v = kernel(g)
                 if v > best_v:
                     best_g, best_v = g, v
@@ -159,26 +153,18 @@ def _row_solver(ns, target, theta, phi, coarse, gamma_tol):
             raise NumericalRangeError(OVERFLOW_MESSAGE) from exc
         # grid endpoints can beat the refined interior value when the maximum
         # sits exactly on the boundary
-        for edge in (0, coarse - 1):
+        for edge in (0, COARSE - 1):
             if vals[edge] >= best_v:
-                best_g, best_v = grid[edge], vals[edge]
+                best_g, best_v = _GRID[edge], vals[edge]
         return GammaOptResult(best_g, best_v, best_g == 1.0, n)
 
     return solve
 
 
-def optimize_gamma_grid(
-    ns,
-    target: OptTarget,
-    theta: float = 0.0,
-    phi: float = 0.0,
-    *,
-    coarse: int = COARSE,
-    gamma_tol: float = GAMMA_TOL,
-) -> list:
+def optimize_gamma_grid(ns, target: OptTarget, theta: float = 0.0, phi: float = 0.0) -> list:
     """optimize_gamma at every energy of ns, as a list of GammaOptResult.
 
-    One pass of qfi_core.normal_law_grid fills the len(ns) x coarse table
+    One pass of qfi_core.normal_law_grid fills the len(ns) x COARSE table
     of the coarse grids and numpy flags the local maxima of every row at
     once. The golden section then refines each row's candidates through
     the scalar kernel of that row's energy (qfi_core._normal_law_kernel).
@@ -191,23 +177,14 @@ def optimize_gamma_grid(
     ns = list(ns)
     if not ns:
         return []
-    _check_row(ns[0], coarse)  # the first row's checks come before its grid, as in a loop over the energies
-    solve = _row_solver(ns, target, theta, phi, coarse, gamma_tol)
+    solve = _row_solver(ns, target, theta, phi)
     return [solve(i) for i in range(len(ns))]
 
 
-def optimize_gamma(
-    n_total: float,
-    target: OptTarget,
-    theta: float = 0.0,
-    phi: float = 0.0,
-    *,
-    coarse: int = COARSE,
-    gamma_tol: float = GAMMA_TOL,
-) -> GammaOptResult:
-    """Maximize the target over gamma in [0, 1] to absolute tolerance gamma_tol.
+def optimize_gamma(n_total: float, target: OptTarget, theta: float = 0.0, phi: float = 0.0) -> GammaOptResult:
+    """Maximize the target over gamma in [0, 1] to absolute tolerance GAMMA_TOL.
 
-    Strategy: a coarse bracketing grid (at least 64 points), then
+    Strategy: a coarse bracketing grid of COARSE points, then
     golden-section refinement of up to three local-maximum brackets; the
     best refined point wins, unless a grid endpoint is at least as good.
     Guaranteed for unimodal objectives, and the multi-bracket restart guards
@@ -215,7 +192,7 @@ def optimize_gamma(
     gamma = 1 endpoint won that comparison (gamma_opt == 1.0). This is
     optimize_gamma_grid([n_total], ...)[0].
     """
-    return optimize_gamma_grid([n_total], target, theta, phi, coarse=coarse, gamma_tol=gamma_tol)[0]
+    return optimize_gamma_grid([n_total], target, theta, phi)[0]
 
 
 def find_threshold(
@@ -275,7 +252,7 @@ def find_threshold(
             a, b = brackets[len(mids)]
             mids.append(math.sqrt(a * b))
             brackets += [(mids[-1], b), (a, mids[-1])]
-        solve = _row_solver(mids, target, theta, phi, COARSE, GAMMA_TOL)
+        solve = _row_solver(mids, target, theta, phi)
         j = 0
         while j < len(mids) and hi / lo - 1.0 > rel_tol:
             mid = mids[j]

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .combinatorics import normal_law_covariance, normal_law_polynomials
+from .combinatorics import normal_law_polynomials
 from .errors import DegenerateModelError, DomainError, InternalConsistencyError
 from .moments import _check_beta_sign, _energy_law, _phase_terms
 from .probe import ProbeSpec, make_probe
@@ -86,12 +86,10 @@ class QfiMatrix:
 
 @lru_cache(maxsize=None)
 def _normal_law_table(zeta):
-    """The float coefficients of V, W, G (normal_law_polynomials(zeta)) and Q
-    (normal_law_covariance(zeta)) in the order Horner's rule takes them,
-    indexed by x > 1: highest power of x first, and lowest first for the
-    sum in 1/x."""
-    polys = normal_law_polynomials(zeta) + (normal_law_covariance(zeta),)
-    low_first = tuple(tuple(map(float, p)) for p in polys)
+    """The float coefficients of V, W, G and Q (normal_law_polynomials(zeta))
+    in the order Horner's rule takes them, indexed by x > 1: highest power
+    of x first, and lowest first for the sum in 1/x."""
+    low_first = tuple(tuple(map(float, p)) for p in normal_law_polynomials(zeta))
     return tuple(p[::-1] for p in low_first), low_first
 
 
@@ -125,10 +123,10 @@ def _normal_law_kernel(n_total, theta, phi, model, beta_sign=+1, *, entry):
     the mean mu and variance sigma^2 of moments._normal_law. Both variances,
     the covariance over mu and the Gram determinant are polynomials in
     x = mu^2 / sigma^2 of degrees zeta - 1, zeta - 2, zeta - 2 and
-    2 zeta - 4 whose cancelling terms were removed exactly (combinatorics.
-    normal_law_polynomials, normal_law_covariance); what is left has
-    positive coefficients but for one term of the determinant at odd zeta,
-    so Horner's rule loses nothing to cancellation. With
+    2 zeta - 4 whose cancelling terms were removed exactly
+    (combinatorics.normal_law_polynomials); what is left has positive
+    coefficients but for one term of the determinant at odd zeta, so
+    Horner's rule loses nothing to cancellation. With
     u = max(mu^2, sigma^2),
 
         f_ll = 4 sigma^2 u^(zeta-1) V,  f_zz = 4 (lambda zeta)^2 sigma^2 u^(zeta-2) W,
@@ -195,7 +193,7 @@ def _normal_law_kernel(n_total, theta, phi, model, beta_sign=+1, *, entry):
     return kernel
 
 
-def _probe_qfi(probe: ProbeSpec, model: ModelSpec, beta_sign=+1, entries=(0, 1, 2, 3)):
+def _probe_qfi(probe: ProbeSpec, model: ModelSpec, beta_sign, entries):
     """The entries at the indices in entries, as a list: one _normal_law_kernel
     per entry, in order, at a probe."""
     _check_beta_sign(beta_sign)
@@ -231,7 +229,7 @@ def qfi_matrix(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1) -> Qf
     operator, so the mean SLD commutator (the Uhlmann element) vanishes and
     joint estimation carries no intrinsic quantum incompatibility.
     """
-    return QfiMatrix(*_probe_qfi(probe, model, beta_sign)[:3], u_lz=0.0)
+    return QfiMatrix(*_probe_qfi(probe, model, beta_sign, (0, 1, 2)), u_lz=0.0)
 
 
 def _horner_grid(high_first, low_first, x, above):
@@ -268,19 +266,19 @@ def _normal_law_arrays(n_total, gamma, theta, phi, model: ModelSpec, entries):
     return values, ok
 
 
-def normal_law_grid(n_total, gamma, theta, phi, model: ModelSpec, *, entries=(0, 1, 3)):
+def normal_law_grid(n_total, gamma, theta, phi, model: ModelSpec, *, entries):
     """_normal_law_kernel over arrays of N, gamma, theta and phi, broadcast together.
 
     Returns the arrays of the entries of (f_ll, f_zz, f_lz, det F / tr F)
-    at the indices in entries, by default (f_ll, f_zz, det F / tr F), equal
-    bit for bit to _normal_law_kernel(..., entry=k) at every point: the
-    same formulas (_entry) in the same order, with numpy's sqrt, cos and sin,
-    which agree with the math module's, and np.float_power, which calls
-    libm's pow as float ** does (numpy's vectorised power may not). Where a
-    point lies outside the probe domain or a requested entry does not fit in
-    double, the points are handed in C order to one kernel per entry, in the
-    order of entries, so that the error raised is the one a loop over the
-    points would raise.
+    at the indices in entries, equal bit for bit to
+    _normal_law_kernel(..., entry=k) at every point: the same formulas
+    (_entry) in the same order, with numpy's sqrt, cos and sin, which agree
+    with the math module's, and np.float_power, which calls libm's pow as
+    float ** does (numpy's vectorised power may not). Where a point lies
+    outside the probe domain or a requested entry does not fit in double,
+    the points are handed in C order to one kernel per entry, in the order
+    of entries, so that the error raised is the one a loop over the points
+    would raise.
     """
     values, ok = _normal_law_arrays(n_total, gamma, theta, phi, model, entries)
     if not ok.all():

@@ -27,7 +27,7 @@ import mpmath
 import numpy as np
 
 from nlprobe import optimizer
-from nlprobe.combinatorics import normal_law_covariance, normal_law_polynomials, normal_order_coeff
+from nlprobe.combinatorics import normal_law_polynomials, normal_order_coeff
 from nlprobe.errors import InternalConsistencyError
 from nlprobe.moments import _normal_sum
 from nlprobe.qfi_core import OVERFLOW, QfiMatrix, _entry
@@ -39,7 +39,7 @@ IMAG_RESIDUE_TOL = 1e-10
 @lru_cache(maxsize=None)
 def _exact_table(zeta):
     """qfi_core._normal_law_table with the integer coefficients themselves."""
-    low_first = tuple(map(tuple, normal_law_polynomials(zeta) + (normal_law_covariance(zeta),)))
+    low_first = tuple(map(tuple, normal_law_polynomials(zeta)))
     return tuple(p[::-1] for p in low_first), low_first
 
 
@@ -92,14 +92,14 @@ def kernel(n_total, gamma, theta, phi, model, beta_sign=+1, entries=(0, 1, 2, 3)
     return values
 
 
-def probe_qfi(probe, model, beta_sign=+1, entries=(0, 1, 2, 3)):
+def probe_qfi(probe, model, beta_sign, entries):
     """qfi_core._probe_qfi at 40 digits."""
     return kernel(probe.n_total, probe.gamma, probe.theta, probe.phi, model, beta_sign, entries)
 
 
 def qfi_matrix(probe, model, beta_sign=+1):
     """qfi_core.qfi_matrix at 40 digits."""
-    return QfiMatrix(*probe_qfi(probe, model, beta_sign)[:3])
+    return QfiMatrix(*probe_qfi(probe, model, beta_sign, (0, 1, 2)))
 
 
 def objective(gamma, n_total, target, theta=0.0, phi=0.0):

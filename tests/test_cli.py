@@ -249,7 +249,7 @@ class TestScanPhase:
         model = ModelSpec(lambda_eff=1.0, zeta=6)
         for i, j in [(24, 8), (0, 0), (7, 31), (40, 13), (13, 45)]:
             probe = make_probe(10.0, 0.5, i * step, j * step)
-            expected = mp_reference.probe_qfi(probe, model, entries=(0,))[0]
+            expected = mp_reference.probe_qfi(probe, model, +1, (0,))[0]
             # double precision is accurate relative to the summed term
             # magnitudes eta^k sum|C| |beta|^(k-2j), not to the value itself
             view = bogoliubov_view(probe)
@@ -269,7 +269,7 @@ class TestScanPhase:
         values = self.scan_values(out)
         assert len(values) == 64
         for (theta, phi), value in values.items():
-            expected = mp_reference.probe_qfi(make_probe(1e8, 0.5, theta, phi), ModelSpec(1.0, 2), entries=(0,))[0]
+            expected = mp_reference.probe_qfi(make_probe(1e8, 0.5, theta, phi), ModelSpec(1.0, 2), +1, (0,))[0]
             assert value == pytest.approx(expected, rel=1e-14, abs=0)
 
 

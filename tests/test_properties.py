@@ -87,7 +87,7 @@ def test_scan_phase_prints_the_qfi_elements(n, gamma, zeta, target):
     for theta, phi, value in rows:
         probe = make_probe(n, gamma, float(theta), float(phi))
         assert float(value) == _normal_law_kernel(n, float(theta), float(phi), model, entry=k)(gamma)
-        assert float(value) == pytest.approx(mp_reference.probe_qfi(probe, model, entries=(k,))[0], rel=1e-13, abs=0)
+        assert float(value) == pytest.approx(mp_reference.probe_qfi(probe, model, +1, (k,))[0], rel=1e-13, abs=0)
 
 
 def _reference_moments(gamma, n, zeta, theta, phi, sign=+1, magnitude=False):
@@ -249,7 +249,7 @@ def test_selected_entry_equals_the_full_kernel_bit_for_bit(zeta, lam, n, gamma_l
         assert table.shape == (1, len(gamma_list))
         assert table.ravel().tolist() == full_grid[k].tolist() == [want[k] for want in full]
         if k != 2:
-            assert table.ravel().tolist() == normal_law_grid(n, gamma_list, theta, phi, model)[(0, 1, None, 2)[k]].tolist()
+            assert table.ravel().tolist() == normal_law_grid(n, gamma_list, theta, phi, model, entries=(0, 1, 3))[(0, 1, None, 2)[k]].tolist()
 
 
 @settings(seeded, max_examples=40)

@@ -171,6 +171,13 @@ class TestQfiMatrix:
         for a, b in zip(fm.as_tuple()[:3], om.as_tuple()[:3]):
             assert a == pytest.approx(b, rel=1e-6, abs=1e-8)
 
+    def test_three_entries_that_fit_where_the_joint_bound_does_not(self):
+        # the joint bound's numerator overflows here, but qfi_matrix never reads it
+        p, m = make_probe(1e10, 1.0), ModelSpec(1e85, 12)
+        fm = qfi_matrix(p, m)
+        assert fm.as_tuple() == (2.1214862605485813e+139, 3.321722210324113e+299, 0.0, 0.0)
+        assert [v.hex() for v in fm.as_tuple()[:3]] == [f(p, m).hex() for f in (qfi_lambda, qfi_zeta, qfi_cross)]
+
 
 class TestReparametrization:
     def test_identity_time(self):
@@ -210,7 +217,7 @@ class TestHighEnergyCancellation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = qfi_lambda(p, m)
-        assert got == pytest.approx(mp_reference.probe_qfi(p, m, entries=(0,))[0], rel=1e-12)
+        assert got == pytest.approx(mp_reference.probe_qfi(p, m, +1, (0,))[0], rel=1e-12)
         alpha_sq = 0.5e8
         big_e = 1.0 + 2 * 0.5e8 + 2 * math.sqrt(0.5e8 * (1 + 0.5e8))
         leading = 4.0 * 4**2 * alpha_sq * big_e**3  # zeta^2 4^zeta alpha^2 E^3
@@ -224,7 +231,7 @@ class TestHighEnergyCancellation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = qfi_cross(p, m)
-            assert got == pytest.approx(mp_reference.probe_qfi(p, m, entries=(2,))[0], rel=1e-12)
+            assert got == pytest.approx(mp_reference.probe_qfi(p, m, +1, (2,))[0], rel=1e-12)
         assert got > 0.0
 
     def test_no_covariance_alarm_at_order_one(self):
