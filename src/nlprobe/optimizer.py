@@ -3,11 +3,19 @@
 The figures of merit are unimodal in gamma in every regime we have probed,
 but unimodality is never assumed blindly: the coarse grid is scanned for
 all local maxima and up to three of them are refined before the best is
-accepted.
+accepted. An interior candidate is refined by Brent's method (golden and
+parabolic steps; R. P. Brent, Algorithms for Minimization without
+Derivatives, 1973) between its grid neighbours. A candidate at a grid end
+costs one kernel call GAMMA_TOL inside the end; where the objective there
+is not higher than at the end, the end takes the candidate, and only
+otherwise is its cell refined. The joint bound's end cells are always
+refined: it can dip within GAMMA_TOL of gamma = 1 and peak inside the
+last cell.
 """
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +37,12 @@ __all__ = [
 
 THRESHOLD_N_LO = 1e-4  # default lower end of the threshold search
 COARSE = 129  # points of the coarse gamma grid
-GAMMA_TOL = 1e-6  # absolute tolerance of the golden section
+# absolute tolerance on gamma: Brent's method ends within GAMMA_TOL / 5 of the maximum
+# (its tol is GAMMA_TOL / 10), and the end test calls the kernel GAMMA_TOL inside an end
+GAMMA_TOL = 1e-6
 _GRID = tuple(i / (COARSE - 1) for i in range(COARSE))  # Python floats, which GammaOptResult may hold
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # Brent's golden-section fraction
+SQRT_EPS = math.sqrt(sys.float_info.epsilon)  # Brent's relative tolerance on gamma
 BISECTION_LEVELS = 3  # find_threshold fills the 2**3 - 1 = 7 midpoints of three levels in one table
 OVERFLOW_MESSAGE = "objective overflowed double precision; reduce the probe energy, the order or the coupling"
 
@@ -77,9 +88,9 @@ def objective(
     """Figure of merit as a function of the squeezing fraction.
 
     Every phase and target goes through the scalar kernel
-    qfi_core._normal_law_kernel, the one the golden section of
-    optimize_gamma_grid calls, asked for the target's entry alone: f_lambda
-    evaluates V, f_zeta W, and the joint bound V, W and G. It raises
+    qfi_core._normal_law_kernel, the one that Brent's method and the end
+    test of optimize_gamma_grid call, asked for the target's entry alone:
+    f_lambda evaluates V, f_zeta W, and the joint bound V, W and G. It raises
     OverflowError only where that entry does not fit in double.
     """
     kernel = _normal_law_kernel(float(n_total), float(theta), float(phi), target.model, entry=_ENTRY[target.kind])
@@ -95,20 +106,65 @@ def objective_grid(gammas, n_total: float, target: OptTarget, theta: float = 0.0
     return normal_law_grid(n_total, gammas, theta, phi, target.model, entries=(_ENTRY[target.kind],))[0].tolist()
 
 
-def _golden_max(fun, lo, hi, tol):
-    c = hi - GOLDEN * (hi - lo)
-    d = lo + GOLDEN * (hi - lo)
-    fc, fd = fun(c), fun(d)
-    while hi - lo > tol:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - GOLDEN * (hi - lo)
-            fc = fun(c)
+def _brent_max(fun, a, b, x, fx):
+    """(x, fun(x)) at the maximum of fun on [a, b] by Brent's method,
+    started at a point x of [a, b] where fun(x) = fx is known.
+
+    Brent (1973), chapter 5, for a maximum: each step takes the vertex of
+    the parabola through the three best points x, w and v if it lies inside
+    [a, b] and moves less than half the step before last, and otherwise a
+    golden-section step into the larger part of [a, b]. No step is shorter
+    than tol = SQRT_EPS |x| + GAMMA_TOL / 10, and it stops once [a, b] lies
+    within 2 tol of x. A tenth of GAMMA_TOL, not the third of scipy's
+    fminbound: near gamma = 1 the joint bound can peak so sharply that
+    missing its maximum by GAMMA_TOL / 2 costs more than 1e-10 of it.
+    """
+    v = w = x
+    fv = fw = fx
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        tol = SQRT_EPS * abs(x) + GAMMA_TOL / 10.0
+        tol2 = 2.0 * tol
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
+            return x, fx
+        if abs(e) > tol:  # the parabola through x, w and v
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_prev, e = e, d
+            parabolic = abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x)
         else:
-            lo, c, fc = c, d, fd
-            d = lo + GOLDEN * (hi - lo)
-            fd = fun(d)
-    return 0.5 * (lo + hi)
+            parabolic = False
+        if parabolic:
+            d = p / q
+            u = x + d
+            if u - a < tol2 or b - u < tol2:  # too close to an end: tol towards the middle
+                d = tol if x <= m else -tol
+        else:
+            e = (a if x >= m else b) - x
+            d = CGOLD * e
+        u = x + d if abs(d) >= tol else x + (tol if d >= 0.0 else -tol)
+        fu = fun(u)
+        if fu >= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def _local_maxima(table):
@@ -127,6 +183,7 @@ def _row_solver(ns, target, theta, phi):
     error that a loop over its points meets first.
     """
     model, entry = target.model, _ENTRY[target.kind]
+    one_sided = target.kind is not TargetKind.JOINT_BOUND  # the end test, which the joint bound's dip defeats
     theta, phi = float(theta), float(phi)
     (table,), ok = _normal_law_arrays(np.array(ns, dtype=float)[:, None], _GRID, theta, phi, model, (entry,))
     rows_ok = ok.all(axis=1).tolist()
@@ -145,8 +202,17 @@ def _row_solver(ns, target, theta, phi):
 
             best_g, best_v = None, -math.inf
             for j in candidates:
-                g = _golden_max(kernel, _GRID[max(j - 1, 0)], _GRID[min(j + 1, COARSE - 1)], GAMMA_TOL)
-                v = kernel(g)
+                if 0 < j < COARSE - 1:  # Brent starts CGOLD into the bracket of the grid neighbours
+                    lo, hi = _GRID[j - 1], _GRID[j + 1]
+                    x = lo + CGOLD * (hi - lo)
+                    fx = kernel(x)
+                else:  # an end: one call GAMMA_TOL inside it, where Brent starts if the cell is refined
+                    lo, hi = _GRID[:2] if j == 0 else _GRID[-2:]
+                    x = lo + GAMMA_TOL if j == 0 else hi - GAMMA_TOL
+                    fx = kernel(x)
+                    if one_sided and fx <= vals[j]:
+                        continue  # the objective rises into the end: the endpoint comparison takes it
+                g, v = _brent_max(kernel, lo, hi, x, fx)
                 if v > best_v:
                     best_g, best_v = g, v
         except OverflowError as exc:
@@ -166,13 +232,16 @@ def optimize_gamma_grid(ns, target: OptTarget, theta: float = 0.0, phi: float = 
 
     One pass of qfi_core.normal_law_grid fills the len(ns) x COARSE table
     of the coarse grids and numpy flags the local maxima of every row at
-    once. The golden section then refines each row's candidates through
-    the scalar kernel of that row's energy (qfi_core._normal_law_kernel).
-    Table and golden section evaluate the target's entry alone (objective).
-    Results and errors are those of a loop over the energies: the rows are
-    checked and refined in order, and a row on which the table holds a bad
-    point goes to normal_law_grid, which raises the error that point raises
-    on its own.
+    once. Each row's candidates are then refined through the scalar kernel
+    of that row's energy (qfi_core._normal_law_kernel): an interior one by
+    Brent's method between its grid neighbours, an end by one call
+    GAMMA_TOL inside it, and by Brent's method on its cell only where that
+    call is higher than the end or the target is the joint bound. Table
+    and refinement evaluate the target's entry alone (objective). Results
+    and errors are those of a loop over the energies: the rows are checked
+    and refined in order, and a row on which the table holds a bad point
+    goes to normal_law_grid, which raises the error that point raises on
+    its own.
     """
     ns = list(ns)
     if not ns:
@@ -184,12 +253,14 @@ def optimize_gamma_grid(ns, target: OptTarget, theta: float = 0.0, phi: float = 
 def optimize_gamma(n_total: float, target: OptTarget, theta: float = 0.0, phi: float = 0.0) -> GammaOptResult:
     """Maximize the target over gamma in [0, 1] to absolute tolerance GAMMA_TOL.
 
-    Strategy: a coarse bracketing grid of COARSE points, then
-    golden-section refinement of up to three local-maximum brackets; the
-    best refined point wins, unless a grid endpoint is at least as good.
-    Guaranteed for unimodal objectives, and the multi-bracket restart guards
-    against undetected multimodality. at_boundary is True exactly when the
-    gamma = 1 endpoint won that comparison (gamma_opt == 1.0). This is
+    Strategy: a coarse bracketing grid of COARSE points, then Brent's
+    method on up to three local-maximum brackets, an end candidate costing
+    one kernel call GAMMA_TOL inside the end where the objective rises into
+    it (f_lambda and f_zeta); the best refined point wins, unless a grid
+    endpoint is at least as good. Guaranteed for objectives unimodal on each
+    bracket, and the multi-bracket restart guards against undetected
+    multimodality. at_boundary is True exactly when the gamma = 1 endpoint
+    won that comparison (gamma_opt == 1.0). This is
     optimize_gamma_grid([n_total], ...)[0].
     """
     return optimize_gamma_grid([n_total], target, theta, phi)[0]

@@ -110,6 +110,8 @@ def _entry(k, horner, mean, var, u, scale, lz):
         lz2 = math.inf
     if k == 1:
         return scale * lz2 * horner(1)
+    if 1.0 < lz2 < math.inf:  # lz2 divides u V instead of multiplying the numerator, which it could overflow
+        return scale * (var * horner(2) / (u * horner(0) / lz2 + horner(1)))
     return scale * lz2 * var * horner(2) / (u * horner(0) + lz2 * horner(1))
 
 
@@ -135,8 +137,12 @@ def _normal_law_kernel(n_total, theta, phi, model, beta_sign=+1, *, entry):
 
     where V, W, Q, G are the polynomials divided by max(x, 1) to their
     degrees, so at most their coefficient sums: f_ll, f_zz and f_lz have no
-    intermediate overflow where they fit, but the joint bound's numerator
-    can overflow where the bound would fit. They run in t = x for x <= 1
+    intermediate overflow where they fit. Nor has the joint bound: where
+    1 < (lambda zeta)^2 < inf it is taken as
+    4 sigma^2 u^(zeta-2) (sigma^2 G / (u V / (lambda zeta)^2 + W)), and
+    elsewhere in the order above, in which (lambda zeta)^2 <= 1 (lambda = 0
+    included) overflows no numerator; an infinite (lambda zeta)^2 makes it
+    inf or nan, which raises as f_zz does. They run in t = x for x <= 1
     and in t = 1/x for x > 1, which leaves the powers of x to u. Only the
     polynomials that the entry reads are evaluated: f_ll costs one Horner
     sum and never reads lambda. The formulas are those of _entry, which
@@ -185,7 +191,13 @@ def _normal_law_kernel(n_total, theta, phi, model, beta_sign=+1, *, entry):
                 h1 = h1 * t + c
             for c in polys[2]:
                 h2 = h2 * t + c
-            value = scale * lz2 * var * h0 / (u * h1 + lz2 * h2)
+            try:
+                if 1.0 < lz2 < inf:  # as in _entry
+                    value = scale * (var * h0 / (u * h1 / lz2 + h2))
+                else:
+                    value = scale * lz2 * var * h0 / (u * h1 + lz2 * h2)
+            except ZeroDivisionError:  # 0 / 0 at zeta = 1 once u V / lz2 underflows; numpy gives nan
+                value = math.nan
         if not -inf < value < inf:
             raise OverflowError(OVERFLOW)  # products overflow silently
         return value

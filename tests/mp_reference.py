@@ -33,6 +33,7 @@ from nlprobe.moments import _normal_sum
 from nlprobe.qfi_core import OVERFLOW, QfiMatrix, _entry
 
 DPS = 40  # working digits
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 IMAG_RESIDUE_TOL = 1e-10
 
 
@@ -79,14 +80,18 @@ def _normal_law(n_total, gamma, theta, phi, beta_sign):
     return a2 * mpmath.cos(phi), var
 
 
-def kernel(n_total, gamma, theta, phi, model, beta_sign=+1, entries=(0, 1, 2, 3)):
-    """qfi_core._normal_law_kernel(n_total, theta, phi, model, beta_sign,
-    entries)(gamma) at 40 digits, one rounding per entry."""
+def _unrounded(n_total, gamma, theta, phi, model, beta_sign, entries):
+    """The entries of kernel as mpf, unrounded: combine them inside mpmath.workdps(DPS)."""
     zeta = model.zeta
     with mpmath.workdps(DPS):
         mean, var = _normal_law(*map(mpmath.mpf, (n_total, gamma, theta, phi)), beta_sign)
-        lz = mpmath.mpf(model.lambda_eff) * zeta
-        values = [float(v) for v in assemble(mean, var, lz, zeta, _exact_table(zeta), entries)]
+        return assemble(mean, var, mpmath.mpf(model.lambda_eff) * zeta, zeta, _exact_table(zeta), entries)
+
+
+def kernel(n_total, gamma, theta, phi, model, beta_sign=+1, entries=(0, 1, 2, 3)):
+    """qfi_core._normal_law_kernel(n_total, theta, phi, model, beta_sign,
+    entries)(gamma) at 40 digits, one rounding per entry."""
+    values = [float(v) for v in _unrounded(n_total, gamma, theta, phi, model, beta_sign, entries)]
     if not all(-math.inf < v < math.inf for v in values):
         raise OverflowError(OVERFLOW)
     return values
@@ -130,6 +135,40 @@ def optimize_gamma_grid(ns, target, theta=0.0, phi=0.0):
 
 def optimize_gamma(n_total, target, theta=0.0, phi=0.0):
     return optimize_gamma_grid([n_total], target, theta, phi)[0]
+
+
+def argmax(n_total, target, theta=0.0, phi=0.0):
+    """(gamma, value) at the global maximum over gamma in [0, 1] of the
+    objective at 40 digits, unrounded until the end: every local maximum of
+    a 129-point grid, ends included, is refined by a golden section to 1e-9
+    on the bracket of its neighbours, and the best point seen wins. It
+    shares with optimizer.optimize_gamma nothing but the kernel's formulas."""
+    model, entry = target.model, optimizer._ENTRY[target.kind]
+    grid, tol = 129, 1e-9
+
+    def f(g):
+        return _unrounded(n_total, g, theta, phi, model, +1, (entry,))[0]
+
+    with mpmath.workdps(DPS):
+        gs = [mpmath.mpf(i) / (grid - 1) for i in range(grid)]
+        vals = [f(g) for g in gs]
+        best = max(zip(vals, gs))
+        for i in range(grid):
+            if (i == 0 or vals[i] >= vals[i - 1]) and (i == grid - 1 or vals[i] >= vals[i + 1]):
+                lo, hi = gs[max(i - 1, 0)], gs[min(i + 1, grid - 1)]
+                c, d = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
+                fc, fd = f(c), f(d)
+                while hi - lo > tol:
+                    if fc > fd:
+                        hi, d, fd = d, c, fc
+                        c = hi - GOLDEN * (hi - lo)
+                        fc = f(c)
+                    else:
+                        lo, c, fc = c, d, fd
+                        d = lo + GOLDEN * (hi - lo)
+                        fd = f(d)
+                best = max(best, (fc, c), (fd, d))
+        return float(best[1]), float(best[0])
 
 
 def real_axis_moment(alpha, r, k, beta_sign=+1):

@@ -176,6 +176,14 @@ class TestQfiCommand:
         assert parse_record(out) == {"f_ll": "0.0", "f_zz": "0.0", "f_lz": "0.0", "u_lz": "0.0",
                                      "scalar_bound_inverse": "0.0"}
 
+    def test_joint_bound_that_fits_is_printed(self, capsys):
+        # 4 (lambda zeta)^2 sigma^4 u^(zeta-2) G overflowed before its division
+        # here and exited 3, although det F / tr F <= f_ll = 2.1e139 fits
+        code, out, err = run_cli(capsys, "qfi", "--n", "1e10", "--gamma", "1", "--zeta", "12", "--lambda", "1e85")
+        assert (code, err) == (0, "")
+        (want,) = mp_reference.kernel(1e10, 1.0, 0.0, 0.0, ModelSpec(1e85, 12), entries=(3,))
+        assert float(parse_record(out)["scalar_bound_inverse"]) == pytest.approx(want, rel=1e-12)
+
     @pytest.mark.parametrize("kernel", ["double", "40-digit"])
     def test_overflow_exits_three(self, capsys, monkeypatch, kernel):
         # the 40-digit sums raised DegenerateModelError (exit 2) here
@@ -502,21 +510,24 @@ class TestRegressionSet:
     """stdout of the optimizer and scan commands on a fixed set of inputs, all
     three targets and zeta 2, 7 and 12, pinned by the sha256 of its bytes as
     the commands printed them when the optimizer evaluated every QFI entry;
-    the scan-phase and JSON cases as they were printed from per-row scans."""
+    the scan-phase and JSON cases as they were printed from per-row scans.
+    The opt-gamma cases were pinned again when Brent's method replaced the
+    golden section, and the joint cases with (lambda zeta)^2 > 1 when the
+    joint bound came to divide u V by it."""
 
     CASES = {
         "opt-gamma-f_lambda": (
             ["opt-gamma", "--target", "f_lambda", "--zeta", "2", "7", "12", "--n-range", "1e-3:1e3:9"],
-            "e50cf1c952593be29630057cddeac22e47b4e93ef36933a6be3c5430a0cc7b2c",
+            "664376342e7f295a7bad7488031c7cac776ca623ccba06488a6aa9026c66071b",
         ),
         "opt-gamma-f_zeta": (
             ["opt-gamma", "--target", "f_zeta", "--zeta", "2", "7", "12", "--n-range", "1e-3:1e3:9"],
-            "97d7e47402e626d9582b0d0ec63d643aa49ce38dbef4bce098f047e930e99c44",
+            "d793affb8d3d1706cb4b8e1b2f18e1fccdbf3022e19ce4652e284be6323ca762",
         ),
         "opt-gamma-joint": (
             ["opt-gamma", "--target", "joint", "--zeta", "2", "7", "12", "--lambda", "0.1", "10",
              "--n-range", "1e-2:1e2:5"],
-            "06b82190b1ff75386e43640de4d8ba613b23930729b985df742e10c9dd9b8b55",
+            "03fb9448215bb540e44c878be5c1285090cfbdf56655216667fc4f6c14b9c063",
         ),
         "threshold-f_lambda-2": (
             ["threshold", "--target", "f_lambda", "--zeta", "2"],
@@ -540,7 +551,7 @@ class TestRegressionSet:
         ),
         "scan-gamma-joint-7": (
             ["scan-gamma", "--n", "30", "--zeta", "7", "--target", "joint", "--lambda", "2", "--grid", "41"],
-            "fe409807f652abef101855581c4eb13106d1bc3049ec112461dde465551b3dc2",
+            "0d6420ce309877bd91ca06559262e8d2d91151a719a8450a9f125b81aa09fb29",
         ),
         "scan-gamma-f_lambda-12": (
             ["scan-gamma", "--n", "0.3", "--zeta", "12", "--target", "f_lambda", "--grid", "41"],
@@ -558,16 +569,16 @@ class TestRegressionSet:
         ),
         "scan-gamma-joint-json": (
             ["scan-gamma", "--n", "30", "--zeta", "7", "--target", "joint", "--lambda", "2", "--grid", "21", "--json"],
-            "4a18185ed9ece8c8419bf1e5c6819388e6449b2f3996dacb1415b5813d2ab759",
+            "15634509fdebb1fb6748a83a098c4a77574bf0c08aa0a9e4e699513b7f0103d1",
         ),
         "opt-gamma-joint-json": (
             ["opt-gamma", "--target", "joint", "--zeta", "2", "3", "5", "--lambda", "0.1", "1", "10",
              "--n-range", "1e-2:1e2:5", "--json"],
-            "3c4ed0e68d289ad8ad33bb3397eb46e66a41c258e97fd96289ab0f25fd31c97c",
+            "c666390b929094b8232e87a89a1bce05ff18d4e9837ad5cb67dc9b4e8c44352b",
         ),
         "opt-gamma-f_zeta-nan-json": (
             ["opt-gamma", "--target", "f_zeta", "--zeta", "1", "3", "--n-range", "0.01:100:4", "--json"],
-            "3d3a03db5cb81c71a53167049dc7b2a80a458128b6adbb14dfe8c8d5332649ca",
+            "3dcf8ff2f151dc010e9075e6416601b5308a7ba5e8b73924e2b54605ca473fab",
         ),
     }
 

@@ -50,6 +50,14 @@ class TestObjective:
         # from an 80-digit normal-law moment recursion
         assert objective(0.5, 1e6, target("joint", 12)) == pytest.approx(1.870925172296251859e187, rel=1e-12)
 
+    def test_joint_zero_over_zero_at_order_one_is_an_overflow(self):
+        # at zeta = 1, G = W = 0 and the bound is 0 / (u V / (lambda zeta)^2),
+        # whose divisor underflows to 0 here: a float 0 / 0, which numpy makes nan
+        t = target("joint", 1, lam=1e154)
+        for evaluate in (objective, lambda *args: objective_grid([args[0]], *args[1:])):
+            with pytest.raises(OverflowError, match="QFI entries exceed the double-precision range"):
+                evaluate(1.0, 1e16, t, math.pi, 0.0)
+
     def test_joint_matches_40_digits_at_high_energy(self):
         # the double determinant cancels about 2 log10(N) digits; the exact
         # polynomials lose none of them
@@ -124,36 +132,77 @@ class TestOptimizeGamma:
             optimize_gamma(1e40, target("f_lambda", 12))
 
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+C = (3.0 - math.sqrt(5.0)) / 2.0
+ZEPS = math.sqrt(2.0**-52)
 
 
 def loop_optimize(n, t, theta, phi, coarse):
     """Frozen copy of the scalar optimizer that optimize_gamma_grid batches,
-    over the public objective point by point; at_boundary in its current
-    meaning, gamma_opt == 1.0."""
+    over the public objective point by point: Brent's minimization (as in
+    Numerical Recipes' brent) of -objective on each candidate's bracket; an
+    end candidate of f_lambda or f_zeta only where the objective GAMMA_TOL
+    inside the end beats the end. at_boundary in its current meaning,
+    gamma_opt == 1.0."""
 
-    def fun(g):
+    def cost(g):
         try:
-            return objective(g, n, t, theta, phi)
+            return -objective(g, n, t, theta, phi)
         except OverflowError as exc:
             raise NumericalRangeError(opt.OVERFLOW_MESSAGE) from exc
 
-    def golden(lo, hi):
-        c, d = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
-        fc, fd = fun(c), fun(d)
-        while hi - lo > 1e-6:
-            if fc > fd:
-                hi, d, fd = d, c, fc
-                c = hi - GOLDEN * (hi - lo)
-                fc = fun(c)
+    def brent(a, b, x, fx):
+        """Minimum (x, cost(x)) of cost on [a, b] from x, where cost(x) = fx."""
+        w = v = x
+        fw = fv = fx
+        d = e = 0.0
+        for _ in range(200):
+            xm = (a + b) / 2.0
+            tol1 = ZEPS * abs(x) + 1e-7
+            tol2 = 2.0 * tol1
+            if abs(x - xm) <= tol2 - (b - a) / 2.0:
+                return x, fx
+            golden = True
+            if abs(e) > tol1:
+                r = (x - w) * (fx - fv)
+                q = (x - v) * (fx - fw)
+                p = (x - v) * q - (x - w) * r
+                q = 2.0 * (q - r)
+                if q > 0.0:
+                    p = -p
+                q = abs(q)
+                etemp, e = e, d
+                golden = abs(p) >= abs(0.5 * q * etemp) or p <= q * (a - x) or p >= q * (b - x)
+                if not golden:
+                    d = p / q
+                    u = x + d
+                    if u - a < tol2 or b - u < tol2:
+                        d = math.copysign(tol1, xm - x)
+            if golden:
+                e = a - x if x >= xm else b - x
+                d = C * e
+            u = x + d if abs(d) >= tol1 else x + math.copysign(tol1, d)
+            fu = cost(u)
+            if fu <= fx:
+                if u >= x:
+                    a = x
+                else:
+                    b = x
+                v, w, x = w, x, u
+                fv, fw, fx = fw, fx, fu
             else:
-                lo, c, fc = c, d, fd
-                d = lo + GOLDEN * (hi - lo)
-                fd = fun(d)
-        return 0.5 * (lo + hi)
+                if u < x:
+                    a = u
+                else:
+                    b = u
+                if fu <= fw or w == x:
+                    v, w = w, u
+                    fv, fw = fw, fu
+                elif fu <= fv or v == x or v == w:
+                    v, fv = u, fu
+        raise AssertionError("Brent's method did not converge")
 
     grid = [i / (coarse - 1) for i in range(coarse)]
-    vals = [fun(g) for g in grid]
+    vals = [-cost(g) for g in grid]
     assert all(math.isfinite(v) for v in vals)
 
     def is_local_max(i):
@@ -162,10 +211,19 @@ def loop_optimize(n, t, theta, phi, coarse):
     candidates = sorted((i for i in range(coarse) if is_local_max(i)), key=lambda i: vals[i], reverse=True)[:3]
     best_g, best_v = None, -math.inf
     for i in candidates:
-        g = golden(grid[max(i - 1, 0)], grid[min(i + 1, coarse - 1)])
-        v = fun(g)
-        if v > best_v:
-            best_g, best_v = g, v
+        if i == 0:
+            g, c = 0.0, -vals[0]
+            if t.kind is TargetKind.JOINT_BOUND or -cost(1e-6) > vals[0]:
+                g, c = brent(grid[0], grid[1], 1e-6, cost(1e-6))
+        elif i == coarse - 1:
+            g, c = 1.0, -vals[-1]
+            if t.kind is TargetKind.JOINT_BOUND or -cost(1.0 - 1e-6) > vals[-1]:
+                g, c = brent(grid[-2], grid[-1], 1.0 - 1e-6, cost(1.0 - 1e-6))
+        else:
+            start = grid[i - 1] + C * (grid[i + 1] - grid[i - 1])
+            g, c = brent(grid[i - 1], grid[i + 1], start, cost(start))
+        if -c > best_v:
+            best_g, best_v = g, -c
     for edge in (0, coarse - 1):
         if vals[edge] >= best_v:
             best_g, best_v = grid[edge], vals[edge]
@@ -263,7 +321,7 @@ class TestOptimizeGammaGrid:
         def kernel(n, theta, phi, model, beta_sign=+1, *, entry):
             return f
 
-        monkeypatch.setattr(opt, "_normal_law_kernel", kernel)  # the golden section's and objective's kernel
+        monkeypatch.setattr(opt, "_normal_law_kernel", kernel)  # the kernel of Brent's method and objective
         monkeypatch.setattr(opt, "_normal_law_arrays", arrays)
         t = target("f_lambda", 2)
         got = optimize_gamma_grid([1.0, 2.0], t)
@@ -312,6 +370,94 @@ class TestOptimizeGammaGrid:
         res = optimize_gamma(1e6, target("joint", 3, lam=100.0))
         assert 1.0 - 1e-6 < res.gamma_opt < 1.0
         assert not res.at_boundary
+
+
+class TestRefinement:
+    """Brent's method refines interior brackets; an end candidate costs one
+    kernel call GAMMA_TOL inside the end, and its cell is refined only where
+    that call is higher than the end, or for the joint bound."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        """The points at which the optimizer's kernels are called, in order."""
+        calls, kernel = [], opt._normal_law_kernel
+
+        def counting(*args, **kwargs):
+            f = kernel(*args, **kwargs)
+
+            def counted(g):
+                calls.append(g)
+                return f(g)
+
+            return counted
+
+        monkeypatch.setattr(opt, "_normal_law_kernel", counting)
+        return calls
+
+    @pytest.mark.parametrize("kind, zeta, n", [("f_lambda", 2, 0.01), ("f_lambda", 6, 0.01), ("f_zeta", 2, 1e4),
+                                               ("f_zeta", 5, 0.01)])
+    def test_a_row_rising_into_one_costs_one_call(self, monkeypatch, kind, zeta, n):
+        calls = self.count_calls(monkeypatch)
+        res = optimize_gamma(n, target(kind, zeta))
+        assert res.at_boundary and res.gamma_opt == 1.0
+        assert calls == [1.0 - opt.GAMMA_TOL]
+
+    @pytest.mark.parametrize("kind, zeta", [("f_lambda", z) for z in range(2, 7)] + [("f_zeta", z) for z in range(3, 7)]
+                             + [("joint", z) for z in range(4, 7)])
+    def test_an_interior_row_costs_at_most_twelve_calls_a_candidate(self, monkeypatch, kind, zeta):
+        t = target(kind, zeta)
+        vals = objective_grid([i / 128 for i in range(129)], 1e3, t)
+        candidates = min(3, sum((i == 0 or vals[i] >= vals[i - 1]) and (i == 128 or vals[i] >= vals[i + 1])
+                                for i in range(129)))
+        calls = self.count_calls(monkeypatch)
+        assert 0.0 < optimize_gamma(1e3, t).gamma_opt < 1.0
+        assert 0 < len(calls) <= 12 * candidates
+
+    @pytest.mark.parametrize("peak", [0.996, 0.004], ids=["next-to-one", "next-to-zero"])
+    def test_a_maximum_inside_an_end_cell_is_refined(self, monkeypatch, peak):
+        # the objective climbs steeply from the grid to the peak and falls gently
+        # to the end, so the end beats its grid neighbour and is the only candidate
+        outward = 1.0 if peak > 0.5 else -1.0
+
+        def f(g):
+            return -max(outward * (g - peak), 40.0 * outward * (peak - g))
+
+        def arrays(n, g, theta, phi, model, entries):
+            g = np.broadcast_to(np.asarray(g, dtype=float), np.broadcast_shapes(np.shape(n), np.shape(g)))
+            table = -np.maximum(outward * (g - peak), 40.0 * outward * (peak - g))
+            return (table,) * len(entries), np.ones(table.shape, dtype=bool)
+
+        monkeypatch.setattr(opt, "_normal_law_kernel", lambda *args, **kwargs: f)
+        monkeypatch.setattr(opt, "_normal_law_arrays", arrays)
+        res = optimize_gamma(1.0, target("f_lambda", 2))
+        assert res.gamma_opt == pytest.approx(peak, abs=opt.GAMMA_TOL)
+        assert res.at_boundary is False
+        assert res.objective_value > f(1.0 if peak > 0.5 else 0.0)
+
+    def test_the_joint_bound_is_refined_at_an_end_it_dips_into(self):
+        # the bound falls from 4.84e5 near gamma = 0.9977 to 2.0e5 at 1 - GAMMA_TOL
+        # and climbs back to 4.81e5 at gamma = 1: the call inside the end is
+        # lower than the end, yet the maximum lies inside the last cell
+        t, n, theta, phi = target("joint", 3), 312.5269214311733, 2.622827925399609, 3.454906162586767
+        assert objective(1.0 - opt.GAMMA_TOL, n, t, theta, phi) < objective(1.0, n, t, theta, phi)
+        res = optimize_gamma(n, t, theta, phi)
+        gamma, value = mp_reference.argmax(n, t, theta, phi)
+        assert not res.at_boundary
+        assert res.gamma_opt == pytest.approx(gamma, abs=2e-6)
+        assert res.objective_value == pytest.approx(value, rel=1e-10)
+
+    @pytest.mark.parametrize("seed", range(7))
+    def test_random_rows_reach_the_40_digit_maximum(self, seed):
+        # 30 rows a seed: every target, zeta 2-12, N 1e-3..1e6, random phases and coupling
+        rng = random.Random(seed)
+        for i in range(30):
+            t = target(("f_lambda", "f_zeta", "joint")[i % 3], rng.randint(2, 12), 10 ** rng.uniform(-2, 2))
+            theta, phi = rng.uniform(0.0, 2 * math.pi), rng.uniform(0.0, 2 * math.pi)
+            n = 10 ** rng.uniform(-3, 6)
+            res = optimize_gamma(n, t, theta, phi)
+            gamma, value = mp_reference.argmax(n, t, theta, phi)
+            assert res.gamma_opt == pytest.approx(gamma, abs=2e-6), (n, t, theta, phi)
+            assert res.objective_value == pytest.approx(value, rel=1e-10), (n, t, theta, phi)
 
 
 class TestNonFinitePhases:

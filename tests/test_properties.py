@@ -227,6 +227,8 @@ def _entries_by_formula(n, gamma, theta, phi, model, sign):
 @example(1, 0.01, 1e-4, [0.0, 1.0], 3.0, 1.5, -1, 1)
 @example(12, 1.0, 1e300, [0.0, 1.0], 0.0, 0.0, -1, 0)  # u^(zeta-2) overflows at gamma = 0
 @example(2, 19.048891397772485, 2.0, [0.3, 0.5], 0.0, 0.0, +1, 1)  # (lambda zeta) ** 2 is not lz * lz here
+@example(12, 1e85, 1e10, [0.0, 1.0], 0.0, 0.0, +1, 3)  # (lambda zeta)^2 once overflowed the bound's numerator
+@example(3, 0.0, 2.0, [0.0, 1.0, 0.3], 0.7, 0.2, +1, 3)  # lambda = 0: the bound is 0, with no division by lz2
 def test_selected_entry_equals_the_full_kernel_bit_for_bit(zeta, lam, n, gamma_list, theta, phi, sign, k):
     # the one-entry scalar kernel is entry k of the full evaluation by _entry,
     # in both families, and where that entry does not fit it raises OVERFLOW

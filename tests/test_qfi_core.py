@@ -172,7 +172,7 @@ class TestQfiMatrix:
             assert a == pytest.approx(b, rel=1e-6, abs=1e-8)
 
     def test_three_entries_that_fit_where_the_joint_bound_does_not(self):
-        # the joint bound's numerator overflows here, but qfi_matrix never reads it
+        # qfi_matrix asks for these three entries alone
         p, m = make_probe(1e10, 1.0), ModelSpec(1e85, 12)
         fm = qfi_matrix(p, m)
         assert fm.as_tuple() == (2.1214862605485813e+139, 3.321722210324113e+299, 0.0, 0.0)

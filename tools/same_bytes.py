@@ -10,13 +10,16 @@ workload, with BLAS on one thread, PYTHONHASHSEED=0 and the same output
 directory, so the --out paths in the arguments agree. For every operation
 it compares the exit code, stdout, stderr and --out bytes of a CLI call,
 and the repr of what a library call returned or raised. Every difference
-is listed; the exit code is 1 if there is any, 0 otherwise.
+is listed with the largest relative difference between the numbers of the
+two texts, field by field; the exit code is 1 if there is any, 0 otherwise.
 """
 
 import argparse
 import importlib
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -25,6 +28,9 @@ from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 ONE_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# what separates the fields of CSV rows, key=value lines, JSON and reprs
+# (a repr writes a newline as the two characters \n)
+SEPARATORS = re.compile(r"(?:[\s,=:;()\[\]{}'\"]|\\n)+")
 
 
 def run_workload(src, workload, seeds, outdir):
@@ -70,9 +76,34 @@ def _excerpts(old, new):
     return repr(old[max(at - 80, 0):at + 160]), repr(new[max(at - 80, 0):at + 160])
 
 
+def largest_relative_difference(old, new):
+    """The largest |a - b| / max(|a|, |b|) over the fields of two texts that
+    are numbers in both and differ, as text naming the field and both values;
+    nan against a number counts as inf."""
+    if old is None or new is None:
+        return "one side wrote no such file"
+    old_fields, new_fields = SEPARATORS.split(old), SEPARATORS.split(new)
+    if len(old_fields) != len(new_fields):
+        return f"the texts have {len(old_fields)} and {len(new_fields)} fields"
+    worst, where = 0.0, None
+    for i, (a, b) in enumerate(zip(old_fields, new_fields)):
+        try:
+            x, y = float(a), float(b)
+        except ValueError:
+            continue
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        rel = abs(x - y) / max(abs(x), abs(y))
+        rel = math.inf if math.isnan(rel) else rel
+        if rel >= worst:
+            worst, where = rel, f"{rel:.3g} at field {i} ({a} -> {b})"
+    return f"largest relative difference {where}" if where else "no number differs"
+
+
 def differences(parent, change):
     """One report per operation whose records differ: its label, then each
-    field that differs (result or a file suffix) with both around the first difference."""
+    field that differs (result or a file suffix) with its largest relative
+    difference and both texts around the first difference."""
     if [r["label"] for r in parent] != [r["label"] for r in change]:
         return ["the operation lists differ"]
     reports = []
@@ -80,7 +111,9 @@ def differences(parent, change):
         fields = [("result", a["result"], b["result"])]
         for suffix in sorted(set(a["files"]) | set(b["files"])):
             fields.append((suffix, a["files"].get(suffix), b["files"].get(suffix)))
-        lines = ["  {}\n    parent: {}\n    change: {}".format(name, *_excerpts(old, new)) for name, old, new in fields if old != new]
+        lines = ["  {}: {}\n    parent: {}\n    change: {}".format(
+                     name, largest_relative_difference(old, new), *_excerpts(old, new))
+                 for name, old, new in fields if old != new]
         if lines:
             reports.append("\n".join([f"seed {a['seed']} op {i} {a['label']}", *lines]))
     return reports
