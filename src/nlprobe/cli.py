@@ -477,20 +477,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CutoffError, NumericalRangeError, OverflowError) as exc:
-        sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return EXIT_NUMERICAL
-    except ThresholdAmbiguousError as exc:
-        sys.stderr.write(
-            json.dumps(
-                {"error": "ThresholdAmbiguousError", "message": str(exc), "crossings": exc.crossings}
-            )
-            + "\n"
-        )
-        return EXIT_NUMERICAL
-    except NlprobeError as exc:
-        sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return EXIT_USAGE
+    except (NlprobeError, OverflowError) as exc:
+        report = {"error": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, ThresholdAmbiguousError):
+            report["crossings"] = exc.crossings
+        sys.stderr.write(json.dumps(report) + "\n")
+        numerical = (CutoffError, NumericalRangeError, OverflowError, ThresholdAmbiguousError)
+        return EXIT_NUMERICAL if isinstance(exc, numerical) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -7,13 +7,14 @@ power-rule derivative of the generator, and the two parameters are
 compatible: both generators are powers of the same Hermitian quadrature, so
 the Uhlmann antisymmetric part vanishes identically.
 
-Every entry and the joint bound come from _normal_law_kernel, a function
-of gamma at fixed energy and phases that computes one entry: the quadrature
-is normal in both moment families, so the entries are integer polynomials
-in x = mu^2 / sigma^2 evaluated in double precision by Horner's rule.
-normal_law_grid evaluates the same normal law and the same formulas
-(_entry) over numpy arrays, bit for bit. Both evaluate only the
-polynomials that the requested entries read.
+The entries and the joint bound are written once, in _ENTRIES: the
+quadrature is normal in both moment families, so each entry is a formula
+in its mean, its variance and integer polynomials in x = mu^2 / sigma^2,
+evaluated in double precision by Horner's rule. _normal_law_kernel, a
+function of gamma at fixed energy and phases, applies one entry's formula
+to floats; normal_law_grid applies the same formulas to numpy arrays, bit
+for bit. Both evaluate only the polynomials that the requested entries
+read.
 """
 
 import math
@@ -93,71 +94,77 @@ def _normal_law_table(zeta):
     return tuple(p[::-1] for p in low_first), low_first
 
 
-def _entry(k, horner, mean, var, u, scale, lz):
-    """Entry k of (f_ll, f_zz, f_lz, det F / tr F) (_normal_law_kernel) over
-    arrays or other plain numbers, with scale = 4 sigma^2 u^(zeta-2) and
-    horner(j) polynomial j of (V, W, G, Q) divided by max(x, 1) to its
-    degree. Only the polynomials of entry k are evaluated, and f_ll does not
-    read lz = lambda zeta.
-    """
-    if k == 0:
-        return scale * u * horner(0)
-    if k == 2:
-        return scale * lz * mean * horner(3)
+def _square(lz):
+    """lz ** 2, inf where float ** raises OverflowError; not lz * lz, which
+    differs in the last bit on some doubles."""
     try:
-        lz2 = lz**2  # not lz * lz, which differs in the last bit on some doubles
-    except OverflowError:  # float ** raises where * gives inf: leave it to the range check
-        lz2 = math.inf
-    if k == 1:
-        return scale * lz2 * horner(1)
-    if 1.0 < lz2 < math.inf:  # lz2 divides u V instead of multiplying the numerator, which it could overflow
-        return scale * (var * horner(2) / (u * horner(0) / lz2 + horner(1)))
-    return scale * lz2 * var * horner(2) / (u * horner(0) + lz2 * horner(1))
+        return lz**2
+    except OverflowError:  # float ** raises where * gives inf: f_zz fails the range check, the bound divides
+        return math.inf
+
+
+def _joint_bound(h, mean, var, u, scale, lz, lz2):
+    g, v, w = h
+    uv = u * v
+    if 1.0 < lz2:  # lz2 divides u V instead of multiplying the numerator, which it could overflow
+        # past the double range lz^2 can be as near u V as inside it, so lz divides it twice
+        bound = scale * (var * g / ((uv / lz2 if lz2 < math.inf else uv / lz / lz) + w))
+    else:
+        bound = scale * lz2 * var * g / (uv + lz2 * w)
+    return bound * (uv / uv)  # nan where u V overflowed, which would leave the bound 0: an entry overflow
+
+
+# The QFI entries, for floats, numpy arrays and mpf alike. In both moment
+# families the quadrature X = a + a^dag is normal, with the mean mu and
+# variance sigma^2 of moments._normal_law. Both variances, the covariance
+# over mu and the Gram determinant are polynomials V, W, Q, G in
+# x = mu^2 / sigma^2 of degrees zeta - 1, zeta - 2, zeta - 2 and
+# 2 zeta - 4 whose cancelling terms were removed exactly
+# (combinatorics.normal_law_polynomials); what is left has positive
+# coefficients but for one term of the determinant at odd zeta, so Horner's
+# rule loses nothing to cancellation. With u = max(mu^2, sigma^2),
+# scale = 4 sigma^2 u^(zeta-2) and lz = lambda zeta,
+#
+#     f_ll = scale u V,  f_zz = scale lz^2 W,  f_lz = scale lz mu Q,
+#     det F / tr F = scale lz^2 sigma^2 G / (u V + lz^2 W),
+#
+# where V, W, Q, G are divided by max(x, 1) to their degrees (Horner's rule
+# runs in t = x for x <= 1 and in t = 1/x for x > 1, which leaves the powers
+# of x to u), so at most their coefficient sums: f_ll, f_zz and f_lz have no
+# intermediate overflow where they fit, and f_ll does not read lambda. Nor
+# has the joint bound: where lz^2 > 1 it is taken as
+# scale (sigma^2 G / (u V / lz^2 + W)), with u V divided by lz twice where
+# lz^2 overflows double (u V can be as large), and elsewhere in the order
+# above, in which lz^2 <= 1 (lambda = 0 included) overflows no numerator.
+# Where u V itself overflows (mu^2 beyond the double range) the bound is
+# nan, not the 0 of its quotient. lz2 is _square(lz).
+# Entry k is (the polynomials of (V, W, G, Q) it reads, its formula in
+# their values h, in that order).
+_ENTRIES = (
+    ((0,), lambda h, mean, var, u, scale, lz, lz2: scale * u * h[0]),
+    ((1,), lambda h, mean, var, u, scale, lz, lz2: scale * lz2 * h[0]),
+    ((3,), lambda h, mean, var, u, scale, lz, lz2: scale * lz * mean * h[0]),
+    ((2, 0, 1), _joint_bound),
+)
 
 
 def _normal_law_kernel(n_total, theta, phi, model, beta_sign=+1, *, entry):
     """gamma -> the entry of (f_ll, f_zz, f_lz, det F / tr F) at index entry,
     a float, at the probe (n_total, gamma, theta, phi): the scalar QFI
     assembly of the package, for both families, with the phase terms, the
-    coefficients that entry reads and lambda zeta taken once.
+    polynomials that entry reads, its formula (_ENTRIES) and (lambda zeta)^2
+    taken once.
 
-    In both moment families the quadrature X = a + a^dag is normal, with
-    the mean mu and variance sigma^2 of moments._normal_law. Both variances,
-    the covariance over mu and the Gram determinant are polynomials in
-    x = mu^2 / sigma^2 of degrees zeta - 1, zeta - 2, zeta - 2 and
-    2 zeta - 4 whose cancelling terms were removed exactly
-    (combinatorics.normal_law_polynomials); what is left has positive
-    coefficients but for one term of the determinant at odd zeta, so
-    Horner's rule loses nothing to cancellation. With
-    u = max(mu^2, sigma^2),
-
-        f_ll = 4 sigma^2 u^(zeta-1) V,  f_zz = 4 (lambda zeta)^2 sigma^2 u^(zeta-2) W,
-        f_lz = 4 lambda zeta mu sigma^2 u^(zeta-2) Q,
-        det F / tr F = 4 (lambda zeta)^2 sigma^4 u^(zeta-2) G / (u V + (lambda zeta)^2 W),
-
-    where V, W, Q, G are the polynomials divided by max(x, 1) to their
-    degrees, so at most their coefficient sums: f_ll, f_zz and f_lz have no
-    intermediate overflow where they fit. Nor has the joint bound: where
-    1 < (lambda zeta)^2 < inf it is taken as
-    4 sigma^2 u^(zeta-2) (sigma^2 G / (u V / (lambda zeta)^2 + W)), and
-    elsewhere in the order above, in which (lambda zeta)^2 <= 1 (lambda = 0
-    included) overflows no numerator; an infinite (lambda zeta)^2 makes it
-    inf or nan, which raises as f_zz does. They run in t = x for x <= 1
-    and in t = 1/x for x > 1, which leaves the powers of x to u. Only the
-    polynomials that the entry reads are evaluated: f_ll costs one Horner
-    sum and never reads lambda. The formulas are those of _entry, which
-    evaluates them over arrays, operation for operation, so both give the
-    same doubles. A point outside the probe domain raises make_probe's
-    DomainError, an entry beyond the double range OverflowError(OVERFLOW).
+    Each point takes u and t = x for x <= 1 or u = mu^2 and t = 1/x for
+    x > 1, runs Horner's rule in t on the polynomials that the entry reads
+    and hands their values to the entry's formula; f_ll costs one Horner sum.
+    A point outside the probe domain raises make_probe's DomainError, an
+    entry beyond the double range OverflowError(OVERFLOW).
     """
     zeta, inf = model.zeta, math.inf
     power, lz = zeta - 2, model.lambda_eff * zeta
-    try:
-        lz2 = lz**2  # as in _entry
-    except OverflowError:
-        lz2 = inf
-    # the polynomials of (V, W, G, Q) that the entry reads, for x <= 1 and x > 1
-    reads = ((0,), (1,), (3,), (2, 0, 1))[entry]
+    lz2 = _square(lz)
+    reads, formula = _ENTRIES[entry]
     below, above = (tuple(polys[j] for j in reads) for polys in _normal_law_table(zeta))
     fixed_ok = math.isfinite(theta) and math.isfinite(phi)
     phase = _phase_terms(theta, phi, beta_sign) if fixed_ok else None  # else make_probe raises
@@ -176,28 +183,16 @@ def _normal_law_kernel(n_total, theta, phi, model, beta_sign=+1, *, entry):
             scale = 4.0 * var * u**power
         except OverflowError:  # float ** raises its own error where np.float_power gives inf
             raise OverflowError(OVERFLOW) from None
-        h0 = 0.0
-        for c in polys[0]:
-            h0 = h0 * t + c
-        if entry == 0:
-            value = scale * u * h0
-        elif entry == 1:
-            value = scale * lz2 * h0
-        elif entry == 2:
-            value = scale * lz * mean * h0
-        else:
-            h1 = h2 = 0.0
-            for c in polys[1]:
-                h1 = h1 * t + c
-            for c in polys[2]:
-                h2 = h2 * t + c
-            try:
-                if 1.0 < lz2 < inf:  # as in _entry
-                    value = scale * (var * h0 / (u * h1 / lz2 + h2))
-                else:
-                    value = scale * lz2 * var * h0 / (u * h1 + lz2 * h2)
-            except ZeroDivisionError:  # 0 / 0 at zeta = 1 once u V / lz2 underflows; numpy gives nan
-                value = math.nan
+        h = []
+        for poly in polys:
+            acc = 0.0
+            for c in poly:
+                acc = acc * t + c
+            h.append(acc)
+        try:
+            value = formula(h, mean, var, u, scale, lz, lz2)
+        except ZeroDivisionError:  # the bound's 0 / 0 at zeta = 1 where the divided u V underflows to 0; numpy gives nan
+            value = math.nan
         if not -inf < value < inf:
             raise OverflowError(OVERFLOW)  # products overflow silently
         return value
@@ -270,8 +265,9 @@ def _normal_law_arrays(n_total, gamma, theta, phi, model: ModelSpec, entries):
         u = np.where(above, mean * mean, var)
         # libm's pow, as float ** takes it; where ** raises it gives inf, which fails ok
         scale, lz = 4.0 * var * np.float_power(u, model.zeta - 2), model.lambda_eff * model.zeta
-        horner = lru_cache(lambda j: _horner_grid(*polys[j], x, above))  # once per polynomial: V, W serve two entries
-        values = tuple(_entry(k, horner, mean, var, u, scale, lz) for k in entries)
+        lz2, read = _square(lz), [_ENTRIES[k] for k in entries]
+        h = {j: _horner_grid(*polys[j], x, above) for j in {j for reads, _ in read for j in reads}}  # once each
+        values = tuple(formula([h[j] for j in reads], mean, var, u, scale, lz, lz2) for reads, formula in read)
         ok = np.isfinite(n) & (n >= 0.0) & (gam >= 0.0) & (gam <= 1.0) & np.isfinite(th) & np.isfinite(ph)
         for value in values:
             ok &= np.isfinite(value)
@@ -284,7 +280,7 @@ def normal_law_grid(n_total, gamma, theta, phi, model: ModelSpec, *, entries):
     Returns the arrays of the entries of (f_ll, f_zz, f_lz, det F / tr F)
     at the indices in entries, equal bit for bit to
     _normal_law_kernel(..., entry=k) at every point: the same formulas
-    (_entry) in the same order, with numpy's sqrt, cos and sin, which agree
+    (_ENTRIES) in the same order, with numpy's sqrt, cos and sin, which agree
     with the math module's, and np.float_power, which calls libm's pow as
     float ** does (numpy's vectorised power may not). Where a point lies
     outside the probe domain or a requested entry does not fit in double,

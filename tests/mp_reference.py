@@ -3,7 +3,7 @@
 kernel is qfi_core._normal_law_kernel evaluated with mpmath: the quadrature's
 normal law at 40 digits, without the compensated phase difference of
 moments._normal_law (at 40 digits the rounding of h - phi is harmless), and
-qfi_core's entry formulas (_entry, through assemble) over the exact integer
+qfi_core's entry formulas (_ENTRIES, through assemble) over the exact integer
 coefficients of the polynomials, with each entry rounded to double once. It
 checks the precision of the double kernel, not its formulas;
 tests/test_properties.py holds those to an independent 80-digit moment
@@ -30,7 +30,7 @@ from nlprobe import optimizer
 from nlprobe.combinatorics import normal_law_polynomials, normal_order_coeff
 from nlprobe.errors import InternalConsistencyError
 from nlprobe.moments import _normal_sum
-from nlprobe.qfi_core import OVERFLOW, QfiMatrix, _entry
+from nlprobe.qfi_core import _ENTRIES, OVERFLOW, QfiMatrix, _square
 
 DPS = 40  # working digits
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -48,9 +48,10 @@ def assemble(mean, var, lz, zeta, table, entries):
     """The entries of (f_ll, f_zz, f_lz, det F / tr F) at the indices in
     entries, as a list, from the quadrature's mean and variance, lz = lambda
     zeta and a coefficient table ordered as qfi_core._normal_law_table's:
-    qfi_core._entry on plain numbers, whose type sets the precision. On
-    floats and that table it is the scalar kernel's arithmetic, the
-    polynomials in t = x for x <= 1 and in t = 1/x for x > 1.
+    the formulas of qfi_core._ENTRIES on plain numbers, whose type sets the
+    precision, with (lambda zeta)^2 from qfi_core._square. On floats and
+    that table it is the scalar kernel's arithmetic, the polynomials in
+    t = x for x <= 1 and in t = 1/x for x > 1.
     """
     x = mean * mean / var
     above = x > 1.0
@@ -63,7 +64,8 @@ def assemble(mean, var, lz, zeta, table, entries):
             acc = acc * t + c
         return acc
 
-    return [_entry(k, horner, mean, var, u, scale, lz) for k in entries]
+    lz2, read = _square(lz), (_ENTRIES[k] for k in entries)
+    return [formula([horner(j) for j in reads], mean, var, u, scale, lz, lz2) for reads, formula in read]
 
 
 def _normal_law(n_total, gamma, theta, phi, beta_sign):

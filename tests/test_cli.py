@@ -15,7 +15,7 @@ import mp_reference
 import nlprobe
 import nlprobe.cli as cli
 from nlprobe.cli import main
-from nlprobe.errors import InternalConsistencyError
+from nlprobe.errors import InternalConsistencyError, ThresholdAmbiguousError
 from nlprobe.moments import moment_real_axis
 from nlprobe.optimizer import OptTarget, TargetKind, objective
 from nlprobe.probe import bogoliubov_view, make_probe
@@ -402,6 +402,15 @@ class TestErrorPaths:
         err = '{"error": "CutoffError", "message": "oracle QFI: start cutoff 8388608 is above DIM_CAP=4096"}\n'
         assert run_cli(capsys, *argv) == (3, "", err)
 
+    def test_ambiguous_threshold_reports_its_crossings(self, capsys, monkeypatch):
+        def ambiguous(target, **kwargs):
+            raise ThresholdAmbiguousError("boundary indicator crossed twice", crossings=[(0.5, 1.0), (2.0, 4.0)])
+
+        monkeypatch.setattr(cli, "find_threshold", ambiguous)
+        err = ('{"error": "ThresholdAmbiguousError", "message": "boundary indicator crossed twice", '
+               '"crossings": [[0.5, 1.0], [2.0, 4.0]]}\n')
+        assert run_cli(capsys, "threshold", "--target", "f_lambda", "--zeta", "2") == (3, "", err)
+
     def test_numerical_overflow_exits_three(self, capsys):
         code, out, err = run_cli(
             capsys,
@@ -468,16 +477,31 @@ class TestErrorPaths:
              "OverflowError", "QFI entries exceed the double-precision range"),
             (["scan-gamma", "--target", "f_zeta", "--zeta", "3", "--n", "1", "--grid", "3"],
              "OverflowError", "QFI entries exceed the double-precision range"),
-            (["scan-gamma", "--target", "joint", "--zeta", "3", "--n", "1", "--grid", "3"],
-             "OverflowError", "QFI entries exceed the double-precision range"),
-            (["threshold", "--target", "joint", "--zeta", "2"], "NumericalRangeError",
-             "objective overflowed double precision; reduce the probe energy, the order or the coupling"),
         ],
-        ids=["qfi", "scan-gamma-f_zeta", "scan-gamma-joint", "threshold-joint"],
+        ids=["qfi", "scan-gamma-f_zeta"],
     )
     def test_coupling_beyond_the_range_is_an_entry_overflow(self, capsys, argv, error, message):
-        # these printed the errno text of (lambda zeta) ** 2
+        # these printed the errno text of (lambda zeta) ** 2; f_zz overflows
         assert run_cli(capsys, *argv, "--lambda", "1e200") == (3, "", json.dumps({"error": error, "message": message}) + "\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["scan-gamma", "--target", "joint", "--zeta", "3", "--n", "1", "--grid", "3"],
+         ["threshold", "--target", "joint", "--zeta", "2"]],
+        ids=["scan-gamma-joint", "threshold-joint"],
+    )
+    def test_joint_bound_takes_its_limit_where_the_coupling_square_overflows(self, capsys, argv):
+        # (lambda zeta)^2 = inf leaves 4 sigma^4 u^(zeta-2) G / W, which fits;
+        # both exited 3 with an entry overflow
+        code, want, _ = run_cli(capsys, *argv, "--lambda", "1e150")
+        assert code == 0
+        code, out, err = run_cli(capsys, *argv, "--lambda", "1e200")
+        assert (code, out.replace("1e+200", "1e+150"), err) == (0, want, "")
+        if argv[0] == "scan-gamma":  # the 40-digit reference squares lambda zeta without overflow
+            rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")][1:]
+            t = OptTarget(TargetKind.JOINT_BOUND, ModelSpec(1e200, 3))
+            for gamma, value in rows:
+                assert mp_reference.objective(float(gamma), 1.0, t) == pytest.approx(float(value), rel=1e-12)
 
     @pytest.mark.parametrize(
         "argv",

@@ -180,10 +180,13 @@ def test_objective_matches_80_digit_normal_law_at_any_phase(kind, gamma, n, zeta
 @example(12, 1.0, 1e300, [0.0, 1.0], [0.0], [0.0])  # u^(zeta-2) overflows at gamma = 0
 @example(1, 1.0, 1e300, [1.0, 0.0], [0.0], [0.0])  # u^(-1); f_zz and f_lz are 0
 @example(6, 1.0, 1e30, [1.0, 0.0, 0.5], [0.0, 3.0], [0.0, 1.5])  # every entry fits at gamma 1 and 0, none at 0.5
+@example(3, 1e200, 1.0, [0.0, 1.0], [0.0], [0.0])  # (lambda zeta)^2 overflows: f_zz does not fit
+@example(2, 1e154, 1e307, [0.0, 0.5], [0.0], [0.0])  # u V near an overflowing (lambda zeta)^2, then past the range
 def test_grid_kernel_equals_the_point_evaluation(zeta, lam, n, gamma_list, theta_list, phi_list):
     # every entry of the grid is the one-entry scalar kernel at each point,
     # on both sides of x = 1 (gamma = 1 has mean 0, gamma = 0 at N > 1/4 has
-    # x > 1); where a point does not fit, the grid raises the error that a
+    # x > 1): the same formulas (_ENTRIES) on numpy's normal law and Horner
+    # sums; where a point does not fit, the grid raises the error that a
     # loop over the points and entries in C order meets first
     model, entries = ModelSpec(lambda_eff=lam, zeta=zeta), (0, 1, 2, 3)
     axes = (np.reshape(gamma_list, (-1, 1, 1)), np.reshape(theta_list, (-1, 1)), phi_list)
@@ -202,14 +205,18 @@ def test_grid_kernel_equals_the_point_evaluation(zeta, lam, n, gamma_list, theta
 
 
 def _entries_by_formula(n, gamma, theta, phi, model, sign):
-    """The four entries from qfi_core._entry on floats, the formulas that
-    normal_law_grid runs over arrays (mp_reference.assemble over the double
-    coefficient table); inf where u^(zeta-2) overflows float **."""
+    """The four entries from the formulas of qfi_core._ENTRIES on floats,
+    outside the scalar kernel (mp_reference.assemble over the double
+    coefficient table); inf where u^(zeta-2) overflows float **, and nan for
+    the bound's 0 / 0, as the kernel takes it."""
     mean, var = _normal_law(n, gamma, theta, phi, sign)
+    args = (mean, var, model.lambda_eff * model.zeta, model.zeta, _normal_law_table(model.zeta))
     try:
-        return mp_reference.assemble(mean, var, model.lambda_eff * model.zeta, model.zeta, _normal_law_table(model.zeta), range(4))
+        return mp_reference.assemble(*args, range(4))
     except OverflowError:
         return [math.inf] * 4
+    except ZeroDivisionError:
+        return mp_reference.assemble(*args, range(3)) + [math.nan]
 
 
 @settings(seeded, max_examples=300)
@@ -229,9 +236,15 @@ def _entries_by_formula(n, gamma, theta, phi, model, sign):
 @example(2, 19.048891397772485, 2.0, [0.3, 0.5], 0.0, 0.0, +1, 1)  # (lambda zeta) ** 2 is not lz * lz here
 @example(12, 1e85, 1e10, [0.0, 1.0], 0.0, 0.0, +1, 3)  # (lambda zeta)^2 once overflowed the bound's numerator
 @example(3, 0.0, 2.0, [0.0, 1.0, 0.3], 0.7, 0.2, +1, 3)  # lambda = 0: the bound is 0, with no division by lz2
+@example(1, 1e200, 1.0, [0.0, 1.0], 0.0, 0.0, +1, 3)  # (lambda zeta)^2 overflows: 0 / 0 at zeta = 1
+@example(3, 1e200, 1.0, [0.0, 1.0, 0.4], 0.3, 0.8, +1, 3)  # ... and the bound takes its limit
+@example(12, 1e200, 1e10, [0.0, 1.0], 0.0, 0.0, -1, 3)
+@example(2, 1e154, 1e307, [0.0, 0.5], 0.0, 0.0, +1, 3)  # u V near an overflowing (lambda zeta)^2, then past the range
 def test_selected_entry_equals_the_full_kernel_bit_for_bit(zeta, lam, n, gamma_list, theta, phi, sign, k):
-    # the one-entry scalar kernel is entry k of the full evaluation by _entry,
-    # in both families, and where that entry does not fit it raises OVERFLOW
+    # the one-entry scalar kernel is entry k of the shared formulas
+    # (_ENTRIES) evaluated for all four entries at once, in both families,
+    # and where that entry does not fit it raises OVERFLOW; the grid's
+    # table of one entry is that of all four and of (0, 1, 3)
     model = ModelSpec(lambda_eff=lam, zeta=zeta)
     kernel = _normal_law_kernel(n, theta, phi, model, sign, entry=k)
     full = [_entries_by_formula(n, g, theta, phi, model, sign) for g in gamma_list]

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import mp_reference
+import nlprobe.qfi_core as qfi_core
 from nlprobe.errors import DegenerateModelError, DomainError
 from nlprobe.fock_oracle import qfi_matrix_oracle
+from nlprobe.optimizer import OptTarget, TargetKind, objective, objective_grid
 from nlprobe.probe import make_probe
 from nlprobe.qfi_core import (
     ModelSpec,
@@ -178,6 +180,27 @@ class TestQfiMatrix:
         assert fm.as_tuple() == (2.1214862605485813e+139, 3.321722210324113e+299, 0.0, 0.0)
         assert [v.hex() for v in fm.as_tuple()[:3]] == [f(p, m).hex() for f in (qfi_lambda, qfi_zeta, qfi_cross)]
 
+    def test_joint_bound_near_the_range_where_the_coupling_square_overflows(self):
+        # (lambda zeta)^2 = 4e308 overflows while u V = 1.6e308 does not: u V
+        # is 0.4 of (lambda zeta)^2, so the bound is 8 / 1.4, not the limit 8
+        n, model = 1e307, ModelSpec(1e154, 2)
+        target = OptTarget(TargetKind.JOINT_BOUND, model)
+        want = mp_reference.objective(0.0, n, target)
+        assert want == pytest.approx(8.0 / 1.4, rel=1e-12)
+        assert qfi_core._normal_law_kernel(n, 0.0, 0.0, model, entry=3)(0.0) == pytest.approx(want, rel=1e-12)
+        (grid,) = qfi_core.normal_law_grid(n, [0.0], 0.0, 0.0, model, entries=(3,))
+        assert grid.tolist() == [qfi_core._normal_law_kernel(n, 0.0, 0.0, model, entry=3)(0.0)]
+
+    @pytest.mark.parametrize("lam", [1e150, 1e154])
+    def test_joint_bound_raises_where_u_v_overflows(self, lam):
+        # at gamma = 0.5, mu^2 passes the double range: the quotient by an
+        # infinite u V read 0.0 and now raises the entry overflow
+        model = ModelSpec(lam, 2)
+        with pytest.raises(OverflowError, match="^QFI entries exceed the double-precision range$"):
+            qfi_core._normal_law_kernel(1e307, 0.0, 0.0, model, entry=3)(0.5)
+        with pytest.raises(OverflowError, match="^QFI entries exceed the double-precision range$"):
+            qfi_core.normal_law_grid(1e307, [0.0, 0.5], 0.0, 0.0, model, entries=(3,))
+
 
 class TestReparametrization:
     def test_identity_time(self):
@@ -290,3 +313,22 @@ class TestPowerStep:
             got = np.float_power(u, k)
         want = np.array([pow_or_inf(b) for b in u.tolist()])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestOneAssembly:
+    """The scalar kernel, the arrays and the optimizer's objective all take
+    their formulas from qfi_core._ENTRIES: a change to one entry's formula
+    shows in every one of them."""
+
+    def test_every_path_reads_the_shared_formulas(self, monkeypatch):
+        n, gammas, model = 2.0, [0.0, 0.3, 1.0], ModelSpec(lambda_eff=1.5, zeta=3)
+        target = OptTarget(TargetKind.JOINT_BOUND, model)
+        want = [qfi_core._normal_law_kernel(n, 0.0, 0.0, model, entry=3)(g) + 1.0 for g in gammas]
+        reads, formula = qfi_core._ENTRIES[3]
+        perturbed = (reads, lambda *args: formula(*args) + 1.0)
+        monkeypatch.setattr(qfi_core, "_ENTRIES", qfi_core._ENTRIES[:3] + (perturbed,))
+        assert [qfi_core._normal_law_kernel(n, 0.0, 0.0, model, entry=3)(g) for g in gammas] == want
+        (grid,) = qfi_core.normal_law_grid(n, gammas, 0.0, 0.0, model, entries=(3,))
+        assert grid.tolist() == want
+        assert [objective(g, n, target) for g in gammas] == want
+        assert objective_grid(gammas, n, target) == want
