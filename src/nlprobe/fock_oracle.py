@@ -211,12 +211,11 @@ def expectation_moments(state: TruncatedState, k_max: int) -> np.ndarray:
     return out
 
 
-def _start_dim(probe: ProbeSpec, dim: int | None, order: int, lam: float, what: str) -> int:
-    """The first cutoff of an oracle call: dim, or when None default_dim for
-    quadrature powers up to order at coupling lam. A start above DIM_CAP,
-    where no cutoff can be tried, raises CutoffError before any build."""
-    if dim is None:
-        dim = default_dim(probe, zeta=order, lam=lam)
+def _start_dim(probe: ProbeSpec, order: int, lam: float, what: str) -> int:
+    """The first cutoff of an oracle call: default_dim for quadrature powers
+    up to order at coupling lam. A start above DIM_CAP, where no cutoff can
+    be tried, raises CutoffError before any build."""
+    dim = default_dim(probe, zeta=order, lam=lam)
     if dim > DIM_CAP:
         raise CutoffError(f"{what}: start cutoff {dim} is above DIM_CAP={DIM_CAP}", suggested_dim=2 * DIM_CAP)
     return dim
@@ -240,13 +239,13 @@ def _until_stable(d: int, compute, message: str, stable=None):
     raise CutoffError(message, suggested_dim=2 * DIM_CAP)
 
 
-def converged_moments(probe: ProbeSpec, k_max: int, dim: int | None = None) -> np.ndarray:
-    """Moments at a cutoff validated by doubling, from dim (default_dim when
-    None; _start_dim), until stable to 1e-9 relative."""
+def converged_moments(probe: ProbeSpec, k_max: int) -> np.ndarray:
+    """Moments at a cutoff validated by doubling, from default_dim
+    (_start_dim), until stable to 1e-9 relative."""
     if k_max < 0:
         raise DomainError(f"moment order must be >= 0, got {k_max}")
     return _until_stable(
-        _start_dim(probe, dim, k_max, 0.0, f"moments for k_max={k_max}"),
+        _start_dim(probe, k_max, 0.0, f"moments for k_max={k_max}"),
         lambda d: expectation_moments(build_state(probe, d), k_max),
         f"moments did not stabilize below dim={DIM_CAP} for k_max={k_max}",
         lambda cur, prev: np.max(np.abs(cur - prev) / np.maximum(1.0, np.abs(cur))) <= STABILITY_TOL,
@@ -288,15 +287,14 @@ def _qfi_from_vectors(psi, d_lam, d_zeta) -> QfiMatrix:
     )
 
 
-def qfi_matrix_oracle(probe: ProbeSpec, model: ModelSpec, dim: int | None = None) -> QfiMatrix:
+def qfi_matrix_oracle(probe: ProbeSpec, model: ModelSpec) -> QfiMatrix:
     """2x2 QFI matrix plus Uhlmann off-diagonal from explicit state derivatives.
 
-    The result is recomputed at twice the cutoff, starting from dim
-    (default_dim when None; _start_dim), until every entry is stable to
-    1e-9 relative.
+    The result is recomputed at twice the cutoff, starting from default_dim
+    (_start_dim), until every entry is stable to 1e-9 relative.
     """
     return _until_stable(
-        _start_dim(probe, dim, 2 * model.zeta, model.lambda_eff, "oracle QFI"),
+        _start_dim(probe, 2 * model.zeta, model.lambda_eff, "oracle QFI"),
         lambda d: _qfi_from_vectors(*_derivative_vectors(probe, model, d)),
         f"oracle QFI did not stabilize below dim={DIM_CAP}",
         _matrix_stable,
@@ -321,16 +319,15 @@ def _matrix_stable(cur: QfiMatrix, prev: QfiMatrix) -> bool:
     return True
 
 
-def sld_operator(probe: ProbeSpec, model: ModelSpec, dim: int | None = None) -> TruncatedOperator:
+def sld_operator(probe: ProbeSpec, model: ModelSpec) -> TruncatedOperator:
     """Symmetric logarithmic derivative L = 2 d(rho_lambda)/d(lambda).
 
     For the pure unitary family, -2i U [G_zeta, rho_0] U^dag with
     U = exp(-i lambda G_zeta) is the rank-2 operator
     2 (|d_lambda psi><psi| + |psi><d_lambda psi|), as G_zeta commutes with U
     and d_lambda psi = -i G_zeta psi; it is formed from the state derivative
-    alone. A given dim is a fixed cutoff: CutoffError if the state does not
-    fit. Without it the cutoff doubles from default_dim until the state
-    fits (_until_stable), up to DIM_CAP; a default_dim above DIM_CAP raises
+    alone. The cutoff doubles from default_dim until the state fits
+    (_until_stable), up to DIM_CAP; a default_dim above DIM_CAP raises
     CutoffError before any state is built. Hermiticity is enforced to 1e-9
     and Tr[rho L^2] must reproduce the oracle f_ll.
     """
@@ -343,9 +340,7 @@ def sld_operator(probe: ProbeSpec, model: ModelSpec, dim: int | None = None) -> 
             raise InternalConsistencyError(f"SLD hermiticity residue {herm:.3e} at dim={d}")
         return TruncatedOperator(d, sld)
 
-    if dim is not None:
-        return compute(dim)
-    start = _start_dim(probe, None, 2 * model.zeta, model.lambda_eff, "SLD")
+    start = _start_dim(probe, 2 * model.zeta, model.lambda_eff, "SLD")
     return _until_stable(start, compute, f"SLD needs a cutoff of at least {2 * DIM_CAP}, above DIM_CAP={DIM_CAP}")
 
 
@@ -358,23 +353,20 @@ def evolution_unitarity_defect(model: ModelSpec, dim: int) -> float:
     return float(np.max(np.abs(defect)))
 
 
-def zeta_derivative_diagnostic(
-    probe: ProbeSpec, model: ModelSpec, dim: int | None = None, step: float = 1e-5
-) -> dict:
+def zeta_derivative_diagnostic(probe: ProbeSpec, model: ModelSpec) -> dict:
     """Compare the power-rule order derivative with a spectral-logarithm one.
 
     The package's f_zz uses d/d(zeta) X^zeta = zeta X^(zeta-1) (power rule in
     the operator argument). The alternative reading d/d(zeta) X^zeta =
     X^zeta log X is evaluated here by central finite differences of the
-    principal-branch spectral power X^(zeta +/- step). The two genuinely
-    disagree; the numbers are returned for inspection, never asserted.
-    f_zz_spectral_log is taken at the cutoff d (dim, or default_dim when
-    None; above DIM_CAP either raises CutoffError before any build);
-    f_zz_power_rule is the validated qfi_matrix_oracle value, doubled from d
-    until stable.
+    principal-branch spectral power X^(zeta +/- step), step = 1e-5. The two
+    genuinely disagree; the numbers are returned for inspection, never
+    asserted. f_zz_spectral_log is taken at the cutoff d = default_dim (one
+    above DIM_CAP raises CutoffError before any build); f_zz_power_rule is
+    the validated qfi_matrix_oracle value, doubled from d until stable.
     """
-    d = _start_dim(probe, dim, 2 * model.zeta, model.lambda_eff, "zeta-derivative diagnostic")
-    z, lam = model.zeta, model.lambda_eff
+    d = _start_dim(probe, 2 * model.zeta, model.lambda_eff, "zeta-derivative diagnostic")
+    z, lam, step = model.zeta, model.lambda_eff, 1e-5
     evals, vecs = _x_eigh(d)
     psi0 = build_state(probe, d).amplitudes
 
@@ -390,7 +382,7 @@ def zeta_derivative_diagnostic(
     inner = complex(np.vdot(d_zeta, d_zeta))
     overlap = complex(np.vdot(d_zeta, psi))
     f_spectral = 4.0 * float(np.real(inner - overlap * overlap.conjugate()))
-    f_power = qfi_matrix_oracle(probe, model, dim=d).f_zz
+    f_power = qfi_matrix_oracle(probe, model).f_zz
     denom = max(abs(f_power), abs(f_spectral), 1e-300)
     return {
         "f_zz_power_rule": f_power,

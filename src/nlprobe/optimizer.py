@@ -10,7 +10,8 @@ costs one kernel call GAMMA_TOL inside the end; where the objective there
 is not higher than at the end, the end takes the candidate, and only
 otherwise is its cell refined. The joint bound's end cells are always
 refined: it can dip within GAMMA_TOL of gamma = 1 and peak inside the
-last cell.
+last cell. The objective, the optimizer and the threshold search work at
+zero phases, where the optimal probe lies (verify_zero_phase_optimality).
 """
 
 import enum
@@ -35,7 +36,7 @@ __all__ = [
     "verify_zero_phase_optimality",
 ]
 
-THRESHOLD_N_LO = 1e-4  # default lower end of the threshold search
+THRESHOLD_N_LO = 1e-4  # lower end of the threshold search
 COARSE = 129  # points of the coarse gamma grid
 # absolute tolerance on gamma: Brent's method ends within GAMMA_TOL / 5 of the maximum
 # (its tol is GAMMA_TOL / 10), and the end test calls the kernel GAMMA_TOL inside an end
@@ -78,32 +79,26 @@ class GammaOptResult:
     n_total: float
 
 
-def objective(
-    gamma: float,
-    n_total: float,
-    target: OptTarget,
-    theta: float = 0.0,
-    phi: float = 0.0,
-) -> float:
-    """Figure of merit as a function of the squeezing fraction.
+def objective(gamma: float, n_total: float, target: OptTarget) -> float:
+    """Figure of merit as a function of the squeezing fraction, at zero phases.
 
-    Every phase and target goes through the scalar kernel
+    Every target goes through the scalar kernel
     qfi_core._normal_law_kernel, the one that Brent's method and the end
     test of optimize_gamma_grid call, asked for the target's entry alone:
     f_lambda evaluates V, f_zeta W, and the joint bound V, W and G. It raises
     OverflowError only where that entry does not fit in double.
     """
-    kernel = _normal_law_kernel(float(n_total), float(theta), float(phi), target.model, entry=_ENTRY[target.kind])
+    kernel = _normal_law_kernel(float(n_total), 0.0, 0.0, target.model, entry=_ENTRY[target.kind])
     return kernel(float(gamma))
 
 
-def objective_grid(gammas, n_total: float, target: OptTarget, theta: float = 0.0, phi: float = 0.0) -> list:
+def objective_grid(gammas, n_total: float, target: OptTarget) -> list:
     """The objective at every squeezing fraction of gammas, in one pass.
 
     Bit for bit the values objective gives point by point, and at the first
     point where it raises, the same error (qfi_core.normal_law_grid).
     """
-    return normal_law_grid(n_total, gammas, theta, phi, target.model, entries=(_ENTRY[target.kind],))[0].tolist()
+    return normal_law_grid(n_total, gammas, 0.0, 0.0, target.model, entries=(_ENTRY[target.kind],))[0].tolist()
 
 
 def _brent_max(fun, a, b, x, fx):
@@ -175,7 +170,7 @@ def _local_maxima(table):
     return flags
 
 
-def _row_solver(ns, target, theta, phi):
+def _row_solver(ns, target):
     """solve(i) = optimize_gamma(ns[i], ...), with the coarse grids of all
     energies in one table that raises nothing: solve(i) checks ns[i] and
     raises optimize_gamma's errors, so rows never solved may hold bad points.
@@ -184,8 +179,7 @@ def _row_solver(ns, target, theta, phi):
     """
     model, entry = target.model, _ENTRY[target.kind]
     one_sided = target.kind is not TargetKind.JOINT_BOUND  # the end test, which the joint bound's dip defeats
-    theta, phi = float(theta), float(phi)
-    (table,), ok = _normal_law_arrays(np.array(ns, dtype=float)[:, None], _GRID, theta, phi, model, (entry,))
+    (table,), ok = _normal_law_arrays(np.array(ns, dtype=float)[:, None], _GRID, 0.0, 0.0, model, (entry,))
     rows_ok = ok.all(axis=1).tolist()
     flags = _local_maxima(table)
 
@@ -195,8 +189,8 @@ def _row_solver(ns, target, theta, phi):
             raise DomainError("optimize_gamma requires n_total > 0")
         try:
             if not rows_ok[i]:  # normal_law_grid raises the error that a loop over the row meets first
-                normal_law_grid(n, _GRID, theta, phi, model, entries=(entry,))
-            kernel = _normal_law_kernel(float(n), theta, phi, model, entry=entry)
+                normal_law_grid(n, _GRID, 0.0, 0.0, model, entries=(entry,))
+            kernel = _normal_law_kernel(float(n), 0.0, 0.0, model, entry=entry)
             vals = table[i].tolist()
             candidates = sorted(np.flatnonzero(flags[i]).tolist(), key=vals.__getitem__, reverse=True)[:3]
 
@@ -227,7 +221,7 @@ def _row_solver(ns, target, theta, phi):
     return solve
 
 
-def optimize_gamma_grid(ns, target: OptTarget, theta: float = 0.0, phi: float = 0.0) -> list:
+def optimize_gamma_grid(ns, target: OptTarget) -> list:
     """optimize_gamma at every energy of ns, as a list of GammaOptResult.
 
     One pass of qfi_core.normal_law_grid fills the len(ns) x COARSE table
@@ -246,11 +240,11 @@ def optimize_gamma_grid(ns, target: OptTarget, theta: float = 0.0, phi: float = 
     ns = list(ns)
     if not ns:
         return []
-    solve = _row_solver(ns, target, theta, phi)
+    solve = _row_solver(ns, target)
     return [solve(i) for i in range(len(ns))]
 
 
-def optimize_gamma(n_total: float, target: OptTarget, theta: float = 0.0, phi: float = 0.0) -> GammaOptResult:
+def optimize_gamma(n_total: float, target: OptTarget) -> GammaOptResult:
     """Maximize the target over gamma in [0, 1] to absolute tolerance GAMMA_TOL.
 
     Strategy: a coarse bracketing grid of COARSE points, then Brent's
@@ -263,27 +257,19 @@ def optimize_gamma(n_total: float, target: OptTarget, theta: float = 0.0, phi: f
     won that comparison (gamma_opt == 1.0). This is
     optimize_gamma_grid([n_total], ...)[0].
     """
-    return optimize_gamma_grid([n_total], target, theta, phi)[0]
+    return optimize_gamma_grid([n_total], target)[0]
 
 
-def find_threshold(
-    target: OptTarget,
-    theta: float = 0.0,
-    phi: float = 0.0,
-    *,
-    n_lo: float = THRESHOLD_N_LO,
-    n_hi: float = 1e3,
-    rel_tol: float = 1e-4,
-    samples: int = 15,
-) -> float:
+def find_threshold(target: OptTarget, *, n_hi: float = 1e3, rel_tol: float = 1e-4, samples: int = 15) -> float:
     """Energy below which pure squeezed vacuum (gamma = 1) is optimal.
 
-    Returns sup{N : gamma_opt(N) = 1}, located by geometric bisection on the
-    boundary indicator GammaOptResult.at_boundary (the gamma = 1 endpoint
-    wins the final comparison of optimize_gamma). The indicator is first
-    sampled on a log grid, all samples in one optimize_gamma_grid call, to
-    validate that it crosses from True to False exactly once; several
-    crossings raise ThresholdAmbiguousError listing them all. If the
+    Returns sup{N : gamma_opt(N) = 1} in [THRESHOLD_N_LO, n_hi], located by
+    geometric bisection on the boundary indicator GammaOptResult.at_boundary
+    (the gamma = 1 endpoint wins the final comparison of optimize_gamma).
+    The indicator is first sampled on a log grid, all samples in one
+    optimize_gamma_grid call, to validate that it crosses from True to False
+    exactly once; several crossings raise ThresholdAmbiguousError listing
+    them all. If the
     indicator never turns False the target has no threshold in the searched
     range and math.inf is returned as a sentinel. The bisection stops at
     rel_tol (finite, > 0) or when the bracket is two adjacent doubles. It
@@ -291,19 +277,17 @@ def find_threshold(
     refines only those it visits, so its brackets and result are those of
     one optimize_gamma per step.
     """
-    if samples < 2 or not 0 < n_lo < n_hi:
-        raise DomainError(f"threshold search needs samples >= 2 and 0 < n_lo < n_hi, got {samples} {n_lo} {n_hi}")
+    if samples < 2 or not THRESHOLD_N_LO < n_hi:
+        raise DomainError(f"threshold search needs samples >= 2 and n_hi > {THRESHOLD_N_LO}, got {samples} {n_hi}")
     if not 0 < rel_tol < math.inf:
         raise DomainError(f"threshold search needs a finite rel_tol > 0, got {rel_tol}")
 
-    ratio = (n_hi / n_lo) ** (1.0 / (samples - 1))
-    ns = [n_lo * ratio**i for i in range(samples)]
-    flags = [res.at_boundary for res in optimize_gamma_grid(ns, target, theta, phi)]
+    ratio = (n_hi / THRESHOLD_N_LO) ** (1.0 / (samples - 1))
+    ns = [THRESHOLD_N_LO * ratio**i for i in range(samples)]
+    flags = [res.at_boundary for res in optimize_gamma_grid(ns, target)]
 
     if not flags[0]:
-        raise ThresholdAmbiguousError(
-            f"gamma_opt already interior at N={n_lo}; lower n_lo to bracket the threshold"
-        )
+        raise ThresholdAmbiguousError(f"gamma_opt already interior at N={THRESHOLD_N_LO}, the lower end of the search")
     crossings = [
         (ns[i], ns[i + 1]) for i in range(samples - 1) if flags[i] != flags[i + 1]
     ]
@@ -323,7 +307,7 @@ def find_threshold(
             a, b = brackets[len(mids)]
             mids.append(math.sqrt(a * b))
             brackets += [(mids[-1], b), (a, mids[-1])]
-        solve = _row_solver(mids, target, theta, phi)
+        solve = _row_solver(mids, target)
         j = 0
         while j < len(mids) and hi / lo - 1.0 > rel_tol:
             mid = mids[j]

@@ -77,11 +77,11 @@ class QfiMatrix:
     def determinant(self) -> float:
         return self.f_ll * self.f_zz - self.f_lz**2
 
-    def is_positive_semidefinite(self, tol: float = PSD_TOL) -> bool:
+    def is_positive_semidefinite(self) -> bool:
         return (
-            self.f_ll >= -tol
-            and self.f_zz >= -tol
-            and self.determinant() >= -tol * max(self.f_ll * self.f_zz, 1.0)
+            self.f_ll >= -PSD_TOL
+            and self.f_zz >= -PSD_TOL
+            and self.determinant() >= -PSD_TOL * max(self.f_ll * self.f_zz, 1.0)
         )
 
 
@@ -107,8 +107,10 @@ def _joint_bound(h, mean, var, u, scale, lz, lz2):
     g, v, w = h
     uv = u * v
     if 1.0 < lz2:  # lz2 divides u V instead of multiplying the numerator, which it could overflow
-        # past the double range lz^2 can be as near u V as inside it, so lz divides it twice
-        bound = scale * (var * g / ((uv / lz2 if lz2 < math.inf else uv / lz / lz) + w))
+        # past the double range lz^2 can be as near u V as inside it, so lz divides it twice. At
+        # zeta = 1, G = W = 0 and the bound is 0: g == 0 keeps the denominator off the 0 that an
+        # underflowed u V / lz^2 gives, and adds nothing where G > 0
+        bound = scale * (var * g / ((uv / lz2 if lz2 < math.inf else uv / lz / lz) + w + (g == 0)))
     else:
         bound = scale * lz2 * var * g / (uv + lz2 * w)
     return bound * (uv / uv)  # nan where u V overflowed, which would leave the bound 0: an entry overflow
@@ -189,10 +191,7 @@ def _normal_law_kernel(n_total, theta, phi, model, beta_sign=+1, *, entry):
             for c in poly:
                 acc = acc * t + c
             h.append(acc)
-        try:
-            value = formula(h, mean, var, u, scale, lz, lz2)
-        except ZeroDivisionError:  # the bound's 0 / 0 at zeta = 1 where the divided u V underflows to 0; numpy gives nan
-            value = math.nan
+        value = formula(h, mean, var, u, scale, lz, lz2)
         if not -inf < value < inf:
             raise OverflowError(OVERFLOW)  # products overflow silently
         return value

@@ -109,9 +109,9 @@ def qfi_matrix(probe, model, beta_sign=+1):
     return QfiMatrix(*probe_qfi(probe, model, beta_sign, (0, 1, 2)))
 
 
-def objective(gamma, n_total, target, theta=0.0, phi=0.0):
+def objective(gamma, n_total, target):
     """optimizer.objective at 40 digits."""
-    return kernel(n_total, gamma, theta, phi, target.model, entries=(optimizer._ENTRY[target.kind],))[0]
+    return kernel(n_total, gamma, 0.0, 0.0, target.model, entries=(optimizer._ENTRY[target.kind],))[0]
 
 
 def _kernel_at(n_total, theta, phi, model, beta_sign=+1, *, entry):
@@ -128,28 +128,29 @@ def _table(n_total, gamma, theta, phi, model, entries):
     return tuple(values), np.ones(values.shape[1:], dtype=bool)
 
 
-def optimize_gamma_grid(ns, target, theta=0.0, phi=0.0):
+def optimize_gamma_grid(ns, target):
     """optimizer.optimize_gamma_grid with every objective value from kernel."""
     with mock.patch.object(optimizer, "_normal_law_kernel", _kernel_at), \
             mock.patch.object(optimizer, "_normal_law_arrays", _table):
-        return optimizer.optimize_gamma_grid(ns, target, theta, phi)
+        return optimizer.optimize_gamma_grid(ns, target)
 
 
-def optimize_gamma(n_total, target, theta=0.0, phi=0.0):
-    return optimize_gamma_grid([n_total], target, theta, phi)[0]
+def optimize_gamma(n_total, target):
+    return optimize_gamma_grid([n_total], target)[0]
 
 
-def argmax(n_total, target, theta=0.0, phi=0.0):
+def argmax(n_total, target):
     """(gamma, value) at the global maximum over gamma in [0, 1] of the
     objective at 40 digits, unrounded until the end: every local maximum of
     a 129-point grid, ends included, is refined by a golden section to 1e-9
-    on the bracket of its neighbours, and the best point seen wins. It
-    shares with optimizer.optimize_gamma nothing but the kernel's formulas."""
+    on the bracket of its neighbours, and the best point seen wins. Like
+    optimizer.optimize_gamma it works at zero phases, and it shares with it
+    nothing but the kernel's formulas."""
     model, entry = target.model, optimizer._ENTRY[target.kind]
     grid, tol = 129, 1e-9
 
     def f(g):
-        return _unrounded(n_total, g, theta, phi, model, +1, (entry,))[0]
+        return _unrounded(n_total, g, 0.0, 0.0, model, +1, (entry,))[0]
 
     with mpmath.workdps(DPS):
         gs = [mpmath.mpf(i) / (grid - 1) for i in range(grid)]

@@ -503,6 +503,14 @@ class TestErrorPaths:
             for gamma, value in rows:
                 assert mp_reference.objective(float(gamma), 1.0, t) == pytest.approx(float(value), rel=1e-12)
 
+    def test_joint_bound_at_order_one_is_zero_where_the_coupling_square_overflows(self, capsys):
+        # G = W = 0 at zeta = 1, and u V / (lambda zeta)^2 underflows to 0: the
+        # bound was 0 / 0 and exited 3 with an entry overflow
+        argv = ["scan-gamma", "--target", "joint", "--zeta", "1", "--n", "1", "--grid", "3", "--lambda", "1e200"]
+        code, out, err = run_cli(capsys, *argv)
+        rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")][1:]
+        assert (code, err, [value for _, value in rows]) == (0, "", ["0.0"] * 3)
+
     @pytest.mark.parametrize(
         "argv",
         [["qfi", "--n", "1e300", "--gamma", "0", "--zeta", "12", "--lambda", "1"],

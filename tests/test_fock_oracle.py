@@ -51,8 +51,6 @@ class TestOperators:
         # build_state raised IndexError (dim 0) or numpy's ValueError (dim -1)
         with pytest.raises(DomainError, match="cutoff must be >= 1"):
             build_state(make_probe(1.0, 0.5), dim)
-        with pytest.raises(DomainError, match="cutoff must be >= 1"):
-            converged_moments(make_probe(1.0, 0.5), 4, dim=dim)
 
     def test_quadrature_hermitian_exactly(self):
         x = quadrature(64).entries
@@ -221,7 +219,7 @@ class TestQfiOracle:
         fm = qfi_matrix_oracle(make_probe(1.0, gamma, 0.4, 0.8), ModelSpec(lambda_eff=0.2, zeta=zeta))
         assert abs(fm.u_lz) <= 1e-10
 
-    def test_start_that_does_not_build_is_skipped(self):
+    def test_start_that_does_not_build_is_skipped(self, monkeypatch):
         # the doubling skips cutoffs whose state fails the tail-mass bound
         p, m = make_probe(12.0, 1.0, 0.3, 0.0), ModelSpec(lambda_eff=0.1, zeta=2)
         first = 32
@@ -234,7 +232,12 @@ class TestQfiOracle:
                 break
             except CutoffError:
                 pass
-        assert qfi_matrix_oracle(p, m, dim=32) == qfi_matrix_oracle(p, m, dim=first)
+
+        def oracle_from(start):
+            monkeypatch.setattr(fock_oracle, "default_dim", lambda *args, **kwargs: start)
+            return qfi_matrix_oracle(p, m)
+
+        assert oracle_from(32) == oracle_from(first)
 
     def test_unitarity_on_guarded_block(self):
         defect = evolution_unitarity_defect(ModelSpec(lambda_eff=0.1, zeta=2), 256)
@@ -253,16 +256,12 @@ class TestCutoffCap:
         with pytest.raises(CutoffError, match=r"^moments for k_max=4: start cutoff 8388608 is above DIM_CAP=4096$") as info:
             converged_moments(make_probe(1e6, 0.5), 4)
         assert info.value.suggested_dim == 2 * DIM_CAP
-        with pytest.raises(CutoffError, match=r"^moments for k_max=4: start cutoff 8192 is above DIM_CAP=4096$"):
-            converged_moments(make_probe(1.0, 0.5), 4, dim=8192)
 
     def test_qfi(self, monkeypatch):
         monkeypatch.setattr(fock_oracle, "_derivative_vectors", _unreachable)
         with pytest.raises(CutoffError, match=r"^oracle QFI: start cutoff 8388608 is above DIM_CAP=4096$") as info:
             qfi_matrix_oracle(make_probe(1e6, 0.5), ModelSpec(lambda_eff=1.0, zeta=2))
         assert info.value.suggested_dim == 2 * DIM_CAP
-        with pytest.raises(CutoffError, match=r"^oracle QFI: start cutoff 8192 is above DIM_CAP=4096$"):
-            qfi_matrix_oracle(make_probe(1.0, 0.5), ModelSpec(lambda_eff=1.0, zeta=2), dim=8192)
 
 
 class TestIndependence:
@@ -364,10 +363,6 @@ class TestSld:
         assert sld.dim == dim
         assert np.max(np.abs(sld.entries - expected)) <= 1e-12 * np.max(np.abs(expected))
 
-    def test_fixed_cutoff_too_small_raises(self):
-        with pytest.raises(CutoffError):
-            sld_operator(make_probe(30.0, 0.7), ModelSpec(lambda_eff=0.1, zeta=2), dim=32)
-
     def test_doubles_from_the_default_and_stops_at_the_cap(self, monkeypatch):
         # the state fits from 256 on; every cutoff up to DIM_CAP is tried, and none above it
         probe, model = make_probe(1.0, 0.5), ModelSpec(lambda_eff=0.1, zeta=2)
@@ -462,7 +457,7 @@ class TestZetaDerivativeDiagnostic:
         psi = psi / np.linalg.norm(psi)
         overlap = np.vdot(d_zeta, psi)
         expected = 4.0 * float(np.real(np.vdot(d_zeta, d_zeta) - overlap * overlap.conjugate()))
-        got = zeta_derivative_diagnostic(probe, model, dim=dim)["f_zz_spectral_log"]
+        got = zeta_derivative_diagnostic(probe, model)["f_zz_spectral_log"]  # at default_dim
         assert got == pytest.approx(expected, rel=1e-9)
 
 

@@ -37,10 +37,9 @@ class TestOptTarget:
 class TestObjective:
     def test_zero_phase_fast_path_matches_general(self):
         t = target("f_lambda", 3)
+        slow = _normal_law_kernel(2.0, 2 * math.pi, 0.0, t.model, entry=0)  # same probe, through the phase terms
         for gamma in (0.0, 0.4, 1.0):
-            fast = objective(gamma, 2.0, t)
-            slow = objective(gamma, 2.0, t, theta=2 * math.pi, phi=0.0)  # same probe, through the phase terms
-            assert fast == pytest.approx(slow, rel=1e-10)
+            assert objective(gamma, 2.0, t) == pytest.approx(slow(gamma), rel=1e-10)
 
     def test_joint_objective_positive(self):
         assert objective(0.5, 1.0, target("joint", 3)) > 0.0
@@ -50,13 +49,12 @@ class TestObjective:
         # from an 80-digit normal-law moment recursion
         assert objective(0.5, 1e6, target("joint", 12)) == pytest.approx(1.870925172296251859e187, rel=1e-12)
 
-    def test_joint_zero_over_zero_at_order_one_is_an_overflow(self):
+    def test_joint_bound_at_order_one_is_zero_where_its_divided_denominator_underflows(self):
         # at zeta = 1, G = W = 0 and the bound is 0 / (u V / (lambda zeta)^2),
-        # whose divisor underflows to 0 here: a float 0 / 0, which numpy makes nan
-        t = target("joint", 1, lam=1e154)
-        for evaluate in (objective, lambda *args: objective_grid([args[0]], *args[1:])):
-            with pytest.raises(OverflowError, match="QFI entries exceed the double-precision range"):
-                evaluate(1.0, 1e16, t, math.pi, 0.0)
+        # whose divisor underflows to 0 here: a float 0 / 0 raised, numpy gave nan
+        t, gammas = target("joint", 1, lam=1e200), [0.0, 0.5, 1.0]
+        assert [objective(g, 1.0, t) for g in gammas] == objective_grid(gammas, 1.0, t) == [0.0] * 3
+        assert [mp_reference.objective(g, 1.0, t) for g in gammas] == [0.0] * 3
 
     def test_joint_matches_40_digits_at_high_energy(self):
         # the double determinant cancels about 2 log10(N) digits; the exact
@@ -70,12 +68,12 @@ class TestObjectiveGrid:
     KINDS = ("f_lambda", "f_zeta", "joint")
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("n, theta, phi", [(0.3, 0.0, 0.0), (5.0, 0.7, 1.9), (1e4, 0.0, 0.0), (1e6, 2.5, -0.4)])
-    def test_equals_objective_point_by_point(self, kind, n, theta, phi):
+    @pytest.mark.parametrize("n", [0.3, 5.0, 1e4, 1e6])
+    def test_equals_objective_point_by_point(self, kind, n):
         t = target(kind, 3)
         gammas = [i / 64.0 for i in range(65)] + [0.123456789, 0.987654321]
-        expected = [objective(g, n, t, theta, phi) for g in gammas]
-        assert objective_grid(gammas, n, t, theta, phi) == expected
+        expected = [objective(g, n, t) for g in gammas]
+        assert objective_grid(gammas, n, t) == expected
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("gammas", [[0.0, 0.5, 1.0], [0.0, 1.0, 0.5]])
@@ -136,7 +134,7 @@ C = (3.0 - math.sqrt(5.0)) / 2.0
 ZEPS = math.sqrt(2.0**-52)
 
 
-def loop_optimize(n, t, theta, phi, coarse):
+def loop_optimize(n, t, coarse):
     """Frozen copy of the scalar optimizer that optimize_gamma_grid batches,
     over the public objective point by point: Brent's minimization (as in
     Numerical Recipes' brent) of -objective on each candidate's bracket; an
@@ -146,7 +144,7 @@ def loop_optimize(n, t, theta, phi, coarse):
 
     def cost(g):
         try:
-            return -objective(g, n, t, theta, phi)
+            return -objective(g, n, t)
         except OverflowError as exc:
             raise NumericalRangeError(opt.OVERFLOW_MESSAGE) from exc
 
@@ -283,16 +281,14 @@ class TestOptimizeGammaGrid:
         rng = random.Random(seed)
         kind = ("f_lambda", "f_zeta", "joint")[seed % 3]
         t = target(kind, rng.randint(2, 12), 10 ** rng.uniform(-2, 2))
-        theta, phi = rng.uniform(0.1, 2 * math.pi), rng.uniform(0.1, 2 * math.pi)
         ns = sorted(10 ** rng.uniform(-3, 6) for _ in range(6))
-        got = optimize_gamma_grid(ns, t, theta, phi)
-        assert bits(got) == bits(loop_optimize(n, t, theta, phi, 129) for n in ns)
+        assert bits(optimize_gamma_grid(ns, t)) == bits(loop_optimize(n, t, 129) for n in ns)
 
     def test_zero_phase_rows_equal_the_scalar_loop(self):
         ns = [10 ** (k / 4) for k in range(-12, 25)]
         for kind, zeta in (("f_lambda", 2), ("f_zeta", 5), ("joint", 4)):
             t = target(kind, zeta)
-            assert bits(optimize_gamma_grid(ns, t)) == bits(loop_optimize(n, t, 0.0, 0.0, 129) for n in ns)
+            assert bits(optimize_gamma_grid(ns, t)) == bits(loop_optimize(n, t, 129) for n in ns)
 
     # objectives of gamma alone, exact in both forms: a spike that only the
     # third-best coarse maximum brackets; the same with a higher spike beside
@@ -325,18 +321,16 @@ class TestOptimizeGammaGrid:
         monkeypatch.setattr(opt, "_normal_law_arrays", arrays)
         t = target("f_lambda", 2)
         got = optimize_gamma_grid([1.0, 2.0], t)
-        assert bits(got) == bits(loop_optimize(n, t, 0.0, 0.0, 129) for n in (1.0, 2.0))
+        assert bits(got) == bits(loop_optimize(n, t, 129) for n in (1.0, 2.0))
         assert got[0].objective_value > 3.5  # the spike, not the best coarse point
 
     @pytest.mark.parametrize(
-        "kind, zeta, theta, phi, ns",
-        [("f_lambda", 3, 0.3, 1.1, [0.02, 3.0, 200.0]), ("f_zeta", 5, 0.0, 0.0, [0.5, 50.0]),
-         ("joint", 4, 0.0, 0.0, [1e3, 1e5])],
+        "kind, zeta, ns", [("f_lambda", 3, [0.02, 3.0, 200.0]), ("f_zeta", 5, [0.5, 50.0]), ("joint", 4, [1e3, 1e5])]
     )
-    def test_rows_agree_with_the_40_digit_path(self, kind, zeta, theta, phi, ns):
+    def test_rows_agree_with_the_40_digit_path(self, kind, zeta, ns):
         t = target(kind, zeta)
-        fast = optimize_gamma_grid(ns, t, theta, phi)
-        slow = mp_reference.optimize_gamma_grid(ns, t, theta, phi)
+        fast = optimize_gamma_grid(ns, t)
+        slow = mp_reference.optimize_gamma_grid(ns, t)
         for f, s in zip(fast, slow):
             assert f.gamma_opt == pytest.approx(s.gamma_opt, abs=2e-6)
             assert f.objective_value == pytest.approx(s.objective_value, rel=1e-10)
@@ -435,29 +429,28 @@ class TestRefinement:
         assert res.objective_value > f(1.0 if peak > 0.5 else 0.0)
 
     def test_the_joint_bound_is_refined_at_an_end_it_dips_into(self):
-        # the bound falls from 4.84e5 near gamma = 0.9977 to 2.0e5 at 1 - GAMMA_TOL
-        # and climbs back to 4.81e5 at gamma = 1: the call inside the end is
-        # lower than the end, yet the maximum lies inside the last cell
-        t, n, theta, phi = target("joint", 3), 312.5269214311733, 2.622827925399609, 3.454906162586767
-        assert objective(1.0 - opt.GAMMA_TOL, n, t, theta, phi) < objective(1.0, n, t, theta, phi)
-        res = optimize_gamma(n, t, theta, phi)
-        gamma, value = mp_reference.argmax(n, t, theta, phi)
+        # the bound peaks at 7.2369e9 near gamma = 0.999381, falls to 3.99e9 at
+        # 1 - GAMMA_TOL and climbs back to 7.20e9 at gamma = 1: the call inside
+        # the end is lower than the end, yet the maximum lies inside the last cell
+        t, n = target("joint", 3, lam=4.0554788240976505), 618.293559167307
+        assert objective(1.0 - opt.GAMMA_TOL, n, t) < objective(1.0, n, t)
+        res = optimize_gamma(n, t)
+        gamma, value = mp_reference.argmax(n, t)
         assert not res.at_boundary
         assert res.gamma_opt == pytest.approx(gamma, abs=2e-6)
         assert res.objective_value == pytest.approx(value, rel=1e-10)
 
     @pytest.mark.parametrize("seed", range(7))
     def test_random_rows_reach_the_40_digit_maximum(self, seed):
-        # 30 rows a seed: every target, zeta 2-12, N 1e-3..1e6, random phases and coupling
+        # 30 rows a seed: every target, zeta 2-12, N 1e-3..1e6, random coupling
         rng = random.Random(seed)
         for i in range(30):
             t = target(("f_lambda", "f_zeta", "joint")[i % 3], rng.randint(2, 12), 10 ** rng.uniform(-2, 2))
-            theta, phi = rng.uniform(0.0, 2 * math.pi), rng.uniform(0.0, 2 * math.pi)
             n = 10 ** rng.uniform(-3, 6)
-            res = optimize_gamma(n, t, theta, phi)
-            gamma, value = mp_reference.argmax(n, t, theta, phi)
-            assert res.gamma_opt == pytest.approx(gamma, abs=2e-6), (n, t, theta, phi)
-            assert res.objective_value == pytest.approx(value, rel=1e-10), (n, t, theta, phi)
+            res = optimize_gamma(n, t)
+            gamma, value = mp_reference.argmax(n, t)
+            assert res.gamma_opt == pytest.approx(gamma, abs=2e-6), (n, t)
+            assert res.objective_value == pytest.approx(value, rel=1e-10), (n, t)
 
 
 class TestNonFinitePhases:
@@ -466,18 +459,12 @@ class TestNonFinitePhases:
     PHASES = [(math.inf, 0.0), (math.nan, 0.0), (0.0, -math.inf), (1.0, math.nan)]
 
     @pytest.mark.parametrize("theta, phi", PHASES)
-    def test_objective(self, theta, phi):
+    def test_normal_law_kernel(self, theta, phi):
+        # the kernel of objective and the optimizers, which fix the phases at 0
         for kind in ("f_lambda", "f_zeta", "joint"):
+            kernel = _normal_law_kernel(1.0, theta, phi, target(kind, 3).model, entry=opt._ENTRY[TargetKind(kind)])
             with pytest.raises(DomainError, match="phases must be finite"):
-                objective(0.5, 1.0, target(kind, 3), theta, phi)
-
-    @pytest.mark.parametrize("theta, phi", PHASES)
-    def test_grid_optimizer_and_threshold(self, theta, phi):
-        t = target("f_lambda", 2)
-        with pytest.raises(DomainError, match="phases must be finite"):
-            optimize_gamma_grid([0.5, 1.0], t, theta, phi)
-        with pytest.raises(DomainError, match="phases must be finite"):
-            find_threshold(t, theta, phi)
+                kernel(0.5)
 
     @pytest.mark.parametrize("theta, phi", PHASES)
     def test_normal_law_grid(self, theta, phi):
@@ -515,7 +502,7 @@ class TestFindThreshold:
 
     @pytest.mark.parametrize(
         "kw",
-        [dict(samples=1), dict(n_hi=1e-5), dict(n_lo=1.0, n_hi=1.0)],
+        [dict(samples=1), dict(n_hi=1e-5), dict(n_hi=opt.THRESHOLD_N_LO)],
         ids=["samples-1", "n-hi-below-n-lo", "empty-range"],
     )
     def test_empty_search_range_rejected(self, kw):
@@ -564,23 +551,23 @@ class TestFindThreshold:
 
         monkeypatch.setattr(opt, "optimize_gamma_grid", fake_optimize_grid)
         with pytest.raises(ThresholdAmbiguousError) as info:
-            opt.find_threshold(target("f_lambda", 2), n_lo=1e-3, n_hi=1.0, samples=7)
+            opt.find_threshold(target("f_lambda", 2), n_hi=1.0, samples=7)
         assert len(info.value.crossings) > 1
 
 
-def loop_threshold(t, theta=0.0, phi=0.0, *, n_lo=opt.THRESHOLD_N_LO, n_hi=1e3, rel_tol=1e-4, samples=15,
-                   visited=None):
+def loop_threshold(t, *, n_hi=1e3, rel_tol=1e-4, samples=15, visited=None):
     """Frozen copy of find_threshold bisecting with one optimize_gamma(mid)
     per step; each energy it refines is appended to visited."""
-    if samples < 2 or not 0 < n_lo < n_hi:
-        raise DomainError(f"threshold search needs samples >= 2 and 0 < n_lo < n_hi, got {samples} {n_lo} {n_hi}")
+    n_lo = opt.THRESHOLD_N_LO
+    if samples < 2 or not n_lo < n_hi:
+        raise DomainError(f"threshold search needs samples >= 2 and n_hi > {n_lo}, got {samples} {n_hi}")
     if not 0 < rel_tol < math.inf:
         raise DomainError(f"threshold search needs a finite rel_tol > 0, got {rel_tol}")
     ratio = (n_hi / n_lo) ** (1.0 / (samples - 1))
     ns = [n_lo * ratio**i for i in range(samples)]
-    flags = [res.at_boundary for res in optimize_gamma_grid(ns, t, theta, phi)]
+    flags = [res.at_boundary for res in optimize_gamma_grid(ns, t)]
     if not flags[0]:
-        raise ThresholdAmbiguousError(f"gamma_opt already interior at N={n_lo}; lower n_lo to bracket the threshold")
+        raise ThresholdAmbiguousError(f"gamma_opt already interior at N={n_lo}, the lower end of the search")
     crossings = [(ns[i], ns[i + 1]) for i in range(samples - 1) if flags[i] != flags[i + 1]]
     if len(crossings) > 1:
         raise ThresholdAmbiguousError("boundary indicator is not monotone on the sampling grid", crossings=crossings)
@@ -593,7 +580,7 @@ def loop_threshold(t, theta=0.0, phi=0.0, *, n_lo=opt.THRESHOLD_N_LO, n_hi=1e3, 
             break
         if visited is not None:
             visited.append(mid)
-        if optimize_gamma(mid, t, theta, phi).at_boundary:
+        if optimize_gamma(mid, t).at_boundary:
             lo = mid
         else:
             hi = mid
@@ -633,11 +620,6 @@ class TestBatchedBisection:
             want = outcome(loop_threshold, t, rel_tol=rel_tol, visited=visited)
             assert outcome(find_threshold, t, rel_tol=rel_tol) == want
             assert (len(visited) == 0) is (rel_tol == 50.0)
-
-    @pytest.mark.parametrize("theta, phi", [(0.3, 0.0), (0.0, 0.7), (2 * math.pi, 0.0), (0.25, 3.5)])
-    def test_nonzero_phases(self, theta, phi):
-        for t in (target("f_lambda", 3), target("f_zeta", 4)):
-            assert outcome(find_threshold, t, theta, phi) == outcome(loop_threshold, t, theta, phi)
 
     def test_a_bad_point_on_a_row_never_visited_raises_nothing(self, monkeypatch):
         t, visited = target("f_lambda", 3), []
