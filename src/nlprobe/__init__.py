@@ -14,10 +14,9 @@ from .errors import (
     DomainError,
     InternalConsistencyError,
     NlprobeError,
-    NumericalRangeError,
     ThresholdAmbiguousError,
 )
-from .moments import MomentVector, general_moments, moment_general, moment_real_axis, moment_vector
+from .moments import moment_general, moment_real_axis, moment_vector
 from .optimizer import (
     GammaOptResult,
     OptTarget,
@@ -52,8 +51,6 @@ __all__ = [
     "ProbeSpec",
     "bogoliubov_view",
     "make_probe",
-    "MomentVector",
-    "general_moments",
     "moment_general",
     "moment_real_axis",
     "moment_vector",
@@ -81,7 +78,6 @@ __all__ = [
     "DomainError",
     "CutoffError",
     "InternalConsistencyError",
-    "NumericalRangeError",
     "DegenerateModelError",
     "ThresholdAmbiguousError",
 ]

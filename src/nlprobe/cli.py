@@ -22,11 +22,11 @@ import numpy as np
 
 from . import __version__
 from .combinatorics import coeff_row_sum, normal_order_coeff
-from .errors import CutoffError, InternalConsistencyError, NlprobeError, NumericalRangeError, ThresholdAmbiguousError
+from .errors import CutoffError, InternalConsistencyError, NlprobeError, ThresholdAmbiguousError
 from .asymptotics import gamma_opt_high_n
 from .fock_oracle import build_state, converged_moments, qfi_matrix_oracle, quadrature, sld_operator
 from .moments import moment_vector
-from .optimizer import THRESHOLD_N_LO, OptTarget, TargetKind, find_threshold, objective_grid, optimize_gamma_grid
+from .optimizer import _ENTRY, THRESHOLD_N_LO, OptTarget, TargetKind, find_threshold, objective_grid, optimize_gamma_grid
 from .probe import make_probe
 from .qfi_core import OVERFLOW, ModelSpec, QfiMatrix, _probe_qfi, normal_law_grid, reparametrize_physical
 
@@ -168,8 +168,7 @@ def cmd_scan_phase(args) -> int:
     phis = [j * step for j in range(k)]
     # at lambda = 1 the order QFI is divided by lambda^2, its only lambda dependence
     model = ModelSpec(lambda_eff=1.0, zeta=args.zeta)
-    (grid,) = normal_law_grid(args.n, args.gamma, np.array(thetas)[:, None], phis, model,
-                              entries=(0 if target is TargetKind.F_LAMBDA else 1,))
+    (grid,) = normal_law_grid(args.n, args.gamma, np.array(thetas)[:, None], phis, model, entries=(_ENTRY[target],))
     md = _base_metadata(
         command="scan-phase",
         n=args.n,
@@ -482,7 +481,7 @@ def main(argv=None) -> int:
         if isinstance(exc, ThresholdAmbiguousError):
             report["crossings"] = exc.crossings
         sys.stderr.write(json.dumps(report) + "\n")
-        numerical = (CutoffError, NumericalRangeError, OverflowError, ThresholdAmbiguousError)
+        numerical = (CutoffError, OverflowError, ThresholdAmbiguousError)
         return EXIT_NUMERICAL if isinstance(exc, numerical) else EXIT_USAGE
 
 

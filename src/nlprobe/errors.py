@@ -27,10 +27,6 @@ class InternalConsistencyError(NlprobeError):
     """
 
 
-class NumericalRangeError(NlprobeError):
-    """A value left the double-precision range."""
-
-
 class DegenerateModelError(NlprobeError):
     """The statistical model carries no information (QFI matrix trace zero)."""
 

@@ -8,8 +8,11 @@ mean set by the family (below). The moments are
 
 whose terms all have the sign of mean^k: nothing cancels. The one rounding
 that does not scale with the result is that of h - phi in the default
-family's mean, which E multiplies where cos(h - phi) is small: _normal_law
+family's mean, which E multiplies where cos(h - phi) is small: _phase_terms
 carries it as an exact two-term sum, so the mean keeps its digits there too.
+_phase_terms and _energy_law give (mean, variance) on floats with m = math
+and on arrays with m = numpy, bit for bit the same at every element; the
+moments here and the QFI kernel (qfi_core) read that one pair.
 
 Bogoliubov amplitude convention
 -------------------------------
@@ -30,14 +33,13 @@ conventions", for the full story.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .combinatorics import _normal_moment
 from .errors import DomainError
 from .probe import ProbeSpec
 
-__all__ = ["MomentVector", "general_moments", "moment_general", "moment_real_axis", "moment_vector"]
+__all__ = ["moment_general", "moment_real_axis", "moment_vector"]
 
 
 @lru_cache(maxsize=None)
@@ -60,7 +62,7 @@ def _check_beta_sign(beta_sign):
 
 
 def _phase_terms(theta, phi, beta_sign=+1, m=math):
-    """The (theta, phi) half of _normal_law: (cos h, sin h, c, s) with
+    """The (theta, phi) half of the normal law: (cos h, sin h, c, s) with
     h = theta/2, c and s cos(h - phi) and sin(h - phi) in the default
     family, c = cos phi and s None in the other. h - phi is taken as s' + e
     exactly (TwoSum), with cos(h - phi) = cos s' - e sin s' and
@@ -80,7 +82,10 @@ def _phase_terms(theta, phi, beta_sign=+1, m=math):
 
 
 def _energy_law(n_total, gamma, phase, m=math):
-    """The (N, gamma) half of _normal_law, on the terms phase = _phase_terms(...)."""
+    """(mean, variance) on the terms phase = _phase_terms(...): the forms
+    |cosh r + sinh r e^(i theta)|^2 and, for the default family,
+    2|alpha| [cosh 2r cos phi + sinh 2r cos(theta - phi)] with their
+    cancelling terms removed."""
     ch, sh, c, s = phase
     n_sq = gamma * n_total
     e_r = m.sqrt(n_sq) + m.sqrt(1.0 + n_sq)
@@ -92,28 +97,16 @@ def _energy_law(n_total, gamma, phase, m=math):
     return a2 * (big * ch * c + small * sh * s), var
 
 
-def _normal_law(n_total, gamma, theta, phi, beta_sign=+1, m=math):
-    """(mean, variance) of the quadrature (module docstring) on the plain
-    numbers of a probe: floats with m = math, arrays with m = numpy, bit
-    for bit the same at every element. The forms there are
-    |cosh r + sinh r e^(i theta)|^2 and, for the default family,
-    2|alpha| [cosh 2r cos phi + sinh 2r cos(theta - phi)] with their
-    cancelling terms removed, in two halves: _phase_terms, _energy_law.
-    """
-    return _energy_law(n_total, gamma, _phase_terms(theta, phi, beta_sign, m), m)
-
-
-def general_moments(probe: ProbeSpec, orders, *, beta_sign: int = +1) -> dict:
-    """{k: <G_k>} on the probe for k = 0 and every k in orders, general phases."""
-    orders = set(orders) | {0}
+def _probe_law(probe: ProbeSpec, beta_sign):
+    """(mean, variance) of the quadrature on the probe, from _phase_terms and
+    _energy_law, the pair the QFI kernel reads."""
     _check_beta_sign(beta_sign)
-    mean, var = _normal_law(probe.n_total, probe.gamma, probe.theta, probe.phi, beta_sign)
-    return {k: _normal_sum(k, mean, var) for k in orders}
+    return _energy_law(probe.n_total, probe.gamma, _phase_terms(probe.theta, probe.phi, beta_sign))
 
 
 def moment_general(probe: ProbeSpec, k: int, *, beta_sign: int = +1) -> float:
-    """Expectation value <G_k> on the probe, general phases (see general_moments)."""
-    return float(general_moments(probe, (k,), beta_sign=beta_sign)[k])
+    """Expectation value <G_k> on the probe, general phases."""
+    return float(_normal_sum(k, *_probe_law(probe, beta_sign)))
 
 
 def moment_real_axis(alpha: float, r: float, k: int, *, beta_sign: int = +1) -> float:
@@ -123,27 +116,16 @@ def moment_real_axis(alpha: float, r: float, k: int, *, beta_sign: int = +1) -> 
     (beta_sign -1); alpha = 0 leaves the fully contracted term, by the
     0^0 = 1 convention.
     """
-    if alpha < 0 or r < 0:
-        raise DomainError("moment_real_axis expects alpha >= 0 and r >= 0")
+    if not (0 <= alpha < math.inf and 0 <= r < math.inf):  # nan fails both
+        raise DomainError("moment_real_axis expects finite alpha >= 0 and r >= 0")
     _check_beta_sign(beta_sign)
     big = math.exp(2.0 * r)
     return _normal_sum(k, 2.0 * alpha * (big if beta_sign > 0 else 1.0), big)
 
 
-@dataclass(frozen=True)
-class MomentVector:
-    """Moments <G_0>..<G_k_max> of one probe, index k equals moment order."""
-
-    probe: ProbeSpec
-    k_max: int
-    values: tuple
-
-    def __getitem__(self, k):
-        return self.values[k]
-
-
-def moment_vector(probe: ProbeSpec, k_max: int, *, beta_sign: int = +1) -> MomentVector:
+def moment_vector(probe: ProbeSpec, k_max: int, *, beta_sign: int = +1) -> tuple:
+    """(<G_0>, ..., <G_k_max>) on the probe: index k is the moment order."""
     if k_max < 0:
         raise DomainError(f"k_max must be >= 0, got {k_max}")
-    m = general_moments(probe, range(k_max + 1), beta_sign=beta_sign)
-    return MomentVector(probe=probe, k_max=k_max, values=tuple(float(m[k]) for k in range(k_max + 1)))
+    mean, var = _probe_law(probe, beta_sign)
+    return tuple(float(_normal_sum(k, mean, var)) for k in range(k_max + 1))

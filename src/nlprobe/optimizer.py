@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalRangeError, ThresholdAmbiguousError
+from .errors import DomainError, ThresholdAmbiguousError
 from .qfi_core import ModelSpec, _normal_law_arrays, _normal_law_kernel, normal_law_grid
 
 __all__ = [
@@ -45,7 +45,6 @@ _GRID = tuple(i / (COARSE - 1) for i in range(COARSE))  # Python floats, which G
 CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # Brent's golden-section fraction
 SQRT_EPS = math.sqrt(sys.float_info.epsilon)  # Brent's relative tolerance on gamma
 BISECTION_LEVELS = 3  # find_threshold fills the 2**3 - 1 = 7 midpoints of three levels in one table
-OVERFLOW_MESSAGE = "objective overflowed double precision; reduce the probe energy, the order or the coupling"
 
 
 class TargetKind(enum.Enum):
@@ -187,30 +186,27 @@ def _row_solver(ns, target):
         n = ns[i]
         if n <= 0:
             raise DomainError("optimize_gamma requires n_total > 0")
-        try:
-            if not rows_ok[i]:  # normal_law_grid raises the error that a loop over the row meets first
-                normal_law_grid(n, _GRID, 0.0, 0.0, model, entries=(entry,))
-            kernel = _normal_law_kernel(float(n), 0.0, 0.0, model, entry=entry)
-            vals = table[i].tolist()
-            candidates = sorted(np.flatnonzero(flags[i]).tolist(), key=vals.__getitem__, reverse=True)[:3]
+        if not rows_ok[i]:  # normal_law_grid raises the error that a loop over the row meets first
+            normal_law_grid(n, _GRID, 0.0, 0.0, model, entries=(entry,))
+        kernel = _normal_law_kernel(float(n), 0.0, 0.0, model, entry=entry)
+        vals = table[i].tolist()
+        candidates = sorted(np.flatnonzero(flags[i]).tolist(), key=vals.__getitem__, reverse=True)[:3]
 
-            best_g, best_v = None, -math.inf
-            for j in candidates:
-                if 0 < j < COARSE - 1:  # Brent starts CGOLD into the bracket of the grid neighbours
-                    lo, hi = _GRID[j - 1], _GRID[j + 1]
-                    x = lo + CGOLD * (hi - lo)
-                    fx = kernel(x)
-                else:  # an end: one call GAMMA_TOL inside it, where Brent starts if the cell is refined
-                    lo, hi = _GRID[:2] if j == 0 else _GRID[-2:]
-                    x = lo + GAMMA_TOL if j == 0 else hi - GAMMA_TOL
-                    fx = kernel(x)
-                    if one_sided and fx <= vals[j]:
-                        continue  # the objective rises into the end: the endpoint comparison takes it
-                g, v = _brent_max(kernel, lo, hi, x, fx)
-                if v > best_v:
-                    best_g, best_v = g, v
-        except OverflowError as exc:
-            raise NumericalRangeError(OVERFLOW_MESSAGE) from exc
+        best_g, best_v = None, -math.inf
+        for j in candidates:
+            if 0 < j < COARSE - 1:  # Brent starts CGOLD into the bracket of the grid neighbours
+                lo, hi = _GRID[j - 1], _GRID[j + 1]
+                x = lo + CGOLD * (hi - lo)
+                fx = kernel(x)
+            else:  # an end: one call GAMMA_TOL inside it, where Brent starts if the cell is refined
+                lo, hi = _GRID[:2] if j == 0 else _GRID[-2:]
+                x = lo + GAMMA_TOL if j == 0 else hi - GAMMA_TOL
+                fx = kernel(x)
+                if one_sided and fx <= vals[j]:
+                    continue  # the objective rises into the end: the endpoint comparison takes it
+            g, v = _brent_max(kernel, lo, hi, x, fx)
+            if v > best_v:
+                best_g, best_v = g, v
         # grid endpoints can beat the refined interior value when the maximum
         # sits exactly on the boundary
         for edge in (0, COARSE - 1):

@@ -118,7 +118,7 @@ def _joint_bound(h, mean, var, u, scale, lz, lz2):
 
 # The QFI entries, for floats, numpy arrays and mpf alike. In both moment
 # families the quadrature X = a + a^dag is normal, with the mean mu and
-# variance sigma^2 of moments._normal_law. Both variances, the covariance
+# variance sigma^2 of moments._energy_law. Both variances, the covariance
 # over mu and the Gram determinant are polynomials V, W, Q, G in
 # x = mu^2 / sigma^2 of degrees zeta - 1, zeta - 2, zeta - 2 and
 # 2 zeta - 4 whose cancelling terms were removed exactly

@@ -2,7 +2,7 @@
 
 kernel is qfi_core._normal_law_kernel evaluated with mpmath: the quadrature's
 normal law at 40 digits, without the compensated phase difference of
-moments._normal_law (at 40 digits the rounding of h - phi is harmless), and
+moments._phase_terms (at 40 digits the rounding of h - phi is harmless), and
 qfi_core's entry formulas (_ENTRIES, through assemble) over the exact integer
 coefficients of the polynomials, with each entry rounded to double once. It
 checks the precision of the double kernel, not its formulas;
@@ -69,7 +69,8 @@ def assemble(mean, var, lz, zeta, table, entries):
 
 
 def _normal_law(n_total, gamma, theta, phi, beta_sign):
-    """moments._normal_law on mpf arguments, in the working precision."""
+    """moments._energy_law(n_total, gamma, moments._phase_terms(theta, phi,
+    beta_sign)) on mpf arguments, in the working precision."""
     n_sq = gamma * n_total
     e_r = mpmath.sqrt(n_sq) + mpmath.sqrt(1 + n_sq)
     big, small = e_r * e_r, 1 / (e_r * e_r)

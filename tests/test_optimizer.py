@@ -7,7 +7,7 @@ import pytest
 import mp_reference
 import nlprobe.optimizer as opt
 from nlprobe.asymptotics import gamma_opt_high_n
-from nlprobe.errors import DomainError, NlprobeError, NumericalRangeError, ThresholdAmbiguousError
+from nlprobe.errors import DomainError, NlprobeError, ThresholdAmbiguousError
 from nlprobe.optimizer import (
     GammaOptResult,
     OptTarget,
@@ -19,7 +19,7 @@ from nlprobe.optimizer import (
     optimize_gamma_grid,
     verify_zero_phase_optimality,
 )
-from nlprobe.qfi_core import ModelSpec, _normal_law_kernel, normal_law_grid
+from nlprobe.qfi_core import OVERFLOW, ModelSpec, _normal_law_kernel, normal_law_grid
 
 ANALYTIC_NTH = (3.0 * math.sqrt(2.0) - 4.0) / 8.0
 
@@ -125,8 +125,8 @@ class TestOptimizeGamma:
         with pytest.raises(DomainError):
             optimize_gamma(0.0, target("f_lambda", 2))
 
-    def test_overflow_becomes_numerical_range_error(self):
-        with pytest.raises(NumericalRangeError):
+    def test_overflow_is_the_entry_overflow(self):
+        with pytest.raises(OverflowError, match=OVERFLOW):
             optimize_gamma(1e40, target("f_lambda", 12))
 
 
@@ -143,10 +143,7 @@ def loop_optimize(n, t, coarse):
     gamma_opt == 1.0."""
 
     def cost(g):
-        try:
-            return -objective(g, n, t)
-        except OverflowError as exc:
-            raise NumericalRangeError(opt.OVERFLOW_MESSAGE) from exc
+        return -objective(g, n, t)
 
     def brent(a, b, x, fx):
         """Minimum (x, cost(x)) of cost on [a, b] from x, where cost(x) = fx."""
@@ -345,7 +342,7 @@ class TestOptimizeGammaGrid:
         "ns, error, message",
         [
             ([1.0, -1.0, 1e40], DomainError, "optimize_gamma requires n_total > 0"),
-            ([1.0, 1e40, -1.0], NumericalRangeError, "objective overflowed double precision"),
+            ([1.0, 1e40, -1.0], OverflowError, OVERFLOW),
             ([1.0, math.inf, -1.0], DomainError, "mean photon number must be finite and >= 0, got inf"),
             ([1.0, math.nan], DomainError, "mean photon number must be finite and >= 0, got nan"),
         ],

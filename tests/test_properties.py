@@ -18,7 +18,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from nlprobe.cli import main  # noqa: E402
-from nlprobe.moments import _normal_law, general_moments  # noqa: E402
+from nlprobe.moments import _energy_law, _phase_terms, moment_vector  # noqa: E402
 from nlprobe.optimizer import _ENTRY, OptTarget, TargetKind, objective  # noqa: E402
 from nlprobe.probe import make_probe  # noqa: E402
 from nlprobe.qfi_core import (  # noqa: E402
@@ -210,7 +210,7 @@ def _entries_by_formula(n, gamma, theta, phi, model, sign):
     outside the scalar kernel (mp_reference.assemble over the double
     coefficient table); inf where u^(zeta-2) overflows float **, as the
     kernel takes it."""
-    mean, var = _normal_law(n, gamma, theta, phi, sign)
+    mean, var = _energy_law(n, gamma, _phase_terms(theta, phi, sign))
     args = (mean, var, model.lambda_eff * model.zeta, model.zeta, _normal_law_table(model.zeta))
     try:
         return mp_reference.assemble(*args, range(4))
@@ -296,7 +296,7 @@ def test_double_qfi_matrix_and_moments_match_the_80_digit_normal_law(gamma, n, t
     for got in (qfi_matrix(probe, model, beta_sign=sign), mp_reference.qfi_matrix(probe, model, beta_sign=sign)):
         for g, w, s in zip(got.as_tuple(), want, scale):
             assert abs(g - w) <= 1e-12 * s
-    moments = general_moments(probe, range(2 * zeta + 1), beta_sign=sign)
+    moments = moment_vector(probe, 2 * zeta, beta_sign=sign)
     with mpmath.workdps(80):
         want_m = _reference_moments(gamma, n, zeta, theta, phi, sign)
         scale_m = _reference_moments(gamma, n, zeta, theta, phi, sign, magnitude=True)
