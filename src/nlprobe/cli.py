@@ -22,20 +22,19 @@ import numpy as np
 
 from . import __version__
 from .combinatorics import coeff_row_sum, normal_order_coeff
-from .errors import CutoffError, InternalConsistencyError, NlprobeError, ThresholdAmbiguousError
+from .errors import OVERFLOW, CutoffError, InternalConsistencyError, NlprobeError, ThresholdAmbiguousError
 from .asymptotics import gamma_opt_high_n
 from .fock_oracle import build_state, converged_moments, qfi_matrix_oracle, quadrature, sld_operator
 from .moments import moment_vector
 from .optimizer import _ENTRY, THRESHOLD_N_LO, OptTarget, TargetKind, find_threshold, objective_grid, optimize_gamma_grid
 from .probe import make_probe
-from .qfi_core import OVERFLOW, ModelSpec, QfiMatrix, _probe_qfi, normal_law_grid, reparametrize_physical
+from .qfi_core import ModelSpec, QfiMatrix, _probe_qfi, normal_law_grid, reparametrize_physical
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 ANALYTIC_THRESHOLD = (3.0 * math.sqrt(2.0) - 4.0) / 8.0
-JOINT_LAMBDA_DEFAULTS = (0.01, 1.0, 100.0)
 
 
 @dataclass(frozen=True)
@@ -123,13 +122,11 @@ def cmd_qfi(args) -> int:
     model = ModelSpec(lambda_eff=args.lam, zeta=args.zeta, time=args.time)
     # the bound is det F / tr F without the cancellation of f_ll f_zz - f_lz^2
     f_ll, f_zz, f_lz, bound = _probe_qfi(probe, model, +1, (0, 1, 2, 3))
-    fm = QfiMatrix(f_ll, f_zz, f_lz)
+    fm = reparametrize_physical(QfiMatrix(f_ll, f_zz, f_lz), model)
     t = args.time
-    if t != 1.0:  # det and trace of diag(t, 1) F diag(t, 1); det = 0 where f_zz = 0, as at zeta = 1
-        if bound:
-            bound *= t * t * (f_ll + f_zz) / (t * t * f_ll + f_zz)
-        fm = reparametrize_physical(fm, model)
-        if not all(-math.inf < v < math.inf for v in (*fm.as_tuple(), bound)):
+    if bound and t != 1.0:  # det and trace of diag(t, 1) F diag(t, 1); det = 0 where f_zz = 0, as at zeta = 1
+        bound *= t * t * (f_ll + f_zz) / (t * t * f_ll + f_zz)
+        if not -math.inf < bound < math.inf:
             raise OverflowError(OVERFLOW)
     record = {
         "f_ll": fm.f_ll,
@@ -139,9 +136,7 @@ def cmd_qfi(args) -> int:
         "scalar_bound_inverse": bound,
     }
     if args.oracle:
-        om = qfi_matrix_oracle(probe, model)
-        if args.time != 1.0:
-            om = reparametrize_physical(om, model)
+        om = reparametrize_physical(qfi_matrix_oracle(probe, model), model)
         record.update(
             {
                 "oracle_f_ll": om.f_ll,
@@ -225,10 +220,15 @@ def _parse_n_range(spec):
     return [lo * ratio**i for i in range(count)]
 
 
+def _couplings(given, kind):
+    """opt-gamma's and threshold's couplings: those given, else 0.01, 1 and 100 for joint and 1 otherwise."""
+    return given or ([0.01, 1.0, 100.0] if kind is TargetKind.JOINT_BOUND else [1.0])
+
+
 def cmd_opt_gamma(args) -> int:
     kind = TargetKind(args.target)
     ns = args.n_range
-    lambdas = args.lam if kind is TargetKind.JOINT_BOUND else [1.0]
+    lambdas = _couplings(args.lam, kind)
     columns = {"gamma_opt": [], "objective": [], "asymptote": []}
     for zeta in args.zeta:
         if kind is TargetKind.F_ZETA:
@@ -258,7 +258,7 @@ def cmd_opt_gamma(args) -> int:
 
 def cmd_threshold(args) -> int:
     kind = TargetKind(args.target)
-    lambdas = args.lam or (list(JOINT_LAMBDA_DEFAULTS) if kind is TargetKind.JOINT_BOUND else [1.0])
+    lambdas = _couplings(args.lam, kind)
     records = []
     for lam in lambdas:
         target = OptTarget(kind, ModelSpec(lambda_eff=lam, zeta=args.zeta))
@@ -360,12 +360,6 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if failures == 0 else 1
 
 
-def common(p):
-    p.add_argument("--jobs", type=int, default=1, help="no effect")
-    p.add_argument("--json", action="store_true", help="emit a single JSON document instead of CSV/text")
-    p.add_argument("--out", default=None, help="write output to a file instead of stdout")
-
-
 def _qfi_arguments(p):
     p.add_argument("--n", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True)
@@ -375,8 +369,6 @@ def _qfi_arguments(p):
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--time", type=float, default=1.0)
     p.add_argument("--oracle", action="store_true", help="also compute Fock-oracle values and deltas")
-    common(p)
-    p.set_defaults(func=cmd_qfi)
 
 
 def _scan_phase_arguments(p):
@@ -385,8 +377,6 @@ def _scan_phase_arguments(p):
     p.add_argument("--zeta", type=int, required=True)
     p.add_argument("--target", choices=["f_lambda", "f_zeta"], required=True)
     p.add_argument("--grid", type=_checked(int, lambda v: v >= 1, ">= 1"), required=True)
-    common(p)
-    p.set_defaults(func=cmd_scan_phase)
 
 
 def _scan_gamma_arguments(p):
@@ -395,17 +385,13 @@ def _scan_gamma_arguments(p):
     p.add_argument("--target", choices=["f_lambda", "f_zeta", "joint"], required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--grid", type=_checked(int, lambda v: v >= 2, ">= 2"), default=101)
-    common(p)
-    p.set_defaults(func=cmd_scan_gamma)
 
 
 def _opt_gamma_arguments(p):
     p.add_argument("--target", choices=["f_lambda", "f_zeta", "joint"], required=True)
     p.add_argument("--zeta", type=int, nargs="+", required=True)
-    p.add_argument("--lambda", dest="lam", type=float, nargs="+", default=list(JOINT_LAMBDA_DEFAULTS))
+    p.add_argument("--lambda", dest="lam", type=float, nargs="+", default=None)
     p.add_argument("--n-range", dest="n_range", type=_parse_n_range, required=True, metavar="LO:HI:COUNT")
-    common(p)
-    p.set_defaults(func=cmd_opt_gamma)
 
 
 def _threshold_arguments(p):
@@ -418,34 +404,32 @@ def _threshold_arguments(p):
                    default=1e3, help="upper end of the searched energy range (joint targets may need more)")
     p.add_argument("--samples", type=_checked(int, lambda v: v >= 2, ">= 2"), default=15,
                    help="log-grid points used to bracket the crossing")
-    common(p)
-    p.set_defaults(func=cmd_threshold)
-
-
-def _selftest_arguments(p):
-    common(p)
-    p.set_defaults(func=cmd_selftest)
 
 
 class _Subcommand(argparse.ArgumentParser):
     """A subcommand's parser that is built when it first parses.
 
-    Until then it holds only its keyword arguments and its options
-    function. argparse's subparsers action calls parse_known_args on the
-    chosen subcommand only, so a call constructs two parsers: the top-level
-    one and the chosen subcommand's. The top-level usage and help read only
-    the subcommands' names and help, which the subparsers action keeps.
+    Until then it holds its keyword arguments, options function and
+    command; built, it has those options, then --jobs, --json and --out, and
+    the command as func. argparse's subparsers action calls parse_known_args
+    on the chosen subcommand only, so a call constructs two parsers: the
+    top-level one and the chosen subcommand's. The top-level usage and help
+    read only the subcommands' names and help, which the subparsers action keeps.
     """
 
-    def __init__(self, *, arguments, **kwargs):
-        self._pending = (arguments, kwargs)
+    def __init__(self, *, arguments, func, **kwargs):
+        self._pending = (arguments, func, kwargs)
 
     def parse_known_args(self, args=None, namespace=None):
         if self._pending is not None:
-            arguments, kwargs = self._pending
+            arguments, func, kwargs = self._pending
             self._pending = None
             super().__init__(**kwargs)
             arguments(self)
+            self.add_argument("--jobs", type=int, default=1, help="no effect")
+            self.add_argument("--json", action="store_true", help="emit a single JSON document instead of CSV/text")
+            self.add_argument("--out", default=None, help="write output to a file instead of stdout")
+            self.set_defaults(func=func)
         return super().parse_known_args(args, namespace)
 
 
@@ -459,15 +443,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"nlprobe {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
-    for name, help_text, arguments in (
-        ("qfi", "QFI matrix, Uhlmann residual and joint bound at one point", _qfi_arguments),
-        ("scan-phase", "QFI over a (theta, phi) grid at fixed N, gamma, zeta", _scan_phase_arguments),
-        ("scan-gamma", "figure of merit over gamma at fixed N", _scan_gamma_arguments),
-        ("opt-gamma", "optimal squeezing fraction over a log-spaced N range", _opt_gamma_arguments),
-        ("threshold", "energy below which squeezed vacuum is the optimal probe", _threshold_arguments),
-        ("selftest", "run the oracle-agreement suite", _selftest_arguments),
+    for name, help_text, arguments, func in (
+        ("qfi", "QFI matrix, Uhlmann residual and joint bound at one point", _qfi_arguments, cmd_qfi),
+        ("scan-phase", "QFI over a (theta, phi) grid at fixed N, gamma, zeta", _scan_phase_arguments, cmd_scan_phase),
+        ("scan-gamma", "figure of merit over gamma at fixed N", _scan_gamma_arguments, cmd_scan_gamma),
+        ("opt-gamma", "optimal squeezing fraction over a log-spaced N range", _opt_gamma_arguments, cmd_opt_gamma),
+        ("threshold", "energy below which squeezed vacuum is the optimal probe", _threshold_arguments, cmd_threshold),
+        ("selftest", "run the oracle-agreement suite", lambda p: None, cmd_selftest),
     ):
-        sub.add_parser(name, help=help_text, arguments=arguments, formatter_class=formatter)
+        sub.add_parser(name, help=help_text, arguments=arguments, func=func, formatter_class=formatter)
     return parser
 
 

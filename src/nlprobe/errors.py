@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the message of every OverflowError it raises."""
+
+OVERFLOW = "QFI entries exceed the double-precision range"
 
 
 class NlprobeError(Exception):

@@ -36,7 +36,7 @@ import math
 from functools import lru_cache
 
 from .combinatorics import _normal_moment
-from .errors import DomainError
+from .errors import OVERFLOW, DomainError
 from .probe import ProbeSpec
 
 __all__ = ["moment_general", "moment_real_axis", "moment_vector"]
@@ -52,8 +52,14 @@ def _normal_table(k: int):
 
 
 def _normal_sum(k, mean, var):
-    """E[X^k] for X ~ N(mean, var)."""
-    return sum(c * mean**pm * var**pv for c, pm, pv in _normal_table(k))
+    """E[X^k] for X ~ N(mean, var); OverflowError(OVERFLOW) where it leaves the double range."""
+    try:
+        value = sum(c * mean**pm * var**pv for c, pm, pv in _normal_table(k))
+    except OverflowError:  # float ** raises where the products give inf
+        value = math.inf
+    if not -math.inf < value < math.inf:
+        raise OverflowError(OVERFLOW)
+    return value
 
 
 def _check_beta_sign(beta_sign):
@@ -119,7 +125,10 @@ def moment_real_axis(alpha: float, r: float, k: int, *, beta_sign: int = +1) -> 
     if not (0 <= alpha < math.inf and 0 <= r < math.inf):  # nan fails both
         raise DomainError("moment_real_axis expects finite alpha >= 0 and r >= 0")
     _check_beta_sign(beta_sign)
-    big = math.exp(2.0 * r)
+    try:
+        big = math.exp(2.0 * r)
+    except OverflowError:  # math.exp raises its own "math range error"
+        raise OverflowError(OVERFLOW) from None
     return _normal_sum(k, 2.0 * alpha * (big if beta_sign > 0 else 1.0), big)
 
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .combinatorics import normal_law_polynomials
-from .errors import DegenerateModelError, DomainError, InternalConsistencyError
+from .errors import OVERFLOW, DegenerateModelError, DomainError, InternalConsistencyError
 from .moments import _check_beta_sign, _energy_law, _phase_terms
 from .probe import ProbeSpec, make_probe
 
@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 PSD_TOL = 1e-9
-OVERFLOW = "QFI entries exceed the double-precision range"
 
 
 @dataclass(frozen=True)
@@ -298,14 +297,13 @@ def normal_law_grid(n_total, gamma, theta, phi, model: ModelSpec, *, entries):
 
 
 def reparametrize_physical(qfi: QfiMatrix, model: ModelSpec) -> QfiMatrix:
-    """Congruence B F B^T with B = diag(t, 1), mapping lambda -> lambda_tilde."""
+    """Congruence B F B^T with B = diag(t, 1), mapping lambda -> lambda_tilde: the input's
+    values at t = 1, and OverflowError(OVERFLOW) where an entry leaves the double range."""
     t = model.time
-    return QfiMatrix(
-        f_ll=t * t * qfi.f_ll,
-        f_zz=qfi.f_zz,
-        f_lz=t * qfi.f_lz,
-        u_lz=t * qfi.u_lz,
-    )
+    out = QfiMatrix(f_ll=t * t * qfi.f_ll, f_zz=qfi.f_zz, f_lz=t * qfi.f_lz, u_lz=t * qfi.u_lz)
+    if not all(-math.inf < v < math.inf for v in out.as_tuple()):
+        raise OverflowError(OVERFLOW)
+    return out
 
 
 def scalar_bound_inverse(qfi: QfiMatrix) -> float:

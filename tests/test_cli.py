@@ -165,6 +165,28 @@ class TestQfiCommand:
             3, "", '{"error": "OverflowError", "message": "QFI entries exceed the double-precision range"}\n'
         )
 
+    def test_time_that_carries_an_oracle_entry_beyond_the_range_exits_three(self, capsys):
+        # the closed-form t^2 f_ll fits here, the oracle's does not: this
+        # printed oracle_f_ll=inf and delta_f_ll=-inf
+        argv = ["qfi", "--n", "2", "--gamma", "0.5", "--theta", "3", "--phi", "3", "--zeta", "2", "--lambda", "0.01",
+                "--time", "1.2e154", "--oracle"]
+        assert run_cli(capsys, *argv) == (
+            3, "", '{"error": "OverflowError", "message": "QFI entries exceed the double-precision range"}\n'
+        )
+
+    def test_time_rescales_the_oracle_entries(self, capsys):
+        argv = ["qfi", "--n", "1", "--gamma", "0.5", "--theta", "0.2", "--phi", "5.8", "--zeta", "2", "--lambda", "0.1",
+                "--oracle", "--time"]
+        _, out, _ = run_cli(capsys, *argv, "1")
+        base = {key: float(val) for key, val in parse_record(out).items()}
+        code, out, err = run_cli(capsys, *argv, "2.5")
+        assert (code, err) == (0, "")
+        timed = {key: float(val) for key, val in parse_record(out).items()}
+        t = 2.5
+        assert (timed["oracle_f_ll"], timed["oracle_f_zz"], timed["oracle_f_lz"], timed["oracle_u_lz"]) == (
+            t * t * base["oracle_f_ll"], base["oracle_f_zz"], t * base["oracle_f_lz"], t * base["oracle_u_lz"]
+        )
+
     def test_time_whose_square_times_f_ll_underflows_exits_zero(self, capsys):
         # cos(theta / 2) = -4.7e-19 makes f_ll = 3.7e-18, and t^2 f_ll underflows
         # to 0 at zeta = 1, where f_zz = 0: the bound's time factor was 0/0, a
@@ -333,6 +355,19 @@ class TestOptGamma:
         )
         rows = [l.split(",") for l in out.strip().split("\n") if not l.startswith("#")][1:]
         assert all(float(r[3]) == pytest.approx(1.0, abs=1e-6) for r in rows)
+
+    def test_coupling_applies_to_every_target(self, capsys):
+        # f_zeta read lambda = 1 and printed lambda=1.0 whatever --lambda said
+        argv = ["opt-gamma", "--target", "f_zeta", "--zeta", "3", "--n-range", "1:2:2"]
+        _, out, _ = run_cli(capsys, *argv)
+        base = [l.split(",") for l in out.splitlines() if not l.startswith("#")][1:]
+        code, out, err = run_cli(capsys, *argv, "--lambda", "5")
+        assert (code, err) == (0, "")
+        assert "# lambdas=5.0\n" in out
+        rows = [l.split(",") for l in out.splitlines() if not l.startswith("#")][1:]
+        assert [r[2] for r in rows] == ["5.0", "5.0"]
+        for row, ref in zip(rows, base):
+            assert float(row[4]) == pytest.approx(25.0 * float(ref[4]), rel=1e-12)
 
     def test_joint_optimum_at_high_energy(self, capsys):
         # the optimum approaches 0.8 from below; at N = 1e3 it is 0.79990

@@ -4,7 +4,7 @@ import mpmath
 import pytest
 
 import mp_reference
-from nlprobe.errors import DomainError, InternalConsistencyError
+from nlprobe.errors import OVERFLOW, DomainError, InternalConsistencyError
 from nlprobe.fock_oracle import converged_moments
 from nlprobe.moments import moment_general, moment_real_axis, moment_vector
 from nlprobe.probe import make_probe
@@ -57,6 +57,19 @@ class TestMomentGeneral:
         with pytest.raises(DomainError):
             moment_general(make_probe(1.0, 0.0), 2, beta_sign=0)
 
+    @pytest.mark.parametrize(
+        "n, gamma, k",
+        # the first two returned inf (a product overflows), the third raised
+        # float **'s errno text "(34, 'Numerical result out of range')"
+        [(1e206, 0.5, 2), (1e102, 1.0, 6), (1e300, 0.0, 4)],
+    )
+    def test_beyond_the_double_range_is_the_entry_overflow(self, n, gamma, k):
+        p = make_probe(n, gamma)
+        with pytest.raises(OverflowError, match=f"^{OVERFLOW}$"):
+            moment_general(p, k)
+        with pytest.raises(OverflowError, match=f"^{OVERFLOW}$"):
+            moment_vector(p, k)
+
     def test_residue_check_catches_a_phase_error(self, monkeypatch):
         # flip the phase multiplier of one term of the 40-digit general-phase
         # sum: the terms no longer pair into complex conjugates, and the
@@ -106,6 +119,13 @@ class TestRealAxis:
         for alpha, r in ((math.nan, 0.3), (1.0, math.inf), (math.inf, 0.0)):  # nan and inf passed through
             with pytest.raises(DomainError):
                 moment_real_axis(alpha, r, 2)
+
+    def test_beyond_the_double_range_is_the_entry_overflow(self):
+        # e^(2r) overflows: math.exp raised "math range error"
+        with pytest.raises(OverflowError, match=f"^{OVERFLOW}$"):
+            moment_real_axis(1.0, 400.0, 2)
+        with pytest.raises(OverflowError, match=f"^{OVERFLOW}$"):
+            moment_real_axis(1e200, 1.0, 2)
 
 
 class TestOracleEquivalence:
@@ -169,6 +189,10 @@ class TestMomentVector:
         mv = moment_vector(p, 5)
         for k in range(6):
             assert mv[k] == moment_general(p, k)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(DomainError):
+            moment_vector(make_probe(0.8, 0.4), -1)
 
 
 class TestFortyDigitReference:

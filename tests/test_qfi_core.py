@@ -8,7 +8,7 @@ import pytest
 
 import mp_reference
 import nlprobe.qfi_core as qfi_core
-from nlprobe.errors import DegenerateModelError, DomainError
+from nlprobe.errors import DegenerateModelError, DomainError, InternalConsistencyError
 from nlprobe.fock_oracle import qfi_matrix_oracle
 from nlprobe.optimizer import OptTarget, TargetKind, objective, objective_grid
 from nlprobe.probe import make_probe
@@ -214,6 +214,13 @@ class TestReparametrization:
         out10 = reparametrize_physical(QfiMatrix(8.0, 16.0, 0.0, 0.0), ModelSpec(1.0, 2, 10.0))
         assert out10 == QfiMatrix(800.0, 16.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "fm", [QfiMatrix(1e300, 16.0, 0.0), QfiMatrix(8.0, 16.0, 1e305), QfiMatrix(8.0, 16.0, 0.0, -1e305)]
+    )
+    def test_entry_beyond_the_range_is_the_entry_overflow(self, fm):
+        with pytest.raises(OverflowError, match="^QFI entries exceed the double-precision range$"):
+            reparametrize_physical(fm, ModelSpec(1.0, 2, 1e5))
+
 
 class TestScalarBound:
     def test_coherent_example(self):
@@ -224,6 +231,14 @@ class TestScalarBound:
 
     def test_singular_model_gives_zero(self):
         assert scalar_bound_inverse(QfiMatrix(5.0, 0.0, 0.0)) == 0.0
+
+    def test_determinant_rounded_below_zero_gives_zero(self):
+        # f_ll f_zz - f_lz^2 = -2e-12, within PSD_TOL of a singular matrix
+        assert scalar_bound_inverse(QfiMatrix(1.0, 1.0, 1.0 + 1e-12)) == 0.0
+
+    def test_negative_determinant_raises(self):
+        with pytest.raises(InternalConsistencyError, match="negative determinant"):
+            scalar_bound_inverse(QfiMatrix(1.0, 1.0, 2.0))
 
     def test_degenerate_model_raises(self):
         with pytest.raises(DegenerateModelError):
