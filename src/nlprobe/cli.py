@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .combinatorics import coeff_row_sum, normal_order_coeff
-from .errors import OVERFLOW, CutoffError, InternalConsistencyError, NlprobeError, ThresholdAmbiguousError
+from .errors import CutoffError, InternalConsistencyError, NlprobeError, ThresholdAmbiguousError
 from .asymptotics import gamma_opt_high_n
 from .fock_oracle import build_state, converged_moments, qfi_matrix_oracle, quadrature, sld_operator
 from .moments import moment_vector
@@ -120,14 +120,13 @@ def _base_metadata(**extra):
 def cmd_qfi(args) -> int:
     probe = make_probe(args.n, args.gamma, args.theta, args.phi)
     model = ModelSpec(lambda_eff=args.lam, zeta=args.zeta, time=args.time)
-    # the bound is det F / tr F without the cancellation of f_ll f_zz - f_lz^2
-    f_ll, f_zz, f_lz, bound = _probe_qfi(probe, model, +1, (0, 1, 2, 3))
-    fm = reparametrize_physical(QfiMatrix(f_ll, f_zz, f_lz), model)
+    fm = reparametrize_physical(QfiMatrix(*_probe_qfi(probe, model, +1, (0, 1, 2))), model)
+    # det F / tr F of diag(t, 1) F diag(t, 1), without the cancellation of f_ll f_zz - f_lz^2: t^2 times
+    # the kernel's bound at the coupling lambda / t. That coupling is finite wherever f_zz is, since
+    # (lambda zeta)^2 <= 1.8e308 and t^2 >= 2.2e-308 keep it below 9e307, and the bound is at most the
+    # rescaled f_ll, which fits
     t = args.time
-    if bound and t != 1.0:  # det and trace of diag(t, 1) F diag(t, 1); det = 0 where f_zz = 0, as at zeta = 1
-        bound *= t * t * (f_ll + f_zz) / (t * t * f_ll + f_zz)
-        if not -math.inf < bound < math.inf:
-            raise OverflowError(OVERFLOW)
+    bound = t * t * _probe_qfi(probe, ModelSpec(lambda_eff=args.lam / t, zeta=args.zeta), +1, (3,))[0]
     record = {
         "f_ll": fm.f_ll,
         "f_zz": fm.f_zz,

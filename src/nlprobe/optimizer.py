@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .combinatorics import normal_law_polynomials
 from .errors import DomainError, ThresholdAmbiguousError
-from .qfi_core import ModelSpec, _normal_law_arrays, _normal_law_kernel, normal_law_grid
+from .qfi_core import _ENTRIES, ModelSpec, _normal_law_arrays, _normal_law_kernel, normal_law_grid
 
 __all__ = [
     "TargetKind",
@@ -44,7 +45,7 @@ GAMMA_TOL = 1e-6
 _GRID = tuple(i / (COARSE - 1) for i in range(COARSE))  # Python floats, which GammaOptResult may hold
 CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # Brent's golden-section fraction
 SQRT_EPS = math.sqrt(sys.float_info.epsilon)  # Brent's relative tolerance on gamma
-BISECTION_LEVELS = 3  # find_threshold fills the 2**3 - 1 = 7 midpoints of three levels in one table
+BISECTION_LEVELS = 3  # the joint target's bisection fills the 2**3 - 1 = 7 midpoints of three levels in one table
 
 
 class TargetKind(enum.Enum):
@@ -256,22 +257,56 @@ def optimize_gamma(n_total: float, target: OptTarget) -> GammaOptResult:
     return optimize_gamma_grid([n_total], target)[0]
 
 
+def _end_slope_root(target: OptTarget) -> float:
+    """The energy at which the one-sided slope of f_lambda or f_zeta at
+    gamma = 1 changes sign, or math.inf where it has none.
+
+    At zero phases in the default family, sigma^2 = E = e^(2r) with
+    sinh^2 r = gamma N and x = mu^2 / sigma^2 = 4 (1 - gamma) N E, so the
+    objective is a constant times E^k P(x): P = V and k = zeta for f_lambda,
+    P = W and k = zeta - 1 for f_zeta (combinatorics.normal_law_polynomials).
+    At gamma = 1, x = 0, dE/dgamma = 2 E N / sinh 2r and dx/dgamma = -4 N E,
+    so the slope is 2 N E^k (k P[0] / sinh 2r - 2 E P[1]); it vanishes where
+    e^(4r) = 1 + q with q = k P[0] / P[1], that is at
+    N = sinh^2 r = (s - 1)^2 / (4 s) with s = sqrt(1 + q), taken here as
+    (q / (1 + s))^2 / (4 s), which does not cancel. Without an x^1 term
+    (P constant or zero) the slope is positive at every energy.
+    """
+    zeta = target.model.zeta
+    k = zeta if target.kind is TargetKind.F_LAMBDA else zeta - 1
+    (j,), _ = _ENTRIES[_ENTRY[target.kind]]  # the one polynomial the entry reads
+    p = normal_law_polynomials(zeta)[j]
+    if len(p) < 2:
+        return math.inf
+    q = k * p[0] / p[1]  # exact integers, one rounding
+    s = math.sqrt(1.0 + q)
+    return (q / (1.0 + s)) ** 2 / (4.0 * s)
+
+
 def find_threshold(target: OptTarget, *, n_hi: float = 1e3, rel_tol: float = 1e-4, samples: int = 15) -> float:
     """Energy below which pure squeezed vacuum (gamma = 1) is optimal.
 
-    Returns sup{N : gamma_opt(N) = 1} in [THRESHOLD_N_LO, n_hi], located by
-    geometric bisection on the boundary indicator GammaOptResult.at_boundary
-    (the gamma = 1 endpoint wins the final comparison of optimize_gamma).
-    The indicator is first sampled on a log grid, all samples in one
-    optimize_gamma_grid call, to validate that it crosses from True to False
-    exactly once; several crossings raise ThresholdAmbiguousError listing
-    them all. If the
-    indicator never turns False the target has no threshold in the searched
-    range and math.inf is returned as a sentinel. The bisection stops at
-    rel_tol (finite, > 0) or when the bracket is two adjacent doubles. It
-    fills the midpoints of its next BISECTION_LEVELS steps in one table and
-    refines only those it visits, so its brackets and result are those of
-    one optimize_gamma per step.
+    Returns sup{N : gamma_opt(N) = 1} in [THRESHOLD_N_LO, n_hi]. The
+    boundary indicator GammaOptResult.at_boundary (the gamma = 1 endpoint
+    wins the final comparison of optimize_gamma) is first sampled on a log
+    grid, all samples in one optimize_gamma_grid call, to validate that it
+    crosses from True to False exactly once; several crossings raise
+    ThresholdAmbiguousError listing them all. If the indicator never turns
+    False the target has no threshold in the searched range and math.inf
+    is returned as a sentinel.
+
+    For f_lambda and f_zeta the threshold is where the one-sided slope at
+    gamma = 1 changes sign, returned in closed form (_end_slope_root) where
+    it lies below the crossing's upper sample and above the sample before
+    its lower one (at_boundary stays True up to 1.7e-6 relative above the
+    root at zeta <= 12, since the end test calls the kernel GAMMA_TOL
+    inside the end), and ThresholdAmbiguousError otherwise; rel_tol is
+    checked but not used. The joint bound's threshold is a jump between two local
+    maxima: it is found by geometric bisection on the indicator, which
+    stops at rel_tol (finite, > 0) or when the bracket is two adjacent
+    doubles. It fills the midpoints of its next BISECTION_LEVELS steps in
+    one table and refines only those it visits, so its brackets and result
+    are those of one optimize_gamma per step.
     """
     if samples < 2 or not THRESHOLD_N_LO < n_hi:
         raise DomainError(f"threshold search needs samples >= 2 and n_hi > {THRESHOLD_N_LO}, got {samples} {n_hi}")
@@ -294,6 +329,14 @@ def find_threshold(target: OptTarget, *, n_hi: float = 1e3, rel_tol: float = 1e-
     if not crossings:
         return math.inf  # squeezed vacuum optimal everywhere sampled
 
+    if target.kind is not TargetKind.JOINT_BOUND:
+        i = flags.index(False)  # the crossing is (ns[i - 1], ns[i])
+        root = _end_slope_root(target)
+        if not (ns[i - 2] if i > 1 else 0.0) < root < ns[i]:
+            raise ThresholdAmbiguousError(
+                f"the end slope's root N={root!r} lies outside the sampled crossing", crossings=crossings
+            )
+        return root
     lo, hi = crossings[0]
     while hi / lo - 1.0 > rel_tol:
         # the midpoints of the next BISECTION_LEVELS steps in heap order: node j

@@ -83,10 +83,10 @@ def _normal_law(n_total, gamma, theta, phi, beta_sign):
     return a2 * mpmath.cos(phi), var
 
 
-def _unrounded(n_total, gamma, theta, phi, model, beta_sign, entries):
-    """The entries of kernel as mpf, unrounded: combine them inside mpmath.workdps(DPS)."""
+def _unrounded(n_total, gamma, theta, phi, model, beta_sign, entries, dps=DPS):
+    """The entries of kernel as mpf at dps digits, unrounded: combine them inside mpmath.workdps(dps)."""
     zeta = model.zeta
-    with mpmath.workdps(DPS):
+    with mpmath.workdps(dps):
         mean, var = _normal_law(*map(mpmath.mpf, (n_total, gamma, theta, phi)), beta_sign)
         return assemble(mean, var, mpmath.mpf(model.lambda_eff) * zeta, zeta, _exact_table(zeta), entries)
 
@@ -173,6 +173,37 @@ def argmax(n_total, target):
                         fd = f(d)
                 best = max(best, (fc, c), (fd, d))
         return float(best[1]), float(best[0])
+
+
+def end_slope(n_total, target):
+    """The one-sided slope of objective at gamma = 1, (f(1) - f(1 - h)) / h
+    with h = 1e-45, in 2 DPS + 10 digits, as a float: its sign is that of
+    df/dgamma at gamma = 1 wherever that slope is above about 1e-44 of f."""
+    dps, entry = 2 * DPS + 10, optimizer._ENTRY[target.kind]
+    with mpmath.workdps(dps):
+        h = mpmath.mpf(10) ** -(DPS + 5)
+        f1, f0 = (_unrounded(n_total, g, 0, 0, target.model, +1, (entry,), dps)[0] for g in (1, 1 - h))
+        return float((f1 - f0) / h)
+
+
+@lru_cache(maxsize=None)
+def end_slope_root(target, lo=1e-3, hi=1.0):
+    """The energy in (lo, hi) where end_slope changes sign from positive to
+    negative, by geometric bisection to DPS digits: the threshold of f_lambda
+    and f_zeta, found from the objective alone. Raises
+    InternalConsistencyError where the slope does not change sign between
+    lo and hi."""
+    if not end_slope(lo, target) > 0.0 > end_slope(hi, target):
+        raise InternalConsistencyError(f"the end slope of {target} keeps its sign on [{lo}, {hi}]")
+    with mpmath.workdps(DPS + 5):
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+        while hi / lo - 1 > mpmath.mpf(10) ** -DPS:
+            mid = mpmath.sqrt(lo * hi)
+            if end_slope(mid, target) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        return mpmath.sqrt(lo * hi)
 
 
 def real_axis_moment(alpha, r, k, beta_sign=+1):

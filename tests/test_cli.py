@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import mp_reference
@@ -185,6 +186,27 @@ class TestQfiCommand:
         t = 2.5
         assert (timed["oracle_f_ll"], timed["oracle_f_zz"], timed["oracle_f_lz"], timed["oracle_u_lz"]) == (
             t * t * base["oracle_f_ll"], base["oracle_f_zz"], t * base["oracle_f_lz"], t * base["oracle_u_lz"]
+        )
+
+    def test_time_bound_fits_where_the_entries_sum_does_not(self, capsys):
+        # f_ll + f_zz = 2.8e308 overflowed in the rescaled bound, which exited 3
+        n, gamma, zeta, lam, t = 2.7e76, 0.5, 2, 1.31e115, 1e-10
+        argv = ["--n", repr(n), "--gamma", repr(gamma), "--zeta", str(zeta), "--lambda", repr(lam), "--time", repr(t)]
+        code, out, err = run_cli(capsys, "qfi", *argv)
+        assert (code, err) == (0, "")
+        # det F / tr F of the rescaled matrix at 200 digits: f_ll f_zz - f_lz^2 cancels 153 of them
+        with mpmath.workdps(200):
+            f_ll, f_zz, f_lz = mp_reference._unrounded(n, gamma, 0.0, 0.0, ModelSpec(lam, zeta), +1, (0, 1, 2), 200)
+            t2 = mpmath.mpf(t) ** 2
+            want = float(t2 * (f_ll * f_zz - f_lz**2) / (t2 * f_ll + f_zz))
+        assert want == pytest.approx(2.3328e134, rel=1e-12)
+        assert float(parse_record(out)["scalar_bound_inverse"]) == pytest.approx(want, rel=1e-12)
+
+    def test_time_whose_coupling_ratio_leaves_the_range_exits_three(self, capsys):
+        # lambda / t = 1e310: (lambda zeta)^2 overflows first, so f_zz is the entry beyond the range
+        argv = ["qfi", "--n", "1", "--gamma", "0.5", "--zeta", "2", "--lambda", "1e300", "--time", "1e-10"]
+        assert run_cli(capsys, *argv) == (
+            3, "", '{"error": "OverflowError", "message": "QFI entries exceed the double-precision range"}\n'
         )
 
     def test_time_whose_square_times_f_ll_underflows_exits_zero(self, capsys):
@@ -369,6 +391,22 @@ class TestOptGamma:
         for row, ref in zip(rows, base):
             assert float(row[4]) == pytest.approx(25.0 * float(ref[4]), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [("1e-3:1e3", "bad n-range '1e-3:1e3', expected LO:HI:COUNT"),
+         ("1e-3:1e3:x", "bad n-range '1e-3:1e3:x', expected LO:HI:COUNT"),
+         ("1e3:1e-3:5", "bad n-range '1e3:1e-3:5'\n"),
+         ("1e-3:1e3:1", "bad n-range '1e-3:1e3:1'\n"),
+         ("0:1:3", "bad n-range '0:1:3'\n")],
+        ids=["two-fields", "count-not-an-integer", "out-of-order", "one-point", "zero-energy"],
+    )
+    def test_bad_n_range_is_a_usage_error(self, capsys, spec, message):
+        with pytest.raises(SystemExit) as info:
+            main(["opt-gamma", "--target", "f_lambda", "--zeta", "2", "--n-range", spec])
+        out, err = capsys.readouterr()
+        assert (info.value.code, out) == (2, "")
+        assert f"error: argument --n-range: {message}" in err
+
     def test_joint_optimum_at_high_energy(self, capsys):
         # the optimum approaches 0.8 from below; at N = 1e3 it is 0.79990
         # (50-digit reference), so 1.5e-4 still rejects the 0.67-0.72 that a
@@ -388,7 +426,7 @@ class TestThreshold:
         code, out, _ = run_cli(capsys, "threshold", "--target", "f_lambda", "--zeta", "2")
         assert code == 0
         rec = dict(kv.split("=", 1) for kv in out.split())
-        assert float(rec["n_th"]) == pytest.approx((3 * math.sqrt(2) - 4) / 8, abs=5e-4)
+        assert float(rec["n_th"]) == pytest.approx((3 * math.sqrt(2) - 4) / 8, rel=1e-12)
         assert "analytic_reference" in rec
 
     def test_no_threshold_sentinel(self, capsys):
@@ -568,8 +606,10 @@ class TestRegressionSet:
     the commands printed them when the optimizer evaluated every QFI entry;
     the scan-phase and JSON cases as they were printed from per-row scans.
     The opt-gamma cases were pinned again when Brent's method replaced the
-    golden section, and the joint cases with (lambda zeta)^2 > 1 when the
-    joint bound came to divide u V by it."""
+    golden section, the joint cases with (lambda zeta)^2 > 1 when the
+    joint bound came to divide u V by it, and the f_lambda and f_zeta
+    threshold cases when their bisection gave way to the closed-form root of
+    the end slope."""
 
     CASES = {
         "opt-gamma-f_lambda": (
@@ -587,15 +627,15 @@ class TestRegressionSet:
         ),
         "threshold-f_lambda-2": (
             ["threshold", "--target", "f_lambda", "--zeta", "2"],
-            "2cc8442c05d982c84aeabf4259f516195fbbe939536428f7d3ad1822db406676",
+            "2d0517603d201a04a717982ab28e281cd6cb64462112b4642bc058319b30c0b7",
         ),
         "threshold-f_zeta-7": (
             ["threshold", "--target", "f_zeta", "--zeta", "7"],
-            "89567e40fc7e8bb7d770aba2638beebfe676361ce78136832563b99afc526a7e",
+            "0768910454c2a8f64f02f7662cc70bbd9009162662f5c7d7f660bef44e3f24c7",
         ),
         "threshold-f_lambda-12": (
             ["threshold", "--target", "f_lambda", "--zeta", "12"],
-            "3dcb49596375bcb178a52bb3f329b32ed87170bfc0847fc4433be3b578f1d325",
+            "484819ce24e15aa172141691a8a56ee3ebf677795631a80215db16e2c983cfbf",
         ),
         "threshold-joint-7": (
             ["threshold", "--target", "joint", "--zeta", "7", "--lambda", "1", "--n-hi", "1e6"],

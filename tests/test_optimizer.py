@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -479,23 +480,45 @@ class TestThresholdSlope:
         "kind, zeta", [("f_lambda", 2), ("f_lambda", 3), ("f_lambda", 4), ("f_zeta", 3), ("f_zeta", 5)]
     )
     def test_slope_changes_sign_inside_the_bracket(self, kind, zeta):
-        t, rel_tol, h = target(kind, zeta), 1e-4, 1e-7
-        n_th = find_threshold(t, rel_tol=rel_tol)
-
-        def slope(n):  # 40-digit values, one rounding each
-            return (mp_reference.objective(1.0, n, t) - mp_reference.objective(1.0 - h, n, t)) / h
-
-        assert slope(n_th * (1.0 - rel_tol)) > 0.0 > slope(n_th * (1.0 + rel_tol))
+        t, step = target(kind, zeta), 1e-9
+        n_th = find_threshold(t)
+        assert mp_reference.end_slope(n_th * (1.0 - step), t) > 0.0 > mp_reference.end_slope(n_th * (1.0 + step), t)
 
 
 class TestFindThreshold:
-    def test_coupling_order_two_analytic_value(self):
-        n_th = find_threshold(target("f_lambda", 2))
-        assert n_th == pytest.approx(ANALYTIC_NTH, abs=5e-4)
+    """The thresholds of f_lambda and f_zeta against the 40-digit root of the
+    end slope (mp_reference.end_slope_root), which bisects the sign of the
+    objective's slope at gamma = 1 and shares no formula with the closed form."""
 
-    def test_coupling_order_four_shares_the_value(self):
-        n_th = find_threshold(target("f_lambda", 4))
-        assert n_th == pytest.approx(ANALYTIC_NTH, abs=5e-4)
+    ANALYTIC = [("f_lambda", z) for z in range(2, 13, 2)] + [("f_zeta", z) for z in range(3, 13, 2)]
+
+    @pytest.mark.parametrize("kind, zeta", ANALYTIC)
+    def test_analytic_value(self, kind, zeta):
+        assert find_threshold(target(kind, zeta)) == pytest.approx(ANALYTIC_NTH, rel=1e-12)
+
+    @pytest.mark.parametrize("kind, zeta", [("f_lambda", 2), ("f_zeta", 3), ("f_lambda", 12)])
+    def test_reference_has_the_analytic_value(self, kind, zeta):
+        with mpmath.workdps(mp_reference.DPS):
+            exact = (3 * mpmath.sqrt(2) - 4) / 8
+            assert abs(mp_reference.end_slope_root(target(kind, zeta)) / exact - 1) < 1e-38
+
+    @pytest.mark.parametrize("kind, zeta", [("f_lambda", 3), ("f_zeta", 4)])
+    def test_one_twenty_fourth(self, kind, zeta):
+        n_th = find_threshold(target(kind, zeta))
+        assert n_th == pytest.approx(1.0 / 24.0, rel=1e-12)
+        with mpmath.workdps(mp_reference.DPS):
+            assert abs(mp_reference.end_slope_root(target(kind, zeta)) * 24 - 1) < 1e-38
+
+    @pytest.mark.parametrize(
+        "kind, zeta, value",
+        [("f_lambda", 5, 0.0325531005), ("f_lambda", 7, 0.0308520051), ("f_lambda", 9, 0.0304577553),
+         ("f_zeta", 6, 0.0325531005), ("f_zeta", 8, 0.0308520051), ("f_zeta", 10, 0.0304577553)],
+    )
+    def test_odd_orders_of_the_coupling_match_the_reference(self, kind, zeta, value):
+        # f_zeta at order zeta + 1 reads the polynomial and the power of f_lambda at zeta
+        n_th = find_threshold(target(kind, zeta))
+        assert n_th == pytest.approx(float(mp_reference.end_slope_root(target(kind, zeta))), rel=1e-12)
+        assert n_th == pytest.approx(value, abs=1e-10)
 
     @pytest.mark.parametrize(
         "kw",
@@ -505,10 +528,6 @@ class TestFindThreshold:
     def test_empty_search_range_rejected(self, kw):
         with pytest.raises(DomainError):
             find_threshold(target("f_lambda", 2), **kw)
-
-    def test_order_target_zeta_five(self):
-        n_th = find_threshold(target("f_zeta", 5))
-        assert n_th == pytest.approx(ANALYTIC_NTH, abs=1e-3)
 
     def test_order_two_has_no_threshold(self):
         assert find_threshold(target("f_zeta", 2)) == math.inf
@@ -534,10 +553,41 @@ class TestFindThreshold:
         with pytest.raises(DomainError):
             find_threshold(target("f_lambda", 2), rel_tol=rel_tol)
 
+    @pytest.mark.parametrize("rel_tol", [1e-20, 1e-9, 0.3, 50.0])
+    def test_rel_tol_does_not_move_an_individual_threshold(self, rel_tol):
+        for t in (target("f_lambda", 2), target("f_zeta", 5)):
+            assert find_threshold(t, rel_tol=rel_tol) == find_threshold(t)
+
     def test_rel_tol_below_double_resolution_terminates(self):
-        # the bracket stops shrinking once lo and hi are adjacent doubles
-        n_th = find_threshold(target("f_lambda", 2), rel_tol=1e-20)
-        assert n_th == pytest.approx(ANALYTIC_NTH, abs=5e-4)
+        # the joint bisection stops shrinking once lo and hi are adjacent doubles
+        n_th = find_threshold(target("joint", 4), rel_tol=1e-20)
+        assert n_th == pytest.approx(1.28139, abs=1e-3)
+
+    def test_sample_just_above_the_root_is_inside_the_crossing(self):
+        # a sample at root (1 + 5e-7), where at_boundary still reads True, is
+        # the crossing's lower end: the root is below it, above the sample before
+        t, n_lo = target("f_lambda", 2), opt.THRESHOLD_N_LO
+        root = opt._end_slope_root(t)
+        near = root * (1.0 + 5e-7)
+        n_hi = near * near / n_lo  # the middle of three samples is near
+        assert n_lo * (n_hi / n_lo) ** 0.5 == pytest.approx(near, rel=1e-15)
+        assert optimize_gamma(near, t).at_boundary
+        assert find_threshold(t, n_hi=n_hi, samples=3) == root
+
+    @pytest.mark.parametrize(
+        "kind, zeta, switch",
+        [("f_lambda", 2, 1e-3), ("f_lambda", 2, 1.0), ("f_zeta", 2, 1.0)],
+        ids=["root-above-the-crossing", "root-below-the-crossing", "no-root"],
+    )
+    def test_root_outside_the_sampled_crossing_raises(self, monkeypatch, kind, zeta, switch):
+        # f_zeta at zeta = 2 reads a constant W: its end slope never changes sign
+        def fake_optimize_grid(ns, *a, **k):
+            return [GammaOptResult(1.0 if n < switch else 0.5, 1.0, n < switch, n) for n in ns]
+
+        monkeypatch.setattr(opt, "optimize_gamma_grid", fake_optimize_grid)
+        with pytest.raises(ThresholdAmbiguousError, match="outside the sampled crossing") as info:
+            opt.find_threshold(target(kind, zeta), n_hi=100.0, samples=7)
+        assert len(info.value.crossings) == 1
 
     def test_non_monotone_indicator_raises(self, monkeypatch):
         flags = {0.001: True, 0.01: False, 0.1: True, 1.0: False}
@@ -553,8 +603,8 @@ class TestFindThreshold:
 
 
 def loop_threshold(t, *, n_hi=1e3, rel_tol=1e-4, samples=15, visited=None):
-    """Frozen copy of find_threshold bisecting with one optimize_gamma(mid)
-    per step; each energy it refines is appended to visited."""
+    """Frozen copy of the joint target's find_threshold, bisecting with one
+    optimize_gamma(mid) per step; each energy it refines is appended to visited."""
     n_lo = opt.THRESHOLD_N_LO
     if samples < 2 or not n_lo < n_hi:
         raise DomainError(f"threshold search needs samples >= 2 and n_hi > {n_lo}, got {samples} {n_hi}")
@@ -593,15 +643,16 @@ def outcome(fn, *args, **kwargs):
 
 
 class TestBatchedBisection:
-    """find_threshold solves the midpoints of BISECTION_LEVELS steps from one
-    table; its lo, hi and result equal those of one optimize_gamma per step."""
+    """The joint target's find_threshold solves the midpoints of
+    BISECTION_LEVELS steps from one table; its lo, hi and result equal those
+    of one optimize_gamma per step."""
 
     JOINT = [(3, 1.0, 21), (4, 1.0, 21), (5, 100.0, 15), (6, 1.0, 12), (2, 0.01, 51)]
 
-    @pytest.mark.parametrize("kind", ["f_lambda", "f_zeta"])
+    @pytest.mark.parametrize("lam", [0.01, 100.0])
     @pytest.mark.parametrize("zeta", range(2, 13))
-    def test_individual_targets(self, kind, zeta):
-        t = target(kind, zeta)
+    def test_joint_orders(self, lam, zeta):
+        t = target("joint", zeta, lam)
         assert outcome(find_threshold, t) == outcome(loop_threshold, t)
 
     @pytest.mark.parametrize("zeta, lam, samples", JOINT)
@@ -612,14 +663,14 @@ class TestBatchedBisection:
 
     @pytest.mark.parametrize("rel_tol", [1e-20, 1e-9, 0.3, 50.0], ids=["adjacent-doubles", "fine", "coarse", "no-step"])
     def test_stop_rules(self, rel_tol):
-        for t in (target("f_lambda", 2), target("f_zeta", 5)):
+        for t in (target("joint", 4), target("joint", 7, 0.01)):
             visited = []
             want = outcome(loop_threshold, t, rel_tol=rel_tol, visited=visited)
             assert outcome(find_threshold, t, rel_tol=rel_tol) == want
             assert (len(visited) == 0) is (rel_tol == 50.0)
 
     def test_a_bad_point_on_a_row_never_visited_raises_nothing(self, monkeypatch):
-        t, visited = target("f_lambda", 3), []
+        t, visited = target("joint", 5), []
         want = loop_threshold(t, visited=visited)
         unvisited, arrays, kernel = [], opt._normal_law_arrays, opt._normal_law_kernel
 

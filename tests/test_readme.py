@@ -18,4 +18,4 @@ def test_library_sketch_gives_its_commented_values():
     assert scope["fm"].as_tuple() == pytest.approx((72, 16, 32, 0), rel=1e-12, abs=1e-12)
     assert scope["cs"] == pytest.approx(128 / 88, rel=1e-12)
     assert scope["m"][0] == 1
-    assert scope["n_th"] == pytest.approx(0.030330, abs=5e-4)
+    assert scope["n_th"] == pytest.approx(0.030330, abs=5e-7)
