@@ -22,11 +22,12 @@ import numpy as np
 
 from . import __version__
 from .combinatorics import coeff_row_sum, normal_order_coeff
-from .errors import CutoffError, InternalConsistencyError, NlprobeError, ThresholdAmbiguousError
+from .errors import CutoffError, DomainError, InternalConsistencyError, NlprobeError, ThresholdAmbiguousError
 from .asymptotics import gamma_opt_high_n
 from .fock_oracle import build_state, converged_moments, qfi_matrix_oracle, quadrature, sld_operator
 from .moments import moment_vector
-from .optimizer import _ENTRY, THRESHOLD_N_LO, OptTarget, TargetKind, find_threshold, objective_grid, optimize_gamma_grid
+from .optimizer import _ENTRY, THRESHOLD_REL_TOL, OptTarget, TargetKind, _log_grid, find_threshold
+from .optimizer import objective_grid, optimize_gamma_grid
 from .probe import make_probe
 from .qfi_core import ModelSpec, QfiMatrix, _probe_qfi, normal_law_grid, reparametrize_physical
 
@@ -34,7 +35,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-ANALYTIC_THRESHOLD = (3.0 * math.sqrt(2.0) - 4.0) / 8.0
+ANALYTIC_THRESHOLD = 1.0 / (12.0 * math.sqrt(2.0) + 16.0)  # (3 sqrt 2 - 4)/8 without its cancellation
 
 
 @dataclass(frozen=True)
@@ -213,10 +214,10 @@ def _parse_n_range(spec):
         lo, hi, count = float(lo_s), float(hi_s), int(count_s)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad n-range {spec!r}, expected LO:HI:COUNT") from exc
-    if not (0 < lo < hi and count >= 2):
-        raise argparse.ArgumentTypeError(f"bad n-range {spec!r}")
-    ratio = (hi / lo) ** (1.0 / (count - 1))
-    return [lo * ratio**i for i in range(count)]
+    try:
+        return _log_grid(lo, hi, count)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(f"bad n-range {spec!r}") from exc
 
 
 def _couplings(given, kind):
@@ -261,8 +262,8 @@ def cmd_threshold(args) -> int:
     records = []
     for lam in lambdas:
         target = OptTarget(kind, ModelSpec(lambda_eff=lam, zeta=args.zeta))
-        n_th = find_threshold(target, rel_tol=args.rel_tol, n_hi=args.n_hi, samples=args.samples)
-        rec = {"target": args.target, "zeta": args.zeta, "lambda": lam, "rel_tol": args.rel_tol}
+        n_th = find_threshold(target, n_hi=args.n_hi, samples=args.samples)
+        rec = {"target": args.target, "zeta": args.zeta, "lambda": lam, "rel_tol": THRESHOLD_REL_TOL}
         if math.isinf(n_th):
             rec["n_th"] = "no-threshold"
         else:
@@ -397,12 +398,9 @@ def _threshold_arguments(p):
     p.add_argument("--target", choices=["f_lambda", "f_zeta", "joint"], required=True)
     p.add_argument("--zeta", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=float, nargs="*", default=None)
-    p.add_argument("--rel-tol", dest="rel_tol", type=_checked(float, lambda v: 0 < v < math.inf, "finite and > 0"),
-                   default=1e-4)
-    p.add_argument("--n-hi", dest="n_hi", type=_checked(float, lambda v: v > THRESHOLD_N_LO, f"> {THRESHOLD_N_LO}"),
-                   default=1e3, help="upper end of the searched energy range (joint targets may need more)")
-    p.add_argument("--samples", type=_checked(int, lambda v: v >= 2, ">= 2"), default=15,
-                   help="log-grid points used to bracket the crossing")
+    p.add_argument("--n-hi", dest="n_hi", type=float, default=1e3,
+                   help="upper end of the searched energy range (joint targets may need more)")
+    p.add_argument("--samples", type=int, default=15, help="log-grid points used to bracket the crossing")
 
 
 class _Subcommand(argparse.ArgumentParser):
@@ -459,12 +457,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NlprobeError, OverflowError) as exc:
+    except (NlprobeError, OverflowError, MemoryError) as exc:
         report = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ThresholdAmbiguousError):
             report["crossings"] = exc.crossings
         sys.stderr.write(json.dumps(report) + "\n")
-        numerical = (CutoffError, OverflowError, ThresholdAmbiguousError)
+        numerical = (CutoffError, OverflowError, MemoryError, ThresholdAmbiguousError)
         return EXIT_NUMERICAL if isinstance(exc, numerical) else EXIT_USAGE
 
 

@@ -14,6 +14,7 @@ last cell. The objective, the optimizer and the threshold search work at
 zero phases, where the optimal probe lies (verify_zero_phase_optimality).
 """
 
+import contextlib
 import enum
 import math
 import sys
@@ -46,6 +47,7 @@ _GRID = tuple(i / (COARSE - 1) for i in range(COARSE))  # Python floats, which G
 CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # Brent's golden-section fraction
 SQRT_EPS = math.sqrt(sys.float_info.epsilon)  # Brent's relative tolerance on gamma
 BISECTION_LEVELS = 3  # the joint target's bisection fills the 2**3 - 1 = 7 midpoints of three levels in one table
+THRESHOLD_REL_TOL = 1e-4  # relative bracket width at which the joint target's bisection stops
 
 
 class TargetKind(enum.Enum):
@@ -283,49 +285,52 @@ def _end_slope_root(target: OptTarget) -> float:
     return (q / (1.0 + s)) ** 2 / (4.0 * s)
 
 
-def find_threshold(target: OptTarget, *, n_hi: float = 1e3, rel_tol: float = 1e-4, samples: int = 15) -> float:
+def _log_grid(lo: float, hi: float, count: int) -> list:
+    """count energies lo * ratio**i, ratio = (hi / lo) ** (1 / (count - 1)), of opt-gamma's --n-range and the
+    threshold samples. DomainError unless 0 < lo < hi, count >= 2 and every point is finite."""
+    if 0 < lo < hi and count >= 2:
+        ratio = (hi / lo) ** (1.0 / (count - 1))
+        with contextlib.suppress(OverflowError):  # float ** raises where a power leaves the double range
+            grid = [lo * ratio**i for i in range(count)]
+            if grid[-1] < math.inf:  # the grid rises, so its last point is its largest
+                return grid
+    raise DomainError(f"a log grid needs 0 < lo < hi, count >= 2 and finite points, got {lo!r}, {hi!r}, {count!r}")
+
+
+def find_threshold(target: OptTarget, *, n_hi: float = 1e3, samples: int = 15) -> float:
     """Energy below which pure squeezed vacuum (gamma = 1) is optimal.
 
     Returns sup{N : gamma_opt(N) = 1} in [THRESHOLD_N_LO, n_hi]. The
     boundary indicator GammaOptResult.at_boundary (the gamma = 1 endpoint
-    wins the final comparison of optimize_gamma) is first sampled on a log
-    grid, all samples in one optimize_gamma_grid call, to validate that it
-    crosses from True to False exactly once; several crossings raise
-    ThresholdAmbiguousError listing them all. If the indicator never turns
-    False the target has no threshold in the searched range and math.inf
-    is returned as a sentinel.
+    wins the final comparison of optimize_gamma) is first sampled on the
+    log grid _log_grid(THRESHOLD_N_LO, n_hi, samples), all samples in one
+    optimize_gamma_grid call, to validate that it crosses from True to False
+    exactly once; several crossings raise ThresholdAmbiguousError listing
+    them all. If the indicator never turns False the target has no
+    threshold in the searched range and math.inf is returned as a sentinel.
 
     For f_lambda and f_zeta the threshold is where the one-sided slope at
     gamma = 1 changes sign, returned in closed form (_end_slope_root) where
     it lies below the crossing's upper sample and above the sample before
     its lower one (at_boundary stays True up to 1.7e-6 relative above the
     root at zeta <= 12, since the end test calls the kernel GAMMA_TOL
-    inside the end), and ThresholdAmbiguousError otherwise; rel_tol is
-    checked but not used. The joint bound's threshold is a jump between two local
-    maxima: it is found by geometric bisection on the indicator, which
-    stops at rel_tol (finite, > 0) or when the bracket is two adjacent
-    doubles. It fills the midpoints of its next BISECTION_LEVELS steps in
-    one table and refines only those it visits, so its brackets and result
-    are those of one optimize_gamma per step.
+    inside the end), and ThresholdAmbiguousError otherwise. The joint
+    bound's threshold is a jump between two local maxima: it is found by
+    geometric bisection on the indicator, which stops once the bracket is
+    at most THRESHOLD_REL_TOL wide (relative); a wider one holds its
+    midpoint strictly inside, and lo * hi is finite, as the samples raise
+    OverflowError by N = 1e150. It fills the midpoints of its next
+    BISECTION_LEVELS steps in one table and refines only those it visits,
+    so its brackets and result are those of one optimize_gamma per step.
     """
-    if samples < 2 or not THRESHOLD_N_LO < n_hi:
-        raise DomainError(f"threshold search needs samples >= 2 and n_hi > {THRESHOLD_N_LO}, got {samples} {n_hi}")
-    if not 0 < rel_tol < math.inf:
-        raise DomainError(f"threshold search needs a finite rel_tol > 0, got {rel_tol}")
-
-    ratio = (n_hi / THRESHOLD_N_LO) ** (1.0 / (samples - 1))
-    ns = [THRESHOLD_N_LO * ratio**i for i in range(samples)]
+    ns = _log_grid(THRESHOLD_N_LO, n_hi, samples)
     flags = [res.at_boundary for res in optimize_gamma_grid(ns, target)]
 
     if not flags[0]:
         raise ThresholdAmbiguousError(f"gamma_opt already interior at N={THRESHOLD_N_LO}, the lower end of the search")
-    crossings = [
-        (ns[i], ns[i + 1]) for i in range(samples - 1) if flags[i] != flags[i + 1]
-    ]
+    crossings = [(ns[i], ns[i + 1]) for i in range(samples - 1) if flags[i] != flags[i + 1]]
     if len(crossings) > 1:
-        raise ThresholdAmbiguousError(
-            "boundary indicator is not monotone on the sampling grid", crossings=crossings
-        )
+        raise ThresholdAmbiguousError("boundary indicator is not monotone on the sampling grid", crossings=crossings)
     if not crossings:
         return math.inf  # squeezed vacuum optimal everywhere sampled
 
@@ -338,7 +343,7 @@ def find_threshold(target: OptTarget, *, n_hi: float = 1e3, rel_tol: float = 1e-
             )
         return root
     lo, hi = crossings[0]
-    while hi / lo - 1.0 > rel_tol:
+    while hi / lo - 1.0 > THRESHOLD_REL_TOL:
         # the midpoints of the next BISECTION_LEVELS steps in heap order: node j
         # bisects brackets[j], its children are 2j+1 (lo = mid) and 2j+2 (hi = mid)
         brackets, mids = [(lo, hi)], []
@@ -348,14 +353,11 @@ def find_threshold(target: OptTarget, *, n_hi: float = 1e3, rel_tol: float = 1e-
             brackets += [(mids[-1], b), (a, mids[-1])]
         solve = _row_solver(mids, target)
         j = 0
-        while j < len(mids) and hi / lo - 1.0 > rel_tol:
-            mid = mids[j]
-            if not lo < mid < hi:  # lo and hi are adjacent doubles: the bracket cannot shrink
-                return math.sqrt(lo * hi)
+        while j < len(mids) and hi / lo - 1.0 > THRESHOLD_REL_TOL:
             if solve(j).at_boundary:
-                lo, j = mid, 2 * j + 1
+                lo, j = mids[j], 2 * j + 1
             else:
-                hi, j = mid, 2 * j + 2
+                hi, j = mids[j], 2 * j + 2
     return math.sqrt(lo * hi)
 
 

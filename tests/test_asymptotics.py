@@ -55,6 +55,12 @@ class TestLowEnergy:
         with pytest.raises(DomainError):
             qfi_zeta_low_n(0.1, 0.5, 1, 1.0)
 
+    def test_negative_energy_rejected(self):
+        with pytest.raises(DomainError, match="n_total must be >= 0"):
+            qfi_lambda_low_n(-1e-3, 0.5, 2)
+        with pytest.raises(DomainError, match="n_total must be >= 0"):
+            qfi_zeta_low_n(-1e-3, 0.5, 2, 1.0)
+
 
 class TestHighEnergy:
     def test_scaling_prefactor(self):
@@ -80,8 +86,21 @@ class TestHighEnergy:
         with pytest.raises(DomainError):
             qfi_high_n(10.0, 0.5, 2, "both")
 
+    @pytest.mark.parametrize("n", [0.0, -1.0])
+    def test_energy_must_be_positive(self, n):
+        with pytest.raises(DomainError, match="n_total must be > 0"):
+            qfi_high_n(n, 0.5, 2, "lambda")
+
+    def test_order_target_needs_order_two(self):
+        with pytest.raises(DomainError, match="requires zeta >= 2"):
+            qfi_high_n(10.0, 0.5, 1, "zeta", lambda_eff=1.0)
+
 
 class TestGammaOptHighN:
+    def test_order_zero_rejected(self):
+        with pytest.raises(DomainError, match="requires zeta >= 1"):
+            gamma_opt_high_n(0)
+
     def test_values(self):
         assert gamma_opt_high_n(1) == pytest.approx(1.0)
         assert gamma_opt_high_n(2) == pytest.approx(0.75)

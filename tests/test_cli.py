@@ -139,7 +139,8 @@ class TestQfiCommand:
                          id="time-square-overflows"),
             pytest.param(["threshold", "--target", "f_lambda", "--zeta", "2", "--samples", "1"], id="samples-1"),
             pytest.param(["threshold", "--target", "f_lambda", "--zeta", "2", "--n-hi", "1e-5"], id="n-hi-below-n-lo"),
-            pytest.param(["threshold", "--target", "f_lambda", "--zeta", "2", "--rel-tol", "0"], id="rel-tol-0"),
+            # the bisection width is the constant optimizer.THRESHOLD_REL_TOL: its flag is an unknown argument
+            pytest.param(["threshold", "--target", "f_lambda", "--zeta", "2", "--rel-tol", "1e-6"], id="rel-tol"),
             pytest.param(["scan-gamma", "--n", "1", "--zeta", "2", "--target", "f_lambda", "--grid", "1"], id="gamma-grid-1"),
             pytest.param(
                 ["scan-phase", "--n", "1", "--gamma", "0.5", "--zeta", "2", "--target", "f_lambda", "--grid", "0"],
@@ -466,6 +467,13 @@ class TestSelftest:
         assert "FAIL" not in out
         assert "INFO moments.default-family-vs-state-delta" in out
 
+    def test_a_failed_check_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "coeff_row_sum", lambda zeta, k: -1)
+        code, out, err = run_cli(capsys, "selftest")
+        assert (code, err) == (1, "")
+        assert "FAIL combinatorics.row-sum-identity\n" in out
+        assert out.endswith("1 FAILURES\n")
+
 
 class TestErrorPaths:
     def test_oracle_cutoff_failure_exits_three(self, capsys):
@@ -500,14 +508,38 @@ class TestErrorPaths:
             for i in range(11):
                 objective(i / 10, float(n), OptTarget(TargetKind(target), ModelSpec(1.0, 12)))
 
+    @pytest.mark.parametrize("n_range", ["1:inf:3", "1e-300:1e10:3"], ids=["infinite-energy", "ratio-overflows"])
+    def test_opt_gamma_errors_keep_their_bytes(self, capsys, n_range):
+        # both exited 2 with the optimizer's "mean photon number must be finite
+        # and >= 0, got inf": the grid's formula overflowed to inf. The log grid
+        # now rejects them as it rejects every other range it cannot build
+        with pytest.raises(SystemExit) as info:
+            main(["opt-gamma", "--target", "f_lambda", "--zeta", "12", "--n-range", n_range])
+        out, err = capsys.readouterr()
+        assert (info.value.code, out) == (2, "")
+        assert err.endswith(f"nlprobe opt-gamma: error: argument --n-range: bad n-range '{n_range}'\n")
+
     @pytest.mark.parametrize(
-        "n_range, code, err",
-        [("1:inf:3", 2, '{"error": "DomainError", "message": "mean photon number must be finite and >= 0, got inf"}\n')],
-        ids=["infinite-energy"],
+        "argv, got",
+        [(["--n-hi", "1e305"], "0.0001, 1e+305, 15"), (["--n-hi", "1e-5"], "0.0001, 1e-05, 15"),
+         (["--samples", "1"], "0.0001, 1000.0, 1")],
+        ids=["ratio-overflows", "n-hi-below-n-lo", "samples-1"],
     )
-    def test_opt_gamma_errors_keep_their_bytes(self, capsys, n_range, code, err):
-        # the stderr of the row-by-row optimizer that the batched pass replaced
-        assert run_cli(capsys, "opt-gamma", "--target", "f_lambda", "--zeta", "12", "--n-range", n_range) == (code, "", err)
+    def test_threshold_range_errors_are_the_log_grids(self, capsys, argv, got):
+        # --n-hi 1e305 exited 2 with "mean photon number must be finite and >= 0, got inf"
+        message = f"a log grid needs 0 < lo < hi, count >= 2 and finite points, got {got}"
+        want = json.dumps({"error": "DomainError", "message": message}) + "\n"
+        assert run_cli(capsys, "threshold", "--target", "f_lambda", "--zeta", "2", *argv) == (2, "", want)
+
+    def test_memory_error_exits_three(self, capsys, monkeypatch):
+        # numpy's ArrayMemoryError, which --samples 100000000 meets, was a traceback with exit 1
+        def out_of_memory(target, **kwargs):
+            raise MemoryError("Unable to allocate 96.1 GiB for an array with shape (100000000, 129)")
+
+        monkeypatch.setattr(cli, "find_threshold", out_of_memory)
+        err = ('{"error": "MemoryError", "message": "Unable to allocate 96.1 GiB for an array with shape '
+               '(100000000, 129)"}\n')
+        assert run_cli(capsys, "threshold", "--target", "f_lambda", "--zeta", "2") == (3, "", err)
 
     @pytest.mark.parametrize(
         "argv",
@@ -609,7 +641,8 @@ class TestRegressionSet:
     golden section, the joint cases with (lambda zeta)^2 > 1 when the
     joint bound came to divide u V by it, and the f_lambda and f_zeta
     threshold cases when their bisection gave way to the closed-form root of
-    the end slope."""
+    the end slope, and again when the analytic reference they print lost the
+    cancellation of (3 sqrt 2 - 4)/8."""
 
     CASES = {
         "opt-gamma-f_lambda": (
@@ -627,15 +660,15 @@ class TestRegressionSet:
         ),
         "threshold-f_lambda-2": (
             ["threshold", "--target", "f_lambda", "--zeta", "2"],
-            "2d0517603d201a04a717982ab28e281cd6cb64462112b4642bc058319b30c0b7",
+            "9d48df24421e5e33147778ff10170919d897aadc1511e9e0f840b91d9708b9f9",
         ),
         "threshold-f_zeta-7": (
             ["threshold", "--target", "f_zeta", "--zeta", "7"],
-            "0768910454c2a8f64f02f7662cc70bbd9009162662f5c7d7f660bef44e3f24c7",
+            "8f6d0ee1df1a8a594ea9c161f8d274cf5ab929b2f197be201cb5fad9cff89157",
         ),
         "threshold-f_lambda-12": (
             ["threshold", "--target", "f_lambda", "--zeta", "12"],
-            "484819ce24e15aa172141691a8a56ee3ebf677795631a80215db16e2c983cfbf",
+            "084aa99bf0321533a4d87120a05ba3b4bd670e271b3108e0cca41e9e4e6e4a50",
         ),
         "threshold-joint-7": (
             ["threshold", "--target", "joint", "--zeta", "7", "--lambda", "1", "--n-hi", "1e6"],
@@ -694,8 +727,11 @@ class TestFrontEndBytes:
     """Exit code, stdout and stderr of the paths that argparse writes: help,
     version, usage errors. Pinned by the sha256 of the bytes that the parser
     printed at 80 columns, under CPython 3.11, when build_parser still added
-    every subcommand's options up front. argparse's wording and layout
-    change between Python versions, so other interpreters skip these."""
+    every subcommand's options up front; threshold-help and bad-choice were
+    pinned again when --rel-tol was retired, and bad-checked-type moved to
+    --grid, the one option that argparse still checks. argparse's wording
+    and layout change between Python versions, so other interpreters skip
+    these."""
 
     CASES = {
         "help": (["--help"], 0, "c9a81d80cbd6016512a837be423ee78e254979c8c644ffdd25455ed11735d99a", EMPTY),
@@ -715,7 +751,7 @@ class TestFrontEndBytes:
             ["opt-gamma", "--help"], 0, "711d1c0753cf901d04f353b52afa6442000c7ed7497c4459060b763a75a990b6", EMPTY,
         ),
         "threshold-help": (
-            ["threshold", "--help"], 0, "c72b1cab07e2532e6ab16f76cc83642a83cd25eb6fa98083d451f58bd596d451", EMPTY,
+            ["threshold", "--help"], 0, "e1a942e82cb715b046054649c4413559a1e8585bc5af211e430fc222636f0dc7", EMPTY,
         ),
         "selftest-help": (
             ["selftest", "--help"], 0, "499be9ce1657f9852b791a2d852efce58bb99ca0e3dba5b7b53f775ec8b13e93", EMPTY,
@@ -725,11 +761,12 @@ class TestFrontEndBytes:
         ),
         "bad-choice": (
             ["threshold", "--target", "x", "--zeta", "2"], 2, EMPTY,
-            "ad203d695adcbbc79663198f81fdaa3e3d1a6460582068d07c11c272ad7ffce7",
+            "300eee7b33887e464b61cb23867c3148b24a1d23ca3edccbcf8636979bd22803",
         ),
         "bad-checked-type": (
-            ["threshold", "--target", "joint", "--zeta", "3", "--samples", "1"], 2, EMPTY,
-            "0f25b356b96229ff16847b27f9e44359a6d7053749234534a2f072dad8416481",
+            ["scan-phase", "--n", "1", "--gamma", "0.5", "--zeta", "2", "--target", "f_lambda", "--grid", "0"],
+            2, EMPTY,
+            "f0cce463b881b7902a9e5b277d68e6f94704055b1100d1196801e050ec5cbda7",
         ),
         # the same bytes as opt-gamma-help
         "abbreviated-option": (

@@ -30,7 +30,9 @@ class TestNormalOrderCoeff:
                     c = normal_order_coeff(zeta, m, s)
                     assert type(c) is int and c > 0
 
-    @pytest.mark.parametrize("zeta,m,s", [(2, 2, 0), (2, 0, 3), (3, 1, 2), (0, 0, 1)])
+    @pytest.mark.parametrize(
+        "zeta,m,s", [(2, 2, 0), (2, 0, 3), (3, 1, 2), (0, 0, 1), (-1, 0, 0), (2, -1, 0), (2, 0, -1)]
+    )
     def test_out_of_range_indices(self, zeta, m, s):
         with pytest.raises(DomainError):
             normal_order_coeff(zeta, m, s)

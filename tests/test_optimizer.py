@@ -522,11 +522,13 @@ class TestFindThreshold:
 
     @pytest.mark.parametrize(
         "kw",
-        [dict(samples=1), dict(n_hi=1e-5), dict(n_hi=opt.THRESHOLD_N_LO)],
-        ids=["samples-1", "n-hi-below-n-lo", "empty-range"],
+        [dict(samples=1), dict(n_hi=1e-5), dict(n_hi=opt.THRESHOLD_N_LO), dict(n_hi=1e305), dict(n_hi=math.nan)],
+        ids=["samples-1", "n-hi-below-n-lo", "empty-range", "ratio-overflows", "n-hi-nan"],
     )
-    def test_empty_search_range_rejected(self, kw):
-        with pytest.raises(DomainError):
+    def test_search_range_is_the_log_grids_rule(self, kw):
+        # 1e305 / 1e-4 overflows: the grid held inf and the optimizer rejected
+        # it as an infinite mean photon number
+        with pytest.raises(DomainError, match="a log grid needs"):
             find_threshold(target("f_lambda", 2), **kw)
 
     def test_order_two_has_no_threshold(self):
@@ -547,21 +549,6 @@ class TestFindThreshold:
         # a range without a crossing reports the documented no-threshold
         # sentinel rather than guessing
         assert find_threshold(target("joint", 3, lam=1.0), n_hi=1e3) == math.inf
-
-    @pytest.mark.parametrize("rel_tol", [0.0, -1e-4, math.nan, math.inf])
-    def test_rel_tol_must_be_finite_and_positive(self, rel_tol):
-        with pytest.raises(DomainError):
-            find_threshold(target("f_lambda", 2), rel_tol=rel_tol)
-
-    @pytest.mark.parametrize("rel_tol", [1e-20, 1e-9, 0.3, 50.0])
-    def test_rel_tol_does_not_move_an_individual_threshold(self, rel_tol):
-        for t in (target("f_lambda", 2), target("f_zeta", 5)):
-            assert find_threshold(t, rel_tol=rel_tol) == find_threshold(t)
-
-    def test_rel_tol_below_double_resolution_terminates(self):
-        # the joint bisection stops shrinking once lo and hi are adjacent doubles
-        n_th = find_threshold(target("joint", 4), rel_tol=1e-20)
-        assert n_th == pytest.approx(1.28139, abs=1e-3)
 
     def test_sample_just_above_the_root_is_inside_the_crossing(self):
         # a sample at root (1 + 5e-7), where at_boundary still reads True, is
@@ -601,15 +588,59 @@ class TestFindThreshold:
             opt.find_threshold(target("f_lambda", 2), n_hi=1.0, samples=7)
         assert len(info.value.crossings) > 1
 
+    def test_optimum_interior_at_the_lower_end_raises(self, monkeypatch):
+        # no target is known to reach this: gamma = 1 has been optimal at
+        # THRESHOLD_N_LO for every target, order and coupling tried
+        def interior(ns, *a, **k):
+            return [GammaOptResult(0.5, 1.0, False, n) for n in ns]
 
-def loop_threshold(t, *, n_hi=1e3, rel_tol=1e-4, samples=15, visited=None):
+        monkeypatch.setattr(opt, "optimize_gamma_grid", interior)
+        with pytest.raises(ThresholdAmbiguousError, match="already interior at N=0.0001") as info:
+            opt.find_threshold(target("f_lambda", 2))
+        assert info.value.crossings == []
+
+
+class TestLogGrid:
+    """_log_grid is the one log grid of opt-gamma's --n-range and of the
+    threshold samples; it gives the floats of the formula both once wrote."""
+
+    @staticmethod
+    def formula(lo, hi, count):
+        ratio = (hi / lo) ** (1.0 / (count - 1))
+        return [lo * ratio**i for i in range(count)]
+
+    @pytest.mark.parametrize(
+        "lo, hi, count",
+        # every --n-range of the tests and the README
+        [(1e-3, 1e4, 6), (0.01, 100.0, 4), (0.01, 100.0, 5), (0.1, 10.0, 3), (0.1, 10.0, 4), (0.5, 5.0, 3),
+         (1.0, 100.0, 3), (1.0, 2.0, 2), (1e-3, 1e3, 7), (1e-3, 1e3, 9), (1e15, 1e16, 2), (1e28, 1e29, 2),
+         (1e30, 1e40, 3), (1e39, 1e40, 2), (1e3, 1e6, 7), (1e-3, 1e4, 25)]
+        # and the threshold samples of the tests and the benchmark
+        + [(opt.THRESHOLD_N_LO, n_hi, samples) for n_hi, samples in
+           [(1e3, 15), (1e3, 3), (1e6, 21), (1e6, 15), (1e6, 12), (1e6, 51), (100.0, 7), (1.0, 7)]],
+    )
+    def test_equals_the_formula_bit_for_bit(self, lo, hi, count):
+        assert [v.hex() for v in opt._log_grid(lo, hi, count)] == [v.hex() for v in self.formula(lo, hi, count)]
+
+    @pytest.mark.parametrize(
+        "lo, hi, count",
+        [(0.0, 1.0, 3), (2.0, 1.0, 3), (1.0, 1.0, 3), (1.0, 2.0, 1), (math.nan, 1.0, 3), (1.0, math.nan, 3),
+         (1.0, math.inf, 3), (1e-300, 1e10, 3), (1.0, 1.7976931348623157e308, 5), (1.5, 1.7976931348623157e308, 2)],
+        ids=["zero", "descending", "empty", "one-point", "lo-nan", "hi-nan", "hi-inf", "ratio-overflows",
+             "power-overflows", "last-point-overflows"],
+    )
+    def test_rejects_empty_ranges_and_points_beyond_the_double_range(self, lo, hi, count):
+        # the power of "power-overflows" raised OverflowError from float **; the
+        # last two held inf, which the optimizer rejected as an infinite energy
+        with pytest.raises(DomainError, match="a log grid needs"):
+            opt._log_grid(lo, hi, count)
+
+
+def loop_threshold(t, *, n_hi=1e3, samples=15, visited=None):
     """Frozen copy of the joint target's find_threshold, bisecting with one
-    optimize_gamma(mid) per step; each energy it refines is appended to visited."""
+    optimize_gamma(mid) per step until the bracket is at most
+    THRESHOLD_REL_TOL wide; each energy it refines is appended to visited."""
     n_lo = opt.THRESHOLD_N_LO
-    if samples < 2 or not n_lo < n_hi:
-        raise DomainError(f"threshold search needs samples >= 2 and n_hi > {n_lo}, got {samples} {n_hi}")
-    if not 0 < rel_tol < math.inf:
-        raise DomainError(f"threshold search needs a finite rel_tol > 0, got {rel_tol}")
     ratio = (n_hi / n_lo) ** (1.0 / (samples - 1))
     ns = [n_lo * ratio**i for i in range(samples)]
     flags = [res.at_boundary for res in optimize_gamma_grid(ns, t)]
@@ -621,10 +652,8 @@ def loop_threshold(t, *, n_hi=1e3, rel_tol=1e-4, samples=15, visited=None):
     if not crossings:
         return math.inf
     lo, hi = crossings[0]
-    while hi / lo - 1.0 > rel_tol:
+    while hi / lo - 1.0 > opt.THRESHOLD_REL_TOL:
         mid = math.sqrt(lo * hi)
-        if not lo < mid < hi:
-            break
         if visited is not None:
             visited.append(mid)
         if optimize_gamma(mid, t).at_boundary:
@@ -661,13 +690,17 @@ class TestBatchedBisection:
         kw = dict(n_hi=1e6, samples=samples)
         assert outcome(find_threshold, t, **kw) == outcome(loop_threshold, t, **kw)
 
-    @pytest.mark.parametrize("rel_tol", [1e-20, 1e-9, 0.3, 50.0], ids=["adjacent-doubles", "fine", "coarse", "no-step"])
-    def test_stop_rules(self, rel_tol):
+    @pytest.mark.parametrize(
+        "width", [1e-9, opt.THRESHOLD_REL_TOL, 0.3, 50.0], ids=["fine", "constant", "coarse", "no-step"]
+    )
+    def test_both_stop_at_the_constant_width(self, monkeypatch, width):
+        # both searches read opt.THRESHOLD_REL_TOL; other widths show where each stops
+        monkeypatch.setattr(opt, "THRESHOLD_REL_TOL", width)
         for t in (target("joint", 4), target("joint", 7, 0.01)):
             visited = []
-            want = outcome(loop_threshold, t, rel_tol=rel_tol, visited=visited)
-            assert outcome(find_threshold, t, rel_tol=rel_tol) == want
-            assert (len(visited) == 0) is (rel_tol == 50.0)
+            want = outcome(loop_threshold, t, visited=visited)
+            assert outcome(find_threshold, t) == want
+            assert (len(visited) == 0) is (width == 50.0)
 
     def test_a_bad_point_on_a_row_never_visited_raises_nothing(self, monkeypatch):
         t, visited = target("joint", 5), []
