@@ -328,17 +328,16 @@ def sld_operator(probe: ProbeSpec, model: ModelSpec) -> TruncatedOperator:
     and d_lambda psi = -i G_zeta psi; it is formed from the state derivative
     alone. The cutoff doubles from default_dim until the state fits
     (_until_stable), up to DIM_CAP; a default_dim above DIM_CAP raises
-    CutoffError before any state is built. Hermiticity is enforced to 1e-9
-    and Tr[rho L^2] must reproduce the oracle f_ll.
+    CutoffError before any state is built. L is 2 (A + A^dag) with
+    A = |d_lambda psi><psi|, so it is Hermitian exactly: entry (i, j) and the
+    conjugate of entry (j, i) are the same two rounded products, summed in
+    the other order. Tr[rho L^2] must reproduce the oracle f_ll.
     """
 
     def compute(d):
         psi, d_lam, _ = _derivative_vectors(probe, model, d)
-        sld = 2.0 * (np.outer(d_lam, psi.conj()) + np.outer(psi, d_lam.conj()))
-        herm = float(np.max(np.abs(sld - sld.conj().T)))
-        if herm > 1e-9:
-            raise InternalConsistencyError(f"SLD hermiticity residue {herm:.3e} at dim={d}")
-        return TruncatedOperator(d, sld)
+        half = np.outer(d_lam, psi.conj())
+        return TruncatedOperator(d, 2.0 * (half + half.conj().T))
 
     start = _start_dim(probe, 2 * model.zeta, model.lambda_eff, "SLD")
     return _until_stable(start, compute, f"SLD needs a cutoff of at least {2 * DIM_CAP}, above DIM_CAP={DIM_CAP}")

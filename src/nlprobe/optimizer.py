@@ -8,10 +8,16 @@ parabolic steps; R. P. Brent, Algorithms for Minimization without
 Derivatives, 1973) between its grid neighbours. A candidate at a grid end
 costs one kernel call GAMMA_TOL inside the end; where the objective there
 is not higher than at the end, the end takes the candidate, and only
-otherwise is its cell refined. The joint bound's end cells are always
-refined: it can dip within GAMMA_TOL of gamma = 1 and peak inside the
-last cell. The objective, the optimizer and the threshold search work at
-zero phases, where the optimal probe lies (verify_zero_phase_optimality).
+otherwise is its cell refined. The joint bound can dip within GAMMA_TOL of
+gamma = 1 and still peak inside the last cell: its layer there is set by
+the coherent photon number y = (1 - gamma) N, and at zeta = 3 the peak
+tends to y = Y0 = sqrt(7/48) as N grows, a peak about 1/N wide in gamma.
+So its gamma = 1 candidate costs one more call, at y = Y0, and its last
+cell is refined, by Brent's method in log y, only where one of the two
+calls beats the end; a maximum that the bracket next to gamma = 1 finds in
+that cell is refined in log y too. The objective, the optimizer and the
+threshold search work at zero phases, where the optimal probe lies
+(verify_zero_phase_optimality).
 """
 
 import contextlib
@@ -45,9 +51,12 @@ COARSE = 129  # points of the coarse gamma grid
 GAMMA_TOL = 1e-6
 _GRID = tuple(i / (COARSE - 1) for i in range(COARSE))  # Python floats, which GammaOptResult may hold
 CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # Brent's golden-section fraction
-SQRT_EPS = math.sqrt(sys.float_info.epsilon)  # Brent's relative tolerance on gamma
+SQRT_EPS = math.sqrt(sys.float_info.epsilon)  # Brent's relative tolerance on its variable
 BISECTION_LEVELS = 3  # the joint target's bisection fills the 2**3 - 1 = 7 midpoints of three levels in one table
 THRESHOLD_REL_TOL = 1e-4  # relative bracket width at which the joint target's bisection stops
+# coherent photons y = (1 - gamma) N at the joint bound's maximum inside its last grid cell as N -> inf at
+# zeta = 3, where the bound over its value at gamma = 1 is 1 - (2 y + 7 / (24 y)) / N + O(N^-2)
+Y0 = math.sqrt(7.0 / 48.0)
 
 
 class TargetKind(enum.Enum):
@@ -114,7 +123,8 @@ def _brent_max(fun, a, b, x, fx):
     than tol = SQRT_EPS |x| + GAMMA_TOL / 10, and it stops once [a, b] lies
     within 2 tol of x. A tenth of GAMMA_TOL, not the third of scipy's
     fminbound: near gamma = 1 the joint bound can peak so sharply that
-    missing its maximum by GAMMA_TOL / 2 costs more than 1e-10 of it.
+    missing its maximum by GAMMA_TOL / 2 costs more than 1e-10 of it. In
+    _refine_in_y, x is log y, and tol bounds the relative error in y.
     """
     v = w = x
     fv = fw = fx
@@ -164,6 +174,37 @@ def _brent_max(fun, a, b, x, fx):
                 v, fv = u, fu
 
 
+def _refine_in_y(kernel, n, x, fx):
+    """(gamma, value) at a maximum of the joint bound in its last grid cell
+    [1 - 1/(COARSE - 1), 1] at energy n, by Brent's method from a point x of
+    the cell where kernel(x) = fx.
+
+    Brent runs in s = log y, y = (1 - gamma) n the coherent photon number,
+    over y from n 2**-53 (the double below 1) to the cell's other end, so
+    that a peak about 1/n wide in gamma is resolved to a relative tolerance
+    in y.
+    """
+    s0 = math.log((1.0 - x) * n)
+    s, v = _brent_max(
+        lambda s: kernel(1.0 - math.exp(s) / n), math.log(n * 2.0**-53), math.log(n * (1.0 - _GRID[-2])), s0, fx
+    )
+    return (x if s == s0 else 1.0 - math.exp(s) / n), v
+
+
+def _joint_end_cell(kernel, n, end):
+    """(gamma, value) at the maximum of the joint bound in its last grid cell
+    at energy n, where the bound at gamma = 1 is end: (1.0, end) unless a
+    screening call beats the end, and otherwise _refine_in_y from the
+    better one. The screen is one call GAMMA_TOL inside the end and one at
+    Y0 coherent photons, gamma = 1 - Y0 / n, where that lies inside the cell.
+    """
+    screen = [1.0 - GAMMA_TOL]
+    if _GRID[-2] < 1.0 - Y0 / n < 1.0:
+        screen.append(1.0 - Y0 / n)
+    x, fx = max(((g, kernel(g)) for g in screen), key=lambda point: point[1])  # the first of equal values
+    return _refine_in_y(kernel, n, x, fx) if fx > end else (1.0, end)
+
+
 def _local_maxima(table):
     """Flags of the points of each row that are >= both neighbours (the ends need one)."""
     flags = np.ones(table.shape, dtype=bool)
@@ -180,7 +221,7 @@ def _row_solver(ns, target):
     error that a loop over its points meets first.
     """
     model, entry = target.model, _ENTRY[target.kind]
-    one_sided = target.kind is not TargetKind.JOINT_BOUND  # the end test, which the joint bound's dip defeats
+    joint = target.kind is TargetKind.JOINT_BOUND  # its dip near gamma = 1 defeats the one-call end test
     (table,), ok = _normal_law_arrays(np.array(ns, dtype=float)[:, None], _GRID, 0.0, 0.0, model, (entry,))
     rows_ok = ok.all(axis=1).tolist()
     flags = _local_maxima(table)
@@ -200,14 +241,18 @@ def _row_solver(ns, target):
             if 0 < j < COARSE - 1:  # Brent starts CGOLD into the bracket of the grid neighbours
                 lo, hi = _GRID[j - 1], _GRID[j + 1]
                 x = lo + CGOLD * (hi - lo)
-                fx = kernel(x)
+                g, v = _brent_max(kernel, lo, hi, x, kernel(x))
+                if joint and g > _GRID[-2]:  # a peak in the joint bound's last cell, resolved in y
+                    g, v = _refine_in_y(kernel, n, g, v)
+            elif j and joint:  # the joint bound's gamma = 1: two screening calls
+                g, v = _joint_end_cell(kernel, n, vals[j])
             else:  # an end: one call GAMMA_TOL inside it, where Brent starts if the cell is refined
                 lo, hi = _GRID[:2] if j == 0 else _GRID[-2:]
                 x = lo + GAMMA_TOL if j == 0 else hi - GAMMA_TOL
                 fx = kernel(x)
-                if one_sided and fx <= vals[j]:
+                if not joint and fx <= vals[j]:
                     continue  # the objective rises into the end: the endpoint comparison takes it
-            g, v = _brent_max(kernel, lo, hi, x, fx)
+                g, v = _brent_max(kernel, lo, hi, x, fx)
             if v > best_v:
                 best_g, best_v = g, v
         # grid endpoints can beat the refined interior value when the maximum
@@ -229,12 +274,15 @@ def optimize_gamma_grid(ns, target: OptTarget) -> list:
     of that row's energy (qfi_core._normal_law_kernel): an interior one by
     Brent's method between its grid neighbours, an end by one call
     GAMMA_TOL inside it, and by Brent's method on its cell only where that
-    call is higher than the end or the target is the joint bound. Table
-    and refinement evaluate the target's entry alone (objective). Results
-    and errors are those of a loop over the energies: the rows are checked
-    and refined in order, and a row on which the table holds a bad point
-    goes to normal_law_grid, which raises the error that point raises on
-    its own.
+    call is higher than the end. The joint bound's gamma = 1 end adds a call
+    at Y0 coherent photons and refines its cell in log y only where one of
+    the two beats the end (_joint_end_cell); a maximum that its bracket next
+    to gamma = 1 finds in the last cell is refined in log y too
+    (_refine_in_y). Table and refinement evaluate the target's entry alone
+    (objective). Results and errors are those of a loop over the energies:
+    the rows are checked and refined in order, and a row on which the table
+    holds a bad point goes to normal_law_grid, which raises the error that
+    point raises on its own.
     """
     ns = list(ns)
     if not ns:
@@ -249,11 +297,12 @@ def optimize_gamma(n_total: float, target: OptTarget) -> GammaOptResult:
     Strategy: a coarse bracketing grid of COARSE points, then Brent's
     method on up to three local-maximum brackets, an end candidate costing
     one kernel call GAMMA_TOL inside the end where the objective rises into
-    it (f_lambda and f_zeta); the best refined point wins, unless a grid
-    endpoint is at least as good. Guaranteed for objectives unimodal on each
-    bracket, and the multi-bracket restart guards against undetected
-    multimodality. at_boundary is True exactly when the gamma = 1 endpoint
-    won that comparison (gamma_opt == 1.0). This is
+    it (and one more at the joint bound's gamma = 1, _joint_end_cell); the
+    best refined point wins, unless a grid endpoint is at least as good.
+    Guaranteed for objectives unimodal on each bracket, and the
+    multi-bracket restart guards against undetected multimodality.
+    at_boundary is True exactly when the gamma = 1 endpoint won that
+    comparison (gamma_opt == 1.0). This is
     optimize_gamma_grid([n_total], ...)[0].
     """
     return optimize_gamma_grid([n_total], target)[0]

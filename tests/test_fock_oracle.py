@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nlprobe import fock_oracle
-from nlprobe.errors import CutoffError, DomainError
+from nlprobe.errors import CutoffError, DomainError, InternalConsistencyError
 from nlprobe.fock_oracle import (
     DIM_CAP,
     _k_eigh,
@@ -97,6 +97,25 @@ class TestBuildState:
     def test_norm_is_one(self):
         s = build_state(make_probe(2.0, 0.5, 1.0, 0.3), 128)
         assert np.linalg.norm(s.amplitudes) == pytest.approx(1.0, abs=1e-10)
+
+    def test_eigenvectors_that_are_not_orthonormal_are_an_internal_error(self, monkeypatch):
+        # the state is unitary factors on |0> only as far as the eigensolver's
+        # vectors are orthonormal; scaled by 1 + 1e-6 they stretch its norm
+        eigh = fock_oracle._tridiagonal_eigh
+
+        def scaled(diag, off):
+            evals, vecs = eigh(diag, off)
+            return evals, vecs * (1.0 + 1e-6)
+
+        for cache in (_x_eigh, _k_eigh):
+            cache.cache_clear()
+        monkeypatch.setattr(fock_oracle, "_tridiagonal_eigh", scaled)
+        try:
+            with pytest.raises(InternalConsistencyError, match="^state norm .* deviates from 1 at dim=64$"):
+                build_state(make_probe(2.0, 0.5, 1.0, 0.3), 64)
+        finally:
+            for cache in (_x_eigh, _k_eigh):
+                cache.cache_clear()
 
     @pytest.mark.parametrize(
         "n,gamma,theta,phi,dim",
@@ -388,9 +407,11 @@ class TestSld:
         assert tried == [64, 128, 256, 512, 1024, 2048, 4096]
         assert exc.value.suggested_dim == 8192
 
-    def test_hermitian(self):
-        sld = sld_operator(make_probe(1.0, 0.5), ModelSpec(lambda_eff=0.1, zeta=2))
-        assert np.max(np.abs(sld.entries - sld.entries.conj().T)) <= 1e-9
+    @pytest.mark.parametrize("n, gamma, theta, phi, zeta, lam", [(1.0, 0.5, 0.0, 0.0, 2, 0.1),
+                                                                 (3.0, 0.3, 1.3, -0.7, 4, 0.02)])
+    def test_hermitian_exactly(self, n, gamma, theta, phi, zeta, lam):
+        sld = sld_operator(make_probe(n, gamma, theta, phi), ModelSpec(lambda_eff=lam, zeta=zeta))
+        assert np.array_equal(sld.entries, sld.entries.conj().T)
 
     def test_default_cutoff_above_the_cap_raises_before_any_state(self, monkeypatch):
         # default_dim is 8192 here: a 512 MB eigenvector matrix and a 1 GB SLD

@@ -23,6 +23,23 @@ from nlprobe.optimizer import (
 from nlprobe.qfi_core import OVERFLOW, ModelSpec, _normal_law_kernel, normal_law_grid
 
 ANALYTIC_NTH = (3.0 * math.sqrt(2.0) - 4.0) / 8.0
+# joint rows at zeta 3 that peak in the last grid cell at y = (1 - gamma) N of
+# about Y0, a peak about 1/N wide in gamma, which a search in gamma missed by
+# 2.4e-10, 6.4e-10 and 2.3e-9 of the maximum
+END_CELL_PEAKS = [
+    (20749.911726839895, 3.108234710900458),
+    (46676.25901063073, 2.7538106619825578),
+    (95864.27595062337, 2.3796635145394553),
+]
+# joint rows at zeta 3 whose maximum Brent's method on the bracket next to
+# gamma = 1 finds inside the last grid cell, where its search in gamma stops
+# 1.08e-10, 1.38e-10, 1.53e-10 and 1.19e-10 below the maximum
+BRACKET_PEAKS = [
+    (21471.00897404323, 39.68808675646849),
+    (36563.09378919882, 52.59807353318259),
+    (52961.92536899009, 52.97242473793411),
+    (51049.402304723844, 82.03976859386175),
+]
 
 
 def target(kind, zeta, lam=1.0):
@@ -140,14 +157,18 @@ def loop_optimize(n, t, coarse):
     over the public objective point by point: Brent's minimization (as in
     Numerical Recipes' brent) of -objective on each candidate's bracket; an
     end candidate of f_lambda or f_zeta only where the objective GAMMA_TOL
-    inside the end beats the end. at_boundary in its current meaning,
+    inside the end beats the end. The joint bound's last cell is searched in
+    s = log y, y = (1 - gamma) n: its end candidate only where the objective
+    GAMMA_TOL inside the end or at y = Y0 beats the end, from the better of
+    them, and a maximum that the bracket next to the end finds in that cell
+    once more from there. at_boundary in its current meaning,
     gamma_opt == 1.0."""
 
     def cost(g):
         return -objective(g, n, t)
 
-    def brent(a, b, x, fx):
-        """Minimum (x, cost(x)) of cost on [a, b] from x, where cost(x) = fx."""
+    def brent(a, b, x, fx, gamma=float):
+        """Minimum (x, cost(gamma(x))) of cost(gamma(x)) on [a, b] from x, where cost(gamma(x)) = fx."""
         w = v = x
         fw = fv = fx
         d = e = 0.0
@@ -177,7 +198,7 @@ def loop_optimize(n, t, coarse):
                 e = a - x if x >= xm else b - x
                 d = C * e
             u = x + d if abs(d) >= tol1 else x + math.copysign(tol1, d)
-            fu = cost(u)
+            fu = cost(gamma(u))
             if fu <= fx:
                 if u >= x:
                     a = x
@@ -197,6 +218,12 @@ def loop_optimize(n, t, coarse):
                     v, fv = u, fu
         raise AssertionError("Brent's method did not converge")
 
+    def in_y(g, c):
+        """brent in s = log y on the last cell from gamma g, where cost(g) = c, as (gamma, cost)."""
+        s0 = math.log((1.0 - g) * n)
+        s, c = brent(math.log(n * 2.0**-53), math.log(n * (1.0 - grid[-2])), s0, c, lambda s: 1.0 - math.exp(s) / n)
+        return (g if s == s0 else 1.0 - math.exp(s) / n), c
+
     grid = [i / (coarse - 1) for i in range(coarse)]
     vals = [-cost(g) for g in grid]
     assert all(math.isfinite(v) for v in vals)
@@ -211,13 +238,21 @@ def loop_optimize(n, t, coarse):
             g, c = 0.0, -vals[0]
             if t.kind is TargetKind.JOINT_BOUND or -cost(1e-6) > vals[0]:
                 g, c = brent(grid[0], grid[1], 1e-6, cost(1e-6))
+        elif i == coarse - 1 and t.kind is TargetKind.JOINT_BOUND:
+            g, c = 1.0, -vals[-1]
+            screen = [1.0 - 1e-6] + [1.0 - opt.Y0 / n] * (grid[-2] < 1.0 - opt.Y0 / n < 1.0)
+            start = min(screen, key=cost)  # the first of equal values
+            if -cost(start) > vals[-1]:
+                g, c = in_y(start, cost(start))
         elif i == coarse - 1:
             g, c = 1.0, -vals[-1]
-            if t.kind is TargetKind.JOINT_BOUND or -cost(1.0 - 1e-6) > vals[-1]:
+            if -cost(1.0 - 1e-6) > vals[-1]:
                 g, c = brent(grid[-2], grid[-1], 1.0 - 1e-6, cost(1.0 - 1e-6))
         else:
             start = grid[i - 1] + C * (grid[i + 1] - grid[i - 1])
             g, c = brent(grid[i - 1], grid[i + 1], start, cost(start))
+            if t.kind is TargetKind.JOINT_BOUND and g > grid[-2]:
+                g, c = in_y(g, c)
         if -c > best_v:
             best_g, best_v = g, -c
     for edge in (0, coarse - 1):
@@ -287,6 +322,13 @@ class TestOptimizeGammaGrid:
         for kind, zeta in (("f_lambda", 2), ("f_zeta", 5), ("joint", 4)):
             t = target(kind, zeta)
             assert bits(optimize_gamma_grid(ns, t)) == bits(loop_optimize(n, t, 129) for n in ns)
+
+    def test_joint_last_cell_rows_equal_the_scalar_loop(self):
+        # end cells refined in y, and maxima that the bracket next to the end
+        # finds in the last cell, refined once more
+        for n, lam in END_CELL_PEAKS + BRACKET_PEAKS:
+            t = target("joint", 3, lam)
+            assert bits(optimize_gamma_grid([n], t)) == bits([loop_optimize(n, t, 129)])
 
     # objectives of gamma alone, exact in both forms: a spike that only the
     # third-best coarse maximum brackets; the same with a higher spike beside
@@ -367,7 +409,12 @@ class TestOptimizeGammaGrid:
 class TestRefinement:
     """Brent's method refines interior brackets; an end candidate costs one
     kernel call GAMMA_TOL inside the end, and its cell is refined only where
-    that call is higher than the end, or for the joint bound."""
+    that call is higher than the end. The joint bound's last cell is
+    screened by one more call, at Y0 = sqrt(7/48) coherent photons (its
+    maximum there at zeta 3 as N -> inf), and refined in log y,
+    y = (1 - gamma) N, only where a screening call beats the end; so is a
+    maximum that Brent's method on the bracket next to gamma = 1 finds in
+    that cell."""
 
     @staticmethod
     def count_calls(monkeypatch):
@@ -437,6 +484,45 @@ class TestRefinement:
         assert not res.at_boundary
         assert res.gamma_opt == pytest.approx(gamma, abs=2e-6)
         assert res.objective_value == pytest.approx(value, rel=1e-10)
+
+    @pytest.mark.parametrize("n, lam", END_CELL_PEAKS + BRACKET_PEAKS)
+    def test_a_peak_in_the_joint_end_cell_reaches_the_40_digit_maximum(self, n, lam):
+        t = target("joint", 3, lam)
+        res = optimize_gamma(n, t)
+        gamma, value = mp_reference.argmax(n, t)
+        assert not res.at_boundary
+        assert res.gamma_opt == pytest.approx(gamma, abs=2e-6)
+        assert res.objective_value == pytest.approx(value, rel=1e-10)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_zeta_three_rows_reach_the_40_digit_maximum(self, seed):
+        # 20 joint rows a seed at zeta 3, lambda 2-100, N 1e4-2e5: the maximum
+        # lies in the last cell at y near Y0, reached from the end or from the
+        # bracket next to it, or on the end; the reference's golden section
+        # in gamma (to 1e-9) resolves such a peak to about 1e-13 up to N = 1e6
+        rng = random.Random(seed)
+        for _ in range(20):
+            t = target("joint", 3, 10 ** rng.uniform(math.log10(2.0), 2.0))
+            n = 10 ** rng.uniform(4.0, math.log10(2e5))
+            res = optimize_gamma(n, t)
+            gamma, value = mp_reference.argmax(n, t)
+            assert res.gamma_opt == pytest.approx(gamma, abs=2e-6), (n, t)
+            assert res.objective_value == pytest.approx(value, rel=1e-10), (n, t)
+
+    def test_a_joint_end_cell_without_a_maximum_costs_two_calls(self, monkeypatch):
+        # gamma = 1 is optimal and the only coarse maximum: the screen alone
+        n = 1e4
+        calls = self.count_calls(monkeypatch)
+        res = optimize_gamma(n, target("joint", 3))
+        assert res.at_boundary
+        assert calls == [1.0 - opt.GAMMA_TOL, 1.0 - opt.Y0 / n]
+
+    def test_the_joint_threshold_search_screens_its_end_cells(self, monkeypatch):
+        # 21 samples from 1e-4 to 1e6, none past the threshold: at most two calls
+        # in each end cell, and Brent's method on the interior candidates of a few
+        calls = self.count_calls(monkeypatch)
+        assert find_threshold(target("joint", 3), n_hi=1e6, samples=21) == math.inf
+        assert len(calls) <= 120
 
     @pytest.mark.parametrize("seed", range(7))
     def test_random_rows_reach_the_40_digit_maximum(self, seed):
@@ -549,6 +635,17 @@ class TestFindThreshold:
         # a range without a crossing reports the documented no-threshold
         # sentinel rather than guessing
         assert find_threshold(target("joint", 3, lam=1.0), n_hi=1e3) == math.inf
+
+    @pytest.mark.parametrize("lam, n_th", [(3.0, 3.1034277139786393), (100.0, 1.2579703648381177)])
+    def test_joint_zeta_three_crosses_once_up_to_high_energy(self, lam, n_th):
+        # at zeta 3 the joint bound at y = Y0 coherent photons beats its value at
+        # gamma = 1 by about 1.2/N (lambda 3) and 3000/N (lambda 100) of it; a
+        # search in gamma that missed this peak read at_boundary True again above
+        # N of about 5e6 and raised ThresholdAmbiguousError (two crossings)
+        t = target("joint", 3, lam)
+        for n in (1e7, 1e12):
+            assert mp_reference.objective(1.0 - opt.Y0 / n, n, t) > mp_reference.objective(1.0, n, t)
+        assert find_threshold(t, n_hi=1e12, samples=25) == pytest.approx(n_th, rel=1e-4)
 
     def test_sample_just_above_the_root_is_inside_the_crossing(self):
         # a sample at root (1 + 5e-7), where at_boundary still reads True, is

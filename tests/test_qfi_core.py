@@ -347,3 +347,11 @@ class TestOneAssembly:
         assert grid.tolist() == want
         assert [objective(g, n, target) for g in gammas] == want
         assert objective_grid(gammas, n, target) == want
+
+    def test_a_point_the_arrays_reject_and_the_kernel_accepts_is_an_internal_error(self, monkeypatch):
+        # the grid hands its rejected points to the scalar kernel for their error;
+        # where numpy's and libm's functions differed in a last bit, a point at the
+        # edge of the double range could pass the kernel and fail the arrays
+        monkeypatch.setattr(qfi_core, "_normal_law_kernel", lambda *args, **kwargs: lambda gamma: 0.0)
+        with pytest.raises(InternalConsistencyError, match="rejected points that the scalar kernel accepts"):
+            qfi_core.normal_law_grid(1.0, [0.5, 2.0], 0.0, 0.0, ModelSpec(1.0, 3), entries=(0,))
