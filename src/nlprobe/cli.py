@@ -6,17 +6,17 @@ and the decimal separator is always '.', so identical invocations produce
 byte-identical output regardless of locale or --jobs (accepted, no effect).
 A scan is held as columns (ScanResult): its axes in row-major order and one
 list per other column; CSV formats each axis coordinate once.
-A call constructs only the top-level parser and the chosen subcommand's
-(_Subcommand).
+build_parser is cached: a process builds the parser once, and every later
+main call only parses. argparse's formatter looks up the terminal width
+each time it prints help, so the cached parser wraps at the current width.
 """
 
 import argparse
+import functools
 import json
 import math
-import shutil
 import sys
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -403,43 +403,16 @@ def _threshold_arguments(p):
     p.add_argument("--samples", type=int, default=15, help="log-grid points used to bracket the crossing")
 
 
-class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser that is built when it first parses.
-
-    Until then it holds its keyword arguments, options function and
-    command; built, it has those options, then --jobs, --json and --out, and
-    the command as func. argparse's subparsers action calls parse_known_args
-    on the chosen subcommand only, so a call constructs two parsers: the
-    top-level one and the chosen subcommand's. The top-level usage and help
-    read only the subcommands' names and help, which the subparsers action keeps.
-    """
-
-    def __init__(self, *, arguments, func, **kwargs):
-        self._pending = (arguments, func, kwargs)
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._pending is not None:
-            arguments, func, kwargs = self._pending
-            self._pending = None
-            super().__init__(**kwargs)
-            arguments(self)
-            self.add_argument("--jobs", type=int, default=1, help="no effect")
-            self.add_argument("--json", action="store_true", help="emit a single JSON document instead of CSV/text")
-            self.add_argument("--out", default=None, help="write output to a file instead of stdout")
-            self.set_defaults(func=func)
-        return super().parse_known_args(args, namespace)
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    # HelpFormatter's default width, looked up once, not in each add_argument's formatter
-    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    """The nlprobe parser with every subcommand. Cached, so that main
+    builds it once per process; cache_clear makes the next call build it."""
     parser = argparse.ArgumentParser(
         prog="nlprobe",
         description="Precision bounds for probing optical nonlinearities with squeezed light",
-        formatter_class=formatter,
     )
     parser.add_argument("--version", action="version", version=f"nlprobe {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, arguments, func in (
         ("qfi", "QFI matrix, Uhlmann residual and joint bound at one point", _qfi_arguments, cmd_qfi),
         ("scan-phase", "QFI over a (theta, phi) grid at fixed N, gamma, zeta", _scan_phase_arguments, cmd_scan_phase),
@@ -448,7 +421,12 @@ def build_parser() -> argparse.ArgumentParser:
         ("threshold", "energy below which squeezed vacuum is the optimal probe", _threshold_arguments, cmd_threshold),
         ("selftest", "run the oracle-agreement suite", lambda p: None, cmd_selftest),
     ):
-        sub.add_parser(name, help=help_text, arguments=arguments, func=func, formatter_class=formatter)
+        p = sub.add_parser(name, help=help_text)
+        arguments(p)
+        p.add_argument("--jobs", type=int, default=1, help="no effect")
+        p.add_argument("--json", action="store_true", help="emit a single JSON document instead of CSV/text")
+        p.add_argument("--out", default=None, help="write output to a file instead of stdout")
+        p.set_defaults(func=func)
     return parser
 
 

@@ -29,6 +29,21 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def fresh_parser():
+    """Empty build_parser's cache, so that the test's first main call builds the parser."""
+    cli.build_parser.cache_clear()
+
+
+def _exit_and_output(capsys, argv):
+    """main's exit code, from its return or from argparse's SystemExit, and what it printed."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse printed help or the version, or rejected the arguments
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
 def use_40_digit_kernel(monkeypatch):
     """Make qfi compute its entries with the 40-digit reference kernel."""
     monkeypatch.setattr(cli, "_probe_qfi", mp_reference.probe_qfi)
@@ -152,11 +167,7 @@ class TestQfiCommand:
         ],
     )
     def test_usage_error_exits_two(self, capsys, argv):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejected the arguments
-            code = exc.code
-        out, err = capsys.readouterr()
+        code, out, err = _exit_and_output(capsys, argv)
         assert (code, out) == (2, "")
         assert err
 
@@ -729,10 +740,11 @@ EMPTY = hashlib.sha256(b"").hexdigest()
 class TestFrontEndBytes:
     """Exit code, stdout and stderr of the paths that argparse writes: help,
     version, usage errors. Pinned by the sha256 of the bytes that the parser
-    printed at 80 columns, under CPython 3.11, when build_parser still added
-    every subcommand's options up front; threshold-help and bad-choice were
-    pinned again when --rel-tol was retired, and bad-checked-type moved to
-    --grid, the one option that argparse still checks. argparse's wording
+    printed at 80 columns, under CPython 3.11; threshold-help and bad-choice
+    were pinned again when --rel-tol was retired, and bad-checked-type moved
+    to --grid, the one option that argparse still checks. The cases run in
+    one process, so all but the first print with the parser that
+    build_parser cached, whatever width it was built at. argparse's wording
     and layout change between Python versions, so other interpreters skip
     these."""
 
@@ -793,24 +805,17 @@ class TestFrontEndBytes:
 
 class TestSubcommandParsers:
     QFI = ["qfi", "--n", "1", "--gamma", "0.5", "--zeta", "2", "--lambda", "1"]
+    PROGS = ["nlprobe", *(f"nlprobe {name}" for name in
+                          ("qfi", "scan-phase", "scan-gamma", "opt-gamma", "threshold", "selftest"))]
 
     @staticmethod
     def subcommands(parser):
         (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         return action.choices
 
-    def test_only_the_chosen_subcommand_gets_its_options(self, capsys, monkeypatch):
-        parser = cli.build_parser()
-        assert parser.parse_args(self.QFI).func is cli.cmd_qfi
-        subcommands = dict(self.subcommands(parser))
-        assert [a.option_strings for a in subcommands.pop("qfi")._actions] == [
-            ["-h", "--help"], ["--n"], ["--gamma"], ["--theta"], ["--phi"], ["--zeta"], ["--lambda"], ["--time"],
-            ["--oracle"], ["--jobs"], ["--json"], ["--out"],
-        ]
-        # the other five were never constructed: they hold no actions, not even -h
-        assert sorted(subcommands) == ["opt-gamma", "scan-gamma", "scan-phase", "selftest", "threshold"]
-        assert not any("_actions" in vars(p) for p in subcommands.values())
-        # one call constructs the top-level parser and the chosen subcommand's
+    @staticmethod
+    def count_constructions(monkeypatch):
+        """The prog of every ArgumentParser constructed from now on."""
         constructed = []
         init = argparse.ArgumentParser.__init__
 
@@ -819,50 +824,78 @@ class TestSubcommandParsers:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-        assert run_cli(capsys, *self.QFI)[0] == 0
-        assert constructed == ["nlprobe", "nlprobe qfi"]
+        return constructed
+
+    def test_every_subcommand_has_its_options(self):
+        subcommands = self.subcommands(cli.build_parser())
+        assert [a.option_strings for a in subcommands["qfi"]._actions] == [
+            ["-h", "--help"], ["--n"], ["--gamma"], ["--theta"], ["--phi"], ["--zeta"], ["--lambda"], ["--time"],
+            ["--oracle"], ["--jobs"], ["--json"], ["--out"],
+        ]
+        assert [a.option_strings for a in subcommands["selftest"]._actions] == [
+            ["-h", "--help"], ["--jobs"], ["--json"], ["--out"],
+        ]
+        assert {name: sub.get_default("func") for name, sub in subcommands.items()} == {
+            "qfi": cli.cmd_qfi, "scan-phase": cli.cmd_scan_phase, "scan-gamma": cli.cmd_scan_gamma,
+            "opt-gamma": cli.cmd_opt_gamma, "threshold": cli.cmd_threshold, "selftest": cli.cmd_selftest,
+        }
 
     def test_a_subcommand_adds_its_options_once(self):
         selftest = self.subcommands(cli.build_parser())["selftest"]
         assert selftest.parse_args([]) == selftest.parse_args([])  # a second add_argument would conflict
 
-    def test_two_calls_in_one_process_print_the_same_bytes(self, capsys):
-        calls = [self.QFI, ["qfi", "--help"], ["threshold", "--target", "f_lambda", "--zeta", "2", "--samples", "1"]]
-        results = []
-        for argv in calls * 2:
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-            results.append((code, *capsys.readouterr()))
-        assert [r[0] for r in results] == [0, 0, 2] * 2
-        assert results[:3] == results[3:]
-
-    def test_the_terminal_size_is_looked_up_once_per_call(self, capsys, monkeypatch):
-        calls = []
+    def test_the_first_call_builds_the_parser_and_the_next_only_parses(self, capsys, monkeypatch, fresh_parser):
+        constructed = self.count_constructions(monkeypatch)
+        assert run_cli(capsys, *self.QFI)[0] == 0
+        assert constructed == self.PROGS
+        del constructed[:]
+        sizes = []
         size = shutil.get_terminal_size
-        monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or size(*a))
-        argv = ["scan-phase", "--n", "3", "--gamma", "0.5", "--zeta", "3", "--target", "f_lambda", "--grid", "4"]
-        assert run_cli(capsys, *argv)[0] == 0
-        assert len(calls) == 1
+        monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: sizes.append(a) or size(*a))
+        assert run_cli(capsys, *self.QFI)[0] == 0
+        assert (constructed, sizes) == ([], [])  # nor does it look up the terminal width
+
+    def test_cache_clear_makes_the_next_call_build_again(self, capsys, monkeypatch, fresh_parser):
+        first = cli.build_parser()
+        constructed = self.count_constructions(monkeypatch)
+        cli.build_parser.cache_clear()
+        assert run_cli(capsys, *self.QFI)[0] == 0
+        assert constructed == self.PROGS
+        assert cli.build_parser() is not first
+
+    def test_two_calls_in_one_process_print_the_same_bytes(self, capsys, fresh_parser):
+        calls = [
+            self.QFI,
+            ["qfi", "--help"],
+            ["threshold", "--target", "f_lambda", "--zeta", "2", "--samples", "1"],  # DomainError: exit 2
+            ["--version"],
+            ["qfi", "--n", "1"],  # argparse usage error: exit 2
+            ["scan-phase", "--n", "3", "--gamma", "0.5", "--zeta", "3", "--target", "f_lambda", "--grid", "4"],
+        ]
+        results = [_exit_and_output(capsys, argv) for argv in calls * 2]
+        assert [r[0] for r in results] == [0, 0, 2, 0, 2, 0] * 2
+        assert "the following arguments are required" in results[4][2]
+        assert results[:6] == results[6:]
 
     @pytest.mark.parametrize("columns", ["60", "133", None])
     @pytest.mark.parametrize("argv", [["--help"], ["qfi", "--help"], ["threshold", "--zeta", "2"]])
-    def test_help_width_is_the_formatters_own(self, capsys, monkeypatch, columns, argv):
-        # build_parser hands the width to HelpFormatter; left to itself, each
-        # formatter looks up the same width
+    def test_help_width_is_the_formatters_own(self, capsys, monkeypatch, fresh_parser, columns, argv):
+        # the parser is built and first prints at another width; argparse's formatter looks the
+        # width up when it prints, so the cached parser then prints what a fresh build prints
+        other = "133" if columns == "60" else "60"
+        monkeypatch.setenv("COLUMNS", other)
+        at_other = _exit_and_output(capsys, argv)
         if columns is None:
-            monkeypatch.delenv("COLUMNS", raising=False)
+            monkeypatch.delenv("COLUMNS")
         else:
             monkeypatch.setenv("COLUMNS", columns)
-        results = []
-        for formatter in (cli.partial, lambda cls, width: cls):
-            monkeypatch.setattr(cli, "partial", formatter)
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            results.append((exc.value.code, *capsys.readouterr()))
-        assert results[0] == results[1]
-        assert any(len(line) > 40 for line in (results[0][1] + results[0][2]).splitlines())  # the width matters
+        cached = _exit_and_output(capsys, argv)
+        cli.build_parser.cache_clear()
+        assert _exit_and_output(capsys, argv) == cached
+        assert cached[0] == at_other[0]
+        assert any(len(line) > 40 for line in (cached[1] + cached[2]).splitlines())
+        if columns is not None:
+            assert cached != at_other  # the width matters
 
 
 class TestScanOutput:
@@ -1058,12 +1091,7 @@ def _capture(capsys, argv, out_path):
     """(exit code, stdout, stderr, bytes of the --out file) of one in-process call."""
     argv = [str(out_path) if a == "{out}" else a for a in argv]
     out_path.unlink(missing_ok=True)
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse rejected the arguments
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err, out_path.read_bytes() if out_path.exists() else None
+    return (*_exit_and_output(capsys, argv), out_path.read_bytes() if out_path.exists() else None)
 
 
 class TestInProcessCalls:
