@@ -108,7 +108,11 @@ def _emit(args, scan: ScanResult):
 def _write(args, text):
     """Write a command's whole output to the --out file, or else to stdout."""
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
+        try:
+            fh = open(args.out, "w", newline="\n")
+        except OSError as exc:
+            raise DomainError(f"--out cannot be opened: {type(exc).__name__}: {exc}") from exc
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -283,14 +287,11 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    failures = 0
-    lines = []
+    checks, lines = [], []
 
     def check(name, ok, detail=""):
-        nonlocal failures
-        status = "PASS" if ok else "FAIL"
-        failures += 0 if ok else 1
-        lines.append(f"{status} {name}{' ' + detail if detail else ''}\n")
+        checks.append({"name": name, "status": "PASS" if ok else "FAIL", "detail": detail})
+        lines.append(f"{checks[-1]['status']} {name}{' ' + detail if detail else ''}\n")
 
     # exact row-sum identity
     ok = True
@@ -324,10 +325,11 @@ def cmd_selftest(args) -> int:
             worst_exact = max(worst_exact, abs(exact[k] - om[k]) / max(1.0, abs(om[k])))
             worst_default = max(worst_default, abs(default[k] - om[k]) / max(1.0, abs(om[k])))
     check("moments.oracle-agreement-state-exact-mode", worst_exact <= 1e-8, f"max_rel={worst_exact:.2e}")
-    lines.append(
-        f"INFO moments.default-family-vs-state-delta max_rel={worst_default:.2e} "
-        "(expected large at mixed gamma; see README 'Moment conventions')\n"
+    info = (
+        f"moments.default-family-vs-state-delta max_rel={worst_default:.2e} "
+        "(expected large at mixed gamma; see README 'Moment conventions')"
     )
+    lines.append(f"INFO {info}\n")
 
     # Uhlmann compatibility and SLD consistency from the oracle alone
     probe = make_probe(1.0, 0.5, 0.0, 0.0)
@@ -347,16 +349,18 @@ def cmd_selftest(args) -> int:
     check("oracle.sld-trace-consistency", rel <= 1e-6, f"rel={rel:.2e}")
 
     # threshold against the analytic reference
-    target = OptTarget(TargetKind.F_LAMBDA, ModelSpec(lambda_eff=1.0, zeta=2))
-    n_th = find_threshold(target)
+    n_th = find_threshold(OptTarget(TargetKind.F_LAMBDA, ModelSpec(lambda_eff=1.0, zeta=2)))
     check(
         "optimizer.threshold-analytic-reference",
-        abs(n_th - ANALYTIC_THRESHOLD) <= 5e-4,
+        abs(n_th - ANALYTIC_THRESHOLD) <= 1e-12 * ANALYTIC_THRESHOLD,  # the closed form lands 1 ulp (3.5e-18) away
         f"n_th={n_th:.6f} ref={ANALYTIC_THRESHOLD:.6f}",
     )
 
-    lines.append(("OK" if failures == 0 else f"{failures} FAILURES") + "\n")
-    _write(args, "".join(lines))
+    failures = sum(c["status"] == "FAIL" for c in checks)
+    if args.json:
+        _write(args, json.dumps({"checks": checks, "info": info, "failures": failures}, sort_keys=True) + "\n")
+    else:
+        _write(args, "".join(lines) + ("OK" if failures == 0 else f"{failures} FAILURES") + "\n")
     return EXIT_OK if failures == 0 else 1
 
 

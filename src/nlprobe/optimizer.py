@@ -5,19 +5,18 @@ but unimodality is never assumed blindly: the coarse grid is scanned for
 all local maxima and up to three of them are refined before the best is
 accepted. An interior candidate is refined by Brent's method (golden and
 parabolic steps; R. P. Brent, Algorithms for Minimization without
-Derivatives, 1973) between its grid neighbours. A candidate at a grid end
-costs one kernel call GAMMA_TOL inside the end; where the objective there
-is not higher than at the end, the end takes the candidate, and only
-otherwise is its cell refined. The joint bound can dip within GAMMA_TOL of
-gamma = 1 and still peak inside the last cell: its layer there is set by
-the coherent photon number y = (1 - gamma) N, and at zeta = 3 the peak
-tends to y = Y0 = sqrt(7/48) as N grows, a peak about 1/N wide in gamma.
-So its gamma = 1 candidate costs one more call, at y = Y0, and its last
-cell is refined, by Brent's method in log y, only where one of the two
-calls beats the end; a maximum that the bracket next to gamma = 1 finds in
-that cell is refined in log y too. The objective, the optimizer and the
-threshold search work at zero phases, where the optimal probe lies
-(verify_zero_phase_optimality).
+Derivatives, 1973) between its grid neighbours. One end rule serves every
+target. The gamma = 0 candidate costs one kernel call GAMMA_TOL inside the
+end, and its cell is refined only where that call beats the end. The
+gamma = 1 candidate costs one such call and one at y = Y0 = sqrt(7/48)
+coherent photons, y = (1 - gamma) N, where that lies inside the last cell,
+which is refined in log y only where one of the two beats the end: an
+objective can dip within GAMMA_TOL of gamma = 1 and still peak in the last
+cell, as the joint bound does at zeta = 3, where its peak tends to y = Y0
+as N grows, about 1/N wide in gamma. A maximum that the bracket next to
+gamma = 1 finds in the last cell is refined in log y too. The objective,
+the optimizer and the threshold search work at zero phases, where the
+optimal probe lies (verify_zero_phase_optimality).
 """
 
 import contextlib
@@ -175,7 +174,7 @@ def _brent_max(fun, a, b, x, fx):
 
 
 def _refine_in_y(kernel, n, x, fx):
-    """(gamma, value) at a maximum of the joint bound in its last grid cell
+    """(gamma, value) at a maximum of the objective in its last grid cell
     [1 - 1/(COARSE - 1), 1] at energy n, by Brent's method from a point x of
     the cell where kernel(x) = fx.
 
@@ -191,9 +190,9 @@ def _refine_in_y(kernel, n, x, fx):
     return (x if s == s0 else 1.0 - math.exp(s) / n), v
 
 
-def _joint_end_cell(kernel, n, end):
-    """(gamma, value) at the maximum of the joint bound in its last grid cell
-    at energy n, where the bound at gamma = 1 is end: (1.0, end) unless a
+def _end_cell(kernel, n, end):
+    """(gamma, value) at the maximum of the objective in its last grid cell
+    at energy n, where the objective at gamma = 1 is end: (1.0, end) unless a
     screening call beats the end, and otherwise _refine_in_y from the
     better one. The screen is one call GAMMA_TOL inside the end and one at
     Y0 coherent photons, gamma = 1 - Y0 / n, where that lies inside the cell.
@@ -221,7 +220,6 @@ def _row_solver(ns, target):
     error that a loop over its points meets first.
     """
     model, entry = target.model, _ENTRY[target.kind]
-    joint = target.kind is TargetKind.JOINT_BOUND  # its dip near gamma = 1 defeats the one-call end test
     (table,), ok = _normal_law_arrays(np.array(ns, dtype=float)[:, None], _GRID, 0.0, 0.0, model, (entry,))
     rows_ok = ok.all(axis=1).tolist()
     flags = _local_maxima(table)
@@ -238,21 +236,19 @@ def _row_solver(ns, target):
 
         best_g, best_v = None, -math.inf
         for j in candidates:
-            if 0 < j < COARSE - 1:  # Brent starts CGOLD into the bracket of the grid neighbours
+            if j == 0:  # one call GAMMA_TOL inside the end, where Brent starts if the cell is refined
+                fx = kernel(GAMMA_TOL)
+                if fx <= vals[0]:
+                    continue  # the objective rises into the end: the endpoint comparison takes it
+                g, v = _brent_max(kernel, 0.0, _GRID[1], GAMMA_TOL, fx)
+            elif j == COARSE - 1:  # two screening calls, and the cell refined in y where one beats the end
+                g, v = _end_cell(kernel, n, vals[j])
+            else:  # Brent starts CGOLD into the bracket of the grid neighbours
                 lo, hi = _GRID[j - 1], _GRID[j + 1]
                 x = lo + CGOLD * (hi - lo)
                 g, v = _brent_max(kernel, lo, hi, x, kernel(x))
-                if joint and g > _GRID[-2]:  # a peak in the joint bound's last cell, resolved in y
+                if g > _GRID[-2]:  # a peak in the last cell, resolved in y
                     g, v = _refine_in_y(kernel, n, g, v)
-            elif j and joint:  # the joint bound's gamma = 1: two screening calls
-                g, v = _joint_end_cell(kernel, n, vals[j])
-            else:  # an end: one call GAMMA_TOL inside it, where Brent starts if the cell is refined
-                lo, hi = _GRID[:2] if j == 0 else _GRID[-2:]
-                x = lo + GAMMA_TOL if j == 0 else hi - GAMMA_TOL
-                fx = kernel(x)
-                if not joint and fx <= vals[j]:
-                    continue  # the objective rises into the end: the endpoint comparison takes it
-                g, v = _brent_max(kernel, lo, hi, x, fx)
             if v > best_v:
                 best_g, best_v = g, v
         # grid endpoints can beat the refined interior value when the maximum
@@ -272,17 +268,16 @@ def optimize_gamma_grid(ns, target: OptTarget) -> list:
     of the coarse grids and numpy flags the local maxima of every row at
     once. Each row's candidates are then refined through the scalar kernel
     of that row's energy (qfi_core._normal_law_kernel): an interior one by
-    Brent's method between its grid neighbours, an end by one call
-    GAMMA_TOL inside it, and by Brent's method on its cell only where that
-    call is higher than the end. The joint bound's gamma = 1 end adds a call
-    at Y0 coherent photons and refines its cell in log y only where one of
-    the two beats the end (_joint_end_cell); a maximum that its bracket next
-    to gamma = 1 finds in the last cell is refined in log y too
-    (_refine_in_y). Table and refinement evaluate the target's entry alone
-    (objective). Results and errors are those of a loop over the energies:
-    the rows are checked and refined in order, and a row on which the table
-    holds a bad point goes to normal_law_grid, which raises the error that
-    point raises on its own.
+    Brent's method between its grid neighbours, gamma = 0 by one call
+    GAMMA_TOL inside it and by Brent's method on its cell only where that
+    call is higher than the end, gamma = 1 by that call and one at Y0
+    coherent photons and its cell refined in log y only where one of the two
+    beats the end (_end_cell); a maximum that the bracket next to gamma = 1
+    finds in the last cell is refined in log y too (_refine_in_y). Table and
+    refinement evaluate the target's entry alone (objective). Results and
+    errors are those of a loop over the energies: the rows are checked and
+    refined in order, and a row on which the table holds a bad point goes to
+    normal_law_grid, which raises the error that point raises on its own.
     """
     ns = list(ns)
     if not ns:
@@ -295,10 +290,10 @@ def optimize_gamma(n_total: float, target: OptTarget) -> GammaOptResult:
     """Maximize the target over gamma in [0, 1] to absolute tolerance GAMMA_TOL.
 
     Strategy: a coarse bracketing grid of COARSE points, then Brent's
-    method on up to three local-maximum brackets, an end candidate costing
-    one kernel call GAMMA_TOL inside the end where the objective rises into
-    it (and one more at the joint bound's gamma = 1, _joint_end_cell); the
-    best refined point wins, unless a grid endpoint is at least as good.
+    method on up to three local-maximum brackets; an end candidate costs
+    one kernel call GAMMA_TOL inside the end (and one more at gamma = 1,
+    _end_cell), and its cell is refined only where a call beats the end.
+    The best refined point wins, unless a grid endpoint is at least as good.
     Guaranteed for objectives unimodal on each bracket, and the
     multi-bracket restart guards against undetected multimodality.
     at_boundary is True exactly when the gamma = 1 endpoint won that

@@ -356,6 +356,31 @@ class TestOutFile:
         assert out == ""
         assert path.read_bytes() == expected.encode()
 
+    @pytest.mark.parametrize(
+        "argv, path, error",
+        [
+            (["scan-gamma", "--n", "1", "--zeta", "2", "--target", "f_lambda", "--grid", "3"], "missing/x.csv",
+             "FileNotFoundError"),
+            (["qfi", "--n", "1", "--gamma", "0.5", "--zeta", "2", "--lambda", "1"], ".", "IsADirectoryError"),
+        ],
+        ids=["missing-directory", "a-directory"],
+    )
+    def test_an_out_that_cannot_be_opened_is_a_usage_error(self, capsys, tmp_path, argv, path, error):
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / path))
+        assert (code, out) == (2, "")
+        report = json.loads(err)
+        assert report["error"] == "DomainError"
+        assert report["message"].startswith(f"--out cannot be opened: {error}: ") and str(tmp_path) in report["message"]
+
+    def test_a_write_that_fails_after_the_open_is_not_a_usage_error(self, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        with pytest.raises(BrokenPipeError):
+            cli.main(["qfi", "--n", "1", "--gamma", "0.5", "--zeta", "2", "--lambda", "1"])
+
 
 class TestScanGamma:
     def test_rows_and_endpoints(self, capsys):
@@ -483,6 +508,24 @@ class TestSelftest:
         code, out, err = run_cli(capsys, "selftest")
         assert (code, err) == (1, "")
         assert "FAIL combinatorics.row-sum-identity\n" in out
+        assert out.endswith("1 FAILURES\n")
+
+    def test_json_is_one_document_with_the_text_checks(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "coeff_row_sum", lambda zeta, k: -1)
+        code, text, _ = run_cli(capsys, "selftest")
+        json_code, out, err = run_cli(capsys, "selftest", "--json")
+        assert (json_code, err) == (code, "") == (1, "")
+        doc = json.loads(out)
+        assert sorted(doc) == ["checks", "failures", "info"] and doc["failures"] == 1
+        lines = [f"{c['status']} {c['name']}{' ' + c['detail'] if c['detail'] else ''}" for c in doc["checks"]]
+        assert lines[0] == "FAIL combinatorics.row-sum-identity"
+        assert text.splitlines() == lines[:3] + [f"INFO {doc['info']}"] + lines[3:] + ["1 FAILURES"]
+
+    def test_the_threshold_check_fails_a_one_in_a_million_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "find_threshold", lambda target: cli.ANALYTIC_THRESHOLD * (1.0 + 1e-6))
+        code, out, _ = run_cli(capsys, "selftest")
+        assert code == 1
+        assert "FAIL optimizer.threshold-analytic-reference n_th=0.030330 ref=0.030330\n" in out
         assert out.endswith("1 FAILURES\n")
 
 

@@ -155,10 +155,10 @@ ZEPS = math.sqrt(2.0**-52)
 def loop_optimize(n, t, coarse):
     """Frozen copy of the scalar optimizer that optimize_gamma_grid batches,
     over the public objective point by point: Brent's minimization (as in
-    Numerical Recipes' brent) of -objective on each candidate's bracket; an
-    end candidate of f_lambda or f_zeta only where the objective GAMMA_TOL
-    inside the end beats the end. The joint bound's last cell is searched in
-    s = log y, y = (1 - gamma) n: its end candidate only where the objective
+    Numerical Recipes' brent) of -objective on each candidate's bracket; the
+    gamma = 0 candidate only where the objective GAMMA_TOL inside the end
+    beats the end. The last cell is searched in s = log y,
+    y = (1 - gamma) n: the gamma = 1 candidate only where the objective
     GAMMA_TOL inside the end or at y = Y0 beats the end, from the better of
     them, and a maximum that the bracket next to the end finds in that cell
     once more from there. at_boundary in its current meaning,
@@ -236,22 +236,18 @@ def loop_optimize(n, t, coarse):
     for i in candidates:
         if i == 0:
             g, c = 0.0, -vals[0]
-            if t.kind is TargetKind.JOINT_BOUND or -cost(1e-6) > vals[0]:
+            if -cost(1e-6) > vals[0]:
                 g, c = brent(grid[0], grid[1], 1e-6, cost(1e-6))
-        elif i == coarse - 1 and t.kind is TargetKind.JOINT_BOUND:
+        elif i == coarse - 1:
             g, c = 1.0, -vals[-1]
             screen = [1.0 - 1e-6] + [1.0 - opt.Y0 / n] * (grid[-2] < 1.0 - opt.Y0 / n < 1.0)
             start = min(screen, key=cost)  # the first of equal values
             if -cost(start) > vals[-1]:
                 g, c = in_y(start, cost(start))
-        elif i == coarse - 1:
-            g, c = 1.0, -vals[-1]
-            if -cost(1.0 - 1e-6) > vals[-1]:
-                g, c = brent(grid[-2], grid[-1], 1.0 - 1e-6, cost(1.0 - 1e-6))
         else:
             start = grid[i - 1] + C * (grid[i + 1] - grid[i - 1])
             g, c = brent(grid[i - 1], grid[i + 1], start, cost(start))
-            if t.kind is TargetKind.JOINT_BOUND and g > grid[-2]:
+            if g > grid[-2]:
                 g, c = in_y(g, c)
         if -c > best_v:
             best_g, best_v = g, -c
@@ -409,12 +405,12 @@ class TestOptimizeGammaGrid:
 class TestRefinement:
     """Brent's method refines interior brackets; an end candidate costs one
     kernel call GAMMA_TOL inside the end, and its cell is refined only where
-    that call is higher than the end. The joint bound's last cell is
-    screened by one more call, at Y0 = sqrt(7/48) coherent photons (its
-    maximum there at zeta 3 as N -> inf), and refined in log y,
-    y = (1 - gamma) N, only where a screening call beats the end; so is a
-    maximum that Brent's method on the bracket next to gamma = 1 finds in
-    that cell."""
+    that call is higher than the end. The last cell is screened by one more
+    call, at Y0 = sqrt(7/48) coherent photons (the joint bound's maximum
+    there at zeta 3 as N -> inf), and refined in log y, y = (1 - gamma) N,
+    only where a screening call beats the end; so is a maximum that Brent's
+    method on the bracket next to gamma = 1 finds in that cell. The rule
+    is the same for every target."""
 
     @staticmethod
     def count_calls(monkeypatch):
@@ -433,9 +429,10 @@ class TestRefinement:
         monkeypatch.setattr(opt, "_normal_law_kernel", counting)
         return calls
 
-    @pytest.mark.parametrize("kind, zeta, n", [("f_lambda", 2, 0.01), ("f_lambda", 6, 0.01), ("f_zeta", 2, 1e4),
-                                               ("f_zeta", 5, 0.01)])
+    @pytest.mark.parametrize("kind, zeta, n", [("f_lambda", 2, 0.01), ("f_lambda", 6, 0.01), ("f_zeta", 5, 0.01),
+                                               ("joint", 3, 0.01), ("joint", 4, 0.01)])
     def test_a_row_rising_into_one_costs_one_call(self, monkeypatch, kind, zeta, n):
+        assert 1.0 - opt.Y0 / n < 127 / 128  # y = Y0 lies outside the last cell
         calls = self.count_calls(monkeypatch)
         res = optimize_gamma(n, target(kind, zeta))
         assert res.at_boundary and res.gamma_opt == 1.0
@@ -509,12 +506,14 @@ class TestRefinement:
             assert res.gamma_opt == pytest.approx(gamma, abs=2e-6), (n, t)
             assert res.objective_value == pytest.approx(value, rel=1e-10), (n, t)
 
-    def test_a_joint_end_cell_without_a_maximum_costs_two_calls(self, monkeypatch):
-        # gamma = 1 is optimal and the only coarse maximum: the screen alone
+    @pytest.mark.parametrize("kind, zeta", [("f_lambda", 1), ("f_zeta", 2), ("joint", 3)])
+    def test_an_end_cell_without_a_maximum_costs_two_calls(self, monkeypatch, kind, zeta):
+        # gamma = 1 is optimal and the only coarse maximum, and y = Y0 lies in
+        # the last cell: the screen alone
         n = 1e4
         calls = self.count_calls(monkeypatch)
-        res = optimize_gamma(n, target("joint", 3))
-        assert res.at_boundary
+        res = optimize_gamma(n, target(kind, zeta))
+        assert res.at_boundary and res.gamma_opt == 1.0
         assert calls == [1.0 - opt.GAMMA_TOL, 1.0 - opt.Y0 / n]
 
     def test_the_joint_threshold_search_screens_its_end_cells(self, monkeypatch):

@@ -12,6 +12,9 @@ it compares the exit code, stdout, stderr and --out bytes of a CLI call,
 and the repr of what a library call returned or raised. Every difference
 is listed with the largest relative difference between the numbers of the
 two texts, field by field; the exit code is 1 if there is any, 0 otherwise.
+From the same runs it prints, per workload, tree and seed, how often a
+scalar kernel that optimizer._normal_law_kernel built was called: the
+optimizer's work, which a change to the refinement moves.
 """
 
 import argparse
@@ -33,14 +36,35 @@ ONE_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SEPARATORS = re.compile(r"(?:[\s,=:;()\[\]{}'\"]|\\n)+")
 
 
+def count_kernel_calls(optimizer):
+    """Make every scalar kernel that optimizer._normal_law_kernel builds
+    count its calls in the list it returns, one element per call."""
+    calls, build = [], optimizer._normal_law_kernel
+
+    def counting(*args, **kwargs):
+        kernel = build(*args, **kwargs)
+
+        def counted(gamma):
+            calls.append(None)
+            return kernel(gamma)
+
+        return counted
+
+    optimizer._normal_law_kernel = counting
+    return calls
+
+
 def run_workload(src, workload, seeds, outdir):
     """Run every operation of workload for each seed with the nlprobe of src
     (in this interpreter) and return one record per operation: its label,
-    the repr of its result and the bytes of the files it wrote, by suffix."""
+    the repr of its result and the bytes of the files it wrote, by suffix;
+    and the optimizer's kernel calls of each seed."""
     sys.path[:0] = [str(src), str(PERFBENCH)]
     workloads = importlib.import_module("workloads")
-    records = []
+    calls = count_kernel_calls(importlib.import_module("nlprobe.optimizer"))
+    records, kernel_calls = [], {}
     for seed in seeds:
+        calls.clear()
         seed_dir = outdir / str(seed)
         seed_dir.mkdir()
         for op in workloads.build(workload, seed, seed_dir):
@@ -51,11 +75,12 @@ def run_workload(src, workload, seeds, outdir):
                 result = f"raised {type(exc).__name__}: {exc}"
             files = {f.suffix: f.read_bytes().decode("latin-1") for f in sorted(set(seed_dir.iterdir()) - before)}
             records.append({"seed": seed, "label": op.label, "result": result, "files": files})
-    return records
+        kernel_calls[seed] = len(calls)
+    return {"records": records, "kernel_calls": kernel_calls}
 
 
 def records_of(src, workload, seeds, outdir):
-    """run_workload in a fresh interpreter, in an empty outdir."""
+    """run_workload in a fresh interpreter, in an empty outdir (JSON turns its seeds into strings)."""
     shutil.rmtree(outdir, ignore_errors=True)
     outdir.mkdir()
     env = dict(os.environ, PYTHONHASHSEED="0", **dict.fromkeys(ONE_THREAD, "1"))
@@ -136,10 +161,13 @@ def main(argv=None):
         for workload in names:
             parent = records_of(args.parent_src.resolve(), workload, args.seeds, outdir)
             change = records_of(args.change_src.resolve(), workload, args.seeds, outdir)
-            found = differences(parent, change)
-            total += len(parent)
+            found = differences(parent["records"], change["records"])
+            total += len(parent["records"])
             diffs += [f"{workload} {line}" for line in found]
-            print(f"{workload}: {len(parent)} operations, {len(found)} differ")
+            print(f"{workload}: {len(parent['records'])} operations, {len(found)} differ")
+            for tree, run in (("parent", parent), ("change", change)):
+                counts = " ".join(f"{seed}:{n}" for seed, n in run["kernel_calls"].items())
+                print(f"  {tree} optimizer kernel calls by seed {counts}")
     for report in diffs:
         print(report)
     print(f"{total} operations, {f'{len(diffs)} differ' if diffs else 'all byte-identical'}")
