@@ -7,7 +7,7 @@ squeezing fraction at fixed probe energy.
 """
 
 from .asymptotics import gamma_opt_high_n, qfi_high_n, qfi_lambda_low_n, qfi_zeta_low_n
-from .combinatorics import amplitude_A, coeff_row_sum, normal_order_coeff, scaling_B
+from .combinatorics import coeff_row_sum, normal_order_coeff
 from .errors import (
     CutoffError,
     DegenerateModelError,
@@ -43,10 +43,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "amplitude_A",
     "coeff_row_sum",
     "normal_order_coeff",
-    "scaling_B",
     "BogoliubovView",
     "ProbeSpec",
     "bogoliubov_view",

@@ -1,7 +1,6 @@
 """Exact combinatorics of normal-ordering the quadrature power (a + a^dag)^zeta.
 
-Everything here is integer arithmetic; floats appear only in the
-high-energy scaling law, which is a plain real-valued formula.
+Everything here is integer arithmetic.
 """
 
 from functools import lru_cache
@@ -13,8 +12,6 @@ __all__ = [
     "normal_order_coeff",
     "coeff_row_sum",
     "normal_law_polynomials",
-    "amplitude_A",
-    "scaling_B",
 ]
 
 
@@ -99,7 +96,8 @@ def normal_law_polynomials(zeta: int):
     coefficient left is positive except the x^1 one of G, which is zero at
     even zeta and negative at odd zeta, where it raises the condition number
     of the sum to below 2 (both checked in the tests up to zeta = 24); Q is
-    (12, 6) at zeta = 3.
+    (12, 6) at zeta = 3. The asymptotics read the end terms: V[0] and W[0],
+    and V[-1] = zeta^2 and W[-1] = (zeta - 1)^2.
     """
     if zeta < 1:
         raise DomainError(f"normal_law_polynomials requires zeta >= 1, got {zeta}")
@@ -110,29 +108,3 @@ def normal_law_polynomials(zeta: int):
     gram = _sub(_mul(var_z, var_zm1), _mul(cov, cov))
     return _in_x(var_z), _in_x(var_zm1), _in_x(gram), _in_x(cov[1:])
 
-
-def amplitude_A(zeta: int) -> int:
-    """Vacuum-limit amplitude entering the low-energy expansion of the bounds.
-
-    (2 zeta)!/zeta! for odd zeta; the same minus [zeta!/(zeta/2)!]^2 for even
-    zeta. Exact integer; grows past 64-bit range at zeta >= 11.
-    """
-    if zeta < 1:
-        raise DomainError("amplitude_A requires zeta >= 1")
-    value = factorial(2 * zeta) // factorial(zeta)
-    if zeta % 2 == 0:
-        value -= (factorial(zeta) // factorial(zeta // 2)) ** 2
-    return value
-
-
-def scaling_B(zeta: int, gamma: float) -> float:
-    """Prefactor of the leading N^(3 zeta - 2) growth of the coupling QFI.
-
-    B_gamma(zeta) = 4^(3 zeta - 1) zeta^2 (1-gamma)^(zeta-1) gamma^(2 zeta - 1),
-    with the 0^0 = 1 convention at the gamma endpoints.
-    """
-    if zeta < 1:
-        raise DomainError("scaling_B requires zeta >= 1")
-    if not 0.0 <= gamma <= 1.0:
-        raise DomainError(f"gamma={gamma} outside [0, 1]")
-    return 4.0 ** (3 * zeta - 1) * zeta**2 * (1.0 - gamma) ** (zeta - 1) * gamma ** (2 * zeta - 1)

@@ -205,9 +205,10 @@ def _end_cell(kernel, n, end):
 
 
 def _local_maxima(table):
-    """Flags of the points of each row that are >= both neighbours (the ends need one)."""
+    """Flags of the points of each row that are > their left neighbour and >= their right one (the ends
+    need one): a plateau is flagged at its first point alone, so a flat row has one candidate, gamma = 0."""
     flags = np.ones(table.shape, dtype=bool)
-    flags[:, 1:] &= table[:, 1:] >= table[:, :-1]
+    flags[:, 1:] &= table[:, 1:] > table[:, :-1]
     flags[:, :-1] &= table[:, :-1] >= table[:, 1:]
     return flags
 

@@ -85,12 +85,15 @@ class QfiMatrix:
 
 
 @lru_cache(maxsize=None)
-def _normal_law_table(zeta):
-    """The float coefficients of V, W, G and Q (normal_law_polynomials(zeta))
-    in the order Horner's rule takes them, indexed by x > 1: highest power
-    of x first, and lowest first for the sum in 1/x."""
-    low_first = tuple(tuple(map(float, p)) for p in normal_law_polynomials(zeta))
-    return tuple(p[::-1] for p in low_first), low_first
+def _normal_law_table(zeta, j):
+    """The float coefficients of polynomial j of normal_law_polynomials(zeta) in the orders Horner's rule
+    takes them, indexed by x > 1: highest power of x first, and lowest first for the sum in 1/x.
+    OverflowError(OVERFLOW) where one is beyond double: G's from zeta = 85, V's and Q's from 149, W's from 150."""
+    try:
+        low_first = tuple(map(float, normal_law_polynomials(zeta)[j]))
+    except OverflowError:  # int to float raises its own message
+        raise OverflowError(OVERFLOW) from None
+    return low_first[::-1], low_first
 
 
 def _square(lz):
@@ -160,13 +163,14 @@ def _normal_law_kernel(n_total, theta, phi, model, beta_sign=+1, *, entry):
     x > 1, runs Horner's rule in t on the polynomials that the entry reads
     and hands their values to the entry's formula; f_ll costs one Horner sum.
     A point outside the probe domain raises make_probe's DomainError, an
-    entry beyond the double range OverflowError(OVERFLOW).
+    entry beyond the double range OverflowError(OVERFLOW), at once where a
+    polynomial that it reads is (_normal_law_table).
     """
     zeta, inf = model.zeta, math.inf
     power, lz = zeta - 2, model.lambda_eff * zeta
     lz2 = _square(lz)
     reads, formula = _ENTRIES[entry]
-    below, above = (tuple(polys[j] for j in reads) for polys in _normal_law_table(zeta))
+    below, above = zip(*(_normal_law_table(zeta, j) for j in reads))
     fixed_ok = math.isfinite(theta) and math.isfinite(phi)
     phase = _phase_terms(theta, phi, beta_sign) if fixed_ok else None  # else make_probe raises
     fixed_ok = fixed_ok and 0.0 <= n_total < inf
@@ -237,8 +241,13 @@ def qfi_matrix(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1) -> Qf
     return QfiMatrix(*_probe_qfi(probe, model, beta_sign, (0, 1, 2)), u_lz=0.0)
 
 
-def _horner_grid(high_first, low_first, x, above):
-    """Horner's rule in t = x or 1/x at every element of x, where above is x > 1."""
+def _horner_grid(zeta, j, x, above):
+    """Horner's rule in t = x or 1/x on _normal_law_table(zeta, j) at every element of x, where above
+    is x > 1; nan where that table raises, so that its points go to the scalar kernel, which raises."""
+    try:
+        high_first, low_first = _normal_law_table(zeta, j)
+    except OverflowError:
+        return np.full(np.shape(x), math.nan)
     y = 1.0 / x
     acc_y = acc_x = 0.0
     for c_y, c_x in zip(low_first, high_first):
@@ -255,7 +264,6 @@ def _normal_law_arrays(n_total, gamma, theta, phi, model: ModelSpec, entries):
     """
     arrays = [np.asarray(a, dtype=float) for a in (n_total, gamma, theta, phi)]
     n, gam, th, ph = np.broadcast_arrays(*arrays)
-    polys = tuple(zip(*_normal_law_table(model.zeta)))  # (x <= 1, x > 1) coefficient orders of V, W, G, Q
     with np.errstate(all="ignore"):  # both Horner branches run everywhere, 1/x included
         mean, var = _energy_law(n, gam, _phase_terms(arrays[2], arrays[3], +1, np), np)  # phases unbroadcast
         x = mean * mean / var
@@ -264,7 +272,7 @@ def _normal_law_arrays(n_total, gamma, theta, phi, model: ModelSpec, entries):
         # libm's pow, as float ** takes it; where ** raises it gives inf, which fails ok
         scale, lz = 4.0 * var * np.float_power(u, model.zeta - 2), model.lambda_eff * model.zeta
         lz2, read = _square(lz), [_ENTRIES[k] for k in entries]
-        h = {j: _horner_grid(*polys[j], x, above) for j in {j for reads, _ in read for j in reads}}  # once each
+        h = {j: _horner_grid(model.zeta, j, x, above) for j in {j for reads, _ in read for j in reads}}  # once each
         values = tuple(formula([h[j] for j in reads], mean, var, u, scale, lz, lz2) for reads, formula in read)
         ok = np.isfinite(n) & (n >= 0.0) & (gam >= 0.0) & (gam <= 1.0) & np.isfinite(th) & np.isfinite(ph)
         for value in values:

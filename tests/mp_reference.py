@@ -17,10 +17,15 @@ printed_moments evaluates the printed general-phase formula
 with (mu, nu, beta, eta, psi) as in probe.bogoliubov_view, at 40 digits. It
 shares nothing with the normal law but the probe, and its imaginary residue
 checks the phase bookkeeping.
+
+vacuum_amplitude and high_energy_prefactor are the limits of the QFIs
+derived by hand, which the end terms of the exact polynomials and the laws
+of nlprobe.asymptotics are held to.
 """
 
 import math
 from functools import lru_cache
+from math import factorial
 from unittest import mock
 
 import mpmath
@@ -37,30 +42,46 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 IMAG_RESIDUE_TOL = 1e-10
 
 
+def vacuum_amplitude(zeta):
+    """A(zeta) = 2^zeta Var(X^zeta) for X ~ N(0, 1): (2 zeta)!/zeta!, less
+    [zeta!/(zeta/2)!]^2 at even zeta, an exact integer."""
+    value = factorial(2 * zeta) // factorial(zeta)
+    if zeta % 2 == 0:
+        value -= (factorial(zeta) // factorial(zeta // 2)) ** 2
+    return value
+
+
+def high_energy_prefactor(zeta, gamma):
+    """B_gamma(zeta) = 4^(3 zeta - 1) zeta^2 (1-gamma)^(zeta-1) gamma^(2 zeta - 1),
+    with 0^0 = 1 at the gamma endpoints: the coupling QFI over N^(3 zeta - 2)
+    as N grows."""
+    return 4.0 ** (3 * zeta - 1) * zeta**2 * (1.0 - gamma) ** (zeta - 1) * gamma ** (2 * zeta - 1)
+
+
 @lru_cache(maxsize=None)
-def _exact_table(zeta):
+def _exact_table(zeta, j):
     """qfi_core._normal_law_table with the integer coefficients themselves."""
-    low_first = tuple(map(tuple, normal_law_polynomials(zeta)))
-    return tuple(p[::-1] for p in low_first), low_first
+    low_first = normal_law_polynomials(zeta)[j]
+    return low_first[::-1], low_first
 
 
 def assemble(mean, var, lz, zeta, table, entries):
     """The entries of (f_ll, f_zz, f_lz, det F / tr F) at the indices in
     entries, as a list, from the quadrature's mean and variance, lz = lambda
-    zeta and a coefficient table ordered as qfi_core._normal_law_table's:
-    the formulas of qfi_core._ENTRIES on plain numbers, whose type sets the
-    precision, with (lambda zeta)^2 from qfi_core._square. On floats and
-    that table it is the scalar kernel's arithmetic, the polynomials in
-    t = x for x <= 1 and in t = 1/x for x > 1.
+    zeta and a coefficient table, a function of (zeta, j) ordered as
+    qfi_core._normal_law_table: the formulas of qfi_core._ENTRIES on plain
+    numbers, whose type sets the precision, with (lambda zeta)^2 from
+    qfi_core._square. On floats and that table it is the scalar kernel's
+    arithmetic, the polynomials in t = x for x <= 1 and in t = 1/x for x > 1.
     """
     x = mean * mean / var
     above = x > 1.0
     u, t = (mean * mean, 1.0 / x) if above else (var, x)
-    polys, scale = table[above], 4.0 * var * u ** (zeta - 2)
+    scale = 4.0 * var * u ** (zeta - 2)
 
     def horner(j):
         acc = 0.0
-        for c in polys[j]:
+        for c in table(zeta, j)[above]:
             acc = acc * t + c
         return acc
 
@@ -88,7 +109,7 @@ def _unrounded(n_total, gamma, theta, phi, model, beta_sign, entries, dps=DPS):
     zeta = model.zeta
     with mpmath.workdps(dps):
         mean, var = _normal_law(*map(mpmath.mpf, (n_total, gamma, theta, phi)), beta_sign)
-        return assemble(mean, var, mpmath.mpf(model.lambda_eff) * zeta, zeta, _exact_table(zeta), entries)
+        return assemble(mean, var, mpmath.mpf(model.lambda_eff) * zeta, zeta, _exact_table, entries)
 
 
 def kernel(n_total, gamma, theta, phi, model, beta_sign=+1, entries=(0, 1, 2, 3)):

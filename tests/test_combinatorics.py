@@ -2,13 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from nlprobe.combinatorics import (
-    amplitude_A,
-    coeff_row_sum,
-    normal_law_polynomials,
-    normal_order_coeff,
-    scaling_B,
-)
+from mp_reference import vacuum_amplitude
+from nlprobe.combinatorics import coeff_row_sum, normal_law_polynomials, normal_order_coeff
 from nlprobe.errors import DomainError
 
 
@@ -145,45 +140,21 @@ class TestNormalLawCovariance:
         assert all(type(c) is int and c > 0 for c in q)
 
 
-class TestAmplitudeA:
+class TestEndTerms:
+    # the limits of nlprobe.asymptotics: the constant terms of V and W are the
+    # vacuum variances, the top ones the zeta^2 of the high-energy prefactor
     def test_examples(self):
-        assert amplitude_A(1) == 2
-        assert amplitude_A(2) == 8
-        assert amplitude_A(3) == 120
+        assert [2**zeta * normal_law_polynomials(zeta)[0][0] for zeta in (1, 2, 3)] == [2, 8, 120]
 
-    def test_even_cancellation_is_exact_at_large_order(self):
-        # the even case subtracts two comparable huge integers; spot-check
-        # against an independent formulation via binomials
-        from math import comb, factorial
+    @pytest.mark.parametrize("zeta", range(1, 25))
+    def test_constant_terms_are_the_vacuum_amplitude(self, zeta):
+        # the even case subtracts two comparable huge integers
+        v, w, _, _ = normal_law_polynomials(zeta)
+        assert 2**zeta * v[0] == vacuum_amplitude(zeta) > 0
+        assert zeta == 1 or 2 ** (zeta - 1) * w[0] == vacuum_amplitude(zeta - 1)
 
-        for zeta in range(2, 25, 2):
-            lead = factorial(2 * zeta) // factorial(zeta)
-            sub = (factorial(zeta) // factorial(zeta // 2)) ** 2
-            assert amplitude_A(zeta) == lead - sub
-            assert amplitude_A(zeta) > 0
-
-    def test_zeta_zero_rejected(self):
-        with pytest.raises(DomainError):
-            amplitude_A(0)
-
-
-class TestScalingB:
-    def test_examples(self):
-        assert scaling_B(1, 1.0) == 16.0
-        assert scaling_B(2, 0.0) == 0.0
-        assert scaling_B(2, 0.6) == pytest.approx(4**5 * 4 * 0.4 * 0.6**3, rel=1e-14)
-
-    def test_argmax_matches_high_energy_optimum(self):
-        # argmax over gamma of (1-g)^(z-1) g^(2z-1) is (2z-1)/(3z-2)
-        from nlprobe.asymptotics import gamma_opt_high_n
-
-        for zeta in range(1, 9):
-            grid = [i / 20000 for i in range(20001)]
-            best = max(grid, key=lambda g: scaling_B(zeta, g))
-            assert best == pytest.approx(gamma_opt_high_n(zeta), abs=1e-4)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            scaling_B(0, 0.5)
-        with pytest.raises(DomainError):
-            scaling_B(2, 1.5)
+    @pytest.mark.parametrize("zeta", range(1, 25))
+    def test_top_coefficients_are_the_squared_orders(self, zeta):
+        v, w, _, _ = normal_law_polynomials(zeta)
+        assert v[-1] == zeta**2
+        assert zeta == 1 or w[-1] == (zeta - 1) ** 2

@@ -211,7 +211,7 @@ def _entries_by_formula(n, gamma, theta, phi, model, sign):
     coefficient table); inf where u^(zeta-2) overflows float **, as the
     kernel takes it."""
     mean, var = _energy_law(n, gamma, _phase_terms(theta, phi, sign))
-    args = (mean, var, model.lambda_eff * model.zeta, model.zeta, _normal_law_table(model.zeta))
+    args = (mean, var, model.lambda_eff * model.zeta, model.zeta, _normal_law_table)
     try:
         return mp_reference.assemble(*args, range(4))
     except OverflowError:

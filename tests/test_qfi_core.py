@@ -8,7 +8,7 @@ import pytest
 
 import mp_reference
 import nlprobe.qfi_core as qfi_core
-from nlprobe.errors import DegenerateModelError, DomainError, InternalConsistencyError
+from nlprobe.errors import OVERFLOW, DegenerateModelError, DomainError, InternalConsistencyError
 from nlprobe.fock_oracle import qfi_matrix_oracle
 from nlprobe.optimizer import OptTarget, TargetKind, objective, objective_grid
 from nlprobe.probe import make_probe
@@ -200,6 +200,67 @@ class TestQfiMatrix:
             qfi_core._normal_law_kernel(1e307, 0.0, 0.0, model, entry=3)(0.5)
         with pytest.raises(OverflowError, match="^QFI entries exceed the double-precision range$"):
             qfi_core.normal_law_grid(1e307, [0.0, 0.5], 0.0, 0.0, model, entries=(3,))
+
+
+class TestLargeOrders:
+    """Each entry reads the floats of its own polynomials. The coefficients of
+    G leave the double range at zeta = 85, those of V and Q at 149 and those
+    of W at 150: from there every entry that reads one raises the entry
+    overflow, and the others fit wherever their values do."""
+
+    @pytest.mark.parametrize("zeta, n", [(100, 1.0), (148, 1e-4)])
+    def test_entries_that_read_no_determinant_fit(self, zeta, n):
+        p, model = make_probe(n, 0.5, 0.3, 0.2), ModelSpec(1.0, zeta)
+        fm = qfi_matrix(p, model)
+        for got, want in zip(fm.as_tuple(), mp_reference.qfi_matrix(p, model).as_tuple()[:3]):
+            assert got == pytest.approx(want, rel=1e-13)
+        (grid,) = qfi_core.normal_law_grid(n, [0.5], 0.3, 0.2, model, entries=(0,))
+        assert grid.tolist() == [fm.f_ll]
+        for kind in (TargetKind.F_LAMBDA, TargetKind.F_ZETA):
+            t = OptTarget(kind, model)
+            assert objective(0.5, n, t) == pytest.approx(mp_reference.objective(0.5, n, t), rel=1e-13)
+        for entries in ((3,), (0, 3)):  # the joint bound reads G
+            with pytest.raises(OverflowError) as info:
+                qfi_core.normal_law_grid(n, [0.5], 0.3, 0.2, model, entries=entries)
+            assert info.value.args == (OVERFLOW,)
+
+    def test_an_entry_beyond_the_range_raises_the_one_overflow(self):
+        p, model = make_probe(1.0, 0.5, 0.3, 0.2), ModelSpec(1.0, 148)
+        with pytest.raises(OverflowError):
+            mp_reference.qfi_matrix(p, model)
+        for entry in (qfi_lambda, qfi_zeta, qfi_cross):
+            with pytest.raises(OverflowError) as info:
+                entry(p, model)
+            assert info.value.args == (OVERFLOW,)
+
+    def test_at_order_149_only_the_order_qfi_reads_coefficients_that_fit(self):
+        p, model = make_probe(1e-4, 0.5, 0.3, 0.2), ModelSpec(1.0, 149)
+        assert qfi_zeta(p, model) == pytest.approx(mp_reference.probe_qfi(p, model, +1, (1,))[0], rel=1e-13)
+        for entry in (qfi_lambda, qfi_cross):
+            with pytest.raises(OverflowError) as info:
+                entry(p, model)
+            assert info.value.args == (OVERFLOW,)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_entries_match_40_digits_or_both_overflow(self, seed):
+        # f_ll and f_zz at random phases; f_lz at zero phases, where the mean's
+        # two terms do not cancel (README, "Numerical notes": where they do,
+        # f_lz is accurate to about 1e-16 of those terms, not of itself)
+        rng = random.Random(seed)
+        for _ in range(10):
+            zeta, n, gamma = rng.randint(85, 147), 10 ** rng.uniform(-4, 1), rng.random()
+            phases = (rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi))
+            model = ModelSpec(10 ** rng.uniform(-2, 2), zeta)
+            for k, (theta, phi) in ((0, phases), (1, phases), (2, (0.0, 0.0))):
+                p = make_probe(n, gamma, theta, phi)
+                try:
+                    want = mp_reference.probe_qfi(p, model, +1, (k,))[0]
+                except OverflowError:
+                    with pytest.raises(OverflowError) as info:
+                        qfi_core._probe_qfi(p, model, +1, (k,))
+                    assert info.value.args == (OVERFLOW,)
+                    continue
+                assert qfi_core._probe_qfi(p, model, +1, (k,))[0] == pytest.approx(want, rel=1e-13)
 
 
 class TestReparametrization:
