@@ -235,15 +235,13 @@ def cmd_opt_gamma(args) -> int:
     lambdas = _couplings(args.lam, kind)
     columns = {"gamma_opt": [], "objective": [], "asymptote": []}
     for zeta in args.zeta:
-        if kind is TargetKind.F_ZETA:
-            asym = gamma_opt_high_n(zeta - 1) if zeta >= 2 else float("nan")
-        else:
-            asym = gamma_opt_high_n(zeta)
         for lam in lambdas:
             target = OptTarget(kind, ModelSpec(lambda_eff=lam, zeta=zeta))
             for res in optimize_gamma_grid(ns, target):
                 columns["gamma_opt"].append(res.gamma_opt)
                 columns["objective"].append(res.objective_value)
+        order = zeta - 1 if kind is TargetKind.F_ZETA else zeta  # >= 0 once the model has checked zeta
+        asym = gamma_opt_high_n(order) if order >= 1 else float("nan")
         columns["asymptote"] += [asym] * (len(lambdas) * len(ns))
     md = _base_metadata(
         command="opt-gamma",
@@ -401,7 +399,7 @@ def _opt_gamma_arguments(p):
 def _threshold_arguments(p):
     p.add_argument("--target", choices=["f_lambda", "f_zeta", "joint"], required=True)
     p.add_argument("--zeta", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, nargs="*", default=None)
+    p.add_argument("--lambda", dest="lam", type=float, nargs="+", default=None)
     p.add_argument("--n-hi", dest="n_hi", type=float, default=1e3,
                    help="upper end of the searched energy range (joint targets may need more)")
     p.add_argument("--samples", type=int, default=15, help="log-grid points used to bracket the crossing")

@@ -444,6 +444,16 @@ class TestOptGamma:
         assert (info.value.code, out) == (2, "")
         assert f"error: argument --n-range: {message}" in err
 
+    @pytest.mark.parametrize("zeta", ["0", "-1"])
+    @pytest.mark.parametrize("target", ["f_lambda", "f_zeta", "joint"])
+    def test_a_bad_order_is_the_models_error(self, capsys, target, zeta):
+        # f_lambda and joint reported "gamma_opt_high_n requires zeta >= 1": the
+        # asymptote column was computed before any ModelSpec had checked zeta
+        message = f"nonlinearity order must be an integer >= 1, got {zeta}"
+        want = (2, "", json.dumps({"error": "DomainError", "message": message}) + "\n")
+        assert run_cli(capsys, "opt-gamma", "--target", target, "--zeta", zeta, "--n-range", "1:2:2") == want
+        assert run_cli(capsys, "threshold", "--target", target, "--zeta", zeta) == want
+
     def test_joint_optimum_at_high_energy(self, capsys):
         # the optimum approaches 0.8 from below; at N = 1e3 it is 0.79990
         # (50-digit reference), so 1.5e-4 still rejects the 0.67-0.72 that a
@@ -494,6 +504,17 @@ class TestThreshold:
         assert not mp_reference.optimize_gamma(n_th * (1 + 1e-3), t).at_boundary
         high = mp_reference.optimize_gamma(1e6, t)
         assert 1.0 - 1e-6 < high.gamma_opt < 1.0 and not high.at_boundary
+
+
+    @pytest.mark.parametrize("command", ["threshold", "opt-gamma"])
+    def test_lambda_without_a_value_is_a_usage_error(self, capsys, command):
+        # threshold --lambda with no value ran the default couplings
+        argv = [command, "--target", "joint", "--zeta", "2", "--lambda"]
+        with pytest.raises(SystemExit) as info:
+            main(argv + (["--n-range", "1:2:2"] if command == "opt-gamma" else []))
+        out, err = capsys.readouterr()
+        assert (info.value.code, out) == (2, "")
+        assert err.endswith(f"nlprobe {command}: error: argument --lambda: expected at least one argument\n")
 
 
 class TestSelftest:
@@ -784,8 +805,9 @@ class TestFrontEndBytes:
     """Exit code, stdout and stderr of the paths that argparse writes: help,
     version, usage errors. Pinned by the sha256 of the bytes that the parser
     printed at 80 columns, under CPython 3.11; threshold-help and bad-choice
-    were pinned again when --rel-tol was retired, and bad-checked-type moved
-    to --grid, the one option that argparse still checks. The cases run in
+    were pinned again when --rel-tol was retired, and again when threshold's
+    --lambda came to need a value, and bad-checked-type moved to --grid, the
+    one option that argparse still checks. The cases run in
     one process, so all but the first print with the parser that
     build_parser cached, whatever width it was built at. argparse's wording
     and layout change between Python versions, so other interpreters skip
@@ -809,7 +831,7 @@ class TestFrontEndBytes:
             ["opt-gamma", "--help"], 0, "711d1c0753cf901d04f353b52afa6442000c7ed7497c4459060b763a75a990b6", EMPTY,
         ),
         "threshold-help": (
-            ["threshold", "--help"], 0, "e1a942e82cb715b046054649c4413559a1e8585bc5af211e430fc222636f0dc7", EMPTY,
+            ["threshold", "--help"], 0, "cf7d1bfb80df0385defb3d7a0ecd1c8343d09e34594476be0f3ae19112c2dd05", EMPTY,
         ),
         "selftest-help": (
             ["selftest", "--help"], 0, "499be9ce1657f9852b791a2d852efce58bb99ca0e3dba5b7b53f775ec8b13e93", EMPTY,
@@ -819,7 +841,7 @@ class TestFrontEndBytes:
         ),
         "bad-choice": (
             ["threshold", "--target", "x", "--zeta", "2"], 2, EMPTY,
-            "300eee7b33887e464b61cb23867c3148b24a1d23ca3edccbcf8636979bd22803",
+            "f4b61236a40c3e2f84693826dc60d4c3bca89b9661fc37c453be4f22603f6ef1",
         ),
         "bad-checked-type": (
             ["scan-phase", "--n", "1", "--gamma", "0.5", "--zeta", "2", "--target", "f_lambda", "--grid", "0"],

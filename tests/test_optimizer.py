@@ -848,6 +848,61 @@ class TestBatchedBisection:
         assert len(unvisited) >= 4  # four of a table's seven rows are never visited
 
 
+def record_tables(monkeypatch):
+    """Wrap optimizer._row_solver: each call appends its energies and the
+    (row, at_boundary) of every row solved from them, in order."""
+    tables, row_solver = [], opt._row_solver
+
+    def recording(ns, t):
+        solve, solved = row_solver(ns, t), []
+        tables.append((list(ns), solved))
+
+        def recorded(i):
+            res = solve(i)
+            solved.append((i, res.at_boundary))
+            return res
+
+        return recorded
+
+    monkeypatch.setattr(opt, "_row_solver", recording)
+    return tables
+
+
+class TestNestedMidpoints:
+    """Each joint bisection table holds the interior of the sorted list that
+    BISECTION_LEVELS rounds of geometric midpoints make of the bracket [lo, hi],
+    and the walk over it is a bisection of the list by index."""
+
+    CASES = [(z, lam, {}) for lam in (0.01, 100.0) for z in range(4, 13)] + [
+        (4, 1.0, dict(n_hi=1e6, samples=21)), (5, 100.0, dict(n_hi=1e6, samples=15)),
+        (6, 1.0, dict(n_hi=1e6, samples=12)),
+    ]
+
+    @pytest.mark.parametrize("zeta, lam, kw", CASES)
+    def test_each_table_is_the_sorted_list_of_nested_midpoints(self, monkeypatch, zeta, lam, kw):
+        tables = record_tables(monkeypatch)
+        n_th = find_threshold(target("joint", zeta, lam), **kw)
+        (ns, solved), *rounds = tables
+        i = [flag for _, flag in solved].index(False)  # the samples' crossing is (ns[i - 1], ns[i])
+        lo, hi = ns[i - 1], ns[i]
+        assert rounds
+        for r, (rows, walk) in enumerate(rounds, 1):
+            assert len(rows) == 2**opt.BISECTION_LEVELS - 1
+            assert all(a < b for a, b in zip(rows, rows[1:])), "the rows are not in ascending order"
+            points = [lo, *rows, hi]
+            for m in range(1, len(points) - 1):
+                h = m & -m  # the round that inserted points[m] put it between the points h places either side
+                assert points[m] == math.sqrt(points[m - h] * points[m + h])
+            # only the last round's walk stops inside its table, where the bracket reaches THRESHOLD_REL_TOL
+            assert len(walk) == opt.BISECTION_LEVELS if r < len(rounds) else 1 <= len(walk) <= opt.BISECTION_LEVELS
+            i, k = 0, len(points) - 1
+            for row, at_boundary in walk:
+                assert row + 1 == (i + k) // 2
+                i, k = (row + 1, k) if at_boundary else (i, row + 1)
+            lo, hi = points[i], points[k]
+        assert hi / lo - 1.0 <= opt.THRESHOLD_REL_TOL and n_th == math.sqrt(lo * hi)
+
+
 class TestZeroPhaseOptimality:
     def test_vacuum_trivially_optimal(self):
         assert verify_zero_phase_optimality(0.0, 0.0, ModelSpec(lambda_eff=1.0, zeta=2), 8)
