@@ -9,6 +9,9 @@ list per other column; CSV formats each axis coordinate once.
 build_parser is cached: a process builds the parser once, and every later
 main call only parses. argparse's formatter looks up the terminal width
 each time it prints help, so the cached parser wraps at the current width.
+Importing this module loads no numpy: the functions that build arrays
+import it, so qfi without --oracle, help, --version and usage errors run
+without it.
 """
 
 import argparse
@@ -17,8 +20,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import __version__
 from .combinatorics import coeff_row_sum, normal_order_coeff
@@ -167,7 +168,8 @@ def cmd_scan_phase(args) -> int:
     phis = [j * step for j in range(k)]
     # at lambda = 1 the order QFI is divided by lambda^2, its only lambda dependence
     model = ModelSpec(lambda_eff=1.0, zeta=args.zeta)
-    (grid,) = normal_law_grid(args.n, args.gamma, np.array(thetas)[:, None], phis, model, entries=(_ENTRY[target],))
+    thetas_column = [[theta] for theta in thetas]  # a k x 1 column against the k phis
+    (grid,) = normal_law_grid(args.n, args.gamma, thetas_column, phis, model, entries=(_ENTRY[target],))
     md = _base_metadata(
         command="scan-phase",
         n=args.n,
@@ -335,6 +337,7 @@ def cmd_selftest(args) -> int:
     om = qfi_matrix_oracle(probe, model)
     check("oracle.uhlmann-vanishes", abs(om.u_lz) <= 1e-10, f"u_lz={om.u_lz:.2e}")
     sld = sld_operator(probe, model)
+    import numpy as np
     from scipy.linalg import expm
 
     psi = build_state(probe, sld.dim).amplitudes

@@ -12,14 +12,17 @@ evidence, not tautology.
 Truncation policy: results must be stable under doubling the cutoff
 (1e-9 relative) and states must satisfy a tail-mass bound; the top 1/8 of
 the basis is treated as a guard band and excluded from validity checks.
+
+numpy, like scipy, is imported by the functions that use it, so that
+importing this module (as nlprobe.cli does) loads neither.
 """
+
+from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import CutoffError, DomainError, InternalConsistencyError
 from .probe import ProbeSpec
@@ -58,12 +61,16 @@ class TruncatedState:
     amplitudes: np.ndarray
 
     def tail_mass(self) -> float:
+        import numpy as np
+
         guard = self.dim // 8
         return float(np.sum(np.abs(self.amplitudes[self.dim - guard:]) ** 2))
 
 
 def _x_apply(v: np.ndarray) -> np.ndarray:
     """X v for X = a + a^dag: (X v)_n = sqrt(n) v_(n-1) + sqrt(n+1) v_(n+1)."""
+    import numpy as np
+
     s = np.sqrt(np.arange(1.0, v.size))
     w = np.zeros_like(v)
     w[:-1] = s * v[1:]
@@ -96,6 +103,8 @@ def _x_eigh(dim: int):
     for the truncated operator. X is real tridiagonal, so the eigenvectors
     are real.
     """
+    import numpy as np
+
     return _tridiagonal_eigh(np.zeros(dim), np.sqrt(np.arange(1.0, dim)))
 
 
@@ -106,6 +115,8 @@ def _k_eigh(dim: int):
     K couples |2m> and |2m+2> by (1/2) sqrt((2m+1)(2m+2)), so on the even
     states it is a real tridiagonal of size ceil(dim/2) with zero diagonal.
     """
+    import numpy as np
+
     n = np.arange(2.0, dim, 2.0)
     return _tridiagonal_eigh(np.zeros((dim + 1) // 2), 0.5 * np.sqrt((n - 1.0) * n))
 
@@ -113,6 +124,8 @@ def _k_eigh(dim: int):
 def _real_matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """mat @ vec for a real matrix and a complex vector, as one real product
     with the (re, im) pairs, so that mat is never copied to complex."""
+    import numpy as np
+
     pairs = np.ascontiguousarray(vec, dtype=complex).view(np.float64).reshape(-1, 2)
     return np.ascontiguousarray(mat @ pairs).view(complex).ravel()
 
@@ -123,12 +136,16 @@ def _spectral_apply(vecs: np.ndarray, phases: np.ndarray, vec: np.ndarray) -> np
 
 
 def _evolve(vec: np.ndarray, dim: int, lam: float, zeta: int) -> np.ndarray:
+    import numpy as np
+
     evals, vecs = _x_eigh(dim)
     return _spectral_apply(vecs, np.exp(-1j * lam * evals**zeta), vec)
 
 
 def annihilation(dim: int) -> TruncatedOperator:
     """Matrix of a: sqrt(n) on the superdiagonal, zero elsewhere."""
+    import numpy as np
+
     if dim < 1:
         raise DomainError(f"Fock cutoff must be >= 1, got {dim}")
     return TruncatedOperator(dim, np.diag(np.sqrt(np.arange(1.0, dim)).astype(complex), 1))
@@ -165,6 +182,8 @@ def build_state(probe: ProbeSpec, dim: int) -> TruncatedState:
     and CutoffError, carrying a suggested dimension, if the tail-mass bound
     fails.
     """
+    import numpy as np
+
     if dim < 1:
         raise DomainError(f"Fock cutoff must be >= 1, got {dim}")
     alpha = probe.alpha
@@ -199,6 +218,8 @@ def expectation_moment(state: TruncatedState, k: int) -> float:
 
 def expectation_moments(state: TruncatedState, k_max: int) -> np.ndarray:
     """All moments <X^0>..<X^k_max> in one cumulative sweep."""
+    import numpy as np
+
     if k_max < 0:
         raise DomainError(f"moment order must be >= 0, got {k_max}")
     v = state.amplitudes
@@ -242,6 +263,8 @@ def _until_stable(d: int, compute, message: str, stable=None):
 def converged_moments(probe: ProbeSpec, k_max: int) -> np.ndarray:
     """Moments at a cutoff validated by doubling, from default_dim
     (_start_dim), until stable to 1e-9 relative."""
+    import numpy as np
+
     if k_max < 0:
         raise DomainError(f"moment order must be >= 0, got {k_max}")
     return _until_stable(
@@ -270,6 +293,8 @@ def _derivative_vectors(probe: ProbeSpec, model: ModelSpec, dim: int):
 
 
 def _qfi_from_vectors(psi, d_lam, d_zeta) -> QfiMatrix:
+    import numpy as np
+
     def braket(u, v):
         return complex(np.vdot(u, v))
 
@@ -333,6 +358,7 @@ def sld_operator(probe: ProbeSpec, model: ModelSpec) -> TruncatedOperator:
     conjugate of entry (j, i) are the same two rounded products, summed in
     the other order. Tr[rho L^2] must reproduce the oracle f_ll.
     """
+    import numpy as np
 
     def compute(d):
         psi, d_lam, _ = _derivative_vectors(probe, model, d)
@@ -345,6 +371,8 @@ def sld_operator(probe: ProbeSpec, model: ModelSpec) -> TruncatedOperator:
 
 def evolution_unitarity_defect(model: ModelSpec, dim: int) -> float:
     """max |(U^dag U - I)_nm| over the sub-block excluding the top 1/8 of states."""
+    import numpy as np
+
     evals, vecs = _x_eigh(dim)
     u = (vecs * np.exp(-1j * model.lambda_eff * evals**model.zeta)) @ vecs.T
     keep = dim - dim // 8
@@ -364,6 +392,8 @@ def zeta_derivative_diagnostic(probe: ProbeSpec, model: ModelSpec) -> dict:
     above DIM_CAP raises CutoffError before any build); f_zz_power_rule is
     the validated qfi_matrix_oracle value, doubled from d until stable.
     """
+    import numpy as np
+
     d = _start_dim(probe, 2 * model.zeta, model.lambda_eff, "zeta-derivative diagnostic")
     z, lam, step = model.zeta, model.lambda_eff, 1e-5
     evals, vecs = _x_eigh(d)

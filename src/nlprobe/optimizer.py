@@ -16,7 +16,8 @@ cell, as the joint bound does at zeta = 3, where its peak tends to y = Y0
 as N grows, about 1/N wide in gamma. A maximum that the bracket next to
 gamma = 1 finds in the last cell is refined in log y too. The objective,
 the optimizer and the threshold search work at zero phases, where the
-optimal probe lies (verify_zero_phase_optimality).
+optimal probe lies (verify_zero_phase_optimality). numpy is imported by the
+functions that build arrays, so that a scalar call never loads it.
 """
 
 import contextlib
@@ -24,8 +25,6 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .combinatorics import normal_law_polynomials
 from .errors import DomainError, ThresholdAmbiguousError
@@ -207,6 +206,8 @@ def _end_cell(kernel, n, end):
 def _local_maxima(table):
     """Flags of the points of each row that are > their left neighbour and >= their right one (the ends
     need one): a plateau is flagged at its first point alone, so a flat row has one candidate, gamma = 0."""
+    import numpy as np
+
     flags = np.ones(table.shape, dtype=bool)
     flags[:, 1:] &= table[:, 1:] > table[:, :-1]
     flags[:, :-1] &= table[:, :-1] >= table[:, 1:]
@@ -220,6 +221,8 @@ def _row_solver(ns, target):
     A row with a bad point goes to qfi_core.normal_law_grid, which raises the
     error that a loop over its points meets first.
     """
+    import numpy as np
+
     model, entry = target.model, _ENTRY[target.kind]
     (table,), ok = _normal_law_arrays(np.array(ns, dtype=float)[:, None], _GRID, 0.0, 0.0, model, (entry,))
     rows_ok = ok.all(axis=1).tolist()
@@ -419,6 +422,8 @@ def verify_zero_phase_optimality(
     sweep of both phases across [0, 2 pi), the whole grid in one pass
     (qfi_core.normal_law_grid); the reference is its zero-phase cell.
     """
+    import numpy as np
+
     if grid < 8:
         raise DomainError("phase grid must have at least 8 points per axis")
     if kind is TargetKind.JOINT_BOUND:

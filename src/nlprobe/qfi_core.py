@@ -14,15 +14,14 @@ evaluated in double precision by Horner's rule. _normal_law_kernel, a
 function of gamma at fixed energy and phases, applies one entry's formula
 to floats; normal_law_grid applies the same formulas to numpy arrays, bit
 for bit. Both evaluate only the polynomials that the requested entries
-read.
+read. numpy is imported by the functions that build arrays, so that a
+scalar call never loads it.
 """
 
 import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .combinatorics import normal_law_polynomials
 from .errors import OVERFLOW, DegenerateModelError, DomainError, InternalConsistencyError
@@ -244,6 +243,8 @@ def qfi_matrix(probe: ProbeSpec, model: ModelSpec, *, beta_sign: int = +1) -> Qf
 def _horner_grid(zeta, j, x, above):
     """Horner's rule in t = x or 1/x on _normal_law_table(zeta, j) at every element of x, where above
     is x > 1; nan where that table raises, so that its points go to the scalar kernel, which raises."""
+    import numpy as np
+
     try:
         high_first, low_first = _normal_law_table(zeta, j)
     except OverflowError:
@@ -262,6 +263,8 @@ def _normal_law_arrays(n_total, gamma, theta, phi, model: ModelSpec, entries):
     points at which all of them are right. Elsewhere the values are
     meaningless and _normal_law_kernel may raise.
     """
+    import numpy as np
+
     arrays = [np.asarray(a, dtype=float) for a in (n_total, gamma, theta, phi)]
     n, gam, th, ph = np.broadcast_arrays(*arrays)
     with np.errstate(all="ignore"):  # both Horner branches run everywhere, 1/x included
@@ -294,6 +297,8 @@ def normal_law_grid(n_total, gamma, theta, phi, model: ModelSpec, *, entries):
     of entries, so that the error raised is the one a loop over the points
     would raise.
     """
+    import numpy as np
+
     values, ok = _normal_law_arrays(n_total, gamma, theta, phi, model, entries)
     if not ok.all():
         n, gam, th, ph = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (n_total, gamma, theta, phi)))

@@ -1022,6 +1022,46 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.splitlines() == ["[] [] True", f"{[0] * len(calls)} [] []"]
 
 
+def test_cli_import_loads_no_numpy():
+    # numpy is imported by the functions that build arrays: a one-shot command that builds none does
+    # not pay for it
+    commands = ["qfi", "scan-phase", "scan-gamma", "opt-gamma", "threshold", "selftest"]
+    usage_errors = [
+        ["qfi", "--n", "1"],
+        ["scan-phase", "--n", "1", "--gamma", "0.5", "--zeta", "3", "--target", "f_lambda", "--grid", "0"],
+        ["scan-gamma", "--n", "1", "--zeta", "3", "--target", "joint", "--grid", "1"],
+        ["opt-gamma", "--target", "f_lambda", "--zeta", "2", "--n-range", "1:0.1:3"],
+        ["threshold", "--target", "joint", "--zeta", "3", "--lambda"],
+        ["selftest", "--bogus"],
+    ]
+    model_errors = [  # the model rejects zeta = 0 before any array is built
+        ["scan-phase", "--n", "1", "--gamma", "0.5", "--zeta", "0", "--target", "f_lambda", "--grid", "4"],
+        ["scan-gamma", "--n", "1", "--zeta", "0", "--target", "f_lambda"],
+        ["opt-gamma", "--target", "f_lambda", "--zeta", "0", "--n-range", "0.1:10:3"],
+        ["threshold", "--target", "f_lambda", "--zeta", "0"],
+    ]
+    calls = [
+        ["qfi", "--n", "2", "--gamma", "0.3", "--theta", "0.4", "--phi", "1.8", "--zeta", "3", "--lambda", "1"],
+        ["qfi", "--n", "1", "--gamma", "0.5", "--zeta", "2", "--lambda", "1", "--time", "2", "--json"],
+        ["--help"], *[[cmd, "--help"] for cmd in commands], ["--version"], ["bogus"], *usage_errors, *model_errors,
+    ]
+    expected = [0, 0, 0, *[0] * len(commands), 0, 2, *[2] * len(usage_errors), *[2] * len(model_errors)]
+    code = (
+        "import contextlib, io, sys, nlprobe, nlprobe.cli\n"
+        "def run(argv):\n"
+        "    try: return nlprobe.cli.main(argv)\n"
+        "    except SystemExit as exc: return exc.code\n"
+        "imported = 'numpy' in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    codes = [run(argv) for argv in {calls!r}]\n"
+        "print(imported, codes, 'numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(nlprobe.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"False {expected} False"]
+
+
 def test_front_end_paths_on_this_interpreter():
     # TestFrontEndBytes pins argparse's bytes on CPython 3.11 only. A subcommand's
     # parser is constructed when argparse first calls its parse_known_args, so

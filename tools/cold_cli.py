@@ -4,8 +4,9 @@
 
 PARENT_SRC and CHANGE_SRC are the directories that hold the nlprobe package
 (the src/ of two checkouts). Each case is one fresh interpreter: a qfi
-point, a threshold, a 17-point opt-gamma, --help, a usage error, and the
-bare import of nlprobe.cli. One untimed run per tree and case first writes
+point, the same point with --oracle, an 8 x 8 scan-phase, a 101-point
+scan-gamma, a threshold, a 17-point opt-gamma, selftest, --help,
+--version, a usage error, and the bare import of nlprobe.cli. One untimed run per tree and case first writes
 the byte-code caches, as an installed CLI has them. Then every case runs
 RUNS times per tree, the two trees back to back (the parent first in even
 rounds), with BLAS on one thread, PYTHONHASHSEED=0 and COLUMNS=80. A
@@ -29,11 +30,18 @@ import time
 
 RUNS = 20
 CLI = ["-m", "nlprobe.cli"]
+QFI = ["qfi", "--n", "1", "--gamma", "0.5", "--zeta", "2", "--lambda", "1"]
 CASES = {
-    "qfi": CLI + ["qfi", "--n", "1", "--gamma", "0.5", "--zeta", "2", "--lambda", "1"],
+    "qfi": CLI + QFI,
+    "qfi-oracle": CLI + QFI + ["--oracle"],
+    "scan-phase": CLI + ["scan-phase", "--n", "1", "--gamma", "0.5", "--zeta", "3", "--target", "f_lambda",
+                         "--grid", "8"],
+    "scan-gamma": CLI + ["scan-gamma", "--n", "1", "--zeta", "3", "--target", "joint"],
     "threshold": CLI + ["threshold", "--target", "f_lambda", "--zeta", "3"],
     "opt-gamma": CLI + ["opt-gamma", "--target", "f_lambda", "--zeta", "2", "--n-range", "1e-2:1e2:17"],
+    "selftest": CLI + ["selftest"],
     "help": CLI + ["--help"],
+    "version": CLI + ["--version"],
     "usage-error": CLI + ["qfi", "--n", "1"],
     "import": ["-c", "import nlprobe.cli"],
 }
