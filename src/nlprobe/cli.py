@@ -5,7 +5,10 @@ floats are written with repr (shortest round-trip form), newlines are LF,
 and the decimal separator is always '.', so identical invocations produce
 byte-identical output regardless of locale or --jobs (accepted, no effect).
 A scan is held as columns (ScanResult): its axes in row-major order and one
-list per other column; CSV formats each axis coordinate once.
+list per other column. CSV formats each axis coordinate once, and each
+distinct value of a column of floats once, unless the column holds a zero
+(0.0 and -0.0 are equal but print differently); any other column is
+formatted cell by cell.
 build_parser is cached: a process builds the parser once, and every later
 main call only parses. argparse's formatter looks up the terminal width
 each time it prints help, so the cached parser wraps at the current width.
@@ -62,32 +65,56 @@ class ScanResult:
             if len(values) != expected:
                 raise InternalConsistencyError(f"scan column {name} has {len(values)} values for {expected} points")
 
-    def cells(self, convert):
-        """The columns in header order, one cell per grid point. Each axis
-        coordinate goes through convert once and is repeated down its
-        column; every other value goes through it on its own."""
+    def _in_header_order(self, axis, value):
+        """The columns in header order, one cell per grid point: axis maps an
+        axis's coordinates, each result repeated down its column, and value
+        maps every other column."""
         sizes = [len(coords) for coords in self.axes.values()]
         spans = {name: (math.prod(sizes[:i]), math.prod(sizes[i + 1:])) for i, name in enumerate(self.axes)}
         out = []
         for name in self.header:
             if name in spans:
                 outer, inner = spans[name]
-                out.append([cell for cell in map(convert, self.axes[name]) for _ in range(inner)] * outer)
+                out.append([cell for cell in axis(self.axes[name]) for _ in range(inner)] * outer)
             else:
-                out.append(list(map(convert, self.columns[name])))
+                out.append(value(self.columns[name]))
         return out
+
+    def cells(self, convert):
+        """The columns in header order, one cell per grid point, each through
+        convert. Each axis coordinate goes through it once and is repeated
+        down its column, and so does each distinct value of a column of
+        floats with no zero; every other value goes through it on its own
+        (_each_distinct_once). The memo lives in this call alone."""
+        return self._in_header_order(functools.partial(map, convert), functools.partial(_each_distinct_once, convert))
 
     @property
     def rows(self):
-        """The grid's points as tuples in header order."""
-        return list(zip(*self.cells(lambda v: v)))
+        """The grid's points as tuples in header order, of the columns' own objects."""
+        return list(zip(*self._in_header_order(iter, iter)))
+
+
+def _each_distinct_once(convert, values):
+    """convert of every value, each distinct value converted once. Only a
+    column of floats alone with repeats and no zero takes the memo: equal
+    floats other than 0.0 and -0.0 have the same bits, and each NaN object
+    is a key of its own, while 1, 1.0 and True are equal keys that print
+    differently."""
+    if {*map(type, values)} == {float}:
+        distinct = dict.fromkeys(values)
+        if len(distinct) < len(values) and 0.0 not in distinct:
+            converted = dict(zip(distinct, map(convert, distinct)))
+            return list(map(converted.__getitem__, values))
+    return list(map(convert, values))
 
 
 def _emit(args, scan: ScanResult):
     """Write a scan as metadata-prefixed CSV (default) or a JSON document.
 
     CSV cells go through str, which writes a float as its repr; an axis
-    coordinate is formatted once for all the rows that hold it.
+    coordinate, and a distinct value of a column of floats without a zero,
+    is formatted once for all the rows that hold it. The JSON rows are the
+    columns' own objects.
     """
     if args.json:
         doc = {

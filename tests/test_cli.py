@@ -769,6 +769,15 @@ class TestRegressionSet:
             ["scan-phase", "--n", "10", "--gamma", "0.5", "--zeta", "6", "--target", "f_lambda", "--grid", "30"],
             "26ec96bf45819e975667c9debe394be8721631bab9b558be8e48a876480b5a96",
         ),
+        # pinned when every value cell was formatted on its own; at gamma = 0 and 1 a value column repeats
+        "scan-phase-f_lambda-gamma-0": (
+            ["scan-phase", "--n", "2.5", "--gamma", "0", "--zeta", "3", "--target", "f_lambda", "--grid", "32"],
+            "e97e3a97d468b8c7b17648714057ce50283d65a454b71029b4cf24ba142b0321",
+        ),
+        "scan-phase-f_zeta-gamma-1": (
+            ["scan-phase", "--n", "1.5", "--gamma", "1", "--zeta", "4", "--target", "f_zeta", "--grid", "32"],
+            "436079832afe11caa1aa9c882e1a7a239db47670537d060f81ecadb46e487e4f",
+        ),
         "scan-phase-f_zeta-json": (
             ["scan-phase", "--n", "1.7", "--gamma", "0.4", "--zeta", "4", "--target", "f_zeta", "--grid", "6",
              "--json"],
@@ -1145,6 +1154,8 @@ class TestEmission:
             ["scan-phase", "--n", "10", "--gamma", "0.5", "--zeta", "6", "--target", "f_lambda", "--grid", "30"],
             ["scan-phase", "--n", "1.7", "--gamma", "0.4", "--zeta", "4", "--target", "f_zeta", "--grid", "32"],
             ["scan-phase", "--n", "1.3", "--gamma", "0.6", "--zeta", "3", "--target", "f_zeta", "--grid", "5"],
+            ["scan-phase", "--n", "2.5", "--gamma", "0", "--zeta", "3", "--target", "f_lambda", "--grid", "32"],
+            ["scan-phase", "--n", "1.5", "--gamma", "1", "--zeta", "4", "--target", "f_zeta", "--grid", "32"],
             ["scan-gamma", "--n", "3", "--zeta", "2", "--target", "joint", "--grid", "2"],
             ["scan-gamma", "--n", "0.37", "--zeta", "7", "--target", "f_lambda", "--grid", "1601"],
             ["scan-gamma", "--n", "2", "--zeta", "3", "--target", "f_zeta", "--grid", "6"],
@@ -1153,8 +1164,8 @@ class TestEmission:
             ["opt-gamma", "--target", "f_zeta", "--zeta", "1", "3", "5", "--n-range", "0.01:100:5"],
             ["opt-gamma", "--target", "f_lambda", "--zeta", "2", "4", "--n-range", "1e-3:1e3:7"],
         ],
-        ids=["phase-1", "phase-30", "phase-32", "phase-5", "gamma-2", "gamma-1601", "gamma-6",
-             "opt-zetas-lambdas", "opt-default-lambdas", "opt-f_zeta-nan-asymptote", "opt-f_lambda-7"],
+        ids=["phase-1", "phase-30", "phase-32", "phase-5", "phase-gamma-0", "phase-gamma-1", "gamma-2", "gamma-1601",
+             "gamma-6", "opt-zetas-lambdas", "opt-default-lambdas", "opt-f_zeta-nan-asymptote", "opt-f_lambda-7"],
     )
     def test_csv_bytes_are_the_per_row_format(self, capsys, scans, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -1190,6 +1201,34 @@ class TestEmission:
         assert out.splitlines()[2:] == cells
         with pytest.raises(InternalConsistencyError, match="column value has 9 values for 10 points"):
             cli.ScanResult({"x": xs, "y": ys}, {"value": [0.5] * 9}, ("x", "y", "value"), "value")
+
+    def test_value_cells_print_as_themselves(self, capsys):
+        # equal values that print differently keep their own form; only the column of floats alone and no
+        # zero formats each distinct value once. Every float is an object of its own, NaNs included
+        shown = {
+            "mixed": ["0.0", "-0.0", "1", "1.0", "True", "nan", "nan", "inf", "-inf", "0.25", "0.25",
+                      "0.30000000000000004"],
+            "ones": ["1", "1.0", "True", "1.0", "1", "True", "2", "2.0", "nan", "nan", "0.25", "0.25"],
+            "zeros": ["0.0", "-0.0", "-0.0", "0.0", "nan", "nan", "inf", "-inf", "0.25", "0.25", "0.5", "0.25"],
+            "floats": ["nan", "nan", "nan", "inf", "-inf", "inf", "0.25", "0.25", "0.30000000000000004", "0.3",
+                       "1e-300", "0.25"],
+        }
+
+        def value(text):
+            return True if text == "True" else int(text) if text.isdigit() else float(text)
+
+        columns = {name: [value(text) for text in texts] for name, texts in shown.items()}
+        scan = cli.ScanResult({"x": list(range(12))}, columns, ("x", *columns), "mixed")
+        out = self.emit(capsys, scan)
+        assert out == per_row_csv(scan)
+        assert [line.split(",") for line in out.splitlines()[1:]] == [
+            [str(x), *cells] for x, cells in zip(range(12), zip(*shown.values()))]
+        for i, values in enumerate(columns.values(), start=1):
+            assert all(row[i] is v for row, v in zip(scan.rows, values, strict=True))
+        counted = []
+        scan.cells(lambda v: counted.append(v) or str(v))
+        # 12 axis coordinates, the 3 x 12 cells of the columns that keep no memo and 9 distinct floats
+        assert len(counted) == 12 + 3 * 12 + 9
 
 
 def _capture(capsys, argv, out_path):
