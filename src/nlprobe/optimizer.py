@@ -5,19 +5,22 @@ but unimodality is never assumed blindly: the coarse grid is scanned for
 all local maxima and up to three of them are refined before the best is
 accepted. An interior candidate is refined by Brent's method (golden and
 parabolic steps; R. P. Brent, Algorithms for Minimization without
-Derivatives, 1973) between its grid neighbours. One end rule serves every
-target. The gamma = 0 candidate costs one kernel call GAMMA_TOL inside the
-end, and its cell is refined only where that call beats the end. The
-gamma = 1 candidate costs one such call and one at y = Y0 = sqrt(7/48)
-coherent photons, y = (1 - gamma) N, where that lies inside the last cell,
-which is refined in log y only where one of the two beats the end: an
-objective can dip within GAMMA_TOL of gamma = 1 and still peak in the last
-cell, as the joint bound does at zeta = 3, where its peak tends to y = Y0
-as N grows, about 1/N wide in gamma. A maximum that the bracket next to
-gamma = 1 finds in the last cell is refined in log y too. The objective,
-the optimizer and the threshold search work at zero phases, where the
-optimal probe lies (verify_zero_phase_optimality). numpy is imported by the
-functions that build arrays, so that a scalar call never loads it.
+Derivatives, 1973) between its grid neighbours. One end test serves both
+ends and every target (_screen): a few kernel calls next to the end, and
+the end's cell refined from the best of them only where it beats the end.
+At gamma = 0 that is one call GAMMA_TOL inside the end, and Brent's method
+on the first cell. At gamma = 1 it is that call and one at y = Y0 =
+sqrt(7/48) coherent photons, y = (1 - gamma) N, where that lies inside the
+last cell, which is refined in log y: an objective can dip within
+GAMMA_TOL of gamma = 1 and still peak in the last cell, as the joint bound
+does at zeta = 3, where its peak tends to y = Y0 as N grows, about 1/N
+wide in gamma. A maximum that the bracket next to gamma = 1 finds in the
+last cell is refined in log y too. The better grid end, gamma = 1 on a
+tie, is the incumbent, and a refined point replaces it only where it is
+strictly higher. The objective, the optimizer and the threshold search
+work at zero phases, where the optimal probe lies
+(verify_zero_phase_optimality). numpy is imported by the functions that
+build arrays, so that a scalar call never loads it.
 """
 
 import contextlib
@@ -189,18 +192,12 @@ def _refine_in_y(kernel, n, x, fx):
     return (x if s == s0 else 1.0 - math.exp(s) / n), v
 
 
-def _end_cell(kernel, n, end):
-    """(gamma, value) at the maximum of the objective in its last grid cell
-    at energy n, where the objective at gamma = 1 is end: (1.0, end) unless a
-    screening call beats the end, and otherwise _refine_in_y from the
-    better one. The screen is one call GAMMA_TOL inside the end and one at
-    Y0 coherent photons, gamma = 1 - Y0 / n, where that lies inside the cell.
-    """
-    screen = [1.0 - GAMMA_TOL]
-    if _GRID[-2] < 1.0 - Y0 / n < 1.0:
-        screen.append(1.0 - Y0 / n)
-    x, fx = max(((g, kernel(g)) for g in screen), key=lambda point: point[1])  # the first of equal values
-    return _refine_in_y(kernel, n, x, fx) if fx > end else (1.0, end)
+def _screen(kernel, points, end):
+    """(x, kernel(x)) at the best of the screening points, the first of equal
+    values, where that value beats end, the objective at the grid end they
+    lie next to, and None otherwise: the end test of both grid ends."""
+    x, fx = max(((g, kernel(g)) for g in points), key=lambda point: point[1])
+    return (x, fx) if fx > end else None
 
 
 def _local_maxima(table):
@@ -238,28 +235,23 @@ def _row_solver(ns, target):
         vals = table[i].tolist()
         candidates = sorted(np.flatnonzero(flags[i]).tolist(), key=vals.__getitem__, reverse=True)[:3]
 
-        best_g, best_v = None, -math.inf
+        best_v, best_g = max((vals[0], 0.0), (vals[-1], 1.0))  # the better grid end, gamma = 1 on a tie
         for j in candidates:
-            if j == 0:  # one call GAMMA_TOL inside the end, where Brent starts if the cell is refined
-                fx = kernel(GAMMA_TOL)
-                if fx <= vals[0]:
-                    continue  # the objective rises into the end: the endpoint comparison takes it
-                g, v = _brent_max(kernel, 0.0, _GRID[1], GAMMA_TOL, fx)
-            elif j == COARSE - 1:  # two screening calls, and the cell refined in y where one beats the end
-                g, v = _end_cell(kernel, n, vals[j])
+            if j == 0:  # Brent on the first cell from one call GAMMA_TOL inside the end
+                found = _screen(kernel, [GAMMA_TOL], vals[0])
+                found = found and _brent_max(kernel, 0.0, _GRID[1], *found)
+            elif j == COARSE - 1:  # the last cell in log y from one call GAMMA_TOL inside the end or at y = Y0
+                screen = [1.0 - GAMMA_TOL] + ([1.0 - Y0 / n] if _GRID[-2] < 1.0 - Y0 / n < 1.0 else [])
+                found = _screen(kernel, screen, vals[-1])
+                found = found and _refine_in_y(kernel, n, *found)
             else:  # Brent starts CGOLD into the bracket of the grid neighbours
                 lo, hi = _GRID[j - 1], _GRID[j + 1]
                 x = lo + CGOLD * (hi - lo)
-                g, v = _brent_max(kernel, lo, hi, x, kernel(x))
-                if g > _GRID[-2]:  # a peak in the last cell, resolved in y
-                    g, v = _refine_in_y(kernel, n, g, v)
-            if v > best_v:
-                best_g, best_v = g, v
-        # grid endpoints can beat the refined interior value when the maximum
-        # sits exactly on the boundary
-        for edge in (0, COARSE - 1):
-            if vals[edge] >= best_v:
-                best_g, best_v = _GRID[edge], vals[edge]
+                found = _brent_max(kernel, lo, hi, x, kernel(x))
+                if found[0] > _GRID[-2]:  # a peak in the last cell, resolved in y
+                    found = _refine_in_y(kernel, n, *found)
+            if found and found[1] > best_v:  # strictly: an end keeps a tie
+                best_g, best_v = found
         return GammaOptResult(best_g, best_v, best_g == 1.0, n)
 
     return solve
@@ -270,22 +262,15 @@ def optimize_gamma_grid(ns, target: OptTarget) -> list:
 
     One pass of qfi_core.normal_law_grid fills the len(ns) x COARSE table
     of the coarse grids and numpy flags the local maxima of every row at
-    once. Each row's candidates are then refined through the scalar kernel
-    of that row's energy (qfi_core._normal_law_kernel): an interior one by
-    Brent's method between its grid neighbours, gamma = 0 by one call
-    GAMMA_TOL inside it and by Brent's method on its cell only where that
-    call is higher than the end, gamma = 1 by that call and one at Y0
-    coherent photons and its cell refined in log y only where one of the two
-    beats the end (_end_cell); a maximum that the bracket next to gamma = 1
-    finds in the last cell is refined in log y too (_refine_in_y). Table and
-    refinement evaluate the target's entry alone (objective). Results and
-    errors are those of a loop over the energies: the rows are checked and
-    refined in order, and a row on which the table holds a bad point goes to
-    normal_law_grid, which raises the error that point raises on its own.
+    once. Each row's candidates are then refined, and the end rule applied,
+    as the module docstring says, through the scalar kernel of that row's
+    energy (qfi_core._normal_law_kernel), which evaluates the target's entry
+    alone (objective). Results and errors are those of a loop over the
+    energies: the rows are checked and refined in order, and a row on which
+    the table holds a bad point goes to normal_law_grid, which raises the
+    error that point raises on its own.
     """
     ns = list(ns)
-    if not ns:
-        return []
     solve = _row_solver(ns, target)
     return [solve(i) for i in range(len(ns))]
 
@@ -294,14 +279,11 @@ def optimize_gamma(n_total: float, target: OptTarget) -> GammaOptResult:
     """Maximize the target over gamma in [0, 1] to absolute tolerance GAMMA_TOL.
 
     Strategy: a coarse bracketing grid of COARSE points, then Brent's
-    method on up to three local-maximum brackets; an end candidate costs
-    one kernel call GAMMA_TOL inside the end (and one more at gamma = 1,
-    _end_cell), and its cell is refined only where a call beats the end.
-    The best refined point wins, unless a grid endpoint is at least as good.
-    Guaranteed for objectives unimodal on each bracket, and the
-    multi-bracket restart guards against undetected multimodality.
-    at_boundary is True exactly when the gamma = 1 endpoint won that
-    comparison (gamma_opt == 1.0). This is
+    method on up to three local-maximum brackets, with the one end test
+    and the incumbent grid end of the module docstring. Guaranteed for
+    objectives unimodal on each bracket, and the multi-bracket restart
+    guards against undetected multimodality. at_boundary is True exactly
+    when the gamma = 1 end won (gamma_opt == 1.0). This is
     optimize_gamma_grid([n_total], ...)[0].
     """
     return optimize_gamma_grid([n_total], target)[0]

@@ -117,6 +117,18 @@ def _joint_bound(h, mean, var, u, scale, lz, lz2):
     return bound * (uv / uv)  # nan where u V overflowed, which would leave the bound 0: an entry overflow
 
 
+def _coupling(c, *factors):
+    """The coupling factor c, lz or lz2, of an entry that is its product with
+    scale and factors, and 1.0 where one of factors is exactly 0: the entry
+    is then the signed zero of its finite product, not the nan of 0 * inf
+    where c, or scale times c, overflows. For floats, mpf and numpy arrays."""
+    if hasattr(factors[0], "shape"):
+        import numpy as np
+
+        return np.where(np.logical_or.reduce([f == 0 for f in factors]), 1.0, c)
+    return 1.0 if 0 in factors else c
+
+
 # The QFI entries, for floats, numpy arrays and mpf alike. In both moment
 # families the quadrature X = a + a^dag is normal, with the mean mu and
 # variance sigma^2 of moments._energy_law. Both variances, the covariance
@@ -140,13 +152,16 @@ def _joint_bound(h, mean, var, u, scale, lz, lz2):
 # lz^2 overflows double (u V can be as large), and elsewhere in the order
 # above, in which lz^2 <= 1 (lambda = 0 included) overflows no numerator.
 # Where u V itself overflows (mu^2 beyond the double range) the bound is
-# nan, not the 0 of its quotient. lz2 is _square(lz).
+# nan, not the 0 of its quotient. lz2 is _square(lz). Where W, Q or mu is
+# exactly 0 (W and Q at zeta = 1), f_zz and f_lz take 1 for their coupling
+# factor (_coupling), so that they are the signed zero of their finite
+# product also where lz, lz^2 or their product with scale overflows.
 # Entry k is (the polynomials of (V, W, G, Q) it reads, its formula in
 # their values h, in that order).
 _ENTRIES = (
     ((0,), lambda h, mean, var, u, scale, lz, lz2: scale * u * h[0]),
-    ((1,), lambda h, mean, var, u, scale, lz, lz2: scale * lz2 * h[0]),
-    ((3,), lambda h, mean, var, u, scale, lz, lz2: scale * lz * mean * h[0]),
+    ((1,), lambda h, mean, var, u, scale, lz, lz2: scale * _coupling(lz2, h[0]) * h[0]),
+    ((3,), lambda h, mean, var, u, scale, lz, lz2: scale * _coupling(lz, mean, h[0]) * mean * h[0]),
     ((2, 0, 1), _joint_bound),
 )
 

@@ -630,6 +630,20 @@ class TestErrorPaths:
         assert (code, out.replace("1e+200", "1.0"), err) == (0, want, "")
 
     @pytest.mark.parametrize(
+        "argv",
+        [["qfi", "--n", "1", "--gamma", "0.5", "--zeta", "1"],
+         ["opt-gamma", "--target", "f_zeta", "--zeta", "1", "--n-range", "1:10:2"],
+         ["threshold", "--target", "f_zeta", "--zeta", "1"]],
+        ids=["qfi", "opt-gamma", "threshold"],
+    )
+    def test_order_one_order_qfi_is_zero_where_the_coupling_square_overflows(self, capsys, argv):
+        # W = 0 at zeta = 1, so f_zz is 0 at every coupling: inf * 0 exited 3 with an entry overflow
+        code, want, _ = run_cli(capsys, *argv, "--lambda", "1")
+        assert code == 0
+        code, out, err = run_cli(capsys, *argv, "--lambda", "1e200")
+        assert (code, out.replace("1e+200", "1.0"), err) == (0, want, "")
+
+    @pytest.mark.parametrize(
         "argv, error, message",
         [
             (["qfi", "--n", "1", "--gamma", "0.5", "--zeta", "2"],

@@ -418,14 +418,15 @@ class TestOptimizeGammaGrid:
 
 
 class TestRefinement:
-    """Brent's method refines interior brackets; an end candidate costs one
-    kernel call GAMMA_TOL inside the end, and its cell is refined only where
-    that call is higher than the end. The last cell is screened by one more
-    call, at Y0 = sqrt(7/48) coherent photons (the joint bound's maximum
-    there at zeta 3 as N -> inf), and refined in log y, y = (1 - gamma) N,
-    only where a screening call beats the end; so is a maximum that Brent's
-    method on the bracket next to gamma = 1 finds in that cell. The rule
-    is the same for every target."""
+    """Brent's method refines interior brackets. One end test serves both
+    ends: one kernel call GAMMA_TOL inside the end, and at gamma = 1 one more
+    at Y0 = sqrt(7/48) coherent photons (the joint bound's maximum in the
+    last cell at zeta 3 as N -> inf), and the end's cell refined only where
+    one beats the end, the last cell in log y, y = (1 - gamma) N, as is a
+    maximum that the bracket next to gamma = 1 finds there. The better grid
+    end, gamma = 1 on a tie, is the incumbent, which a refined point
+    replaces only where it is strictly higher. The rule is the same for
+    every target."""
 
     @staticmethod
     def count_calls(monkeypatch):
@@ -485,6 +486,25 @@ class TestRefinement:
         assert res.at_boundary is False
         assert res.objective_value > f(1.0 if peak > 0.5 else 0.0)
 
+    @pytest.mark.parametrize("end", [1.0, 0.0])
+    def test_a_refined_point_that_ties_the_better_end_loses_to_it(self, monkeypatch, end):
+        # a plateau of height 1 around gamma = 0.5, which Brent's method on its
+        # bracket reaches, and an end of height 1 above a low neighbour, whose
+        # call inside the end is low: the end keeps the tie
+        def f(g):
+            return 1.0 if g == end else min(1.0, 1.02 - 2.0 * abs(g - 0.5))
+
+        def arrays(n, g, theta, phi, model, entries):
+            table = np.array([[f(x) for x in g]] * len(n))
+            return (table,) * len(entries), np.ones(table.shape, dtype=bool)
+
+        monkeypatch.setattr(opt, "_normal_law_kernel", lambda *args, **kwargs: f)
+        monkeypatch.setattr(opt, "_normal_law_arrays", arrays)
+        calls = self.count_calls(monkeypatch)
+        res = optimize_gamma(1.0, target("f_lambda", 2))
+        assert (res.gamma_opt, res.objective_value, res.at_boundary) == (end, 1.0, end == 1.0)
+        assert any(0.48 < g < 0.5 for g in calls)  # the plateau was refined
+
     def test_the_joint_bound_is_refined_at_an_end_it_dips_into(self):
         # the bound peaks at 7.2369e9 near gamma = 0.999381, falls to 3.99e9 at
         # 1 - GAMMA_TOL and climbs back to 7.20e9 at gamma = 1: the call inside
@@ -531,13 +551,14 @@ class TestRefinement:
         assert res.at_boundary and res.gamma_opt == 1.0
         assert calls == [1.0 - opt.GAMMA_TOL, 1.0 - opt.Y0 / n]
 
-    @pytest.mark.parametrize("kind", ["f_zeta", "joint"])
-    def test_a_flat_row_costs_one_call(self, monkeypatch, kind):
-        # at zeta = 1 both targets are 0 at every gamma: gamma = 0 is the one
-        # coarse maximum, its call inside the end does not beat it, and the
-        # endpoint comparison takes gamma = 1
+    @pytest.mark.parametrize("kind, lam", [("f_zeta", 1.0), ("joint", 1.0), ("f_zeta", 1e200), ("joint", 1e200)],
+                             ids=["f_zeta", "joint", "f_zeta-coupling-square-overflows", "joint-coupling-square-overflows"])
+    def test_a_flat_row_costs_one_call(self, monkeypatch, kind, lam):
+        # at zeta = 1 both targets are 0 at every gamma, also where (lambda
+        # zeta)^2 overflows: gamma = 0 is the one coarse maximum, its call
+        # inside the end does not beat it, and gamma = 1 wins the tie of the ends
         calls = self.count_calls(monkeypatch)
-        res = optimize_gamma(3.0, target(kind, 1))
+        res = optimize_gamma(3.0, target(kind, 1, lam))
         assert (res.gamma_opt, res.objective_value, res.at_boundary) == (1.0, 0.0, True)
         assert calls == [opt.GAMMA_TOL]
 

@@ -202,6 +202,52 @@ class TestQfiMatrix:
             qfi_core.normal_law_grid(1e307, [0.0, 0.5], 0.0, 0.0, model, entries=(3,))
 
 
+class TestZeroEntries:
+    """An entry with a factor that is exactly 0 is the signed zero of its
+    finite product, also where the coupling factor (lambda zeta or its
+    square) or its product with scale overflows: f_zz at zeta = 1, where W
+    is the zero polynomial, and f_lz where the mean is 0 or at zeta = 1,
+    where Q is. These raised the entry overflow, from 0 * inf = nan."""
+
+    # (entry, probe, a coupling whose factor fits, one whose factor overflows, zeta)
+    CASES = [
+        (qfi_zeta, (1.0, 0.5), 1.0, 1e200, 1),  # (lambda zeta)^2 = inf times W = 0
+        (qfi_cross, (1.0, 1.0), 1.0, 1e308, 2),  # lambda zeta = inf times mu = 0
+        (qfi_cross, (1.0, 1.0, 0.0, math.pi), 1.0, 1e308, 2),  # ... times mu = -0.0
+        (qfi_cross, (1.0, 1.0), 1.0, 5e307, 2),  # scale times lambda zeta = inf times mu = 0
+        (qfi_cross, (1.0, 0.5), 1.0, 1e308, 1),  # scale times lambda zeta = inf times Q = 0
+    ]
+
+    @pytest.mark.parametrize("entry, probe, fits, overflows, zeta", CASES)
+    def test_a_zero_entry_is_the_signed_zero_where_its_coupling_factor_overflows(
+            self, entry, probe, fits, overflows, zeta):
+        p = make_probe(*probe)
+        want = entry(p, ModelSpec(fits, zeta))
+        assert want == 0.0
+        assert entry(p, ModelSpec(overflows, zeta)).hex() == want.hex()  # the sign of 0 too
+
+    @pytest.mark.parametrize("lam, zeta, gammas", [(1e200, 1, [0.0, 0.25, 0.5, 1.0]), (1e308, 1, [0.0, 0.5, 1.0]),
+                                                   (1e308, 2, [1.0])])
+    def test_the_grid_gives_the_kernels_zeros(self, lam, zeta, gammas):
+        model, phases = ModelSpec(lam, zeta), [0.0, 0.5 * math.pi, math.pi]
+        entries = (1, 2) if zeta == 1 else (2,)
+        values = qfi_core.normal_law_grid(1.0, np.array(gammas)[:, None, None], np.array(phases)[:, None], phases,
+                                          model, entries=entries)
+        for k, value in zip(entries, values):
+            for (i, j, l), got in np.ndenumerate(value):
+                kernel = qfi_core._normal_law_kernel(1.0, phases[j], phases[l], model, entry=k)
+                assert got.hex() == kernel(gammas[i]).hex() and got == 0.0
+
+    def test_an_entry_that_is_not_zero_still_overflows(self):
+        # the same coupling at zeta = 2, where W = 1 and mu > 0
+        with pytest.raises(OverflowError) as info:
+            qfi_zeta(make_probe(1.0, 0.5), ModelSpec(1e200, 2))
+        assert info.value.args == (OVERFLOW,)
+        with pytest.raises(OverflowError) as info:
+            qfi_cross(make_probe(1.0, 0.5), ModelSpec(1e308, 2))
+        assert info.value.args == (OVERFLOW,)
+
+
 class TestLargeOrders:
     """Each entry reads the floats of its own polynomials. The coefficients of
     G leave the double range at zeta = 85, those of V and Q at 149 and those

@@ -15,6 +15,11 @@ two texts, field by field; the exit code is 1 if there is any, 0 otherwise.
 From the same runs it prints, per workload, tree and seed, how often a
 scalar kernel that optimizer._normal_law_kernel built was called: the
 optimizer's work, which a change to the refinement moves.
+
+Then each tree runs optimize_gamma on one fixed, seeded set of ROWS random
+rows (every target, zeta 1-12, lambda 1e-2..1e2, N 1e-4..1e8), and each
+row's result or error is compared bit for bit (a float's repr is exact),
+with the kernel calls it made, in the same way.
 """
 
 import argparse
@@ -22,6 +27,7 @@ import importlib
 import json
 import math
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -34,6 +40,8 @@ ONE_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # what separates the fields of CSV rows, key=value lines, JSON and reprs
 # (a repr writes a newline as the two characters \n)
 SEPARATORS = re.compile(r"(?:[\s,=:;()\[\]{}'\"]|\\n)+")
+ROWS = 2000  # the random optimize_gamma rows
+OPTIMIZER_ROWS = "optimizer_rows"  # the name under which the child runs them and the report lists them
 
 
 def count_kernel_calls(optimizer):
@@ -79,8 +87,39 @@ def run_workload(src, workload, seeds, outdir):
     return {"records": records, "kernel_calls": kernel_calls}
 
 
+def optimizer_rows():
+    """The fixed set of random rows (kind, zeta, lambda, N): the targets in
+    turn, zeta 1-12, lambda 1e-2..1e2 and N 1e-4..1e8, both log-uniform."""
+    rng, kinds = random.Random(0), ("f_lambda", "f_zeta", "joint")
+    return [(kinds[i % 3], rng.randint(1, 12), 10 ** rng.uniform(-2, 2), 10 ** rng.uniform(-4, 8))
+            for i in range(ROWS)]
+
+
+def run_rows(src):
+    """optimize_gamma on every row of optimizer_rows with the nlprobe of src
+    (in this interpreter): one record per row, with the repr of what it
+    returned or raised and the kernel calls it made as its result, and the
+    kernel calls of all rows."""
+    sys.path.insert(0, str(src))
+    optimizer = importlib.import_module("nlprobe.optimizer")
+    calls = count_kernel_calls(optimizer)
+    records, total = [], 0
+    for kind, zeta, lam, n in optimizer_rows():
+        target = optimizer.OptTarget(optimizer.TargetKind(kind), optimizer.ModelSpec(lam, zeta))
+        calls.clear()
+        try:
+            result = repr(optimizer.optimize_gamma(n, target))
+        except Exception as exc:  # a row that raises is compared by its error
+            result = f"raised {type(exc).__name__}: {exc}"
+        total += len(calls)
+        label = f"optimize_gamma({n!r}, {kind} zeta={zeta} lambda={lam!r})"
+        records.append({"seed": 0, "label": label, "result": f"{result} in {len(calls)} kernel calls", "files": {}})
+    return {"records": records, "kernel_calls": {0: total}}
+
+
 def records_of(src, workload, seeds, outdir):
-    """run_workload in a fresh interpreter, in an empty outdir (JSON turns its seeds into strings)."""
+    """run_workload, or run_rows for OPTIMIZER_ROWS, in a fresh interpreter, in an empty outdir
+    (JSON turns its seeds into strings)."""
     shutil.rmtree(outdir, ignore_errors=True)
     outdir.mkdir()
     env = dict(os.environ, PYTHONHASHSEED="0", **dict.fromkeys(ONE_THREAD, "1"))
@@ -155,28 +194,34 @@ def main(argv=None):
             parser.error(f"{src} holds no nlprobe package")
     sys.path.insert(0, str(PERFBENCH))
     names = importlib.import_module("workloads").WORKLOADS
-    total, diffs = 0, []
+    total, diffs = {"operations": 0, "rows": 0}, []
     with tempfile.TemporaryDirectory() as tmp:
         outdir = Path(tmp) / "out"
-        for workload in names:
+        for workload in (*names, OPTIMIZER_ROWS):
             parent = records_of(args.parent_src.resolve(), workload, args.seeds, outdir)
             change = records_of(args.change_src.resolve(), workload, args.seeds, outdir)
             found = differences(parent["records"], change["records"])
-            total += len(parent["records"])
+            unit = "rows" if workload == OPTIMIZER_ROWS else "operations"
+            total[unit] += len(parent["records"])
             diffs += [f"{workload} {line}" for line in found]
-            print(f"{workload}: {len(parent['records'])} operations, {len(found)} differ")
+            print(f"{workload}: {len(parent['records'])} {unit}, {len(found)} differ")
             for tree, run in (("parent", parent), ("change", change)):
                 counts = " ".join(f"{seed}:{n}" for seed, n in run["kernel_calls"].items())
                 print(f"  {tree} optimizer kernel calls by seed {counts}")
     for report in diffs:
         print(report)
-    print(f"{total} operations, {f'{len(diffs)} differ' if diffs else 'all byte-identical'}")
+    print(f"{total['operations']} operations and {total['rows']} optimizer rows, "
+          f"{f'{len(diffs)} differ' if diffs else 'all byte-identical'}")
     return 1 if diffs else 0
 
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--child"]:
         src, workload, outdir, out, *seeds = sys.argv[2:]
-        Path(out).write_text(json.dumps(run_workload(Path(src), workload, [int(s) for s in seeds], Path(outdir))))
+        if workload == OPTIMIZER_ROWS:
+            run = run_rows(Path(src))
+        else:
+            run = run_workload(Path(src), workload, [int(s) for s in seeds], Path(outdir))
+        Path(out).write_text(json.dumps(run))
     else:
         sys.exit(main())
