@@ -18,9 +18,11 @@ wide in gamma. A maximum that the bracket next to gamma = 1 finds in the
 last cell is refined in log y too. The better grid end, gamma = 1 on a
 tie, is the incumbent, and a refined point replaces it only where it is
 strictly higher. The objective, the optimizer and the threshold search
-work at zero phases, where the optimal probe lies
-(verify_zero_phase_optimality). numpy is imported by the functions that
-build arrays, so that a scalar call never loads it.
+work at zero phases. For f_lambda and f_zeta the optimal probe lies there,
+which verify_zero_phase_optimality checks on a grid of phases; that check
+refuses the joint bound, whose zero phase is unchecked (ROADMAP item 14).
+numpy is imported by the functions that build arrays, so that a scalar call
+never loads it.
 """
 
 import contextlib
@@ -211,12 +213,25 @@ def _local_maxima(table):
     return flags
 
 
-def _row_solver(ns, target):
+class _EndLost(Exception):
+    """Raised by an indicator row's kernel at a value above the gamma = 1 end, which settles the row as False."""
+
+
+def _row_solver(ns, target, indicator=False):
     """solve(i) = optimize_gamma(ns[i], ...), with the coarse grids of all
     energies in one table that raises nothing: solve(i) checks ns[i] and
     raises optimize_gamma's errors, so rows never solved may hold bad points.
     A row with a bad point goes to qfi_core.normal_law_grid, which raises the
     error that a loop over its points meets first.
+
+    With indicator, solve(i) = optimize_gamma(ns[i], ...).at_boundary, the
+    one bit find_threshold reads, which stops once the gamma = 1 end has
+    lost: the incumbent is the better grid end, a refined point replaces it
+    only where strictly higher, no refinement returns gamma = 1, and each
+    returns at least every value it evaluates. So after the same checks a
+    row is False where vals[0] > vals[-1], with no kernel call, or at the
+    first kernel value above vals[-1]; it is True only after its full
+    refinement.
     """
     import numpy as np
 
@@ -231,30 +246,49 @@ def _row_solver(ns, target):
             raise DomainError("optimize_gamma requires n_total > 0")
         if not rows_ok[i]:  # normal_law_grid raises the error that a loop over the row meets first
             normal_law_grid(n, _GRID, 0.0, 0.0, model, entries=(entry,))
-        kernel = _normal_law_kernel(float(n), 0.0, 0.0, model, entry=entry)
         vals = table[i].tolist()
+        if indicator and vals[0] > vals[-1]:  # gamma = 1 is not the incumbent
+            return False
+        kernel = _normal_law_kernel(float(n), 0.0, 0.0, model, entry=entry)
+        if indicator:
+            kernel = _losing_end(kernel, vals[-1])
         candidates = sorted(np.flatnonzero(flags[i]).tolist(), key=vals.__getitem__, reverse=True)[:3]
 
         best_v, best_g = max((vals[0], 0.0), (vals[-1], 1.0))  # the better grid end, gamma = 1 on a tie
-        for j in candidates:
-            if j == 0:  # Brent on the first cell from one call GAMMA_TOL inside the end
-                found = _screen(kernel, [GAMMA_TOL], vals[0])
-                found = found and _brent_max(kernel, 0.0, _GRID[1], *found)
-            elif j == COARSE - 1:  # the last cell in log y from one call GAMMA_TOL inside the end or at y = Y0
-                screen = [1.0 - GAMMA_TOL] + ([1.0 - Y0 / n] if _GRID[-2] < 1.0 - Y0 / n < 1.0 else [])
-                found = _screen(kernel, screen, vals[-1])
-                found = found and _refine_in_y(kernel, n, *found)
-            else:  # Brent starts CGOLD into the bracket of the grid neighbours
-                lo, hi = _GRID[j - 1], _GRID[j + 1]
-                x = lo + CGOLD * (hi - lo)
-                found = _brent_max(kernel, lo, hi, x, kernel(x))
-                if found[0] > _GRID[-2]:  # a peak in the last cell, resolved in y
-                    found = _refine_in_y(kernel, n, *found)
-            if found and found[1] > best_v:  # strictly: an end keeps a tie
-                best_g, best_v = found
-        return GammaOptResult(best_g, best_v, best_g == 1.0, n)
+        try:
+            for j in candidates:
+                if j == 0:  # Brent on the first cell from one call GAMMA_TOL inside the end
+                    found = _screen(kernel, [GAMMA_TOL], vals[0])
+                    found = found and _brent_max(kernel, 0.0, _GRID[1], *found)
+                elif j == COARSE - 1:  # the last cell in log y from one call GAMMA_TOL inside the end or at y = Y0
+                    screen = [1.0 - GAMMA_TOL] + ([1.0 - Y0 / n] if _GRID[-2] < 1.0 - Y0 / n < 1.0 else [])
+                    found = _screen(kernel, screen, vals[-1])
+                    found = found and _refine_in_y(kernel, n, *found)
+                else:  # Brent starts CGOLD into the bracket of the grid neighbours
+                    lo, hi = _GRID[j - 1], _GRID[j + 1]
+                    x = lo + CGOLD * (hi - lo)
+                    found = _brent_max(kernel, lo, hi, x, kernel(x))
+                    if found[0] > _GRID[-2]:  # a peak in the last cell, resolved in y
+                        found = _refine_in_y(kernel, n, *found)
+                if found and found[1] > best_v:  # strictly: an end keeps a tie
+                    best_g, best_v = found
+        except _EndLost:
+            return False
+        return best_g == 1.0 if indicator else GammaOptResult(best_g, best_v, best_g == 1.0, n)
 
     return solve
+
+
+def _losing_end(kernel, end):
+    """kernel, raising _EndLost at the first value above end."""
+
+    def guarded(gamma):
+        value = kernel(gamma)
+        if value > end:
+            raise _EndLost
+        return value
+
+    return guarded
 
 
 def optimize_gamma_grid(ns, target: OptTarget) -> list:
@@ -334,10 +368,13 @@ def find_threshold(target: OptTarget, *, n_hi: float = 1e3, samples: int = 15) -
     boundary indicator GammaOptResult.at_boundary (the gamma = 1 endpoint
     wins the final comparison of optimize_gamma) is first sampled on the
     log grid _log_grid(THRESHOLD_N_LO, n_hi, samples), all samples in one
-    optimize_gamma_grid call, to validate that it crosses from True to False
-    exactly once; several crossings raise ThresholdAmbiguousError listing
-    them all. If the indicator never turns False the target has no
-    threshold in the searched range and math.inf is returned as a sentinel.
+    table, to validate that it crosses from True to False exactly once;
+    several crossings raise ThresholdAmbiguousError listing them all. If
+    the indicator never turns False the target has no threshold in the
+    searched range and math.inf is returned as a sentinel. Every sample and
+    bisection row is an indicator row (_row_solver with indicator): the bit
+    or the error of optimize_gamma, from a refinement that stops once the
+    gamma = 1 end has lost.
 
     For f_lambda and f_zeta the threshold is where the one-sided slope at
     gamma = 1 changes sign, returned in closed form (_end_slope_root) where
@@ -351,12 +388,13 @@ def find_threshold(target: OptTarget, *, n_hi: float = 1e3, samples: int = 15) -
     midpoint strictly inside, and lo * hi is finite, as the samples raise
     OverflowError by N = 1e150. Each round tabulates the sorted list of
     nested geometric midpoints sqrt(a * b) of its next BISECTION_LEVELS
-    steps in one table and bisects the list by index, refining only the
-    rows it visits, so its brackets and result are those of one
+    steps in one table and bisects the list by index, solving only the
+    indicator rows it visits, so its brackets and result are those of one
     optimize_gamma per step.
     """
     ns = _log_grid(THRESHOLD_N_LO, n_hi, samples)
-    flags = [res.at_boundary for res in optimize_gamma_grid(ns, target)]
+    at_boundary = _row_solver(ns, target, indicator=True)
+    flags = [at_boundary(i) for i in range(samples)]
 
     if not flags[0]:
         raise ThresholdAmbiguousError(f"gamma_opt already interior at N={THRESHOLD_N_LO}, the lower end of the search")
@@ -380,11 +418,11 @@ def find_threshold(target: OptTarget, *, n_hi: float = 1e3, samples: int = 15) -
         points = [lo, hi]
         for _ in range(BISECTION_LEVELS):  # each neighbour pair's geometric midpoint goes between them
             points[1:] = [x for a, b in zip(points, points[1:]) for x in (math.sqrt(a * b), b)]
-        solve = _row_solver(points[1:-1], target)
+        at_boundary = _row_solver(points[1:-1], target, indicator=True)
         i, k = 0, len(points) - 1  # lo = points[i], hi = points[k]
         while k - i > 1 and hi / lo - 1.0 > THRESHOLD_REL_TOL:
             m = (i + k) // 2
-            if solve(m - 1).at_boundary:
+            if at_boundary(m - 1):
                 i, lo = m, points[m]
             else:
                 k, hi = m, points[m]

@@ -117,16 +117,20 @@ def _joint_bound(h, mean, var, u, scale, lz, lz2):
     return bound * (uv / uv)  # nan where u V overflowed, which would leave the bound 0: an entry overflow
 
 
-def _coupling(c, *factors):
-    """The coupling factor c, lz or lz2, of an entry that is its product with
-    scale and factors, and 1.0 where one of factors is exactly 0: the entry
-    is then the signed zero of its finite product, not the nan of 0 * inf
-    where c, or scale times c, overflows. For floats, mpf and numpy arrays."""
-    if hasattr(factors[0], "shape"):
+def _product(scale, c, *factors):
+    """An entry that is the product scale * c * factors, in that order, with
+    c the coupling factor lz or lz2, and where one of factors is exactly 0
+    the product of factors alone: the signed zero that the product takes for
+    every finite scale, not the nan of 0 * inf where c, scale or their
+    product overflows. For floats, mpf and numpy arrays."""
+    value = scale * c
+    for f in factors:
+        value = value * f
+    if hasattr(value, "shape"):
         import numpy as np
 
-        return np.where(np.logical_or.reduce([f == 0 for f in factors]), 1.0, c)
-    return 1.0 if 0 in factors else c
+        return np.where(np.logical_or.reduce([f == 0 for f in factors]), math.prod(factors), value)
+    return math.prod(factors) if 0 in factors else value
 
 
 # The QFI entries, for floats, numpy arrays and mpf alike. In both moment
@@ -153,15 +157,15 @@ def _coupling(c, *factors):
 # above, in which lz^2 <= 1 (lambda = 0 included) overflows no numerator.
 # Where u V itself overflows (mu^2 beyond the double range) the bound is
 # nan, not the 0 of its quotient. lz2 is _square(lz). Where W, Q or mu is
-# exactly 0 (W and Q at zeta = 1), f_zz and f_lz take 1 for their coupling
-# factor (_coupling), so that they are the signed zero of their finite
-# product also where lz, lz^2 or their product with scale overflows.
+# exactly 0 (W and Q at zeta = 1, mu at gamma = 1), f_zz and f_lz are the
+# signed zero of their finite product (_product), also where lz, lz^2,
+# scale or their product overflows.
 # Entry k is (the polynomials of (V, W, G, Q) it reads, its formula in
 # their values h, in that order).
 _ENTRIES = (
     ((0,), lambda h, mean, var, u, scale, lz, lz2: scale * u * h[0]),
-    ((1,), lambda h, mean, var, u, scale, lz, lz2: scale * _coupling(lz2, h[0]) * h[0]),
-    ((3,), lambda h, mean, var, u, scale, lz, lz2: scale * _coupling(lz, mean, h[0]) * mean * h[0]),
+    ((1,), lambda h, mean, var, u, scale, lz, lz2: _product(scale, lz2, h[0])),
+    ((3,), lambda h, mean, var, u, scale, lz, lz2: _product(scale, lz, mean, h[0])),
     ((2, 0, 1), _joint_bound),
 )
 
@@ -200,8 +204,8 @@ def _normal_law_kernel(n_total, theta, phi, model, beta_sign=+1, *, entry):
             u, t, polys = var, x, below
         try:
             scale = 4.0 * var * u**power
-        except OverflowError:  # float ** raises its own error where np.float_power gives inf
-            raise OverflowError(OVERFLOW) from None
+        except OverflowError:  # float ** raises where np.float_power gives inf, which only a zero entry survives
+            scale = inf
         h = []
         for poly in polys:
             acc = 0.0

@@ -77,7 +77,10 @@ def assemble(mean, var, lz, zeta, table, entries):
     x = mean * mean / var
     above = x > 1.0
     u, t = (mean * mean, 1.0 / x) if above else (var, x)
-    scale = 4.0 * var * u ** (zeta - 2)
+    try:
+        scale = 4.0 * var * u ** (zeta - 2)
+    except OverflowError:  # float ** raises where the scalar kernel takes inf
+        scale = math.inf
 
     def horner(j):
         acc = 0.0

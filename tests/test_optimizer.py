@@ -569,6 +569,15 @@ class TestRefinement:
         assert find_threshold(target("joint", 3), n_hi=1e6, samples=21) == math.inf
         assert len(calls) <= 120
 
+    @pytest.mark.parametrize("kind, zeta, kw, want", [("joint", 4, dict(n_hi=1e6, samples=21), 92),
+                                                      ("f_lambda", 7, {}, 15)])
+    def test_threshold_rows_stop_once_the_end_has_lost(self, monkeypatch, kind, zeta, kw, want):
+        # a full refinement of every row took 235 and 85 calls; f_lambda's 15
+        # are one a sample row, its threshold being the closed form
+        calls = self.count_calls(monkeypatch)
+        find_threshold(target(kind, zeta), **kw)
+        assert len(calls) == want
+
     @pytest.mark.parametrize("seed", range(7))
     def test_random_rows_reach_the_40_digit_maximum(self, seed):
         # 30 rows a seed: every target, zeta 2-12, N 1e-3..1e6, random coupling
@@ -580,6 +589,74 @@ class TestRefinement:
             gamma, value = mp_reference.argmax(n, t)
             assert res.gamma_opt == pytest.approx(gamma, abs=2e-6), (n, t)
             assert res.objective_value == pytest.approx(value, rel=1e-10), (n, t)
+
+
+def raised_or(fn):
+    """fn(), or the type and arguments of the error it raises."""
+    try:
+        return fn()
+    except (NlprobeError, ArithmeticError) as exc:
+        return type(exc), exc.args
+
+
+class TestIndicator:
+    """find_threshold reads one bit of each row, at_boundary, from
+    _row_solver(..., indicator=True): the row's checks, then False where the
+    gamma = 0 grid end beats the gamma = 1 one or at the first kernel value
+    above the gamma = 1 end, else True after the full refinement. Its kernel
+    calls are the first of optimize_gamma's, all of them on a True row."""
+
+    @staticmethod
+    def both(calls, n, t):
+        """(indicator, its kernel calls, at_boundary of optimize_gamma, its calls), an error as raised_or's;
+        calls is TestRefinement.count_calls's list."""
+        calls.clear()
+        flag = raised_or(lambda: opt._row_solver([n], t, indicator=True)(0))
+        stopped = calls[:]
+        calls.clear()
+        return flag, stopped, raised_or(lambda: optimize_gamma(n, t).at_boundary), calls
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_indicator_is_at_boundary_on_random_rows(self, monkeypatch, seed):
+        # 1500 rows a seed: every target, zeta 1-12, lambda 1e-2..1e2, and N
+        # from 1e-4 to 10**(160 / zeta + 10), past the energy at which each order overflows
+        rng, kinds, seen = random.Random(seed), ("f_lambda", "f_zeta", "joint"), set()
+        counted = TestRefinement.count_calls(monkeypatch)
+        for i in range(1500):
+            t = target(kinds[i % 3], rng.randint(1, 12), 10 ** rng.uniform(-2, 2))
+            n = 10 ** rng.uniform(-4, 160 / t.model.zeta + 10)
+            flag, stopped, full, calls = self.both(counted, n, t)
+            assert flag == full, (n, t)
+            assert stopped == (calls if flag is True else calls[:len(stopped)]), (n, t)
+            seen.add(flag if isinstance(flag, bool) else OverflowError)
+        assert seen == {True, False, OverflowError}
+
+    def test_a_row_whose_gamma_zero_end_is_higher_costs_no_call(self, monkeypatch):
+        # no target has been seen to reach this: the objective 1 - gamma
+        def arrays(n, g, theta, phi, model, entries):
+            table = 1.0 - np.broadcast_to(np.asarray(g, dtype=float), np.broadcast_shapes(np.shape(n), np.shape(g)))
+            return (table,) * len(entries), np.ones(table.shape, dtype=bool)
+
+        monkeypatch.setattr(opt, "_normal_law_kernel", lambda *args, **kwargs: lambda g: 1.0 - g)
+        monkeypatch.setattr(opt, "_normal_law_arrays", arrays)
+        counted = TestRefinement.count_calls(monkeypatch)
+        flag, stopped, full, calls = self.both(counted, 1.0, target("f_lambda", 2))
+        assert (flag, full, stopped) == (False, False, [])
+        assert calls == [opt.GAMMA_TOL]  # the end test at gamma = 0
+
+    def test_a_row_stops_inside_brents_method(self, monkeypatch):
+        # the bracket next to gamma = 1 holds the maximum: Brent's start is below
+        # the end and its first step above it, of 38 calls in all
+        n, lam = BRACKET_PEAKS[2]
+        flag, stopped, full, calls = self.both(TestRefinement.count_calls(monkeypatch), n, target("joint", 3, lam))
+        assert (flag, full, len(stopped), len(calls)) == (False, False, 2, 38)
+        assert stopped == calls[:2] and all(126 / 128 < g < 1.0 for g in stopped)
+
+    def test_a_row_on_which_the_end_wins_refines_in_full(self, monkeypatch):
+        # the joint bound at zeta 3 and N = 1 has a lower interior maximum, which Brent's method refines
+        flag, stopped, full, calls = self.both(TestRefinement.count_calls(monkeypatch), 1.0, target("joint", 3))
+        assert flag is full is True
+        assert stopped == calls and len(calls) == 9 and any(0.0 < g < 127 / 128 for g in calls)
 
 
 class TestNonFinitePhases:
@@ -710,10 +787,11 @@ class TestFindThreshold:
     )
     def test_root_outside_the_sampled_crossing_raises(self, monkeypatch, kind, zeta, switch):
         # f_zeta at zeta = 2 reads a constant W: its end slope never changes sign
-        def fake_optimize_grid(ns, *a, **k):
-            return [GammaOptResult(1.0 if n < switch else 0.5, 1.0, n < switch, n) for n in ns]
+        def fake_indicator(ns, t, indicator):
+            assert indicator
+            return lambda i: ns[i] < switch
 
-        monkeypatch.setattr(opt, "optimize_gamma_grid", fake_optimize_grid)
+        monkeypatch.setattr(opt, "_row_solver", fake_indicator)
         with pytest.raises(ThresholdAmbiguousError, match="outside the sampled crossing") as info:
             opt.find_threshold(target(kind, zeta), n_hi=100.0, samples=7)
         assert len(info.value.crossings) == 1
@@ -721,11 +799,11 @@ class TestFindThreshold:
     def test_non_monotone_indicator_raises(self, monkeypatch):
         flags = {0.001: True, 0.01: False, 0.1: True, 1.0: False}
 
-        def fake_optimize_grid(ns, *a, **k):
-            at_b = [min(flags, key=lambda key: abs(math.log(n / key))) for n in ns]
-            return [GammaOptResult(1.0 if flags[b] else 0.5, 1.0, flags[b], n) for b, n in zip(at_b, ns)]
+        def fake_indicator(ns, t, indicator):
+            assert indicator
+            return lambda i: flags[min(flags, key=lambda key: abs(math.log(ns[i] / key)))]
 
-        monkeypatch.setattr(opt, "optimize_gamma_grid", fake_optimize_grid)
+        monkeypatch.setattr(opt, "_row_solver", fake_indicator)
         with pytest.raises(ThresholdAmbiguousError) as info:
             opt.find_threshold(target("f_lambda", 2), n_hi=1.0, samples=7)
         assert len(info.value.crossings) > 1
@@ -733,10 +811,11 @@ class TestFindThreshold:
     def test_optimum_interior_at_the_lower_end_raises(self, monkeypatch):
         # no target is known to reach this: gamma = 1 has been optimal at
         # THRESHOLD_N_LO for every target, order and coupling tried
-        def interior(ns, *a, **k):
-            return [GammaOptResult(0.5, 1.0, False, n) for n in ns]
+        def interior(ns, t, indicator):
+            assert indicator
+            return lambda i: False
 
-        monkeypatch.setattr(opt, "optimize_gamma_grid", interior)
+        monkeypatch.setattr(opt, "_row_solver", interior)
         with pytest.raises(ThresholdAmbiguousError, match="already interior at N=0.0001") as info:
             opt.find_threshold(target("f_lambda", 2))
         assert info.value.crossings == []
@@ -870,18 +949,20 @@ class TestBatchedBisection:
 
 
 def record_tables(monkeypatch):
-    """Wrap optimizer._row_solver: each call appends its energies and the
-    (row, at_boundary) of every row solved from them, in order."""
+    """Wrap optimizer._row_solver, which find_threshold asks for indicators:
+    each call appends its energies and the (row, at_boundary) of every row
+    solved from them, in order."""
     tables, row_solver = [], opt._row_solver
 
-    def recording(ns, t):
-        solve, solved = row_solver(ns, t), []
+    def recording(ns, t, indicator):
+        assert indicator
+        at_boundary, solved = row_solver(ns, t, indicator), []
         tables.append((list(ns), solved))
 
         def recorded(i):
-            res = solve(i)
-            solved.append((i, res.at_boundary))
-            return res
+            flag = at_boundary(i)
+            solved.append((i, flag))
+            return flag
 
         return recorded
 

@@ -180,6 +180,7 @@ def test_objective_matches_80_digit_normal_law_at_any_phase(kind, gamma, n, zeta
 )
 @example(12, 1.0, 1e300, [0.0, 1.0], [0.0], [0.0])  # u^(zeta-2) overflows at gamma = 0
 @example(1, 1.0, 1e300, [1.0, 0.0], [0.0], [0.0])  # u^(-1); f_zz and f_lz are 0
+@example(4, 1.0, 1e300, [1.0, 0.0], [0.0], [0.0, math.pi])  # u^2 overflows at gamma = 1, where f_lz is +-0
 @example(6, 1.0, 1e30, [1.0, 0.0, 0.5], [0.0, 3.0], [0.0, 1.5])  # every entry fits at gamma 1 and 0, none at 0.5
 @example(3, 1e200, 1.0, [0.0, 1.0], [0.0], [0.0])  # (lambda zeta)^2 overflows: f_zz does not fit
 @example(2, 1e154, 1e307, [0.0, 0.5], [0.0], [0.0])  # u V near an overflowing (lambda zeta)^2, then past the range
@@ -208,14 +209,10 @@ def test_grid_kernel_equals_the_point_evaluation(zeta, lam, n, gamma_list, theta
 def _entries_by_formula(n, gamma, theta, phi, model, sign):
     """The four entries from the formulas of qfi_core._ENTRIES on floats,
     outside the scalar kernel (mp_reference.assemble over the double
-    coefficient table); inf where u^(zeta-2) overflows float **, as the
-    kernel takes it."""
+    coefficient table, which takes scale as inf where u^(zeta-2) overflows
+    float **, as the kernel does)."""
     mean, var = _energy_law(n, gamma, _phase_terms(theta, phi, sign))
-    args = (mean, var, model.lambda_eff * model.zeta, model.zeta, _normal_law_table)
-    try:
-        return mp_reference.assemble(*args, range(4))
-    except OverflowError:
-        return [math.inf] * 4
+    return mp_reference.assemble(mean, var, model.lambda_eff * model.zeta, model.zeta, _normal_law_table, range(4))
 
 
 @settings(seeded, max_examples=300)
@@ -232,6 +229,7 @@ def _entries_by_formula(n, gamma, theta, phi, model, sign):
 @example(12, 1.0, 1e6, [0.0, 0.5, 1.0], 0.0, 0.0, +1, 3)
 @example(1, 0.01, 1e-4, [0.0, 1.0], 3.0, 1.5, -1, 1)
 @example(12, 1.0, 1e300, [0.0, 1.0], 0.0, 0.0, -1, 0)  # u^(zeta-2) overflows at gamma = 0
+@example(4, 1.0, 1e300, [0.0, 1.0], 0.0, math.pi, +1, 2)  # ... and at gamma = 1, where f_lz is -0.0
 @example(2, 19.048891397772485, 2.0, [0.3, 0.5], 0.0, 0.0, +1, 1)  # (lambda zeta) ** 2 is not lz * lz here
 @example(12, 1e85, 1e10, [0.0, 1.0], 0.0, 0.0, +1, 3)  # (lambda zeta)^2 once overflowed the bound's numerator
 @example(3, 0.0, 2.0, [0.0, 1.0, 0.3], 0.7, 0.2, +1, 3)  # lambda = 0: the bound is 0, with no division by lz2

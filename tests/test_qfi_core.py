@@ -207,7 +207,8 @@ class TestZeroEntries:
     finite product, also where the coupling factor (lambda zeta or its
     square) or its product with scale overflows: f_zz at zeta = 1, where W
     is the zero polynomial, and f_lz where the mean is 0 or at zeta = 1,
-    where Q is. These raised the entry overflow, from 0 * inf = nan."""
+    where Q is, also where scale itself overflows. These raised the entry
+    overflow, from 0 * inf = nan."""
 
     # (entry, probe, a coupling whose factor fits, one whose factor overflows, zeta)
     CASES = [
@@ -238,6 +239,18 @@ class TestZeroEntries:
                 kernel = qfi_core._normal_law_kernel(1.0, phases[j], phases[l], model, entry=k)
                 assert got.hex() == kernel(gammas[i]).hex() and got == 0.0
 
+    @pytest.mark.parametrize("zeta", [3, 4, 12])
+    @pytest.mark.parametrize("phi", [0.0, math.pi], ids=["mu-zero", "mu-minus-zero"])
+    def test_f_lz_is_the_signed_zero_where_scale_overflows(self, zeta, phi):
+        # at N = 1e300 and gamma = 1, scale = 4 sigma^2 u^(zeta - 2) is inf times mu = 0:
+        # 4 sigma^2 times u overflows at zeta = 3, float ** itself from zeta = 4
+        model = ModelSpec(1.0, zeta)
+        want = qfi_cross(make_probe(1.0, 1.0, 0.0, phi), model)  # scale fits
+        assert want == 0.0 and math.copysign(1.0, want) == math.copysign(1.0, 1.5 - phi)
+        assert qfi_cross(make_probe(1e300, 1.0, 0.0, phi), model).hex() == want.hex()
+        (grid,) = qfi_core.normal_law_grid(1e300, [1.0], 0.0, phi, model, entries=(2,))
+        assert grid.item().hex() == want.hex()
+
     def test_an_entry_that_is_not_zero_still_overflows(self):
         # the same coupling at zeta = 2, where W = 1 and mu > 0
         with pytest.raises(OverflowError) as info:
@@ -246,6 +259,11 @@ class TestZeroEntries:
         with pytest.raises(OverflowError) as info:
             qfi_cross(make_probe(1.0, 0.5), ModelSpec(1e308, 2))
         assert info.value.args == (OVERFLOW,)
+        # and where scale overflows at mu = 0, every other entry
+        for entry in (qfi_lambda, qfi_zeta):
+            with pytest.raises(OverflowError) as info:
+                entry(make_probe(1e300, 1.0), ModelSpec(1.0, 4))
+            assert info.value.args == (OVERFLOW,)
 
 
 class TestLargeOrders:

@@ -1,5 +1,6 @@
 """tools/same_bytes.py, on two trees that differ only in the version they
-print, and on two whose optimizer screens its ends at another distance."""
+print, on two whose optimizer screens its ends at another distance, and on
+two whose joint threshold search stops at another width."""
 
 import importlib.util
 import re
@@ -49,6 +50,15 @@ def test_the_optimizer_rows_are_one_fixed_set_over_every_target():
     assert all(1e-2 <= lam <= 1e2 and 1e-4 <= n <= 1e8 for _, _, lam, n in rows)
 
 
+def test_the_threshold_rows_are_one_fixed_set_over_every_target_and_order():
+    rows = same_bytes.threshold_rows()
+    assert rows == same_bytes.threshold_rows() and len(rows) == 3 * 12 * same_bytes.THRESHOLDS
+    assert sorted((kind, zeta) for kind, zeta, _, _ in rows) == sorted(
+        (kind, zeta) for kind in ("f_lambda", "f_zeta", "joint") for zeta in range(1, 13)
+        for _ in range(same_bytes.THRESHOLDS))
+    assert all(1e-2 <= lam <= 1e2 and 1e-2 <= n_hi <= 1e12 for _, _, lam, n_hi in rows)
+
+
 def test_same_bytes_lists_the_scans_of_a_tree_with_another_version(monkeypatch, tmp_path):
     change = changed_tree(tmp_path, "__init__.py", r'^__version__ = "(.*)"$', r'__version__ = "\1.changed"')
     proc = same_bytes_on(change)
@@ -64,10 +74,12 @@ def test_same_bytes_lists_the_scans_of_a_tree_with_another_version(monkeypatch, 
         assert re.findall(r"^  (\S+): ", fields, flags=re.M) == ["result", ".out"]
         assert "version=" in fields and ".changed" in fields
     # every library call, and every command that prints no version, reads the same on both trees
-    # and so does every optimizer row, in as many kernel calls
-    rows = re.search(r"^optimizer_rows: 2000 rows, 0 differ\n  parent (.*)\n  change (.*)\n", proc.stdout, flags=re.M)
-    assert rows and rows[1] == rows[2] and rows[1].startswith("optimizer kernel calls by seed 0:")
-    assert proc.stdout.endswith(f"\n{len(ops)} operations and 2000 optimizer rows, {len(scans)} differ\n")
+    # and so does every optimizer row and threshold row, in as many kernel calls
+    for name, count in (("optimizer_rows", 2000), ("threshold_rows", len(same_bytes.threshold_rows()))):
+        rows = re.search(rf"^{name}: {count} rows, 0 differ\n  parent (.*)\n  change (.*)\n", proc.stdout, flags=re.M)
+        assert rows and rows[1] == rows[2] and rows[1].startswith("optimizer kernel calls by seed 0:")
+    assert proc.stdout.endswith(f"\n{len(ops)} operations, 2000 optimizer rows and "
+                                f"{len(same_bytes.threshold_rows())} threshold rows, {len(scans)} differ\n")
 
 
 def test_same_bytes_lists_the_optimizer_rows_that_move(tmp_path):
@@ -79,3 +91,16 @@ def test_same_bytes_lists_the_optimizer_rows_that_move(tmp_path):
                          flags=re.M)
     assert 0 < moved == len(reports)
     assert all(report.startswith("largest relative difference") for report in reports)
+
+
+def test_same_bytes_lists_the_threshold_rows_that_move(tmp_path):
+    # a wider stop of the bisection moves joint thresholds alone, and no optimizer row
+    change = changed_tree(tmp_path, "optimizer.py", r"^THRESHOLD_REL_TOL = 1e-4 ", "THRESHOLD_REL_TOL = 2e-4 ")
+    proc = same_bytes_on(change)
+    assert proc.returncode == 1, proc.stderr
+    assert re.search(r"^optimizer_rows: 2000 rows, 0 differ$", proc.stdout, flags=re.M)
+    moved = int(re.search(r"^threshold_rows: \d+ rows, (\d+) differ$", proc.stdout, flags=re.M)[1])
+    reports = re.findall(r"^threshold_rows seed 0 op \d+ find_threshold\((\w+) .*\)\n  result: (.*)\n", proc.stdout,
+                         flags=re.M)
+    assert 0 < moved == len(reports)
+    assert all(kind == "joint" and report.startswith("largest relative difference") for kind, report in reports)

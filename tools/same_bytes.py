@@ -17,9 +17,12 @@ scalar kernel that optimizer._normal_law_kernel built was called: the
 optimizer's work, which a change to the refinement moves.
 
 Then each tree runs optimize_gamma on one fixed, seeded set of ROWS random
-rows (every target, zeta 1-12, lambda 1e-2..1e2, N 1e-4..1e8), and each
-row's result or error is compared bit for bit (a float's repr is exact),
-with the kernel calls it made, in the same way.
+rows (every target, zeta 1-12, lambda 1e-2..1e2, N 1e-4..1e8), and
+find_threshold on another, THRESHOLDS calls for every target and zeta 1-12
+(lambda 1e-2..1e2, n_hi 1e-2..1e12). Each row's result or error is compared
+bit for bit (a float's repr is exact, and an error's crossings are part of
+it), the optimizer rows with the kernel calls each made; the kernel calls of
+each set are printed as the workloads' are.
 """
 
 import argparse
@@ -41,7 +44,9 @@ ONE_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # (a repr writes a newline as the two characters \n)
 SEPARATORS = re.compile(r"(?:[\s,=:;()\[\]{}'\"]|\\n)+")
 ROWS = 2000  # the random optimize_gamma rows
-OPTIMIZER_ROWS = "optimizer_rows"  # the name under which the child runs them and the report lists them
+THRESHOLDS = 4  # the random find_threshold calls for each target and order
+# the names under which the child runs the two sets of rows and the report lists them
+OPTIMIZER_ROWS, THRESHOLD_ROWS = "optimizer_rows", "threshold_rows"
 
 
 def count_kernel_calls(optimizer):
@@ -95,30 +100,46 @@ def optimizer_rows():
             for i in range(ROWS)]
 
 
-def run_rows(src):
-    """optimize_gamma on every row of optimizer_rows with the nlprobe of src
-    (in this interpreter): one record per row, with the repr of what it
-    returned or raised and the kernel calls it made as its result, and the
-    kernel calls of all rows."""
+def threshold_rows():
+    """The fixed set of random find_threshold calls (kind, zeta, lambda, n_hi):
+    THRESHOLDS for every target and zeta 1-12, with lambda 1e-2..1e2 and
+    n_hi 1e-2..1e12, both log-uniform."""
+    rng = random.Random(1)
+    return [(kind, zeta, 10 ** rng.uniform(-2, 2), 10 ** rng.uniform(-2, 12))
+            for kind in ("f_lambda", "f_zeta", "joint") for zeta in range(1, 13) for _ in range(THRESHOLDS)]
+
+
+def run_rows(src, name):
+    """optimize_gamma(n, target) on every row of optimizer_rows, or for
+    THRESHOLD_ROWS find_threshold(target, n_hi=n) on every row of
+    threshold_rows, with the nlprobe of src (in this interpreter): one record
+    per row, with the repr of what it returned or raised as its result, and
+    the kernel calls of all rows. An optimize_gamma row's result also holds the
+    kernel calls it made, which a change to find_threshold alone leaves as
+    they are."""
     sys.path.insert(0, str(src))
     optimizer = importlib.import_module("nlprobe.optimizer")
     calls = count_kernel_calls(optimizer)
+    thresholds = name == THRESHOLD_ROWS
     records, total = [], 0
-    for kind, zeta, lam, n in optimizer_rows():
+    for kind, zeta, lam, n in threshold_rows() if thresholds else optimizer_rows():
         target = optimizer.OptTarget(optimizer.TargetKind(kind), optimizer.ModelSpec(lam, zeta))
         calls.clear()
         try:
-            result = repr(optimizer.optimize_gamma(n, target))
+            result = repr(optimizer.find_threshold(target, n_hi=n) if thresholds else optimizer.optimize_gamma(n, target))
         except Exception as exc:  # a row that raises is compared by its error
-            result = f"raised {type(exc).__name__}: {exc}"
+            result = f"raised {type(exc).__name__}: {exc} {getattr(exc, 'crossings', '')}"
         total += len(calls)
-        label = f"optimize_gamma({n!r}, {kind} zeta={zeta} lambda={lam!r})"
-        records.append({"seed": 0, "label": label, "result": f"{result} in {len(calls)} kernel calls", "files": {}})
+        model = f"{kind} zeta={zeta} lambda={lam!r}"
+        label = f"find_threshold({model}, n_hi={n!r})" if thresholds else f"optimize_gamma({n!r}, {model})"
+        if not thresholds:
+            result += f" in {len(calls)} kernel calls"
+        records.append({"seed": 0, "label": label, "result": result, "files": {}})
     return {"records": records, "kernel_calls": {0: total}}
 
 
 def records_of(src, workload, seeds, outdir):
-    """run_workload, or run_rows for OPTIMIZER_ROWS, in a fresh interpreter, in an empty outdir
+    """run_workload, or run_rows for OPTIMIZER_ROWS and THRESHOLD_ROWS, in a fresh interpreter, in an empty outdir
     (JSON turns its seeds into strings)."""
     shutil.rmtree(outdir, ignore_errors=True)
     outdir.mkdir()
@@ -194,15 +215,15 @@ def main(argv=None):
             parser.error(f"{src} holds no nlprobe package")
     sys.path.insert(0, str(PERFBENCH))
     names = importlib.import_module("workloads").WORKLOADS
-    total, diffs = {"operations": 0, "rows": 0}, []
+    total, diffs = dict.fromkeys(("operations", OPTIMIZER_ROWS, THRESHOLD_ROWS), 0), []
     with tempfile.TemporaryDirectory() as tmp:
         outdir = Path(tmp) / "out"
-        for workload in (*names, OPTIMIZER_ROWS):
+        for workload in (*names, OPTIMIZER_ROWS, THRESHOLD_ROWS):
             parent = records_of(args.parent_src.resolve(), workload, args.seeds, outdir)
             change = records_of(args.change_src.resolve(), workload, args.seeds, outdir)
             found = differences(parent["records"], change["records"])
-            unit = "rows" if workload == OPTIMIZER_ROWS else "operations"
-            total[unit] += len(parent["records"])
+            unit = "rows" if workload in (OPTIMIZER_ROWS, THRESHOLD_ROWS) else "operations"
+            total[workload if unit == "rows" else unit] += len(parent["records"])
             diffs += [f"{workload} {line}" for line in found]
             print(f"{workload}: {len(parent['records'])} {unit}, {len(found)} differ")
             for tree, run in (("parent", parent), ("change", change)):
@@ -210,16 +231,16 @@ def main(argv=None):
                 print(f"  {tree} optimizer kernel calls by seed {counts}")
     for report in diffs:
         print(report)
-    print(f"{total['operations']} operations and {total['rows']} optimizer rows, "
-          f"{f'{len(diffs)} differ' if diffs else 'all byte-identical'}")
+    print(f"{total['operations']} operations, {total[OPTIMIZER_ROWS]} optimizer rows and "
+          f"{total[THRESHOLD_ROWS]} threshold rows, {f'{len(diffs)} differ' if diffs else 'all byte-identical'}")
     return 1 if diffs else 0
 
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--child"]:
         src, workload, outdir, out, *seeds = sys.argv[2:]
-        if workload == OPTIMIZER_ROWS:
-            run = run_rows(Path(src))
+        if workload in (OPTIMIZER_ROWS, THRESHOLD_ROWS):
+            run = run_rows(Path(src), workload)
         else:
             run = run_workload(Path(src), workload, [int(s) for s in seeds], Path(outdir))
         Path(out).write_text(json.dumps(run))
